@@ -18,7 +18,7 @@
 //! alongside the human-readable tables.
 
 use gallery_bench::{arr, banner, obj, write_bench_json, TextTable};
-use gallery_core::{ClockTimeSource, ManualClock};
+use gallery_core::ManualClock;
 use gallery_service::telemetry::{
     parse_exposition, parse_samples, render_tree, FlightRecorder, Telemetry,
 };
@@ -186,8 +186,7 @@ fn flight_scenario() -> (bool, usize, Vec<String>, String) {
     const THRESHOLD_MS: i64 = 5_000;
     const ADVANCE_MS: i64 = 10_000;
     let clock = ManualClock::new(10_000);
-    let telemetry =
-        Telemetry::with_time_source(Arc::new(ClockTimeSource::new(Arc::new(clock.clone()))));
+    let telemetry = Telemetry::with_time_source(Arc::new(clock.clone()));
     let cluster = SimCluster::start_with(
         ClusterConfig::new(3)
             .with_shards(3)

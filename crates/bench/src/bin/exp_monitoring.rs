@@ -29,9 +29,7 @@
 use bytes::Bytes;
 use gallery_bench::{banner, TextTable};
 use gallery_core::monitor::{ModelMonitor, MonitorConfig, ScoringEvent, SCALE};
-use gallery_core::{
-    Clock, ClockTimeSource, Gallery, InstanceId, InstanceSpec, ManualClock, ModelSpec, SystemClock,
-};
+use gallery_core::{Clock, Gallery, InstanceId, InstanceSpec, ManualClock, ModelSpec, SystemClock};
 use gallery_rules::{compile_condition, register_lifecycle_actions, ACTION_ROLLBACK_PRODUCTION};
 use gallery_service::{DirectTransport, GalleryClient, GalleryServer};
 use gallery_store::blob::memory::MemoryBlobStore;
@@ -77,7 +75,7 @@ fn run_drift_latency(smoke: bool) {
     let mut table = TextTable::new(&["seed", "clean false positives", "detection ticks"]);
     for &seed in seeds {
         let clock = Arc::new(ManualClock::new(1_000_000));
-        let telemetry = Telemetry::with_time_source(Arc::new(ClockTimeSource::new(clock.clone())));
+        let telemetry = Telemetry::with_time_source(clock.clone());
         let mut monitor = ModelMonitor::new(
             InstanceId::from(format!("seed-{seed}").as_str()),
             MonitorConfig {
@@ -136,7 +134,7 @@ fn run_burn_rate(smoke: bool) {
     let mut table = TextTable::new(&["seed", "phase", "ticks", "state"]);
     for &seed in seeds {
         let clock = Arc::new(ManualClock::new(5_000_000));
-        let telemetry = Telemetry::with_time_source(Arc::new(ClockTimeSource::new(clock.clone())));
+        let telemetry = Telemetry::with_time_source(clock.clone());
         let reg = telemetry.registry();
         let bad = reg.counter("e17_errors_total", &[]);
         let total = reg.counter("e17_requests_total", &[]);
@@ -224,7 +222,7 @@ fn run_burn_rate(smoke: bool) {
 /// Part 3: metric breach → alert event → lifecycle rollback → exemplar.
 fn run_auto_rollback() {
     let clock = Arc::new(ManualClock::new(9_000_000));
-    let telemetry = Telemetry::with_time_source(Arc::new(ClockTimeSource::new(clock.clone())));
+    let telemetry = Telemetry::with_time_source(clock.clone());
     let gallery = Arc::new(
         Gallery::in_memory_with_clock(clock.clone()).with_telemetry(Arc::clone(&telemetry)),
     );

@@ -20,8 +20,7 @@
 use bytes::Bytes;
 use gallery_bench::{banner, TextTable};
 use gallery_core::{
-    ClockTimeSource, Gallery, InstanceSpec, ManualClock, MetricScope, MetricSpec, ModelSpec,
-    SimulatedSleeper,
+    Gallery, InstanceSpec, ManualClock, MetricScope, MetricSpec, ModelSpec, SimulatedSleeper,
 };
 use gallery_rules::{ActionRegistry, CompiledRule, RuleEngine};
 use gallery_service::{
@@ -38,8 +37,7 @@ use std::time::Instant;
 /// Part 1: one retried RPC, one trace, fully stitched across the wire.
 fn run_trace_stitching() {
     let clock = ManualClock::new(10_000);
-    let telemetry =
-        Telemetry::with_time_source(Arc::new(ClockTimeSource::new(Arc::new(clock.clone()))));
+    let telemetry = Telemetry::with_time_source(Arc::new(clock.clone()));
 
     let gallery = Arc::new(Gallery::in_memory_with_clock(Arc::new(clock.clone())));
     let server =

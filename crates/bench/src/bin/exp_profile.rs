@@ -25,7 +25,7 @@
 //! Emits `BENCH_exp_profile.json` with all three gate measurements.
 
 use gallery_bench::{arr, banner, obj, write_bench_json, TextTable};
-use gallery_core::{ClockTimeSource, ManualClock};
+use gallery_core::ManualClock;
 use gallery_store::meta::StoreConfig;
 use gallery_store::{
     ColumnDef, Constraint, Explain, MetadataStore, Op, Query, Record, TableSchema, Value, ValueType,
@@ -83,8 +83,7 @@ fn seeded_store(cfg: StoreConfig, rows: usize, telemetry: Option<Arc<Telemetry>>
 /// and require the profiler to rank it first, deterministically.
 fn run_hot_spot() -> (String, u64, usize) {
     let clock = ManualClock::new(0);
-    let telemetry =
-        Telemetry::with_time_source(Arc::new(ClockTimeSource::new(Arc::new(clock.clone()))));
+    let telemetry = Telemetry::with_time_source(Arc::new(clock.clone()));
     let tracer = telemetry.tracer();
 
     let root = tracer.start_span("request");

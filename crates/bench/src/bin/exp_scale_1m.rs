@@ -159,26 +159,26 @@ fn query_suite(store: &MetadataStore, size: usize, table: &mut TextTable) {
     });
     let pk_us = pk_us / 20.0;
 
-    let ((rows_eq, path_eq), eq_us) = measure(|| {
+    let ((rows_eq, explain_eq), eq_us) = measure(|| {
         store
-            .query_explain(
+            .query_explain_full(
                 "instances",
                 &Query::all().and(Constraint::eq("city", "city_042")),
             )
             .unwrap()
     });
-    assert!(matches!(path_eq, AccessPath::IndexEq { .. }));
+    assert!(matches!(explain_eq.path, AccessPath::IndexEq { .. }));
 
-    let ((rows_range, path_range), range_us) = measure(|| {
+    let ((rows_range, explain_range), range_us) = measure(|| {
         store
-            .query_explain("instances", &Query::all().and(Constraint::lt("mape", 0.01)))
+            .query_explain_full("instances", &Query::all().and(Constraint::lt("mape", 0.01)))
             .unwrap()
     });
-    assert!(matches!(path_range, AccessPath::IndexRange { .. }));
+    assert!(matches!(explain_range.path, AccessPath::IndexRange { .. }));
 
-    let ((_, path_scan), scan_us) = measure(|| {
+    let ((_, explain_scan), scan_us) = measure(|| {
         store
-            .query_explain(
+            .query_explain_full(
                 "instances",
                 &Query::all()
                     .and(Constraint::new("notes", Op::Contains, "#999999999"))
@@ -186,7 +186,7 @@ fn query_suite(store: &MetadataStore, size: usize, table: &mut TextTable) {
             )
             .unwrap()
     });
-    assert_eq!(path_scan, AccessPath::FullScan);
+    assert_eq!(explain_scan.path, AccessPath::FullScan);
 
     table.add_row(vec![
         size.to_string(),

@@ -6,28 +6,11 @@
 
 use parking_lot::Mutex;
 use std::sync::Arc;
-use std::time::{SystemTime, UNIX_EPOCH};
+
+pub use gallery_telemetry::{Clock, SystemClock};
 
 /// Milliseconds since the UNIX epoch.
 pub type TimestampMs = i64;
-
-/// A source of timestamps.
-pub trait Clock: Send + Sync {
-    fn now_ms(&self) -> TimestampMs;
-}
-
-/// Wall-clock time.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct SystemClock;
-
-impl Clock for SystemClock {
-    fn now_ms(&self) -> TimestampMs {
-        SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_millis() as i64)
-            .unwrap_or(0)
-    }
-}
 
 /// Manually advanced clock for deterministic tests and simulations. Each
 /// `now_ms` call returns a strictly increasing value (ties broken by an
@@ -138,27 +121,6 @@ impl Clock for MonotonicClock {
         let t = now.max(*last + 1);
         *last = t;
         t
-    }
-}
-
-/// Adapts any core [`Clock`] into a telemetry
-/// [`gallery_telemetry::TimeSource`], so spans and events run on the same
-/// (possibly manual) clock as the rest of a simulation — the determinism
-/// tests build a `Telemetry::with_time_source` bundle over a
-/// [`ManualClock`] through this.
-pub struct ClockTimeSource {
-    inner: Arc<dyn Clock>,
-}
-
-impl ClockTimeSource {
-    pub fn new(inner: Arc<dyn Clock>) -> Self {
-        ClockTimeSource { inner }
-    }
-}
-
-impl gallery_telemetry::TimeSource for ClockTimeSource {
-    fn now_ms(&self) -> i64 {
-        self.inner.now_ms()
     }
 }
 

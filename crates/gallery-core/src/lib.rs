@@ -53,8 +53,7 @@ pub mod version;
 pub use gallery_sync as sync;
 
 pub use clock::{
-    Clock, ClockTimeSource, ManualClock, SimulatedSleeper, Sleeper, SystemClock, SystemSleeper,
-    TimestampMs,
+    Clock, ManualClock, SimulatedSleeper, Sleeper, SystemClock, SystemSleeper, TimestampMs,
 };
 pub use error::{GalleryError, Result};
 pub use events::{EventBus, GalleryEvent};

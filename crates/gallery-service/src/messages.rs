@@ -5,91 +5,321 @@
 //! `uploadModel`, `insertModelInstanceMetric`, `modelQuery`) plus the
 //! dependency, deployment, lifecycle, rule, and health operations the rest
 //! of the paper describes.
+//!
+//! Like a Thrift IDL, every message is declared once, in one of three
+//! tables (`wire_struct!`, `wire_union!`, `wire_tags!`), and its codec is
+//! derived from the declaration: fields go on the wire in declaration
+//! order, a field's type picks its encoding (see [`Wire`]), and variant
+//! tags are the explicit literals in the table. Only the envelopes around
+//! a request (trace, idempotency key, shard) are written by hand.
 
 use crate::wire::{Reader, WireError, Writer};
 use bytes::Bytes;
 use gallery_telemetry::SpanContext;
 
-/// A query constraint as carried on the wire (Listing 5's
-/// `(field, operator, value)` triples).
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireConstraint {
-    pub field: String,
-    pub op: WireOp,
-    pub value: WireValue,
+/// The encoding of one field type. Integers are varints (zigzag when
+/// signed) except `u8`, `Option` is a presence byte then the value, `Vec`
+/// is a count then the items, `Box` is transparent.
+trait Wire: Sized {
+    fn put(&self, w: &mut Writer);
+    fn get(r: &mut Reader) -> Result<Self, WireError>;
 }
 
-/// Constraint operator tags.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireOp {
-    Eq = 0,
-    Ne = 1,
-    Lt = 2,
-    Le = 3,
-    Gt = 4,
-    Ge = 5,
-    Contains = 6,
-    StartsWith = 7,
-}
-
-impl WireOp {
-    fn from_u8(v: u8) -> Result<Self, WireError> {
-        Ok(match v {
-            0 => WireOp::Eq,
-            1 => WireOp::Ne,
-            2 => WireOp::Lt,
-            3 => WireOp::Le,
-            4 => WireOp::Gt,
-            5 => WireOp::Ge,
-            6 => WireOp::Contains,
-            7 => WireOp::StartsWith,
-            other => return Err(WireError::new(format!("bad op tag {other}"))),
-        })
+impl Wire for String {
+    fn put(&self, w: &mut Writer) {
+        w.put_str(self);
+    }
+    fn get(r: &mut Reader) -> Result<Self, WireError> {
+        r.get_str()
     }
 }
 
-/// A dynamically typed constraint value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WireValue {
-    Null,
-    Bool(bool),
-    Int(i64),
-    Float(f64),
-    Str(String),
+impl Wire for Bytes {
+    fn put(&self, w: &mut Writer) {
+        w.put_bytes(self);
+    }
+    fn get(r: &mut Reader) -> Result<Self, WireError> {
+        r.get_bytes()
+    }
 }
 
-impl WireValue {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            WireValue::Null => w.put_u8(0),
-            WireValue::Bool(b) => {
-                w.put_u8(1);
-                w.put_bool(*b);
-            }
-            WireValue::Int(i) => {
-                w.put_u8(2);
-                w.put_ivarint(*i);
-            }
-            WireValue::Float(x) => {
-                w.put_u8(3);
-                w.put_f64(*x);
-            }
-            WireValue::Str(s) => {
-                w.put_u8(4);
-                w.put_str(s);
-            }
+impl Wire for u8 {
+    fn put(&self, w: &mut Writer) {
+        w.put_u8(*self);
+    }
+    fn get(r: &mut Reader) -> Result<Self, WireError> {
+        r.get_u8()
+    }
+}
+
+impl Wire for u32 {
+    fn put(&self, w: &mut Writer) {
+        w.put_uvarint(u64::from(*self));
+    }
+    fn get(r: &mut Reader) -> Result<Self, WireError> {
+        Ok(r.get_uvarint()? as u32)
+    }
+}
+
+impl Wire for u64 {
+    fn put(&self, w: &mut Writer) {
+        w.put_uvarint(*self);
+    }
+    fn get(r: &mut Reader) -> Result<Self, WireError> {
+        r.get_uvarint()
+    }
+}
+
+impl Wire for i64 {
+    fn put(&self, w: &mut Writer) {
+        w.put_ivarint(*self);
+    }
+    fn get(r: &mut Reader) -> Result<Self, WireError> {
+        r.get_ivarint()
+    }
+}
+
+impl Wire for f64 {
+    fn put(&self, w: &mut Writer) {
+        w.put_f64(*self);
+    }
+    fn get(r: &mut Reader) -> Result<Self, WireError> {
+        r.get_f64()
+    }
+}
+
+impl Wire for bool {
+    fn put(&self, w: &mut Writer) {
+        w.put_bool(*self);
+    }
+    fn get(r: &mut Reader) -> Result<Self, WireError> {
+        r.get_bool()
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, w: &mut Writer) {
+        w.put_bool(self.is_some());
+        if let Some(v) = self {
+            v.put(w);
         }
     }
-
-    fn decode(r: &mut Reader) -> Result<Self, WireError> {
-        Ok(match r.get_u8()? {
-            0 => WireValue::Null,
-            1 => WireValue::Bool(r.get_bool()?),
-            2 => WireValue::Int(r.get_ivarint()?),
-            3 => WireValue::Float(r.get_f64()?),
-            4 => WireValue::Str(r.get_str()?),
-            other => return Err(WireError::new(format!("bad value tag {other}"))),
+    fn get(r: &mut Reader) -> Result<Self, WireError> {
+        Ok(if r.get_bool()? {
+            Some(T::get(r)?)
+        } else {
+            None
         })
+    }
+}
+
+impl<T: Wire> Wire for Box<T> {
+    fn put(&self, w: &mut Writer) {
+        (**self).put(w);
+    }
+    fn get(r: &mut Reader) -> Result<Self, WireError> {
+        T::get(r).map(Box::new)
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, w: &mut Writer) {
+        w.put_uvarint(self.len() as u64);
+        for item in self {
+            item.put(w);
+        }
+    }
+    /// The count comes from the peer, so it never sizes an allocation by
+    /// itself: every item takes at least one byte, which bounds the
+    /// reservation by what is left to read, and a lying count then fails
+    /// on the item where the buffer runs out.
+    fn get(r: &mut Reader) -> Result<Self, WireError> {
+        let n = r.get_uvarint()? as usize;
+        let mut items = Vec::with_capacity(n.min(r.remaining()).min(4096));
+        for _ in 0..n {
+            items.push(T::get(r)?);
+        }
+        Ok(items)
+    }
+}
+
+/// A struct whose wire form is its fields in declaration order.
+macro_rules! wire_struct {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $($(#[$fmeta:meta])* pub $field:ident: $fty:ty,)*
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $($(#[$fmeta])* pub $field: $fty,)*
+        }
+
+        impl Wire for $name {
+            fn put(&self, w: &mut Writer) {
+                $(self.$field.put(w);)*
+            }
+            fn get(r: &mut Reader) -> Result<Self, WireError> {
+                Ok($name { $($field: Wire::get(r)?,)* })
+            }
+        }
+    };
+}
+
+/// A fieldless enum carried as its one-byte discriminant.
+macro_rules! wire_tags {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident($what:literal) {
+            $($(#[$vmeta:meta])* $variant:ident = $tag:literal,)*
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum $name {
+            $($(#[$vmeta])* $variant = $tag,)*
+        }
+
+        impl Wire for $name {
+            fn put(&self, w: &mut Writer) {
+                w.put_u8(*self as u8);
+            }
+            fn get(r: &mut Reader) -> Result<Self, WireError> {
+                match r.get_u8()? {
+                    $($tag => Ok($name::$variant),)*
+                    other => Err(WireError::new(format!(concat!("bad ", $what, " {}"), other))),
+                }
+            }
+        }
+    };
+}
+
+/// A tagged union: one row per variant, `tag => Variant`, followed by
+/// nothing, by `{ field: Type, .. }` or by `(binding: Type)`. On the wire
+/// a value is its tag byte and then its fields in declaration order.
+///
+/// The first form is for RPC requests, whose rows end in
+/// `: "methodName", mutating` so that a method's name and whether it
+/// changes server state are stated next to its tag and fields.
+macro_rules! wire_union {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident($what:literal) {
+            $(
+                $(#[$vmeta:meta])*
+                $tag:literal => $variant:ident $({ $($field:ident: $fty:ty),* $(,)? })?
+                    : $method:literal, $mutating:literal,
+            )*
+        }
+    ) => {
+        wire_union! {
+            $(#[$meta])*
+            pub enum $name($what) {
+                $($(#[$vmeta])* $tag => $variant $({ $($field: $fty),* })?,)*
+            }
+        }
+
+        impl $name {
+            /// The wire method name, used as the circuit-breaker endpoint
+            /// key and in request logs.
+            pub fn method_name(&self) -> &'static str {
+                match self {
+                    $($name::$variant { .. } => $method,)*
+                }
+            }
+
+            /// Whether the request changes server state. Mutating requests
+            /// are the ones a client must attach an idempotency key to
+            /// before retrying an ambiguous failure (the request may have
+            /// been applied even though the response was lost).
+            pub fn is_mutating(&self) -> bool {
+                match self {
+                    $($name::$variant { .. } => $mutating,)*
+                }
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident($what:literal) {
+            $(
+                $(#[$vmeta:meta])*
+                $tag:literal => $variant:ident
+                    $({ $($field:ident: $fty:ty),* $(,)? })?
+                    $(( $bind:ident: $tty:ty ))?,
+            )*
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum $name {
+            $($(#[$vmeta])* $variant $({ $($field: $fty),* })? $(( $tty ))?,)*
+        }
+
+        impl $name {
+            /// Decode the fields of the variant `tag` names.
+            fn get_tagged(tag: u8, r: &mut Reader) -> Result<Self, WireError> {
+                match tag {
+                    $($tag => Ok($name::$variant
+                        $({ $($field: Wire::get(r)?),* })?
+                        $(( <$tty as Wire>::get(r)? ))?),)*
+                    other => Err(WireError::new(format!(concat!("bad ", $what, " {}"), other))),
+                }
+            }
+        }
+
+        impl Wire for $name {
+            fn put(&self, w: &mut Writer) {
+                match self {
+                    $($name::$variant $({ $($field),* })? $(( $bind ))? => {
+                        w.put_u8($tag);
+                        $($($field.put(w);)*)?
+                        $($bind.put(w);)?
+                    })*
+                }
+            }
+            fn get(r: &mut Reader) -> Result<Self, WireError> {
+                let tag = r.get_u8()?;
+                Self::get_tagged(tag, r)
+            }
+        }
+    };
+}
+
+wire_struct! {
+    /// A query constraint as carried on the wire (Listing 5's
+    /// `(field, operator, value)` triples).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct WireConstraint {
+        pub field: String,
+        pub op: WireOp,
+        pub value: WireValue,
+    }
+}
+
+wire_tags! {
+    /// Constraint operator tags.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum WireOp("op tag") {
+        Eq = 0,
+        Ne = 1,
+        Lt = 2,
+        Le = 3,
+        Gt = 4,
+        Ge = 5,
+        Contains = 6,
+        StartsWith = 7,
+    }
+}
+
+wire_union! {
+    /// A dynamically typed constraint value.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum WireValue("value tag") {
+        0 => Null,
+        1 => Bool(b: bool),
+        2 => Int(i: i64),
+        3 => Float(x: f64),
+        4 => Str(s: String),
     }
 }
 
@@ -101,173 +331,100 @@ impl WireConstraint {
             value,
         }
     }
+}
 
-    fn encode(&self, w: &mut Writer) {
-        w.put_str(&self.field);
-        w.put_u8(self.op as u8);
-        self.value.encode(w);
-    }
-
-    fn decode(r: &mut Reader) -> Result<Self, WireError> {
-        Ok(WireConstraint {
-            field: r.get_str()?,
-            op: WireOp::from_u8(r.get_u8()?)?,
-            value: WireValue::decode(r)?,
-        })
+wire_union! {
+    /// All service requests.
+    ///
+    /// Rule requests count as mutating because the engine may run
+    /// promotion actions. The replication requests (`ShipWal`, `ApplyWal`,
+    /// `ReplStatus`, `SetShardRole`) deliberately do NOT count:
+    /// `ApplyWal` and `SetShardRole` change state but are sequence-/
+    /// value-idempotent by construction, so the router retries them
+    /// freely without minting keys — the idempotency cache is reserved
+    /// for client writes.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Request("request tag") {
+        /// Listing 3: `createGalleryModel(project, base_version_id)`.
+        1 => CreateModel {
+            project: String,
+            base_version_id: String,
+            name: String,
+            owner: String,
+            description: String,
+            metadata_json: String,
+        }: "createGalleryModel", true,
+        2 => GetModel { model_id: String }: "getModel", false,
+        /// Listing 3: `uploadModel(...)` — the blob rides along.
+        3 => UploadModel {
+            model_id: String,
+            metadata_json: String,
+            blob: Bytes,
+        }: "uploadModel", true,
+        4 => GetInstance { instance_id: String }: "getInstance", false,
+        5 => FetchBlob { instance_id: String }: "fetchBlob", false,
+        /// Listing 4: `insertModelInstanceMetric(...)`.
+        6 => InsertMetric {
+            instance_id: String,
+            name: String,
+            scope: String,
+            value: f64,
+            metadata_json: String,
+        }: "insertModelInstanceMetric", true,
+        /// Listing 5: `modelQuery(searchConstraint)`.
+        7 => ModelQuery { constraints: Vec<WireConstraint> }: "modelQuery", false,
+        8 => InstancesOfBaseVersion { base_version_id: String }: "instancesOfBaseVersion", false,
+        9 => LatestInstance { model_id: String }: "latestInstance", false,
+        10 => Deploy { model_id: String, instance_id: String, environment: String }: "deploy", true,
+        11 => DeployedInstance { model_id: String, environment: String }: "deployedInstance", false,
+        12 => AddDependency { model_id: String, upstream_id: String }: "addDependency", true,
+        13 => RemoveDependency { model_id: String, upstream_id: String }: "removeDependency", true,
+        14 => UpstreamOf { model_id: String }: "upstreamOf", false,
+        15 => DownstreamOf { model_id: String }: "downstreamOf", false,
+        16 => DeprecateModel { model_id: String }: "deprecateModel", true,
+        17 => DeprecateInstance { instance_id: String }: "deprecateInstance", true,
+        18 => SetStage { instance_id: String, stage: String }: "setStage", true,
+        19 => StageOf { instance_id: String }: "stageOf", false,
+        /// Run a registered selection rule, returning the champion.
+        20 => SelectChampion { rule_id: String }: "selectChampion", true,
+        /// Directly trigger a registered action rule against an instance.
+        21 => TriggerRule { rule_id: String, instance_id: String }: "triggerRule", true,
+        22 => HealthReport { instance_id: String }: "healthReport", false,
+        /// Observability probe: render the server's telemetry in text form.
+        /// `section` selects what to render — `"metrics"` (Prometheus
+        /// exposition), `"alerts"` (alert statuses + recent transitions), or
+        /// `"all"` for both.
+        23 => Probe { section: String }: "probe", false,
+        /// Author-time validation: run the rule-language static analyzer over
+        /// `content` without registering anything. `kind` selects the schema —
+        /// `"condition"` (alert condition expression), `"rule"` (one rule JSON
+        /// document), or `"rules"` (JSON array of rule documents, with
+        /// set-level analysis).
+        24 => Validate { kind: String, content: String }: "validate", false,
+        /// Replication (docs/replication.md): ask a shard leader for the WAL
+        /// frames a follower at `from_seq` is missing, at most `max`.
+        25 => ShipWal { from_seq: u64, max: u64 }: "shipWal", false,
+        /// Replication: apply a batch of shipped WAL frames on a follower.
+        /// Seq-idempotent on the store side, so re-sends are safe without an
+        /// idempotency key.
+        26 => ApplyWal { frames: Vec<WireWalFrame> }: "applyWal", false,
+        /// Replication: report a replica's applied sequence and role (used by
+        /// the router to pick the most caught-up follower at failover).
+        27 => ReplStatus: "replStatus", false,
+        /// Cluster control: set this replica's role for the shard (`"leader"`
+        /// or `"follower"`). Idempotent — setting the current role is a no-op.
+        28 => SetShardRole { role: String }: "setShardRole", false,
     }
 }
 
-/// All service requests.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Request {
-    /// Listing 3: `createGalleryModel(project, base_version_id)`.
-    CreateModel {
-        project: String,
-        base_version_id: String,
-        name: String,
-        owner: String,
-        description: String,
-        metadata_json: String,
-    },
-    GetModel {
-        model_id: String,
-    },
-    /// Listing 3: `uploadModel(...)` — the blob rides along.
-    UploadModel {
-        model_id: String,
-        metadata_json: String,
-        blob: Bytes,
-    },
-    GetInstance {
-        instance_id: String,
-    },
-    FetchBlob {
-        instance_id: String,
-    },
-    /// Listing 4: `insertModelInstanceMetric(...)`.
-    InsertMetric {
-        instance_id: String,
-        name: String,
-        scope: String,
-        value: f64,
-        metadata_json: String,
-    },
-    /// Listing 5: `modelQuery(searchConstraint)`.
-    ModelQuery {
-        constraints: Vec<WireConstraint>,
-    },
-    InstancesOfBaseVersion {
-        base_version_id: String,
-    },
-    LatestInstance {
-        model_id: String,
-    },
-    Deploy {
-        model_id: String,
-        instance_id: String,
-        environment: String,
-    },
-    DeployedInstance {
-        model_id: String,
-        environment: String,
-    },
-    AddDependency {
-        model_id: String,
-        upstream_id: String,
-    },
-    RemoveDependency {
-        model_id: String,
-        upstream_id: String,
-    },
-    UpstreamOf {
-        model_id: String,
-    },
-    DownstreamOf {
-        model_id: String,
-    },
-    DeprecateModel {
-        model_id: String,
-    },
-    DeprecateInstance {
-        instance_id: String,
-    },
-    SetStage {
-        instance_id: String,
-        stage: String,
-    },
-    StageOf {
-        instance_id: String,
-    },
-    /// Run a registered selection rule, returning the champion.
-    SelectChampion {
-        rule_id: String,
-    },
-    /// Directly trigger a registered action rule against an instance.
-    TriggerRule {
-        rule_id: String,
-        instance_id: String,
-    },
-    HealthReport {
-        instance_id: String,
-    },
-    /// Observability probe: render the server's telemetry in text form.
-    /// `section` selects what to render — `"metrics"` (Prometheus
-    /// exposition), `"alerts"` (alert statuses + recent transitions), or
-    /// `"all"` for both.
-    Probe {
-        section: String,
-    },
-    /// Author-time validation: run the rule-language static analyzer over
-    /// `content` without registering anything. `kind` selects the schema —
-    /// `"condition"` (alert condition expression), `"rule"` (one rule JSON
-    /// document), or `"rules"` (JSON array of rule documents, with
-    /// set-level analysis).
-    Validate {
-        kind: String,
-        content: String,
-    },
-    /// Replication (docs/replication.md): ask a shard leader for the WAL
-    /// frames a follower at `from_seq` is missing, at most `max`.
-    ShipWal {
-        from_seq: u64,
-        max: u64,
-    },
-    /// Replication: apply a batch of shipped WAL frames on a follower.
-    /// Seq-idempotent on the store side, so re-sends are safe without an
-    /// idempotency key.
-    ApplyWal {
-        frames: Vec<WireWalFrame>,
-    },
-    /// Replication: report a replica's applied sequence and role (used by
-    /// the router to pick the most caught-up follower at failover).
-    ReplStatus,
-    /// Cluster control: set this replica's role for the shard (`"leader"`
-    /// or `"follower"`). Idempotent — setting the current role is a no-op.
-    SetShardRole {
-        role: String,
-    },
-}
-
-/// One shipped WAL op on the wire: the leader's 1-based commit sequence
-/// plus the op in the physical WAL's JSON encoding (see
-/// `gallery_store::ShipFrame` — this is its wire twin).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireWalFrame {
-    pub seq: u64,
-    pub op_json: String,
-}
-
-impl WireWalFrame {
-    fn encode(&self, w: &mut Writer) {
-        w.put_uvarint(self.seq);
-        w.put_str(&self.op_json);
-    }
-
-    fn decode(r: &mut Reader) -> Result<Self, WireError> {
-        Ok(WireWalFrame {
-            seq: r.get_uvarint()?,
-            op_json: r.get_str()?,
-        })
+wire_struct! {
+    /// One shipped WAL op on the wire: the leader's 1-based commit sequence
+    /// plus the op in the physical WAL's JSON encoding (see
+    /// `gallery_store::ShipFrame` — this is its wire twin).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct WireWalFrame {
+        pub seq: u64,
+        pub op_json: String,
     }
 }
 
@@ -327,102 +484,6 @@ pub struct DecodedRequest {
 }
 
 impl Request {
-    fn tag(&self) -> u8 {
-        match self {
-            Request::CreateModel { .. } => 1,
-            Request::GetModel { .. } => 2,
-            Request::UploadModel { .. } => 3,
-            Request::GetInstance { .. } => 4,
-            Request::FetchBlob { .. } => 5,
-            Request::InsertMetric { .. } => 6,
-            Request::ModelQuery { .. } => 7,
-            Request::InstancesOfBaseVersion { .. } => 8,
-            Request::LatestInstance { .. } => 9,
-            Request::Deploy { .. } => 10,
-            Request::DeployedInstance { .. } => 11,
-            Request::AddDependency { .. } => 12,
-            Request::RemoveDependency { .. } => 13,
-            Request::UpstreamOf { .. } => 14,
-            Request::DownstreamOf { .. } => 15,
-            Request::DeprecateModel { .. } => 16,
-            Request::DeprecateInstance { .. } => 17,
-            Request::SetStage { .. } => 18,
-            Request::StageOf { .. } => 19,
-            Request::SelectChampion { .. } => 20,
-            Request::TriggerRule { .. } => 21,
-            Request::HealthReport { .. } => 22,
-            Request::Probe { .. } => 23,
-            Request::Validate { .. } => 24,
-            Request::ShipWal { .. } => 25,
-            Request::ApplyWal { .. } => 26,
-            Request::ReplStatus => 27,
-            Request::SetShardRole { .. } => 28,
-        }
-    }
-
-    /// The wire method name, used as the circuit-breaker endpoint key and
-    /// in request logs.
-    pub fn method_name(&self) -> &'static str {
-        match self {
-            Request::CreateModel { .. } => "createGalleryModel",
-            Request::GetModel { .. } => "getModel",
-            Request::UploadModel { .. } => "uploadModel",
-            Request::GetInstance { .. } => "getInstance",
-            Request::FetchBlob { .. } => "fetchBlob",
-            Request::InsertMetric { .. } => "insertModelInstanceMetric",
-            Request::ModelQuery { .. } => "modelQuery",
-            Request::InstancesOfBaseVersion { .. } => "instancesOfBaseVersion",
-            Request::LatestInstance { .. } => "latestInstance",
-            Request::Deploy { .. } => "deploy",
-            Request::DeployedInstance { .. } => "deployedInstance",
-            Request::AddDependency { .. } => "addDependency",
-            Request::RemoveDependency { .. } => "removeDependency",
-            Request::UpstreamOf { .. } => "upstreamOf",
-            Request::DownstreamOf { .. } => "downstreamOf",
-            Request::DeprecateModel { .. } => "deprecateModel",
-            Request::DeprecateInstance { .. } => "deprecateInstance",
-            Request::SetStage { .. } => "setStage",
-            Request::StageOf { .. } => "stageOf",
-            Request::SelectChampion { .. } => "selectChampion",
-            Request::TriggerRule { .. } => "triggerRule",
-            Request::HealthReport { .. } => "healthReport",
-            Request::Probe { .. } => "probe",
-            Request::Validate { .. } => "validate",
-            Request::ShipWal { .. } => "shipWal",
-            Request::ApplyWal { .. } => "applyWal",
-            Request::ReplStatus => "replStatus",
-            Request::SetShardRole { .. } => "setShardRole",
-        }
-    }
-
-    /// Whether the request changes server state. Mutating requests are the
-    /// ones a client must attach an idempotency key to before retrying an
-    /// ambiguous failure (the request may have been applied even though the
-    /// response was lost). Rule requests count as mutating because the
-    /// engine may run promotion actions.
-    ///
-    /// The replication requests (`ShipWal`, `ApplyWal`, `ReplStatus`,
-    /// `SetShardRole`) deliberately do NOT count: `ApplyWal` and
-    /// `SetShardRole` change state but are sequence-/value-idempotent by
-    /// construction, so the router retries them freely without minting
-    /// keys — the idempotency cache is reserved for client writes.
-    pub fn is_mutating(&self) -> bool {
-        matches!(
-            self,
-            Request::CreateModel { .. }
-                | Request::UploadModel { .. }
-                | Request::InsertMetric { .. }
-                | Request::Deploy { .. }
-                | Request::AddDependency { .. }
-                | Request::RemoveDependency { .. }
-                | Request::DeprecateModel { .. }
-                | Request::DeprecateInstance { .. }
-                | Request::SetStage { .. }
-                | Request::SelectChampion { .. }
-                | Request::TriggerRule { .. }
-        )
-    }
-
     /// Encode to a framed wire message.
     pub fn encode(&self) -> Bytes {
         self.encode_with(None, None)
@@ -451,124 +512,8 @@ impl Request {
             w.put_u8(KEYED_REQUEST_TAG);
             w.put_str(key);
         }
-        w.put_u8(self.tag());
-        self.encode_payload(&mut w);
+        self.put(&mut w);
         w.frame()
-    }
-
-    fn encode_payload(&self, w: &mut Writer) {
-        match self {
-            Request::CreateModel {
-                project,
-                base_version_id,
-                name,
-                owner,
-                description,
-                metadata_json,
-            } => {
-                w.put_str(project);
-                w.put_str(base_version_id);
-                w.put_str(name);
-                w.put_str(owner);
-                w.put_str(description);
-                w.put_str(metadata_json);
-            }
-            Request::GetModel { model_id }
-            | Request::UpstreamOf { model_id }
-            | Request::DownstreamOf { model_id }
-            | Request::DeprecateModel { model_id }
-            | Request::LatestInstance { model_id } => w.put_str(model_id),
-            Request::UploadModel {
-                model_id,
-                metadata_json,
-                blob,
-            } => {
-                w.put_str(model_id);
-                w.put_str(metadata_json);
-                w.put_bytes(blob);
-            }
-            Request::GetInstance { instance_id }
-            | Request::FetchBlob { instance_id }
-            | Request::DeprecateInstance { instance_id }
-            | Request::StageOf { instance_id }
-            | Request::HealthReport { instance_id } => w.put_str(instance_id),
-            Request::InsertMetric {
-                instance_id,
-                name,
-                scope,
-                value,
-                metadata_json,
-            } => {
-                w.put_str(instance_id);
-                w.put_str(name);
-                w.put_str(scope);
-                w.put_f64(*value);
-                w.put_str(metadata_json);
-            }
-            Request::ModelQuery { constraints } => {
-                w.put_uvarint(constraints.len() as u64);
-                for c in constraints {
-                    c.encode(w);
-                }
-            }
-            Request::InstancesOfBaseVersion { base_version_id } => w.put_str(base_version_id),
-            Request::Deploy {
-                model_id,
-                instance_id,
-                environment,
-            } => {
-                w.put_str(model_id);
-                w.put_str(instance_id);
-                w.put_str(environment);
-            }
-            Request::DeployedInstance {
-                model_id,
-                environment,
-            } => {
-                w.put_str(model_id);
-                w.put_str(environment);
-            }
-            Request::AddDependency {
-                model_id,
-                upstream_id,
-            }
-            | Request::RemoveDependency {
-                model_id,
-                upstream_id,
-            } => {
-                w.put_str(model_id);
-                w.put_str(upstream_id);
-            }
-            Request::SetStage { instance_id, stage } => {
-                w.put_str(instance_id);
-                w.put_str(stage);
-            }
-            Request::SelectChampion { rule_id } => w.put_str(rule_id),
-            Request::TriggerRule {
-                rule_id,
-                instance_id,
-            } => {
-                w.put_str(rule_id);
-                w.put_str(instance_id);
-            }
-            Request::Probe { section } => w.put_str(section),
-            Request::Validate { kind, content } => {
-                w.put_str(kind);
-                w.put_str(content);
-            }
-            Request::ShipWal { from_seq, max } => {
-                w.put_uvarint(*from_seq);
-                w.put_uvarint(*max);
-            }
-            Request::ApplyWal { frames } => {
-                w.put_uvarint(frames.len() as u64);
-                for f in frames {
-                    f.encode(w);
-                }
-            }
-            Request::ReplStatus => {}
-            Request::SetShardRole { role } => w.put_str(role),
-        }
     }
 
     /// Decode from a framed wire message, accepting any envelope framing
@@ -614,7 +559,7 @@ impl Request {
         } else {
             None
         };
-        let request = Self::decode_payload(&mut r, tag)?;
+        let request = Self::get_tagged(tag, &mut r)?;
         r.finish()?;
         Ok(DecodedRequest {
             trace,
@@ -622,522 +567,137 @@ impl Request {
             request,
         })
     }
+}
 
-    fn decode_payload(r: &mut Reader, tag: u8) -> Result<Self, WireError> {
-        let req = match tag {
-            1 => Request::CreateModel {
-                project: r.get_str()?,
-                base_version_id: r.get_str()?,
-                name: r.get_str()?,
-                owner: r.get_str()?,
-                description: r.get_str()?,
-                metadata_json: r.get_str()?,
-            },
-            2 => Request::GetModel {
-                model_id: r.get_str()?,
-            },
-            3 => Request::UploadModel {
-                model_id: r.get_str()?,
-                metadata_json: r.get_str()?,
-                blob: r.get_bytes()?,
-            },
-            4 => Request::GetInstance {
-                instance_id: r.get_str()?,
-            },
-            5 => Request::FetchBlob {
-                instance_id: r.get_str()?,
-            },
-            6 => Request::InsertMetric {
-                instance_id: r.get_str()?,
-                name: r.get_str()?,
-                scope: r.get_str()?,
-                value: r.get_f64()?,
-                metadata_json: r.get_str()?,
-            },
-            7 => {
-                let n = r.get_uvarint()? as usize;
-                let mut constraints = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    constraints.push(WireConstraint::decode(r)?);
-                }
-                Request::ModelQuery { constraints }
-            }
-            8 => Request::InstancesOfBaseVersion {
-                base_version_id: r.get_str()?,
-            },
-            9 => Request::LatestInstance {
-                model_id: r.get_str()?,
-            },
-            10 => Request::Deploy {
-                model_id: r.get_str()?,
-                instance_id: r.get_str()?,
-                environment: r.get_str()?,
-            },
-            11 => Request::DeployedInstance {
-                model_id: r.get_str()?,
-                environment: r.get_str()?,
-            },
-            12 => Request::AddDependency {
-                model_id: r.get_str()?,
-                upstream_id: r.get_str()?,
-            },
-            13 => Request::RemoveDependency {
-                model_id: r.get_str()?,
-                upstream_id: r.get_str()?,
-            },
-            14 => Request::UpstreamOf {
-                model_id: r.get_str()?,
-            },
-            15 => Request::DownstreamOf {
-                model_id: r.get_str()?,
-            },
-            16 => Request::DeprecateModel {
-                model_id: r.get_str()?,
-            },
-            17 => Request::DeprecateInstance {
-                instance_id: r.get_str()?,
-            },
-            18 => Request::SetStage {
-                instance_id: r.get_str()?,
-                stage: r.get_str()?,
-            },
-            19 => Request::StageOf {
-                instance_id: r.get_str()?,
-            },
-            20 => Request::SelectChampion {
-                rule_id: r.get_str()?,
-            },
-            21 => Request::TriggerRule {
-                rule_id: r.get_str()?,
-                instance_id: r.get_str()?,
-            },
-            22 => Request::HealthReport {
-                instance_id: r.get_str()?,
-            },
-            23 => Request::Probe {
-                section: r.get_str()?,
-            },
-            24 => Request::Validate {
-                kind: r.get_str()?,
-                content: r.get_str()?,
-            },
-            25 => Request::ShipWal {
-                from_seq: r.get_uvarint()?,
-                max: r.get_uvarint()?,
-            },
-            26 => {
-                let n = r.get_uvarint()? as usize;
-                let mut frames = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    frames.push(WireWalFrame::decode(r)?);
-                }
-                Request::ApplyWal { frames }
-            }
-            27 => Request::ReplStatus,
-            28 => Request::SetShardRole { role: r.get_str()? },
-            other => return Err(WireError::new(format!("bad request tag {other}"))),
-        };
-        Ok(req)
+wire_struct! {
+    /// Model data transfer object.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ModelDto {
+        pub id: String,
+        pub base_version_id: String,
+        pub project: String,
+        pub name: String,
+        pub owner: String,
+        pub description: String,
+        pub metadata_json: String,
+        pub created_at: i64,
+        pub prev: Option<String>,
+        pub deprecated: bool,
     }
 }
 
-/// Model data transfer object.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ModelDto {
-    pub id: String,
-    pub base_version_id: String,
-    pub project: String,
-    pub name: String,
-    pub owner: String,
-    pub description: String,
-    pub metadata_json: String,
-    pub created_at: i64,
-    pub prev: Option<String>,
-    pub deprecated: bool,
-}
-
-impl ModelDto {
-    fn encode(&self, w: &mut Writer) {
-        w.put_str(&self.id);
-        w.put_str(&self.base_version_id);
-        w.put_str(&self.project);
-        w.put_str(&self.name);
-        w.put_str(&self.owner);
-        w.put_str(&self.description);
-        w.put_str(&self.metadata_json);
-        w.put_ivarint(self.created_at);
-        w.put_opt_str(self.prev.as_deref());
-        w.put_bool(self.deprecated);
-    }
-
-    fn decode(r: &mut Reader) -> Result<Self, WireError> {
-        Ok(ModelDto {
-            id: r.get_str()?,
-            base_version_id: r.get_str()?,
-            project: r.get_str()?,
-            name: r.get_str()?,
-            owner: r.get_str()?,
-            description: r.get_str()?,
-            metadata_json: r.get_str()?,
-            created_at: r.get_ivarint()?,
-            prev: r.get_opt_str()?,
-            deprecated: r.get_bool()?,
-        })
+wire_struct! {
+    /// Instance data transfer object.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct InstanceDto {
+        pub id: String,
+        pub model_id: String,
+        pub base_version_id: String,
+        pub display_version: String,
+        pub blob_location: Option<String>,
+        pub metadata_json: String,
+        pub created_at: i64,
+        pub trigger: String,
+        pub parent: Option<String>,
+        pub deprecated: bool,
     }
 }
 
-/// Instance data transfer object.
-#[derive(Debug, Clone, PartialEq)]
-pub struct InstanceDto {
-    pub id: String,
-    pub model_id: String,
-    pub base_version_id: String,
-    pub display_version: String,
-    pub blob_location: Option<String>,
-    pub metadata_json: String,
-    pub created_at: i64,
-    pub trigger: String,
-    pub parent: Option<String>,
-    pub deprecated: bool,
-}
-
-impl InstanceDto {
-    fn encode(&self, w: &mut Writer) {
-        w.put_str(&self.id);
-        w.put_str(&self.model_id);
-        w.put_str(&self.base_version_id);
-        w.put_str(&self.display_version);
-        w.put_opt_str(self.blob_location.as_deref());
-        w.put_str(&self.metadata_json);
-        w.put_ivarint(self.created_at);
-        w.put_str(&self.trigger);
-        w.put_opt_str(self.parent.as_deref());
-        w.put_bool(self.deprecated);
-    }
-
-    fn decode(r: &mut Reader) -> Result<Self, WireError> {
-        Ok(InstanceDto {
-            id: r.get_str()?,
-            model_id: r.get_str()?,
-            base_version_id: r.get_str()?,
-            display_version: r.get_str()?,
-            blob_location: r.get_opt_str()?,
-            metadata_json: r.get_str()?,
-            created_at: r.get_ivarint()?,
-            trigger: r.get_str()?,
-            parent: r.get_opt_str()?,
-            deprecated: r.get_bool()?,
-        })
+wire_struct! {
+    /// Health report DTO.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct HealthDto {
+        pub reproducibility_score: f64,
+        pub missing_fields: Vec<String>,
+        pub has_training: bool,
+        pub has_validation: bool,
+        pub has_production: bool,
+        pub skewed_metrics: Vec<String>,
+        pub score: f64,
     }
 }
 
-/// Health report DTO.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HealthDto {
-    pub reproducibility_score: f64,
-    pub missing_fields: Vec<String>,
-    pub has_training: bool,
-    pub has_validation: bool,
-    pub has_production: bool,
-    pub skewed_metrics: Vec<String>,
-    pub score: f64,
-}
-
-impl HealthDto {
-    fn encode(&self, w: &mut Writer) {
-        w.put_f64(self.reproducibility_score);
-        w.put_uvarint(self.missing_fields.len() as u64);
-        for f in &self.missing_fields {
-            w.put_str(f);
-        }
-        w.put_bool(self.has_training);
-        w.put_bool(self.has_validation);
-        w.put_bool(self.has_production);
-        w.put_uvarint(self.skewed_metrics.len() as u64);
-        for m in &self.skewed_metrics {
-            w.put_str(m);
-        }
-        w.put_f64(self.score);
+wire_struct! {
+    /// One static-analysis finding on the wire (see `gallery_rules::diag`).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct WireDiagnostic {
+        /// Clause/file the diagnostic refers to ("WHEN", "condition", ...).
+        pub origin: String,
+        /// The analyzed source text the byte span indexes into.
+        pub source: String,
+        /// Stable diagnostic code, e.g. "RL0102".
+        pub code: String,
+        /// 0 = warning, 1 = error.
+        pub severity: u8,
+        /// Byte span into `source`.
+        pub start: u32,
+        pub end: u32,
+        pub message: String,
+        pub help: Option<String>,
     }
-
-    fn decode(r: &mut Reader) -> Result<Self, WireError> {
-        let reproducibility_score = r.get_f64()?;
-        let n = r.get_uvarint()? as usize;
-        let mut missing_fields = Vec::with_capacity(n.min(64));
-        for _ in 0..n {
-            missing_fields.push(r.get_str()?);
-        }
-        let has_training = r.get_bool()?;
-        let has_validation = r.get_bool()?;
-        let has_production = r.get_bool()?;
-        let n = r.get_uvarint()? as usize;
-        let mut skewed_metrics = Vec::with_capacity(n.min(64));
-        for _ in 0..n {
-            skewed_metrics.push(r.get_str()?);
-        }
-        Ok(HealthDto {
-            reproducibility_score,
-            missing_fields,
-            has_training,
-            has_validation,
-            has_production,
-            skewed_metrics,
-            score: r.get_f64()?,
-        })
-    }
-}
-
-/// One static-analysis finding on the wire (see `gallery_rules::diag`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireDiagnostic {
-    /// Clause/file the diagnostic refers to ("WHEN", "condition", ...).
-    pub origin: String,
-    /// The analyzed source text the byte span indexes into.
-    pub source: String,
-    /// Stable diagnostic code, e.g. "RL0102".
-    pub code: String,
-    /// 0 = warning, 1 = error.
-    pub severity: u8,
-    /// Byte span into `source`.
-    pub start: u32,
-    pub end: u32,
-    pub message: String,
-    pub help: Option<String>,
 }
 
 impl WireDiagnostic {
     pub fn is_error(&self) -> bool {
         self.severity == 1
     }
+}
 
-    fn encode(&self, w: &mut Writer) {
-        w.put_str(&self.origin);
-        w.put_str(&self.source);
-        w.put_str(&self.code);
-        w.put_u8(self.severity);
-        w.put_uvarint(u64::from(self.start));
-        w.put_uvarint(u64::from(self.end));
-        w.put_str(&self.message);
-        w.put_opt_str(self.help.as_deref());
-    }
-
-    fn decode(r: &mut Reader) -> Result<Self, WireError> {
-        Ok(WireDiagnostic {
-            origin: r.get_str()?,
-            source: r.get_str()?,
-            code: r.get_str()?,
-            severity: r.get_u8()?,
-            start: r.get_uvarint()? as u32,
-            end: r.get_uvarint()? as u32,
-            message: r.get_str()?,
-            help: r.get_opt_str()?,
-        })
+wire_tags! {
+    /// Error codes carried by [`Response::Err`].
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum ErrorCode("error code") {
+        NotFound = 1,
+        Invalid = 2,
+        Conflict = 3,
+        Storage = 4,
+        Internal = 5,
+        /// The answering replica does not own the target shard in the role
+        /// the request needs (e.g. a mutation sent to a follower). The router
+        /// converts this into a transport-level retry that re-resolves the
+        /// shard map — clients never act on a stale map twice.
+        WrongShard = 6,
     }
 }
 
-/// Error codes carried by [`Response::Err`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ErrorCode {
-    NotFound = 1,
-    Invalid = 2,
-    Conflict = 3,
-    Storage = 4,
-    Internal = 5,
-    /// The answering replica does not own the target shard in the role
-    /// the request needs (e.g. a mutation sent to a follower). The router
-    /// converts this into a transport-level retry that re-resolves the
-    /// shard map — clients never act on a stale map twice.
-    WrongShard = 6,
-}
-
-impl ErrorCode {
-    fn from_u8(v: u8) -> Result<Self, WireError> {
-        Ok(match v {
-            1 => ErrorCode::NotFound,
-            2 => ErrorCode::Invalid,
-            3 => ErrorCode::Conflict,
-            4 => ErrorCode::Storage,
-            5 => ErrorCode::Internal,
-            6 => ErrorCode::WrongShard,
-            other => return Err(WireError::new(format!("bad error code {other}"))),
-        })
+wire_union! {
+    /// All service responses.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Response("response tag") {
+        0 => Ok,
+        1 => Err { code: ErrorCode, message: String },
+        2 => ModelInfo(model: ModelDto),
+        3 => InstanceInfo(instance: Box<InstanceDto>),
+        4 => MaybeInstance(instance: Option<Box<InstanceDto>>),
+        5 => Instances(instances: Vec<InstanceDto>),
+        6 => Blob(blob: Bytes),
+        7 => MaybeId(id: Option<String>),
+        8 => Ids(ids: Vec<String>),
+        9 => Stage(stage: String),
+        10 => Health(health: HealthDto),
+        /// Free-form text payload (probe renderings).
+        11 => Text(text: String),
+        /// Static-analysis findings from a `Validate` request (empty = clean).
+        12 => Diagnostics(findings: Vec<WireDiagnostic>),
+        /// Answer to `ShipWal`: the leader's own applied sequence plus the
+        /// frames the follower is missing (possibly empty when caught up).
+        13 => WalFrames { leader_seq: u64, frames: Vec<WireWalFrame> },
+        /// Answer to `ReplStatus` / `ApplyWal` / `SetShardRole`: the
+        /// replica's applied sequence and current role after the operation.
+        14 => ReplInfo { applied_seq: u64, role: String },
     }
-}
-
-/// All service responses.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Response {
-    Ok,
-    Err {
-        code: ErrorCode,
-        message: String,
-    },
-    ModelInfo(ModelDto),
-    InstanceInfo(Box<InstanceDto>),
-    MaybeInstance(Option<Box<InstanceDto>>),
-    Instances(Vec<InstanceDto>),
-    Blob(Bytes),
-    MaybeId(Option<String>),
-    Ids(Vec<String>),
-    Stage(String),
-    Health(HealthDto),
-    /// Free-form text payload (probe renderings).
-    Text(String),
-    /// Static-analysis findings from a `Validate` request (empty = clean).
-    Diagnostics(Vec<WireDiagnostic>),
-    /// Answer to `ShipWal`: the leader's own applied sequence plus the
-    /// frames the follower is missing (possibly empty when caught up).
-    WalFrames {
-        leader_seq: u64,
-        frames: Vec<WireWalFrame>,
-    },
-    /// Answer to `ReplStatus` / `ApplyWal` / `SetShardRole`: the
-    /// replica's applied sequence and current role after the operation.
-    ReplInfo {
-        applied_seq: u64,
-        role: String,
-    },
 }
 
 impl Response {
-    fn tag(&self) -> u8 {
-        match self {
-            Response::Ok => 0,
-            Response::Err { .. } => 1,
-            Response::ModelInfo(_) => 2,
-            Response::InstanceInfo(_) => 3,
-            Response::MaybeInstance(_) => 4,
-            Response::Instances(_) => 5,
-            Response::Blob(_) => 6,
-            Response::MaybeId(_) => 7,
-            Response::Ids(_) => 8,
-            Response::Stage(_) => 9,
-            Response::Health(_) => 10,
-            Response::Text(_) => 11,
-            Response::Diagnostics(_) => 12,
-            Response::WalFrames { .. } => 13,
-            Response::ReplInfo { .. } => 14,
-        }
-    }
-
     pub fn encode(&self) -> Bytes {
         let mut w = Writer::new();
-        w.put_u8(self.tag());
-        match self {
-            Response::Ok => {}
-            Response::Err { code, message } => {
-                w.put_u8(*code as u8);
-                w.put_str(message);
-            }
-            Response::ModelInfo(m) => m.encode(&mut w),
-            Response::InstanceInfo(i) => i.encode(&mut w),
-            Response::MaybeInstance(opt) => match opt {
-                Some(i) => {
-                    w.put_bool(true);
-                    i.encode(&mut w);
-                }
-                None => w.put_bool(false),
-            },
-            Response::Instances(list) => {
-                w.put_uvarint(list.len() as u64);
-                for i in list {
-                    i.encode(&mut w);
-                }
-            }
-            Response::Blob(b) => w.put_bytes(b),
-            Response::MaybeId(opt) => w.put_opt_str(opt.as_deref()),
-            Response::Ids(ids) => {
-                w.put_uvarint(ids.len() as u64);
-                for id in ids {
-                    w.put_str(id);
-                }
-            }
-            Response::Stage(s) => w.put_str(s),
-            Response::Health(h) => h.encode(&mut w),
-            Response::Text(s) => w.put_str(s),
-            Response::Diagnostics(list) => {
-                w.put_uvarint(list.len() as u64);
-                for d in list {
-                    d.encode(&mut w);
-                }
-            }
-            Response::WalFrames { leader_seq, frames } => {
-                w.put_uvarint(*leader_seq);
-                w.put_uvarint(frames.len() as u64);
-                for f in frames {
-                    f.encode(&mut w);
-                }
-            }
-            Response::ReplInfo { applied_seq, role } => {
-                w.put_uvarint(*applied_seq);
-                w.put_str(role);
-            }
-        }
+        self.put(&mut w);
         w.frame()
     }
 
     pub fn decode(framed: Bytes) -> Result<Self, WireError> {
         let mut r = Reader::unframe(framed)?;
-        let tag = r.get_u8()?;
-        let resp = match tag {
-            0 => Response::Ok,
-            1 => Response::Err {
-                code: ErrorCode::from_u8(r.get_u8()?)?,
-                message: r.get_str()?,
-            },
-            2 => Response::ModelInfo(ModelDto::decode(&mut r)?),
-            3 => Response::InstanceInfo(Box::new(InstanceDto::decode(&mut r)?)),
-            4 => {
-                if r.get_bool()? {
-                    Response::MaybeInstance(Some(Box::new(InstanceDto::decode(&mut r)?)))
-                } else {
-                    Response::MaybeInstance(None)
-                }
-            }
-            5 => {
-                let n = r.get_uvarint()? as usize;
-                let mut list = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    list.push(InstanceDto::decode(&mut r)?);
-                }
-                Response::Instances(list)
-            }
-            6 => Response::Blob(r.get_bytes()?),
-            7 => Response::MaybeId(r.get_opt_str()?),
-            8 => {
-                let n = r.get_uvarint()? as usize;
-                let mut ids = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    ids.push(r.get_str()?);
-                }
-                Response::Ids(ids)
-            }
-            9 => Response::Stage(r.get_str()?),
-            10 => Response::Health(HealthDto::decode(&mut r)?),
-            11 => Response::Text(r.get_str()?),
-            12 => {
-                let n = r.get_uvarint()? as usize;
-                let mut list = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    list.push(WireDiagnostic::decode(&mut r)?);
-                }
-                Response::Diagnostics(list)
-            }
-            13 => {
-                let leader_seq = r.get_uvarint()?;
-                let n = r.get_uvarint()? as usize;
-                let mut frames = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    frames.push(WireWalFrame::decode(&mut r)?);
-                }
-                Response::WalFrames { leader_seq, frames }
-            }
-            14 => Response::ReplInfo {
-                applied_seq: r.get_uvarint()?,
-                role: r.get_str()?,
-            },
-            other => return Err(WireError::new(format!("bad response tag {other}"))),
-        };
+        let resp = Self::get(&mut r)?;
         r.finish()?;
         Ok(resp)
     }

@@ -4,12 +4,130 @@
 
 use bytes::Bytes;
 use gallery_core::Gallery;
-use gallery_service::{GalleryServer, Request, Response, WireConstraint, WireOp, WireValue};
+use gallery_service::messages::{decode_sharded, encode_sharded};
+use gallery_service::telemetry::SpanContext;
+use gallery_service::{
+    GalleryServer, HealthDto, InstanceDto, Request, Response, WireConstraint, WireDiagnostic,
+    WireOp, WireValue, WireWalFrame,
+};
 use proptest::prelude::*;
 use std::sync::Arc;
 
 fn server() -> GalleryServer {
     GalleryServer::new(Arc::new(Gallery::in_memory()))
+}
+
+fn wal_frame() -> WireWalFrame {
+    WireWalFrame {
+        seq: 7,
+        op_json: "{}".into(),
+    }
+}
+
+/// Valid request frames that carry a collection, each with the payload
+/// offset of the collection's (one-byte) element count.
+fn request_frames_with_counts() -> Vec<(Bytes, usize)> {
+    let constraint = WireConstraint::new("city", WireOp::Eq, WireValue::Str("nyc".into()));
+    let query = Request::ModelQuery {
+        constraints: vec![constraint.clone(), constraint],
+    };
+    let ctx = SpanContext {
+        trace_id: 9,
+        span_id: 10,
+    };
+    vec![
+        // [tag][count]..
+        (query.encode(), 1),
+        // [254][trace][span][0]["k" = len + byte][tag][count]..
+        (query.encode_with(Some("k"), Some(ctx)), 7),
+        (
+            Request::ApplyWal {
+                frames: vec![wal_frame()],
+            }
+            .encode(),
+            1,
+        ),
+    ]
+}
+
+/// The same for responses.
+fn response_frames_with_counts() -> Vec<(Bytes, usize)> {
+    let instance = InstanceDto {
+        id: "i-1".into(),
+        model_id: "m-1".into(),
+        base_version_id: "b".into(),
+        display_version: "1.0".into(),
+        blob_location: Some("mem://abc".into()),
+        metadata_json: "{}".into(),
+        created_at: 1234,
+        trigger: "trained".into(),
+        parent: None,
+        deprecated: false,
+    };
+    let diagnostic = WireDiagnostic {
+        origin: "WHEN".into(),
+        source: "metrics.auc > 1.5".into(),
+        code: "RL0303".into(),
+        severity: 1,
+        start: 0,
+        end: 17,
+        message: "always false".into(),
+        help: None,
+    };
+    // Payload layout: [tag][count].. unless noted.
+    vec![
+        (
+            Response::Instances(vec![instance.clone(), instance]).encode(),
+            1,
+        ),
+        (Response::Ids(vec!["a".into(), "b".into()]).encode(), 1),
+        (Response::Diagnostics(vec![diagnostic]).encode(), 1),
+        // [tag][leader_seq][count]
+        (
+            Response::WalFrames {
+                leader_seq: 99,
+                frames: vec![wal_frame()],
+            }
+            .encode(),
+            2,
+        ),
+        // [tag][f64][count]
+        (
+            Response::Health(HealthDto {
+                reproducibility_score: 0.5,
+                missing_fields: vec!["seed".into()],
+                has_training: true,
+                has_validation: false,
+                has_production: true,
+                skewed_metrics: vec![],
+                score: 0.4,
+            })
+            .encode(),
+            9,
+        ),
+    ]
+}
+
+/// Frame a payload with a length prefix that matches it, so the mutation
+/// under test reaches the field decoders instead of the frame check.
+fn reframe(payload: &[u8]) -> Bytes {
+    let mut framed = (payload.len() as u32).to_le_bytes().to_vec();
+    framed.extend_from_slice(payload);
+    Bytes::from(framed)
+}
+
+/// Every decoder entry point takes the frame without panicking; a
+/// shard envelope carries it opaquely whatever it holds.
+fn decode_everywhere(frame: &Bytes) {
+    let _ = Request::decode_full(frame.clone());
+    let _ = Response::decode(frame.clone());
+    if let Ok(Some((_, inner))) = decode_sharded(frame.clone()) {
+        let _ = Request::decode_full(inner);
+    }
+    assert_eq!(
+        decode_sharded(encode_sharded(3, frame.clone())),
+        Ok(Some((3, frame.clone())))
+    );
 }
 
 proptest! {
@@ -93,5 +211,51 @@ proptest! {
         }) else { panic!("query failed") };
         prop_assert_eq!(found.len(), 1);
         prop_assert_eq!(&found[0].id, &inst.id);
+    }
+
+    /// Hostile input (ROADMAP 4a): arbitrary bytes, and valid frames that
+    /// are truncated, bit-flipped or have a collection count inflated to
+    /// 2^62, decode to `Ok` or a `WireError` — never a panic. An inflated
+    /// count must fail where the buffer runs out; reserving for it would
+    /// overflow the allocator and panic.
+    #[test]
+    fn decoders_survive_hostile_frames(
+        garbage in proptest::collection::vec(any::<u8>(), 0..256),
+        cut in any::<prop::sample::Index>(),
+        flip in any::<prop::sample::Index>(),
+        bit in 0u8..8,
+    ) {
+        decode_everywhere(&Bytes::from(garbage.clone()));
+        decode_everywhere(&reframe(&garbage));
+
+        let requests = request_frames_with_counts();
+        let responses = response_frames_with_counts();
+        let sharded = encode_sharded(5, requests[1].0.clone());
+        for (frame, _) in requests.iter().chain(&responses).chain([&(sharded, 0)]) {
+            let payload = &frame[4..];
+            decode_everywhere(&reframe(&payload[..cut.index(payload.len())]));
+            let mut flipped = payload.to_vec();
+            flipped[flip.index(payload.len())] ^= 1 << bit;
+            decode_everywhere(&reframe(&flipped));
+        }
+
+        let inflate = |frame: &Bytes, count_at: usize| {
+            let payload = &frame[4..];
+            let mut inflated = payload[..count_at].to_vec();
+            // uvarint(2^62): eight continuation bytes, then 0x40.
+            inflated.extend_from_slice(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40]);
+            inflated.extend_from_slice(&payload[count_at + 1..]);
+            let inflated = reframe(&inflated);
+            decode_everywhere(&inflated);
+            inflated
+        };
+        for (frame, count_at) in &requests {
+            prop_assert!(Request::decode_full(frame.clone()).is_ok());
+            prop_assert!(Request::decode_full(inflate(frame, *count_at)).is_err());
+        }
+        for (frame, count_at) in &responses {
+            prop_assert!(Response::decode(frame.clone()).is_ok());
+            prop_assert!(Response::decode(inflate(frame, *count_at)).is_err());
+        }
     }
 }

@@ -4,7 +4,7 @@
 //! test. Also pins span-timestamp determinism under a `ManualClock` and
 //! the observability of breaker flips and idempotent replays.
 
-use gallery_core::clock::{ClockTimeSource, ManualClock, SimulatedSleeper};
+use gallery_core::clock::{ManualClock, SimulatedSleeper};
 use gallery_core::Gallery;
 use gallery_service::telemetry::{kinds, Telemetry};
 use gallery_service::{
@@ -154,14 +154,13 @@ fn lost_response_replay_is_observable() {
 }
 
 /// Same workload, same manual clock ⇒ byte-identical span records. The
-/// tracer takes its time from the injected `TimeSource`, so nothing
+/// tracer takes its time from the injected `Clock`, so nothing
 /// wall-clock leaks into the records.
 #[test]
 fn span_timestamps_deterministic_under_manual_clock() {
     let run = || {
         let clock = ManualClock::new(50_000);
-        let telemetry =
-            Telemetry::with_time_source(Arc::new(ClockTimeSource::new(Arc::new(clock.clone()))));
+        let telemetry = Telemetry::with_time_source(Arc::new(clock.clone()));
         let gallery = Arc::new(Gallery::in_memory_with_clock(Arc::new(clock)));
         let server = Arc::new(GalleryServer::new(gallery).with_telemetry(Arc::clone(&telemetry)));
         let client = GalleryClient::new(Arc::new(DirectTransport::new(server)))
@@ -188,8 +187,7 @@ fn span_timestamps_deterministic_under_manual_clock() {
 fn cluster_mutation_stitches_one_trace_across_router_leader_and_followers() {
     let run = || {
         let clock = ManualClock::new(10_000);
-        let telemetry =
-            Telemetry::with_time_source(Arc::new(ClockTimeSource::new(Arc::new(clock.clone()))));
+        let telemetry = Telemetry::with_time_source(Arc::new(clock.clone()));
         let cluster = SimCluster::start_with(
             ClusterConfig::new(3)
                 .with_shards(3)

@@ -11,7 +11,7 @@
 use crate::blob::{BlobInfo, BlobLocation, ObjectStore};
 use crate::error::{Result, StoreError};
 use crate::meta::MetadataStore;
-use crate::query::{AccessPath, Explain, Query};
+use crate::query::{Explain, Query};
 use crate::record::Record;
 use crate::schema::TableSchema;
 use bytes::Bytes;
@@ -342,15 +342,7 @@ impl Dal {
         result
     }
 
-    pub fn query_explain(&self, table: &str, query: &Query) -> Result<(Vec<Record>, AccessPath)> {
-        self.metrics.query_total.inc();
-        let start = Instant::now();
-        let result = self.meta.query_explain(table, query);
-        self.metrics.query_ms.observe_since(start);
-        result
-    }
-
-    /// [`Dal::query_explain`] with the full [`Explain`] artifact:
+    /// [`Dal::query`] plus the full [`Explain`] artifact: chosen path,
     /// estimated vs. actual rows, tail-merge size, per-stage timings.
     pub fn query_explain_full(&self, table: &str, query: &Query) -> Result<(Vec<Record>, Explain)> {
         self.metrics.query_total.inc();

@@ -56,4 +56,4 @@ pub use schema::{ColumnDef, IndexKind, TableSchema};
 pub use ship::{ShipFrame, ShipReport};
 pub use simfs::{real_fs, FileSystem, FsFile, RealFs, SimFaultPlan, SimFs};
 pub use value::{Value, ValueType};
-pub use wal::{GroupCommitConfig, SyncPolicy, WalOp};
+pub use wal::{SyncPolicy, WalOp};

@@ -21,14 +21,12 @@
 
 use crate::error::{Result, StoreError};
 use crate::fault::{sites, FaultPlan};
-use crate::query::{AccessPath, Explain, Query};
+use crate::query::{Explain, Query};
 use crate::record::Record;
 use crate::schema::TableSchema;
 use crate::simfs::{real_fs, FileSystem};
 use crate::table::{IndexDeltaCounters, StripeLockMetrics, Table, TableStats};
-use crate::wal::{
-    new_shared_oplog, Committer, GroupCommitConfig, SharedOplog, SyncPolicy, Wal, WalOp,
-};
+use crate::wal::{new_shared_oplog, Committer, SharedOplog, SyncPolicy, Wal, WalOp};
 use gallery_sync::locks::{OrderedMutex, OrderedRwLock};
 use gallery_sync::rank;
 use gallery_telemetry::{kinds, Counter, Histogram, Telemetry};
@@ -48,8 +46,6 @@ pub struct StoreConfig {
     /// Rows a stripe accumulates before applying its pending secondary
     /// index delta. 1 reproduces eager (per-insert) index maintenance.
     pub index_batch: usize,
-    /// Group-commit batching for the WAL.
-    pub group_commit: GroupCommitConfig,
     /// Queries at least this slow (total executor milliseconds) are
     /// captured into the slow-query ring. 0 captures *every* query,
     /// turning the ring into a recent-query log — the default, so
@@ -64,7 +60,6 @@ impl Default for StoreConfig {
         StoreConfig {
             lock_stripes: 16,
             index_batch: 1024,
-            group_commit: GroupCommitConfig::default(),
             slow_query_ms: 0,
             slow_query_capacity: SlowQueryLog::DEFAULT_CAPACITY,
         }
@@ -419,12 +414,7 @@ impl MetadataStore {
         }
         let wal =
             Wal::open_with_fs(Arc::clone(&store.fs), path, sync)?.with_telemetry(&store.telemetry);
-        let committer = Committer::new(
-            wal,
-            store.cfg.group_commit,
-            Arc::clone(store.telemetry.time_source()),
-            Arc::clone(&store.oplog),
-        );
+        let committer = Committer::new(wal, Arc::clone(&store.oplog));
         committer.set_telemetry(&store.telemetry);
         store.committer = Some(committer);
         Ok(store)
@@ -745,13 +735,7 @@ impl MetadataStore {
 
     /// Execute a constraint query.
     pub fn query(&self, table: &str, query: &Query) -> Result<Vec<Record>> {
-        Ok(self.query_explain(table, query)?.0)
-    }
-
-    /// Execute a query and also report the access path chosen.
-    pub fn query_explain(&self, table: &str, query: &Query) -> Result<(Vec<Record>, AccessPath)> {
-        let (rows, explain) = self.query_explain_full(table, query)?;
-        Ok((rows, explain.path))
+        Ok(self.query_explain_full(table, query)?.0)
     }
 
     /// Execute a query and return the full [`Explain`] artifact: chosen

@@ -25,7 +25,7 @@
 
 use crate::error::{Result, StoreError};
 use crate::index::{dedup_rows, BTreeIndex, HashIndex, Index, RowId};
-use crate::query::{AccessPath, Explain, Op, Query};
+use crate::query::{AccessPath, Constraint, Explain, Op, Query};
 use crate::record::Record;
 use crate::schema::{IndexKind, TableSchema};
 use crate::value::Value;
@@ -178,6 +178,14 @@ struct Stripe {
     /// Slots below this boundary are reflected in `indexes`; slots at or
     /// above it are the pending index delta (scanned by queries).
     indexed_upto: usize,
+}
+
+/// What the planner chose: the access path, the constraint that path is
+/// served by (none for a full scan) and the candidate estimate.
+struct Plan<'q> {
+    path: AccessPath,
+    by: Option<&'q Constraint>,
+    estimated_rows: usize,
 }
 
 #[derive(Debug)]
@@ -477,7 +485,7 @@ impl Table {
     pub fn plan(&self, query: &Query) -> AccessPath {
         let guards: Vec<RwLockReadGuard<'_, Stripe>> =
             self.stripes.iter().map(|s| s.read()).collect();
-        self.plan_with(&guards, query)
+        self.plan_with(&guards, query).path
     }
 
     fn indexed(&self, column: &str) -> bool {
@@ -487,15 +495,24 @@ impl Table {
             .unwrap_or(false)
     }
 
-    fn plan_with(&self, guards: &[RwLockReadGuard<'_, Stripe>], query: &Query) -> AccessPath {
+    /// [`Table::plan`] over stripes the caller already holds. The
+    /// candidate estimate: PrimaryKey resolves at most one row; IndexEq
+    /// counts the bucket plus the unindexed tails; a range scan has no
+    /// value-distribution statistics, so it is bounded by the full row
+    /// count, as is a full scan.
+    fn plan_with<'q>(&self, guards: &[RwLockReadGuard<'_, Stripe>], query: &'q Query) -> Plan<'q> {
         for c in &query.constraints {
             if c.field == self.schema.primary_key && c.op == Op::Eq {
-                return AccessPath::PrimaryKey;
+                return Plan {
+                    path: AccessPath::PrimaryKey,
+                    by: Some(c),
+                    estimated_rows: 1,
+                };
             }
         }
         // Indexed equality first; among several indexed eq constraints pick
-        // the smallest candidate set (bucket plus the unindexed tails).
-        let mut best_eq: Option<(&str, usize)> = None;
+        // the smallest candidate set.
+        let mut best_eq: Option<(&Constraint, usize)> = None;
         for c in &query.constraints {
             if c.op.index_eq_usable() && self.indexed(&c.field) {
                 let len: usize = guards
@@ -506,26 +523,34 @@ impl Table {
                     })
                     .sum();
                 if best_eq.map(|(_, b)| len < b).unwrap_or(true) {
-                    best_eq = Some((&c.field, len));
+                    best_eq = Some((c, len));
                 }
             }
         }
-        if let Some((column, _)) = best_eq {
-            return AccessPath::IndexEq {
-                column: column.to_owned(),
+        if let Some((c, estimated_rows)) = best_eq {
+            return Plan {
+                path: AccessPath::IndexEq {
+                    column: c.field.clone(),
+                },
+                by: Some(c),
+                estimated_rows,
             };
         }
-        for c in &query.constraints {
-            if c.op.index_range_usable()
+        let by = query.constraints.iter().find(|c| {
+            c.op.index_range_usable()
                 && self.indexed(&c.field)
                 && guards[0].indexes[&c.field].supports_range()
-            {
-                return AccessPath::IndexRange {
+        });
+        Plan {
+            path: match by {
+                Some(c) => AccessPath::IndexRange {
                     column: c.field.clone(),
-                };
-            }
+                },
+                None => AccessPath::FullScan,
+            },
+            by,
+            estimated_rows: guards.iter().map(|g| g.rows.len()).sum(),
         }
-        AccessPath::FullScan
     }
 
     fn row_matches(&self, record: &Record, query: &Query) -> bool {
@@ -574,34 +599,17 @@ impl Table {
         let plan_started = Instant::now();
         let guards: Vec<RwLockReadGuard<'_, Stripe>> =
             self.stripes.iter().map(|s| s.read()).collect();
-        let path = self.plan_with(&guards, query);
-        let total_rows: usize = guards.iter().map(|g| g.rows.len()).sum();
-        let tail_rows: usize = guards.iter().map(|g| g.rows.len() - g.indexed_upto).sum();
-        // The planner's candidate estimate. PrimaryKey resolves at most
-        // one row; IndexEq reuses the planner's bucket-plus-tail count; a
-        // range scan has no value-distribution statistics, so it is
-        // bounded by the full row count, as is a full scan.
-        let estimated_rows = match &path {
-            AccessPath::PrimaryKey => 1,
-            AccessPath::IndexEq { column } => guards
-                .iter()
-                .map(|g| {
-                    g.indexes[column].eq_bucket_len(
-                        &query
-                            .constraints
-                            .iter()
-                            .find(|c| &c.field == column && c.op == Op::Eq)
-                            .expect("planner chose IndexEq without eq constraint")
-                            .value,
-                    ) + (g.rows.len() - g.indexed_upto)
-                })
-                .sum(),
-            AccessPath::IndexRange { .. } | AccessPath::FullScan => total_rows,
-        };
+        let Plan {
+            path,
+            by,
+            estimated_rows,
+        } = self.plan_with(&guards, query);
         // Of the scanned candidates, how many were merged from unindexed
         // deferred-index tails (index-served paths only).
         let tail_merge_rows = match &path {
-            AccessPath::IndexEq { .. } | AccessPath::IndexRange { .. } => tail_rows,
+            AccessPath::IndexEq { .. } | AccessPath::IndexRange { .. } => {
+                guards.iter().map(|g| g.rows.len() - g.indexed_upto).sum()
+            }
             AccessPath::PrimaryKey | AccessPath::FullScan => 0,
         };
         let plan_ms = plan_started.elapsed().as_secs_f64() * 1e3;
@@ -609,28 +617,18 @@ impl Table {
         // Candidates as (stripe, slot). Index-served paths add every
         // stripe's unindexed tail so pending deltas never hide rows.
         let mut cands: Vec<(usize, usize)> = Vec::new();
-        match &path {
-            AccessPath::PrimaryKey => {
+        match (&path, by) {
+            (AccessPath::PrimaryKey, Some(c)) => {
                 self.stats.pk_lookups.fetch_add(1, Ordering::Relaxed);
-                let pk_constraint = query
-                    .constraints
-                    .iter()
-                    .find(|c| c.field == self.schema.primary_key && c.op == Op::Eq)
-                    .expect("planner chose PrimaryKey without pk constraint");
-                if let Some(pk) = pk_constraint.value.as_str() {
+                if let Some(pk) = c.value.as_str() {
                     let si = self.stripe_of(pk);
                     if let Some(&slot) = guards[si].pk_map.get(pk) {
                         cands.push((si, slot));
                     }
                 }
             }
-            AccessPath::IndexEq { column } => {
+            (AccessPath::IndexEq { column }, Some(c)) => {
                 self.stats.index_queries.fetch_add(1, Ordering::Relaxed);
-                let c = query
-                    .constraints
-                    .iter()
-                    .find(|c| &c.field == column && c.op == Op::Eq)
-                    .expect("planner chose IndexEq without eq constraint");
                 for (si, g) in guards.iter().enumerate() {
                     for id in dedup_rows(g.indexes[column].lookup_eq(&c.value)) {
                         cands.push(unpack(id));
@@ -640,18 +638,14 @@ impl Table {
                     }
                 }
             }
-            AccessPath::IndexRange { column } => {
+            (AccessPath::IndexRange { column }, Some(c)) => {
                 self.stats.index_queries.fetch_add(1, Ordering::Relaxed);
-                let c = query
-                    .constraints
-                    .iter()
-                    .find(|c| &c.field == column && c.op.index_range_usable())
-                    .expect("planner chose IndexRange without range constraint");
-                let (lo, hi) = c.op.bounds(&c.value).expect("range op has bounds");
+                let no_range = || StoreError::BadQuery(format!("no range scan serves `{c}`"));
+                let (lo, hi) = c.op.bounds(&c.value).ok_or_else(no_range)?;
                 for (si, g) in guards.iter().enumerate() {
                     let ids = g.indexes[column]
                         .lookup_range(lo, hi)
-                        .expect("planner chose IndexRange on non-range index");
+                        .ok_or_else(no_range)?;
                     for id in dedup_rows(ids) {
                         cands.push(unpack(id));
                     }
@@ -660,7 +654,8 @@ impl Table {
                     }
                 }
             }
-            AccessPath::FullScan => {
+            // Scanning every row is exact whatever the planner chose.
+            (AccessPath::FullScan, _) | (_, None) => {
                 self.stats.full_scans.fetch_add(1, Ordering::Relaxed);
                 for (si, g) in guards.iter().enumerate() {
                     for slot in 0..g.rows.len() {

@@ -18,14 +18,14 @@ use crate::schema::TableSchema;
 use crate::simfs::{real_fs, FileSystem, FsFile};
 use gallery_sync::locks::{OrderedCondvar, OrderedMutex, OrderedMutexGuard};
 use gallery_sync::{io_section, rank};
-use gallery_telemetry::{kinds, Counter, EventSink, Gauge, Histogram, Telemetry, TimeSource};
+use gallery_telemetry::{kinds, Counter, EventSink, Gauge, Histogram, Telemetry};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// One logical operation recorded in the WAL.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -387,27 +387,10 @@ pub fn new_shared_oplog() -> SharedOplog {
 /// number `i + 1`; sequence order always equals WAL order.
 pub type Oplog = Vec<Arc<WalOp>>;
 
-/// Tuning knobs for the group-commit queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GroupCommitConfig {
-    /// Largest number of operations flushed in one WAL write + fsync.
-    pub max_batch: usize,
-    /// How long a batch leader lingers for stragglers before flushing.
-    /// `0` (the default) flushes whatever is queued the moment a leader
-    /// takes over — concurrency alone provides the batching. The wait is
-    /// bounded against the injectable [`TimeSource`] with a real-time
-    /// backstop, so simulated clocks cannot stall a flush forever.
-    pub max_wait_ms: u64,
-}
-
-impl Default for GroupCommitConfig {
-    fn default() -> Self {
-        GroupCommitConfig {
-            max_batch: 256,
-            max_wait_ms: 0,
-        }
-    }
-}
+/// Largest number of operations flushed in one WAL write + fsync. A
+/// leader flushes whatever is queued the moment it takes over, up to this
+/// many — concurrency alone provides the batching.
+const MAX_BATCH: usize = 256;
 
 /// Pending commits plus the results the leader publishes back to waiters.
 /// All of it lives behind one mutex paired with one condvar: waiters block
@@ -437,15 +420,13 @@ pub(crate) struct Committer {
     wal: OrderedMutex<Wal>,
     queue: OrderedMutex<CommitQueue>,
     cv: OrderedCondvar,
-    cfg: GroupCommitConfig,
-    time: Arc<dyn TimeSource>,
     oplog: SharedOplog,
     telemetry: OrderedMutex<Option<CommitterTelemetry>>,
 }
 
 /// Telemetry handles for the group-commit queue itself (absent until
 /// [`Committer::set_telemetry`] attaches them): queue depth, who led vs.
-/// followed each flush, how full batches ran relative to `max_batch`, and
+/// followed each flush, how full batches ran relative to [`MAX_BATCH`], and
 /// the time to make a batch durable (`gallery_wal_commit_queue_*`).
 struct CommitterTelemetry {
     queue_depth: Arc<Gauge>,
@@ -457,17 +438,12 @@ struct CommitterTelemetry {
 
 impl std::fmt::Debug for Committer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Committer").field("cfg", &self.cfg).finish()
+        f.debug_struct("Committer").finish_non_exhaustive()
     }
 }
 
 impl Committer {
-    pub(crate) fn new(
-        wal: Wal,
-        cfg: GroupCommitConfig,
-        time: Arc<dyn TimeSource>,
-        oplog: SharedOplog,
-    ) -> Self {
+    pub(crate) fn new(wal: Wal, oplog: SharedOplog) -> Self {
         Committer {
             wal: OrderedMutex::new(rank::WAL, wal),
             queue: OrderedMutex::new(
@@ -480,11 +456,6 @@ impl Committer {
                 },
             ),
             cv: OrderedCondvar::new(),
-            cfg: GroupCommitConfig {
-                max_batch: cfg.max_batch.max(1),
-                ..cfg
-            },
-            time,
             oplog,
             telemetry: OrderedMutex::new(rank::COMMITTER_STATS, None),
         }
@@ -523,7 +494,7 @@ impl Committer {
 
     /// Durably commit several operations as one unit of enqueueing: they
     /// enter the queue atomically (preserving their relative order) and
-    /// normally flush in a single batch, though `max_batch` may split
+    /// normally flush in a single batch, though [`MAX_BATCH`] may split
     /// them. Returns each op's sequence number, in input order.
     pub(crate) fn commit_many(&self, ops: Vec<WalOp>) -> Result<Vec<u64>> {
         if ops.is_empty() {
@@ -584,34 +555,18 @@ impl Committer {
         }
     }
 
-    /// Leader path: optionally linger for stragglers, drain up to
-    /// `max_batch` ops, flush them outside the queue lock, publish
-    /// results. Called with `flushing` already set; returns with it
-    /// cleared and the queue re-locked.
+    /// Leader path: drain up to [`MAX_BATCH`] ops, flush them outside the
+    /// queue lock, publish results. Called with `flushing` already set;
+    /// returns with it cleared and the queue re-locked.
     fn lead_flush<'a>(
         &'a self,
         mut q: OrderedMutexGuard<'a, CommitQueue>,
     ) -> OrderedMutexGuard<'a, CommitQueue> {
-        if self.cfg.max_wait_ms > 0 {
-            let clock_deadline = self.time.now_ms() + self.cfg.max_wait_ms as i64;
-            let real_deadline = Instant::now() + Duration::from_millis(self.cfg.max_wait_ms);
-            while q.pending.len() < self.cfg.max_batch
-                && self.time.now_ms() < clock_deadline
-                && Instant::now() < real_deadline
-            {
-                let budget = real_deadline.saturating_duration_since(Instant::now());
-                let (guard, _) = self
-                    .cv
-                    .wait_timeout(q, budget.max(Duration::from_millis(1)));
-                q = guard;
-            }
-        }
-        let take = q.pending.len().min(self.cfg.max_batch);
+        let take = q.pending.len().min(MAX_BATCH);
         let batch: Vec<(u64, Arc<WalOp>)> = q.pending.drain(..take).collect();
         if let Some(t) = &*self.telemetry.lock() {
             t.queue_depth.set(q.pending.len() as i64);
-            t.batch_occupancy
-                .observe(take as f64 / self.cfg.max_batch as f64);
+            t.batch_occupancy.observe(take as f64 / MAX_BATCH as f64);
         }
         drop(q);
 
@@ -845,16 +800,12 @@ mod tests {
         assert_eq!(ops.len(), 2);
     }
 
-    fn test_committer(dir: &Path, cfg: GroupCommitConfig) -> (Committer, Arc<Telemetry>) {
+    fn test_committer(dir: &Path) -> (Committer, Arc<Telemetry>) {
         let telemetry = Telemetry::new();
         let wal = Wal::open(dir.join("wal.log"), SyncPolicy::Always)
             .unwrap()
             .with_telemetry(&telemetry);
-        let oplog = new_shared_oplog();
-        (
-            Committer::new(wal, cfg, Arc::new(gallery_telemetry::WallClock), oplog),
-            telemetry,
-        )
+        (Committer::new(wal, new_shared_oplog()), telemetry)
     }
 
     fn insert_op(i: usize) -> WalOp {
@@ -867,7 +818,7 @@ mod tests {
     #[test]
     fn commit_many_is_one_batch_with_contiguous_seqs() {
         let dir = tmpdir("commit-batch");
-        let (committer, telemetry) = test_committer(&dir, GroupCommitConfig::default());
+        let (committer, telemetry) = test_committer(&dir);
         let seqs = committer
             .commit_many((0..10).map(insert_op).collect())
             .unwrap();
@@ -901,16 +852,12 @@ mod tests {
     #[test]
     fn max_batch_splits_large_commits() {
         let dir = tmpdir("commit-split");
-        let cfg = GroupCommitConfig {
-            max_batch: 4,
-            max_wait_ms: 0,
-        };
-        let (committer, telemetry) = test_committer(&dir, cfg);
+        let (committer, telemetry) = test_committer(&dir);
         let seqs = committer
-            .commit_many((0..10).map(insert_op).collect())
+            .commit_many((0..600).map(insert_op).collect())
             .unwrap();
-        assert_eq!(seqs, (1..=10).collect::<Vec<u64>>());
-        // 10 ops under max_batch=4 → 3 batches (4 + 4 + 2), 3 fsyncs.
+        assert_eq!(seqs, (1..=600).collect::<Vec<u64>>());
+        // 600 ops under MAX_BATCH=256 → 3 batches (256 + 256 + 88), 3 fsyncs.
         let r = telemetry.registry();
         assert_eq!(
             r.counter("gallery_wal_group_commit_batches_total", &[])
@@ -918,24 +865,20 @@ mod tests {
             3
         );
         assert_eq!(r.counter("gallery_wal_flushes_total", &[]).get(), 3);
-        assert_eq!(Wal::replay(dir.join("wal.log")).unwrap().len(), 10);
+        assert_eq!(Wal::replay(dir.join("wal.log")).unwrap().len(), 600);
     }
 
     #[test]
     fn commit_queue_telemetry_tracks_leaders_and_occupancy() {
         let dir = tmpdir("commit-telemetry");
-        let cfg = GroupCommitConfig {
-            max_batch: 4,
-            max_wait_ms: 0,
-        };
-        let (committer, telemetry) = test_committer(&dir, cfg);
+        let (committer, telemetry) = test_committer(&dir);
         committer.set_telemetry(&telemetry);
         committer
-            .commit_many((0..10).map(insert_op).collect())
+            .commit_many((0..600).map(insert_op).collect())
             .unwrap();
         let r = telemetry.registry();
-        // One caller, 10 ops, max_batch=4: it led all 3 flushes itself
-        // (4 + 4 + 2) and never waited behind another leader.
+        // One caller, 600 ops, MAX_BATCH=256: it led all 3 flushes itself
+        // (256 + 256 + 88) and never waited behind another leader.
         assert_eq!(
             r.counter("gallery_wal_commit_queue_leader_total", &[])
                 .get(),
@@ -951,8 +894,8 @@ mod tests {
             .unwrap();
         assert_eq!(occ.count(), 3);
         assert!(
-            (occ.sum() - 2.5).abs() < 1e-9,
-            "occupancies 1.0 + 1.0 + 0.5, got sum {}",
+            (occ.sum() - 2.34375).abs() < 1e-9,
+            "occupancies 1.0 + 1.0 + 88/256, got sum {}",
             occ.sum()
         );
         let fsync = r
@@ -965,7 +908,7 @@ mod tests {
     #[test]
     fn concurrent_commits_coalesce_and_stay_ordered() {
         let dir = tmpdir("commit-threads");
-        let (committer, telemetry) = test_committer(&dir, GroupCommitConfig::default());
+        let (committer, telemetry) = test_committer(&dir);
         let committer = Arc::new(committer);
         let threads = 8;
         let per_thread = 50;

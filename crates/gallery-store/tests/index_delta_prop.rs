@@ -131,8 +131,12 @@ fn observe(store: &MetadataStore) -> Vec<String> {
     queries()
         .iter()
         .map(|q| {
-            let (rows, path) = store.query_explain("t", q).unwrap();
-            format!("{path:?}:{}", serde_json::to_string(&rows).unwrap())
+            let (rows, explain) = store.query_explain_full("t", q).unwrap();
+            format!(
+                "{:?}:{}",
+                explain.path,
+                serde_json::to_string(&rows).unwrap()
+            )
         })
         .collect()
 }

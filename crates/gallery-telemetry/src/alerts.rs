@@ -3,7 +3,7 @@
 //!
 //! The engine is **tick-driven**: nothing happens until [`AlertEngine::
 //! evaluate`] is called, which samples every rule's condition against the
-//! registry at the shared [`TimeSource`]'s current time. Under a manual
+//! registry at the shared [`Clock`]'s current time. Under a manual
 //! clock an evaluation schedule is therefore fully deterministic — the
 //! property E17 leans on to measure detection latency in *ticks*.
 //!
@@ -29,7 +29,7 @@
 
 use crate::events::{kinds, EventSink};
 use crate::metrics::{Counter, FamilyMeta, Gauge, Histogram, Registry};
-use crate::trace::TimeSource;
+use crate::trace::Clock;
 use crate::Telemetry;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -349,7 +349,7 @@ struct EngineMetrics {
 
 /// The tick-driven alert engine. See the module docs.
 pub struct AlertEngine {
-    time: Arc<dyn TimeSource>,
+    time: Arc<dyn Clock>,
     registry: Arc<Registry>,
     events: Arc<EventSink>,
     inner: Mutex<EngineInner>,
@@ -673,7 +673,7 @@ mod tests {
         }
     }
 
-    impl TimeSource for ManualTime {
+    impl Clock for ManualTime {
         fn now_ms(&self) -> i64 {
             self.0.load(Ordering::SeqCst)
         }
@@ -681,7 +681,7 @@ mod tests {
 
     fn setup() -> (Arc<Telemetry>, Arc<ManualTime>, AlertEngine) {
         let time = Arc::new(ManualTime(AtomicI64::new(1_000)));
-        let telemetry = Telemetry::with_time_source(time.clone() as Arc<dyn TimeSource>);
+        let telemetry = Telemetry::with_time_source(time.clone() as Arc<dyn Clock>);
         let engine = AlertEngine::new(&telemetry);
         (telemetry, time, engine)
     }

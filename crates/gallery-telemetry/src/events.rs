@@ -3,7 +3,7 @@
 //! Events are for things that *happen* — a breaker trips, a retry fires, a
 //! WAL batch is fsynced, a degraded read falls back to a stale cache entry
 //! — as opposed to metrics (aggregates) and spans (durations). Each event
-//! carries a kind, a timestamp from the shared [`TimeSource`], optional
+//! carries a kind, a timestamp from the shared [`Clock`], optional
 //! key/value fields, and an optional trace ID so it can be stitched into
 //! the trace that caused it.
 //!
@@ -12,7 +12,7 @@
 //! inspection (the format Model Lake-style registries call "operations as
 //! queryable records").
 
-use crate::trace::TimeSource;
+use crate::trace::Clock;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::io::Write;
@@ -92,7 +92,7 @@ struct SinkInner {
 
 /// Bounded ring buffer of [`TelemetryEvent`]s with an optional JSONL tap.
 pub struct EventSink {
-    time: Arc<dyn TimeSource>,
+    time: Arc<dyn Clock>,
     inner: Mutex<SinkInner>,
     capacity: usize,
     enabled: bool,
@@ -101,11 +101,11 @@ pub struct EventSink {
 impl EventSink {
     pub const DEFAULT_CAPACITY: usize = 4096;
 
-    pub fn new(time: Arc<dyn TimeSource>) -> Self {
+    pub fn new(time: Arc<dyn Clock>) -> Self {
         Self::with_capacity(time, Self::DEFAULT_CAPACITY)
     }
 
-    pub fn with_capacity(time: Arc<dyn TimeSource>, capacity: usize) -> Self {
+    pub fn with_capacity(time: Arc<dyn Clock>, capacity: usize) -> Self {
         EventSink {
             time,
             inner: Mutex::new(SinkInner {
@@ -119,7 +119,7 @@ impl EventSink {
     }
 
     /// A sink that drops everything after one branch.
-    pub fn disabled(time: Arc<dyn TimeSource>) -> Self {
+    pub fn disabled(time: Arc<dyn Clock>) -> Self {
         let mut s = Self::new(time);
         s.enabled = false;
         s
@@ -277,7 +277,7 @@ mod tests {
 
     struct StepClock(AtomicI64);
 
-    impl TimeSource for StepClock {
+    impl Clock for StepClock {
         fn now_ms(&self) -> i64 {
             self.0.fetch_add(1, Ordering::Relaxed)
         }

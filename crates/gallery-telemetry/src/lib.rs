@@ -6,7 +6,7 @@
 //!   fixed-bucket histograms with p50/p95/p99 estimates, rendered in the
 //!   Prometheus text exposition format.
 //! - **Traces** ([`trace`]): spans with trace/span IDs and parent links,
-//!   timestamped by an injectable [`TimeSource`] so manual-clock tests get
+//!   timestamped by an injectable [`Clock`] so manual-clock tests get
 //!   deterministic records. Span contexts are small enough to ride in the
 //!   RPC wire envelope, which is how a client span and the server handler
 //!   span end up in one trace.
@@ -42,7 +42,7 @@ pub use metrics::{
     Histogram, Registry, Sample,
 };
 pub use profile::{FrameStats, Profile};
-pub use trace::{Span, SpanContext, SpanRecord, TimeSource, Tracer, WallClock};
+pub use trace::{Clock, Span, SpanContext, SpanRecord, SystemClock, Tracer};
 
 use std::sync::{Arc, OnceLock};
 
@@ -51,18 +51,18 @@ pub struct Telemetry {
     registry: Arc<Registry>,
     tracer: Arc<Tracer>,
     events: Arc<EventSink>,
-    time: Arc<dyn TimeSource>,
+    time: Arc<dyn Clock>,
 }
 
 impl Telemetry {
     /// Fully enabled bundle on wall-clock time.
     pub fn new() -> Arc<Self> {
-        Self::with_time_source(Arc::new(WallClock))
+        Self::with_time_source(Arc::new(SystemClock))
     }
 
     /// Fully enabled bundle on a caller-supplied time source (deterministic
     /// spans/events under a manual clock).
-    pub fn with_time_source(time: Arc<dyn TimeSource>) -> Arc<Self> {
+    pub fn with_time_source(time: Arc<dyn Clock>) -> Arc<Self> {
         Arc::new(Telemetry {
             registry: Arc::new(Registry::new()),
             tracer: Arc::new(Tracer::new(Arc::clone(&time))),
@@ -74,7 +74,7 @@ impl Telemetry {
     /// A bundle whose every record call is a single branch and a return —
     /// the baseline E15 compares against to measure overhead.
     pub fn disabled() -> Arc<Self> {
-        let time: Arc<dyn TimeSource> = Arc::new(WallClock);
+        let time: Arc<dyn Clock> = Arc::new(SystemClock);
         Arc::new(Telemetry {
             registry: Arc::new(Registry::disabled()),
             tracer: Arc::new(Tracer::disabled(Arc::clone(&time))),
@@ -92,7 +92,7 @@ impl Telemetry {
         registry: Arc<Registry>,
         tracer: Arc<Tracer>,
         events: Arc<EventSink>,
-        time: Arc<dyn TimeSource>,
+        time: Arc<dyn Clock>,
     ) -> Arc<Self> {
         Arc::new(Telemetry {
             registry,
@@ -107,7 +107,7 @@ impl Telemetry {
     }
 
     /// The time source every pillar (and the alert engine) shares.
-    pub fn time_source(&self) -> &Arc<dyn TimeSource> {
+    pub fn time_source(&self) -> &Arc<dyn Clock> {
         &self.time
     }
 
@@ -167,7 +167,7 @@ mod tests {
     #[test]
     fn bundle_wires_one_time_source() {
         struct Fixed;
-        impl TimeSource for Fixed {
+        impl Clock for Fixed {
             fn now_ms(&self) -> i64 {
                 777
             }
@@ -203,7 +203,7 @@ mod tests {
     #[test]
     fn bundle_attaches_configured_flight_recorder_with_drop_counter() {
         struct Fixed;
-        impl TimeSource for Fixed {
+        impl Clock for Fixed {
             fn now_ms(&self) -> i64 {
                 0
             }

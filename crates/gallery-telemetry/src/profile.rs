@@ -154,7 +154,7 @@ impl Profile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{TimeSource, Tracer};
+    use crate::trace::{Clock, Tracer};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
@@ -172,7 +172,7 @@ mod tests {
         }
     }
 
-    impl TimeSource for StepClock {
+    impl Clock for StepClock {
         fn now_ms(&self) -> i64 {
             self.now.fetch_add(self.step, Ordering::Relaxed) as i64
         }

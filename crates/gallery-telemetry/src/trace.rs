@@ -2,13 +2,13 @@
 //!
 //! The tracer is deliberately minimal: spans carry a trace ID, a span ID,
 //! an optional parent link, and start/end timestamps taken from a
-//! [`TimeSource`]. IDs come from a per-tracer counter, so a tracer driven
+//! [`Clock`]. IDs come from a per-tracer counter, so a tracer driven
 //! by a manual time source produces byte-identical span records run after
 //! run — the property the determinism tests pin down.
 //!
-//! `gallery-telemetry` sits below `gallery-core` in the crate graph, so it
-//! cannot see the core `Clock` trait; [`TimeSource`] is the telemetry-side
-//! equivalent and core provides a one-line adapter over any `Clock`.
+//! [`Clock`] is the one time abstraction of the whole workspace. It lives
+//! here because `gallery-telemetry` sits below every crate that tells the
+//! time; `gallery-core` re-exports it next to its `ManualClock`.
 
 use crate::flight::{FlightRecorder, SlowCapture};
 use parking_lot::Mutex;
@@ -27,16 +27,17 @@ thread_local! {
     static ACTIVE_SPANS: RefCell<Vec<(usize, u64, u64)>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Milliseconds-since-epoch time, injectable so tests can drive it.
-pub trait TimeSource: Send + Sync {
+/// A source of timestamps (milliseconds since the UNIX epoch), injectable
+/// so tests and simulations can drive it.
+pub trait Clock: Send + Sync {
     fn now_ms(&self) -> i64;
 }
 
-/// Real wall-clock time.
+/// Wall-clock time.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct WallClock;
+pub struct SystemClock;
 
-impl TimeSource for WallClock {
+impl Clock for SystemClock {
     fn now_ms(&self) -> i64 {
         SystemTime::now()
             .duration_since(UNIX_EPOCH)
@@ -72,7 +73,7 @@ struct TracerInner {
 
 /// Mints spans and keeps a bounded ring of finished ones.
 pub struct Tracer {
-    time: Arc<dyn TimeSource>,
+    time: Arc<dyn Clock>,
     next_id: AtomicU64,
     inner: Mutex<TracerInner>,
     capacity: usize,
@@ -83,11 +84,11 @@ pub struct Tracer {
 impl Tracer {
     pub const DEFAULT_CAPACITY: usize = 4096;
 
-    pub fn new(time: Arc<dyn TimeSource>) -> Self {
+    pub fn new(time: Arc<dyn Clock>) -> Self {
         Self::with_capacity(time, Self::DEFAULT_CAPACITY)
     }
 
-    pub fn with_capacity(time: Arc<dyn TimeSource>, capacity: usize) -> Self {
+    pub fn with_capacity(time: Arc<dyn Clock>, capacity: usize) -> Self {
         Tracer {
             time,
             next_id: AtomicU64::new(1),
@@ -114,7 +115,7 @@ impl Tracer {
     }
 
     /// A tracer that mints contexts but records nothing.
-    pub fn disabled(time: Arc<dyn TimeSource>) -> Self {
+    pub fn disabled(time: Arc<dyn Clock>) -> Self {
         let mut t = Self::new(time);
         t.enabled = false;
         t
@@ -349,7 +350,7 @@ mod tests {
         }
     }
 
-    impl TimeSource for StepClock {
+    impl Clock for StepClock {
         fn now_ms(&self) -> i64 {
             self.now.fetch_add(self.step, Ordering::Relaxed) as i64
         }
