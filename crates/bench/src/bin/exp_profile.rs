@@ -139,7 +139,7 @@ fn shaped_queries() -> Vec<(&'static str, Query)> {
     ]
 }
 
-fn sorted_ids(rows: &[Record]) -> Vec<String> {
+fn sorted_ids(rows: &[Arc<Record>]) -> Vec<String> {
     let mut ids: Vec<String> = rows
         .iter()
         .map(|r| r.get("id").unwrap().to_string())

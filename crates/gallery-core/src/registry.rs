@@ -15,7 +15,10 @@ use crate::instance::{InstanceSpec, ModelInstance};
 use crate::lifecycle::Stage;
 use crate::metrics::{parse_metric_blob, MetricRecord, MetricScope, MetricSpec};
 use crate::model::{Model, ModelSpec};
-use crate::schemas::{self, tables, Deployment};
+use crate::schemas::{
+    self, deployment_from_record, instance_from_record, metric_from_record, model_from_record,
+    tables, Deployment,
+};
 use crate::version::{DisplayVersion, InstanceTrigger};
 use bytes::Bytes;
 use gallery_store::blob::memory::MemoryBlobStore;
@@ -232,7 +235,7 @@ impl Gallery {
             .dal
             .get(tables::MODELS, id.as_str())?
             .ok_or_else(|| GalleryError::NoSuchModel(id.to_string()))?;
-        schemas::model_from_record(&record)
+        model_from_record(&record)
     }
 
     fn model_display_major(&self, id: &ModelId) -> Result<u32> {
@@ -249,7 +252,7 @@ impl Gallery {
     /// Search models by constraints over the `models` table columns.
     pub fn find_models(&self, query: &Query) -> Result<Vec<Model>> {
         let rows = self.dal.query(tables::MODELS, query)?;
-        rows.iter().map(schemas::model_from_record).collect()
+        rows.iter().map(|r| model_from_record(r)).collect()
     }
 
     /// Models that evolved *from* the given model (the derived `next`
@@ -397,7 +400,7 @@ impl Gallery {
             .dal
             .get(tables::INSTANCES, id.as_str())?
             .ok_or_else(|| GalleryError::NoSuchInstance(id.to_string()))?;
-        schemas::instance_from_record(&record)
+        instance_from_record(&record)
     }
 
     /// All instances of a model, oldest first.
@@ -408,7 +411,7 @@ impl Gallery {
                 .and(Constraint::eq("model_id", model_id.as_str()))
                 .order_by("created", false),
         )?;
-        rows.iter().map(schemas::instance_from_record).collect()
+        rows.iter().map(|r| instance_from_record(r)).collect()
     }
 
     /// Fig 4's traversal: "users can ... traverse the evolution of their
@@ -421,7 +424,7 @@ impl Gallery {
                 .and(Constraint::eq("base_version_id", base))
                 .order_by("created", false),
         )?;
-        rows.iter().map(schemas::instance_from_record).collect()
+        rows.iter().map(|r| instance_from_record(r)).collect()
     }
 
     /// Latest (most recently created) non-deprecated instance of a model.
@@ -433,7 +436,7 @@ impl Gallery {
                 .order_by("created", true)
                 .limit(1),
         )?;
-        rows.first().map(schemas::instance_from_record).transpose()
+        rows.first().map(|r| instance_from_record(r)).transpose()
     }
 
     /// Fetch the serving blob of an instance. Automatic versions carry no
@@ -490,7 +493,7 @@ impl Gallery {
     /// Search instances by constraints over the `instances` table columns.
     pub fn find_instances(&self, query: &Query) -> Result<Vec<ModelInstance>> {
         let rows = self.dal.query(tables::INSTANCES, query)?;
-        rows.iter().map(schemas::instance_from_record).collect()
+        rows.iter().map(|r| instance_from_record(r)).collect()
     }
 
     // ------------------------------------------------------------------
@@ -554,7 +557,7 @@ impl Gallery {
                 .and(Constraint::eq("instance_id", instance_id.as_str()))
                 .order_by("created", false),
         )?;
-        rows.iter().map(schemas::metric_from_record).collect()
+        rows.iter().map(|r| metric_from_record(r)).collect()
     }
 
     /// Latest value of a named metric for an instance in a scope.
@@ -573,7 +576,7 @@ impl Gallery {
                 .order_by("created", true)
                 .limit(1),
         )?;
-        rows.first().map(schemas::metric_from_record).transpose()
+        rows.first().map(|r| metric_from_record(r)).transpose()
     }
 
     /// Latest stored value of a named metric for an instance across all
@@ -760,7 +763,7 @@ impl Gallery {
                 .and(Constraint::eq("model_id", model_id.as_str()))
                 .order_by("created", true),
         )?;
-        rows.iter().map(schemas::deployment_from_record).collect()
+        rows.iter().map(|r| deployment_from_record(r)).collect()
     }
 
     /// Roll the production pointer for (model, environment) back to the

@@ -164,12 +164,15 @@ pub fn all_schemas() -> Vec<TableSchema> {
     ]
 }
 
-fn req_str(record: &Record, field: &str) -> Result<String> {
+fn req<'r>(record: &'r Record, field: &str) -> Result<&'r str> {
     record
         .get(field)
         .and_then(|v| v.as_str())
-        .map(str::to_owned)
         .ok_or_else(|| GalleryError::Invalid(format!("record missing string field {field}")))
+}
+
+fn req_str(record: &Record, field: &str) -> Result<String> {
+    req(record, field).map(str::to_owned)
 }
 
 fn opt_str(record: &Record, field: &str) -> Option<String> {
@@ -194,7 +197,7 @@ fn metadata_of(record: &Record) -> Metadata {
     record
         .get("metadata")
         .and_then(|v| v.as_str())
-        .and_then(Metadata::from_json)
+        .map(Metadata::from_stored)
         .unwrap_or_default()
 }
 
@@ -238,11 +241,11 @@ pub fn instance_from_record(record: &Record) -> Result<ModelInstance> {
         id: InstanceId(req_str(record, "id")?),
         model_id: ModelId(req_str(record, "model_id")?),
         base_version_id: BaseVersionId(req_str(record, "base_version_id")?),
-        display_version: DisplayVersion::parse(&req_str(record, "display_version")?)?,
+        display_version: DisplayVersion::parse(req(record, "display_version")?)?,
         blob_location: opt_str(record, "blob_location").map(BlobLocation::new),
         metadata: metadata_of(record),
         created_at: req_ts(record, "created")?,
-        trigger: InstanceTrigger::decode(&req_str(record, "trigger")?)?,
+        trigger: InstanceTrigger::decode(req(record, "trigger")?)?,
         parent: opt_str(record, "parent").map(InstanceId),
         deprecated: flag(record, "deprecated"),
     })
@@ -289,7 +292,7 @@ pub fn metric_from_record(record: &Record) -> Result<MetricRecord> {
             .get("value")
             .and_then(|v| v.as_float())
             .ok_or_else(|| GalleryError::Invalid("metric missing value".into()))?,
-        scope: MetricScope::parse(&req_str(record, "scope")?)?,
+        scope: MetricScope::parse(req(record, "scope")?)?,
         metadata: metadata_of(record),
         created_at: req_ts(record, "created")?,
     })

@@ -557,8 +557,9 @@ mod tests {
     use super::*;
     use crate::messages::{WireOp, WireValue};
     use crate::server::GalleryServer;
-    use crate::transport::InProcCluster;
-    use gallery_core::Gallery;
+    use crate::transport::{DirectTransport, InProcCluster};
+    use gallery_core::{Gallery, ManualClock};
+    use gallery_store::AccessPath;
 
     fn client() -> (GalleryClient, InProcCluster) {
         let gallery = Arc::new(Gallery::in_memory());
@@ -621,6 +622,41 @@ mod tests {
         // And the blob round-trips.
         let blob = client.fetch_blob(&instance.id).unwrap();
         assert_eq!(&blob[..], b"serialized sparkml pipeline");
+    }
+
+    /// The wire has no timestamp value, so `created` bounds arrive as
+    /// `Int`; they must still split rows by time, through the btree index.
+    #[test]
+    fn created_range_over_the_wire_splits_rows_at_t() {
+        let clock = Arc::new(ManualClock::new(1_000));
+        let gallery = Arc::new(Gallery::in_memory_with_clock(clock.clone()));
+        let server = Arc::new(GalleryServer::new(Arc::clone(&gallery)));
+        let client = GalleryClient::new(Arc::new(DirectTransport::new(server)));
+        let model = client
+            .create_model("p", "base", "rf", "fc", "", "{}")
+            .unwrap();
+        let ids: Vec<String> = (0..6)
+            .map(|_| {
+                clock.advance(10);
+                let uploaded = client.upload_model(&model.id, "{}", Bytes::from_static(b"w"));
+                uploaded.unwrap().id
+            })
+            .collect();
+        let t = 1_040; // the fourth upload's timestamp
+        for (op, expected) in [(WireOp::Ge, &ids[3..]), (WireOp::Lt, &ids[..3])] {
+            let found = client
+                .model_query(vec![WireConstraint::new("created", op, WireValue::Int(t))])
+                .unwrap();
+            let found: Vec<&str> = found.iter().map(|i| i.id.as_str()).collect();
+            assert_eq!(found, expected);
+            let logged = gallery.dal().metadata().slow_log().entries();
+            assert_eq!(
+                logged.last().unwrap().explain.path,
+                AccessPath::IndexRange {
+                    column: "created".into()
+                }
+            );
+        }
     }
 
     #[test]

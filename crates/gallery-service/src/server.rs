@@ -287,32 +287,32 @@ fn to_store_constraint(c: &WireConstraint) -> Constraint {
     }
 }
 
-fn model_dto(m: &Model) -> ModelDto {
+fn model_dto(m: Model) -> ModelDto {
     ModelDto {
-        id: m.id.to_string(),
-        base_version_id: m.base_version_id.to_string(),
-        project: m.project.clone(),
-        name: m.name.clone(),
-        owner: m.owner.clone(),
-        description: m.description.clone(),
+        id: m.id.0,
+        base_version_id: m.base_version_id.0,
+        project: m.project,
+        name: m.name,
+        owner: m.owner,
+        description: m.description,
         metadata_json: m.metadata.to_json(),
         created_at: m.created_at,
-        prev: m.prev.as_ref().map(|p| p.to_string()),
+        prev: m.prev.map(|p| p.0),
         deprecated: m.deprecated,
     }
 }
 
-fn instance_dto(i: &ModelInstance) -> InstanceDto {
+fn instance_dto(i: ModelInstance) -> InstanceDto {
     InstanceDto {
-        id: i.id.to_string(),
-        model_id: i.model_id.to_string(),
-        base_version_id: i.base_version_id.to_string(),
+        id: i.id.0,
+        model_id: i.model_id.0,
+        base_version_id: i.base_version_id.0,
         display_version: i.display_version.to_string(),
-        blob_location: i.blob_location.as_ref().map(|l| l.to_string()),
+        blob_location: i.blob_location.map(|l| l.0),
         metadata_json: i.metadata.to_json(),
         created_at: i.created_at,
         trigger: i.trigger.encode(),
-        parent: i.parent.as_ref().map(|p| p.to_string()),
+        parent: i.parent.map(|p| p.0),
         deprecated: i.deprecated,
     }
 }
@@ -564,11 +564,11 @@ impl GalleryServer {
                         .description(description)
                         .metadata(metadata),
                 )?;
-                Response::ModelInfo(model_dto(&model))
+                Response::ModelInfo(model_dto(model))
             }
             Request::GetModel { model_id } => {
                 let model = self.gallery.get_model(&ModelId(model_id))?;
-                Response::ModelInfo(model_dto(&model))
+                Response::ModelInfo(model_dto(model))
             }
             Request::UploadModel {
                 model_id,
@@ -583,11 +583,11 @@ impl GalleryServer {
                     InstanceSpec::new().metadata(metadata),
                     blob,
                 )?;
-                Response::InstanceInfo(Box::new(instance_dto(&instance)))
+                Response::InstanceInfo(Box::new(instance_dto(instance)))
             }
             Request::GetInstance { instance_id } => {
                 let instance = self.gallery.get_instance(&InstanceId(instance_id))?;
-                Response::InstanceInfo(Box::new(instance_dto(&instance)))
+                Response::InstanceInfo(Box::new(instance_dto(instance)))
             }
             Request::FetchBlob { instance_id } => {
                 let blob = self.gallery.fetch_instance_blob(&InstanceId(instance_id))?;
@@ -612,15 +612,15 @@ impl GalleryServer {
                 let constraints: Vec<Constraint> =
                     constraints.iter().map(to_store_constraint).collect();
                 let instances = self.gallery.model_query(&constraints)?;
-                Response::Instances(instances.iter().map(instance_dto).collect())
+                Response::Instances(instances.into_iter().map(instance_dto).collect())
             }
             Request::InstancesOfBaseVersion { base_version_id } => {
                 let instances = self.gallery.instances_of_base_version(&base_version_id)?;
-                Response::Instances(instances.iter().map(instance_dto).collect())
+                Response::Instances(instances.into_iter().map(instance_dto).collect())
             }
             Request::LatestInstance { model_id } => {
                 let latest = self.gallery.latest_instance(&ModelId(model_id))?;
-                Response::MaybeInstance(latest.map(|i| Box::new(instance_dto(&i))))
+                Response::MaybeInstance(latest.map(|i| Box::new(instance_dto(i))))
             }
             Request::Deploy {
                 model_id,
@@ -687,7 +687,7 @@ impl GalleryServer {
                 })?;
                 match engine.select(&rule_id) {
                     Ok(champion) => {
-                        Response::MaybeInstance(champion.map(|i| Box::new(instance_dto(&i))))
+                        Response::MaybeInstance(champion.map(|i| Box::new(instance_dto(i))))
                     }
                     Err(e) => Response::Err {
                         code: ErrorCode::Invalid,

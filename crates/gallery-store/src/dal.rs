@@ -326,7 +326,7 @@ impl Dal {
         Ok(n)
     }
 
-    pub fn get(&self, table: &str, pk: &str) -> Result<Option<Record>> {
+    pub fn get(&self, table: &str, pk: &str) -> Result<Option<Arc<Record>>> {
         self.metrics.get_total.inc();
         let start = Instant::now();
         let result = self.meta.get(table, pk);
@@ -334,7 +334,7 @@ impl Dal {
         result
     }
 
-    pub fn query(&self, table: &str, query: &Query) -> Result<Vec<Record>> {
+    pub fn query(&self, table: &str, query: &Query) -> Result<Vec<Arc<Record>>> {
         self.metrics.query_total.inc();
         let start = Instant::now();
         let result = self.meta.query(table, query);
@@ -344,7 +344,11 @@ impl Dal {
 
     /// [`Dal::query`] plus the full [`Explain`] artifact: chosen path,
     /// estimated vs. actual rows, tail-merge size, per-stage timings.
-    pub fn query_explain_full(&self, table: &str, query: &Query) -> Result<(Vec<Record>, Explain)> {
+    pub fn query_explain_full(
+        &self,
+        table: &str,
+        query: &Query,
+    ) -> Result<(Vec<Arc<Record>>, Explain)> {
         self.metrics.query_total.inc();
         let start = Instant::now();
         let result = self.meta.query_explain_full(table, query);

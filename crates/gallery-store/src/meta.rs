@@ -702,8 +702,10 @@ impl MetadataStore {
         Ok(n)
     }
 
-    /// Point lookup by primary key.
-    pub fn get(&self, table: &str, pk: &str) -> Result<Option<Record>> {
+    /// Point lookup by primary key: the stored row itself, shared, not a
+    /// copy. It is an immutable snapshot — a later `set_flag` copies the
+    /// row on write and this handle keeps reading the old value.
+    pub fn get(&self, table: &str, pk: &str) -> Result<Option<Arc<Record>>> {
         let t = self.table_arc(table)?;
         Ok(t.peek(pk))
     }
@@ -733,8 +735,9 @@ impl MetadataStore {
         Ok(seq)
     }
 
-    /// Execute a constraint query.
-    pub fn query(&self, table: &str, query: &Query) -> Result<Vec<Record>> {
+    /// Execute a constraint query. Rows are shared immutable snapshots,
+    /// as for [`MetadataStore::get`].
+    pub fn query(&self, table: &str, query: &Query) -> Result<Vec<Arc<Record>>> {
         Ok(self.query_explain_full(table, query)?.0)
     }
 
@@ -743,7 +746,11 @@ impl MetadataStore {
     /// size, and per-stage timings. Every query — whichever entry point it
     /// arrived through — funnels here, so the per-shape metrics and the
     /// slow-query ring see all of them.
-    pub fn query_explain_full(&self, table: &str, query: &Query) -> Result<(Vec<Record>, Explain)> {
+    pub fn query_explain_full(
+        &self,
+        table: &str,
+        query: &Query,
+    ) -> Result<(Vec<Arc<Record>>, Explain)> {
         if self.faults.should_fail(sites::META_QUERY) {
             return Err(StoreError::InjectedFault(sites::META_QUERY));
         }
@@ -978,6 +985,38 @@ mod tests {
         assert_eq!(store.row_count("models").unwrap(), 1);
         let rec = store.get("models", "m1").unwrap().unwrap();
         assert_eq!(rec.get("deprecated"), Some(&Value::Bool(true)));
+    }
+
+    #[test]
+    fn readers_keep_snapshots_across_set_flag() {
+        let path = tmp("snapshots");
+        let deprecated = |r: &Record| r.get("deprecated") == Some(&Value::Bool(true));
+        let all = Query::all().with_deprecated();
+        {
+            let store = MetadataStore::durable(&path, SyncPolicy::Never).unwrap();
+            store.create_table(schema()).unwrap();
+            store
+                .insert("models", Record::new().set("id", "m1").set("name", "rf"))
+                .unwrap();
+            let queried = store.query("models", &all).unwrap();
+            let got = store.get("models", "m1").unwrap().unwrap();
+            store.set_flag("models", "m1", "deprecated", true).unwrap();
+            // Rows handed out before the write are unchanged; so is the
+            // oplog's copy of the insert, which shared their allocation.
+            assert!(!deprecated(&queried[0]) && !deprecated(&got));
+            let logged = store.ops_since(0, usize::MAX);
+            assert!(logged.iter().any(|(_, op)| matches!(
+                op,
+                WalOp::Insert { record, .. } if **record == *got && !deprecated(record)
+            )));
+            // A fresh read sees the flag.
+            assert!(deprecated(&store.query("models", &all).unwrap()[0]));
+            assert!(deprecated(&store.get("models", "m1").unwrap().unwrap()));
+        }
+        // Replay reaches the same state: insert without the flag, then the flag.
+        let store = MetadataStore::durable(&path, SyncPolicy::Never).unwrap();
+        assert!(deprecated(&store.get("models", "m1").unwrap().unwrap()));
+        assert_eq!(store.applied_seq(), 3);
     }
 
     #[test]

@@ -39,11 +39,6 @@ impl Record {
         self.fields.iter().find(|(n, _)| n == name).map(|(_, v)| v)
     }
 
-    /// Get a field, treating an absent field as `Null`.
-    pub fn get_or_null(&self, name: &str) -> Value {
-        self.get(name).cloned().unwrap_or(Value::Null)
-    }
-
     pub fn fields(&self) -> &[(String, Value)] {
         &self.fields
     }
@@ -136,12 +131,6 @@ mod tests {
         let r = Record::new().set("a", 1i64).set("a", 2i64);
         assert_eq!(r.get("a"), Some(&Value::Int(2)));
         assert_eq!(r.len(), 1);
-    }
-
-    #[test]
-    fn get_or_null() {
-        let r = Record::new();
-        assert_eq!(r.get_or_null("missing"), Value::Null);
     }
 
     #[test]

@@ -9,8 +9,11 @@
 //! different stripes proceed in parallel; a writer holds exactly its
 //! stripe's write lock across validate → duplicate-check → WAL commit →
 //! in-memory apply, so per-stripe apply order always equals WAL order and
-//! duplicate-key races are impossible. Readers take all stripe read locks
-//! (in index order, the global lock order) for a consistent snapshot.
+//! duplicate-key races are impossible. Index and scan queries take all
+//! stripe read locks (in index order, the global lock order) for a
+//! consistent snapshot; a primary-key lookup takes only the owning
+//! stripe's. Readers receive the `Arc<Record>` the stripe holds — an
+//! immutable snapshot, since flag mutations copy-on-write.
 //!
 //! ## Deferred secondary-index maintenance
 //!
@@ -28,13 +31,14 @@ use crate::index::{dedup_rows, BTreeIndex, HashIndex, Index, RowId};
 use crate::query::{AccessPath, Constraint, Explain, Op, Query};
 use crate::record::Record;
 use crate::schema::{IndexKind, TableSchema};
-use crate::value::Value;
+use crate::value::{Value, ValueType};
 use gallery_sync::locks::{
     OrderedRwLock, OrderedRwLockReadGuard as RwLockReadGuard,
     OrderedRwLockWriteGuard as RwLockWriteGuard,
 };
 use gallery_sync::rank;
 use gallery_telemetry::{Counter, Histogram};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -73,6 +77,11 @@ pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(PRIME);
     }
     h
+}
+
+/// A row's field for comparison in place, an absent field reading as `Null`.
+fn field_or_null<'r>(record: &'r Record, name: &str) -> &'r Value {
+    record.get(name).unwrap_or(&Value::Null)
 }
 
 /// Counters describing how queries were executed; used by benchmarks and
@@ -154,9 +163,10 @@ impl std::fmt::Debug for StripeLockMetrics {
 /// order across the whole store, so queries merge stripes by `seq`.
 ///
 /// The record is behind an `Arc` shared with the store's oplog entry for
-/// the same insert — one allocation serves both. Flag mutations go
-/// through `Arc::make_mut`, which copies only if the oplog still holds
-/// the other reference, so logged history stays immutable.
+/// the same insert and with every reader that was handed the row — one
+/// allocation serves all. Flag mutations go through `Arc::make_mut`,
+/// which copies only if the oplog or a reader still holds another
+/// reference, so logged history and returned rows stay immutable.
 #[derive(Debug)]
 struct StoredRow {
     seq: u64,
@@ -370,19 +380,20 @@ impl Table {
         Ok(token.apply_insert(Arc::new(record), seq))
     }
 
-    /// Point lookup by primary key.
-    pub fn get(&self, pk: &str) -> Option<Record> {
+    /// Point lookup by primary key. The returned row is a shared,
+    /// immutable snapshot (see [`Table::execute_explain`]).
+    pub fn get(&self, pk: &str) -> Option<Arc<Record>> {
         self.stats.pk_lookups.fetch_add(1, Ordering::Relaxed);
         self.peek(pk)
     }
 
     /// Non-stat-mutating lookup (for internal use and read-only callers).
-    pub fn peek(&self, pk: &str) -> Option<Record> {
+    pub fn peek(&self, pk: &str) -> Option<Arc<Record>> {
         let stripe = self.stripes[self.stripe_of(pk)].read();
         stripe
             .pk_map
             .get(pk)
-            .map(|&slot| stripe.rows[slot].record.as_ref().clone())
+            .map(|&slot| Arc::clone(&stripe.rows[slot].record))
     }
 
     pub fn contains(&self, pk: &str) -> bool {
@@ -459,10 +470,8 @@ impl Table {
         } = s;
         for (col, index) in indexes.iter_mut() {
             index.insert_many(rows[from..to].iter().enumerate().filter_map(|(i, row)| {
-                match row.record.get_or_null(col) {
-                    v if v.is_null() => None,
-                    v => Some((v, pack(stripe_idx, from + i))),
-                }
+                let v = row.record.get(col).filter(|v| !v.is_null())?;
+                Some((v.clone(), pack(stripe_idx, from + i)))
             }));
         }
         *indexed_upto = to;
@@ -495,20 +504,28 @@ impl Table {
             .unwrap_or(false)
     }
 
-    /// [`Table::plan`] over stripes the caller already holds. The
+    /// The equality constraint on the primary key, if the query has one:
+    /// it decides the plan without looking at any stripe.
+    fn pk_eq<'q>(&self, query: &'q Query) -> Option<&'q Constraint> {
+        query
+            .constraints
+            .iter()
+            .find(|c| c.field == self.schema.primary_key && c.op == Op::Eq)
+    }
+
+    /// [`Table::plan`] over stripes the caller already holds (none are
+    /// needed, or read, when the plan is `PrimaryKey`). The
     /// candidate estimate: PrimaryKey resolves at most one row; IndexEq
     /// counts the bucket plus the unindexed tails; a range scan has no
     /// value-distribution statistics, so it is bounded by the full row
     /// count, as is a full scan.
     fn plan_with<'q>(&self, guards: &[RwLockReadGuard<'_, Stripe>], query: &'q Query) -> Plan<'q> {
-        for c in &query.constraints {
-            if c.field == self.schema.primary_key && c.op == Op::Eq {
-                return Plan {
-                    path: AccessPath::PrimaryKey,
-                    by: Some(c),
-                    estimated_rows: 1,
-                };
-            }
+        if let Some(c) = self.pk_eq(query) {
+            return Plan {
+                path: AccessPath::PrimaryKey,
+                by: Some(c),
+                estimated_rows: 1,
+            };
         }
         // Indexed equality first; among several indexed eq constraints pick
         // the smallest candidate set.
@@ -562,43 +579,70 @@ impl Table {
         query
             .constraints
             .iter()
-            .all(|c| c.op.eval(&record.get_or_null(&c.field), &c.value))
+            .all(|c| c.op.eval(field_or_null(record, &c.field), &c.value))
     }
 
-    /// Execute a query, returning matching records (cloned) and the access
-    /// path the planner chose. Thin wrapper over
-    /// [`Table::execute_explain`] for callers that only care about rows
-    /// and plan shape.
-    pub fn execute(&self, query: &Query) -> Result<(Vec<Record>, AccessPath)> {
+    /// Check every column a query names and give each constraint literal
+    /// its column's type: the wire has no timestamp value, so `created`
+    /// bounds arrive as `Int`, which orders against `Timestamp` by variant
+    /// rank and not by number; an `Int` against a `Float` hash index
+    /// compares equal but hashes apart. Borrowed unless a literal changed.
+    fn typed<'q>(&self, query: &'q Query) -> Result<Cow<'q, Query>> {
+        let no_column = |column: &str| StoreError::NoSuchColumn {
+            table: self.schema.name.clone(),
+            column: column.to_owned(),
+        };
+        let mut typed = Cow::Borrowed(query);
+        for (i, c) in query.constraints.iter().enumerate() {
+            let col = self
+                .schema
+                .column(&c.field)
+                .ok_or_else(|| no_column(&c.field))?;
+            let coerced = match (&c.value, col.ty) {
+                (Value::Int(t), ValueType::Timestamp) => Value::Timestamp(*t),
+                (Value::Int(x), ValueType::Float) => Value::Float(*x as f64),
+                _ => continue,
+            };
+            typed.to_mut().constraints[i].value = coerced;
+        }
+        if let Some(ob) = &query.order_by {
+            if self.schema.column(&ob.field).is_none() {
+                return Err(no_column(&ob.field));
+            }
+        }
+        Ok(typed)
+    }
+
+    /// Execute a query, returning matching rows and the access path the
+    /// planner chose. Thin wrapper over [`Table::execute_explain`] for
+    /// callers that only care about rows and plan shape.
+    pub fn execute(&self, query: &Query) -> Result<(Vec<Arc<Record>>, AccessPath)> {
         let (rows, explain) = self.execute_explain(query)?;
         Ok((rows, explain.path))
     }
 
-    /// Execute a query, returning matching records (cloned) and the full
-    /// [`Explain`] artifact (plan, estimated vs. actual rows, tail-merge
-    /// size, per-stage timings). Takes every stripe read lock (in index
-    /// order) for a consistent snapshot; results are merged in sequence
-    /// (= insertion) order.
-    pub fn execute_explain(&self, query: &Query) -> Result<(Vec<Record>, Explain)> {
-        for c in &query.constraints {
-            if self.schema.column(&c.field).is_none() {
-                return Err(StoreError::NoSuchColumn {
-                    table: self.schema.name.clone(),
-                    column: c.field.clone(),
-                });
-            }
-        }
-        if let Some(ob) = &query.order_by {
-            if self.schema.column(&ob.field).is_none() {
-                return Err(StoreError::NoSuchColumn {
-                    table: self.schema.name.clone(),
-                    column: ob.field.clone(),
-                });
-            }
-        }
+    /// Execute a query, returning matching rows and the full [`Explain`]
+    /// artifact (plan, estimated vs. actual rows, tail-merge size,
+    /// per-stage timings). Rows are the `Arc`s the stripes hold, not
+    /// copies: each is an immutable snapshot, because `set_flag` copies a
+    /// row on write while anyone else holds it. A primary-key plan takes
+    /// the read lock of the owning stripe only; index and scan plans take
+    /// every stripe read lock (in index order) for a consistent snapshot.
+    /// The result is built under the guards and returned after they drop,
+    /// merged in sequence (= insertion) order.
+    pub fn execute_explain(&self, query: &Query) -> Result<(Vec<Arc<Record>>, Explain)> {
+        let query = &*self.typed(query)?;
         let plan_started = Instant::now();
-        let guards: Vec<RwLockReadGuard<'_, Stripe>> =
-            self.stripes.iter().map(|s| s.read()).collect();
+        let guards: Vec<RwLockReadGuard<'_, Stripe>> = match self.pk_eq(query) {
+            // Only the stripe the key hashes to; a key that is not a
+            // string matches nothing and needs none.
+            Some(c) => {
+                let pk = c.value.as_str();
+                let owner = pk.map(|pk| self.stripes[self.stripe_of(pk)].read());
+                owner.into_iter().collect()
+            }
+            None => self.stripes.iter().map(|s| s.read()).collect(),
+        };
         let Plan {
             path,
             by,
@@ -614,16 +658,17 @@ impl Table {
         };
         let plan_ms = plan_started.elapsed().as_secs_f64() * 1e3;
         let scan_started = Instant::now();
-        // Candidates as (stripe, slot). Index-served paths add every
-        // stripe's unindexed tail so pending deltas never hide rows.
+        // Candidates as (position in `guards`, slot) — the position is the
+        // stripe number on every path but PrimaryKey, which holds one
+        // guard. Index-served paths add every stripe's unindexed tail so
+        // pending deltas never hide rows.
         let mut cands: Vec<(usize, usize)> = Vec::new();
         match (&path, by) {
             (AccessPath::PrimaryKey, Some(c)) => {
                 self.stats.pk_lookups.fetch_add(1, Ordering::Relaxed);
-                if let Some(pk) = c.value.as_str() {
-                    let si = self.stripe_of(pk);
-                    if let Some(&slot) = guards[si].pk_map.get(pk) {
-                        cands.push((si, slot));
+                if let (Some(g), Some(pk)) = (guards.first(), c.value.as_str()) {
+                    if let Some(&slot) = g.pk_map.get(pk) {
+                        cands.push((0, slot));
                     }
                 }
             }
@@ -669,11 +714,11 @@ impl Table {
             .fetch_add(cands.len() as u64, Ordering::Relaxed);
         let rows_scanned = cands.len();
 
-        let mut matches: Vec<(u64, &Record)> = cands
+        let mut matches: Vec<(u64, &Arc<Record>)> = cands
             .into_iter()
-            .map(|(si, slot)| {
-                let row = &guards[si].rows[slot];
-                (row.seq, row.record.as_ref())
+            .map(|(gi, slot)| {
+                let row = &guards[gi].rows[slot];
+                (row.seq, &row.record)
             })
             .filter(|(_, r)| self.row_matches(r, query))
             .collect();
@@ -684,10 +729,8 @@ impl Table {
         let sort_started = Instant::now();
 
         if let Some(ob) = &query.order_by {
-            let cmp = |a: &(u64, &Record), b: &(u64, &Record)| {
-                let ord =
-                    a.1.get_or_null(&ob.field)
-                        .total_cmp(&b.1.get_or_null(&ob.field));
+            let cmp = |a: &(u64, &Arc<Record>), b: &(u64, &Arc<Record>)| {
+                let ord = field_or_null(a.1, &ob.field).total_cmp(field_or_null(b.1, &ob.field));
                 if ob.descending {
                     ord.reverse()
                 } else {
@@ -719,7 +762,7 @@ impl Table {
             sort_ms,
         };
         Ok((
-            matches.into_iter().map(|(_, r)| r.clone()).collect(),
+            matches.into_iter().map(|(_, r)| Arc::clone(r)).collect(),
             explain,
         ))
     }
@@ -868,19 +911,19 @@ fn apply_insert_inner(
 
 fn apply_set_flag_inner(stripe_idx: usize, s: &mut Stripe, pk: &str, column: &str, value: bool) {
     let slot = s.pk_map[pk];
-    let old = s.rows[slot].record.get_or_null(column);
     // Rows above the watermark are not in the index yet; their (new)
     // value is picked up when the pending delta flushes.
     if slot < s.indexed_upto {
         if let Some(index) = s.indexes.get_mut(column) {
-            if !old.is_null() {
-                index.remove(&old, pack(stripe_idx, slot));
+            if let Some(old) = s.rows[slot].record.get(column).filter(|v| !v.is_null()) {
+                index.remove(old, pack(stripe_idx, slot));
             }
             index.insert(Value::Bool(value), pack(stripe_idx, slot));
         }
     }
-    // Copy-on-write: clones the record only if the oplog still shares the
-    // allocation, so the logged insert op never sees the mutation.
+    // Copy-on-write: clones the record only if the oplog or a reader
+    // still shares the allocation, so neither the logged insert op nor a
+    // row already handed out ever sees the mutation.
     let rec = Arc::make_mut(&mut s.rows[slot].record);
     *rec = std::mem::take(rec).set(column, value);
 }
@@ -1176,6 +1219,84 @@ mod tests {
         t.set_flag("b", "deprecated", true).unwrap();
         let (both, _) = t.execute(&q).unwrap();
         assert_eq!(both.len(), 2);
+    }
+
+    #[test]
+    fn returned_rows_are_snapshots_across_set_flag() {
+        let t = table();
+        t.insert(row("i1", "rf", "sf", 1, 0.1)).unwrap();
+        let q = Query::all().and(Constraint::eq("model", "rf"));
+        let (queried, _) = t.execute(&q).unwrap();
+        let got = t.get("i1").unwrap();
+        t.set_flag("i1", "deprecated", true).unwrap();
+        // Rows handed out before the write still read the old value...
+        assert_eq!(queried[0].get("deprecated"), None);
+        assert_eq!(got.get("deprecated"), None);
+        // ...and a fresh read sees the new one.
+        let fresh = t.get("i1").unwrap();
+        assert_eq!(fresh.get("deprecated"), Some(&Value::Bool(true)));
+        assert!(t.execute(&q).unwrap().0.is_empty());
+        assert_eq!(t.execute(&q.with_deprecated()).unwrap().0, vec![fresh]);
+    }
+
+    #[test]
+    fn pk_query_reads_only_the_owning_stripe() {
+        let t = table();
+        t.insert(row("i1", "rf", "sf", 1, 0.1)).unwrap();
+        let elsewhere = (0..)
+            .map(|i| format!("other{i}"))
+            .find(|pk| t.stripe_of(pk) != t.stripe_of("i1"))
+            .unwrap();
+        // A writer holds another stripe for the whole query: only a plan
+        // that takes every stripe would wait for it.
+        let _writer = t.lock_stripe(&elsewhere);
+        let (rows, ex) = t
+            .execute_explain(&Query::all().and(Constraint::eq("id", "i1")))
+            .unwrap();
+        assert_eq!(ex.path, AccessPath::PrimaryKey);
+        assert_eq!(rows.len(), 1);
+        // A key of the wrong type matches nothing and locks nothing.
+        let (rows, ex) = t
+            .execute_explain(&Query::all().and(Constraint::eq("id", 7i64)))
+            .unwrap();
+        assert_eq!((ex.path, rows.len()), (AccessPath::PrimaryKey, 0));
+    }
+
+    #[test]
+    fn int_literals_take_the_column_type() {
+        let t = table();
+        for i in 0..10 {
+            t.insert(row(&format!("i{i}"), "rf", "sf", i, i as f64))
+                .unwrap();
+        }
+        let ids = |q: &Query| -> Vec<String> {
+            let (rows, _) = t.execute(q).unwrap();
+            rows.iter()
+                .map(|r| r.get("id").unwrap().as_str().unwrap().to_owned())
+                .collect()
+        };
+        // Int against a timestamp column orders by number, through the index.
+        let q = Query::all().and(Constraint::ge("created", 7i64));
+        assert_eq!(ids(&q), ["i7", "i8", "i9"]);
+        assert_eq!(
+            t.execute(&q).unwrap().1,
+            AccessPath::IndexRange {
+                column: "created".into()
+            }
+        );
+        assert_eq!(
+            ids(&Query::all().and(Constraint::lt("created", 2i64))),
+            ["i0", "i1"]
+        );
+        assert_eq!(
+            ids(&Query::all().and(Constraint::eq("created", 4i64))),
+            ["i4"]
+        );
+        // Int against a float column finds the same rows as the float.
+        assert_eq!(
+            ids(&Query::all().and(Constraint::eq("mape", 3i64))),
+            ids(&Query::all().and(Constraint::eq("mape", 3.0)))
+        );
     }
 
     #[test]

@@ -1,0 +1,156 @@
+//! Allocation guard for the read path (ROADMAP item 2: "allocations per
+//! PK read = 0 beyond the result").
+//!
+//! Readers are handed the `Arc<Record>` a stripe already holds, so what a
+//! read allocates must not grow with rows × columns. A counting global
+//! allocator (this test is its own binary) counts the calling thread's
+//! allocations around a point read and two index queries on a flushed,
+//! instances-shaped table of 1,600 rows.
+//!
+//! The lock-rank checker keeps books in debug builds, so the counts are
+//! asserted only in release builds (`cargo test --release`); a debug build
+//! merely runs the reads.
+
+use gallery_store::{
+    AccessPath, ColumnDef, Constraint, MetadataStore, Query, Record, TableSchema, Value, ValueType,
+};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Allocations made by this thread. Const-initialised and without a
+    /// destructor, so the allocator can touch it at any point of a
+    /// thread's life without allocating or re-entering itself.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the only addition is a thread-local counter bump
+// that neither allocates nor unwinds (`try_with` turns access during
+// thread teardown into a no-op).
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations for `alloc` are passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` above with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations for `realloc` are passed through.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Allocations (and reallocations) this thread makes while running `f`.
+fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+const TABLE: &str = "instances";
+
+/// The 14 columns of `gallery-core`'s `instances` table.
+fn schema() -> TableSchema {
+    let str_col = |name: &str| ColumnDef::new(name, ValueType::Str);
+    TableSchema::new(
+        TABLE,
+        "id",
+        vec![
+            str_col("id"),
+            str_col("model_id").hash_indexed(),
+            str_col("base_version_id").hash_indexed(),
+            str_col("display_version"),
+            str_col("blob_location").nullable(),
+            str_col("metadata").nullable(),
+            ColumnDef::new("created", ValueType::Timestamp).btree_indexed(),
+            str_col("trigger"),
+            str_col("parent").nullable(),
+            str_col("city").nullable().hash_indexed(),
+            str_col("model_name").nullable().hash_indexed(),
+            str_col("model_type").nullable().hash_indexed(),
+            str_col("project").nullable().hash_indexed(),
+            ColumnDef::new("deprecated", ValueType::Bool).nullable(),
+        ],
+    )
+    .unwrap()
+}
+
+/// Row `i` of 1,600: 40 models of 40 instances, 4 projects of 400.
+fn row(i: usize) -> Record {
+    Record::new()
+        .set("id", format!("inst-{i:05}"))
+        .set("model_id", format!("model-{:02}", i % 40))
+        .set("base_version_id", format!("base-{:02}", i % 40))
+        .set("display_version", format!("1.{}", i / 40))
+        .set("blob_location", format!("mem://blob/{i:05}"))
+        .set(
+            "metadata",
+            r#"{"city":"san_francisco","model_name":"rf","model_type":"sparkml"}"#,
+        )
+        .set("created", Value::Timestamp(1_000 + i as i64))
+        .set("trigger", "trained")
+        .set("city", "san_francisco")
+        .set("model_name", "rf")
+        .set("model_type", "sparkml")
+        .set("project", format!("project-{}", i % 4))
+}
+
+#[test]
+fn reads_do_not_allocate_per_row_and_column() {
+    let store = MetadataStore::in_memory();
+    store.create_table(schema()).unwrap();
+    store
+        .insert_many(TABLE, (0..1_600).map(row).collect())
+        .unwrap();
+    store.flush_index_deltas();
+
+    let query = |column: &str, value: &str| {
+        let q = Query::all().and(Constraint::eq(column, value));
+        // Once unmeasured: the slow-query ring grows to its working size.
+        store.query_explain_full(TABLE, &q).unwrap();
+        let ((rows, explain), allocations) =
+            allocations_in(|| store.query_explain_full(TABLE, &q).unwrap());
+        let by_index = AccessPath::IndexEq {
+            column: column.into(),
+        };
+        assert_eq!(explain.path, by_index);
+        assert_eq!(explain.rows_scanned, rows.len(), "flushed: no tail merged");
+        (rows.len(), allocations)
+    };
+
+    let (got, get_allocations) = allocations_in(|| store.get(TABLE, "inst-00777").unwrap());
+    assert_eq!(got.unwrap().get("model_id"), Some(&Value::from("model-17")));
+    let (rows_40, allocations_40) = query("model_id", "model-17");
+    let (rows_400, allocations_400) = query("project", "project-1");
+    assert_eq!((rows_40, rows_400), (40, 400));
+
+    println!(
+        "allocations: get {get_allocations}, 40-row query {allocations_40}, \
+         400-row query {allocations_400}"
+    );
+    if cfg!(debug_assertions) {
+        return;
+    }
+    assert_eq!(get_allocations, 0, "a point read shares the stored row");
+    // A deep copy of 40 rows × 14 columns makes over 1,000.
+    assert!(
+        allocations_40 < 150,
+        "40-row query: {allocations_40} allocations"
+    );
+    assert!(
+        allocations_400 < 2 * allocations_40,
+        "400 rows: {allocations_400} allocations against {allocations_40} for 40"
+    );
+}

@@ -81,9 +81,16 @@ fn drive(store: &MetadataStore, owner: usize, ops: usize, seed: u64) -> Expected
             }
         } else if roll < 85 {
             let victim = rng.gen_range(0..next as u64) as usize;
-            store
-                .set_flag(TABLE, &format!("t{owner}-{victim:05}"), "deprecated", true)
-                .unwrap();
+            let id = format!("t{owner}-{victim:05}");
+            // A row held across the write is a snapshot: it keeps the
+            // flag it was read with while the stripe moves on.
+            let held = store.get(TABLE, &id).unwrap().unwrap();
+            store.set_flag(TABLE, &id, "deprecated", true).unwrap();
+            assert_eq!(
+                held.get("deprecated").is_some(),
+                exp.deprecated.contains(&victim),
+                "thread {owner}: held row {id} changed under set_flag"
+            );
             exp.deprecated.insert(victim);
         } else {
             // Race a query against the other writers. Counts can't be
