@@ -277,7 +277,9 @@ impl Gallery {
 
     /// Flag a model as deprecated (kept, skipped in search — §3.7).
     pub fn deprecate_model(&self, id: &ModelId) -> Result<()> {
-        self.get_model(id)?;
+        if self.dal.get(tables::MODELS, id.as_str())?.is_none() {
+            return Err(GalleryError::NoSuchModel(id.to_string()));
+        }
         self.dal
             .set_flag(tables::MODELS, id.as_str(), "deprecated", true)?;
         self.events.publish(&GalleryEvent::Deprecated {
@@ -479,8 +481,19 @@ impl Gallery {
         Ok(chain)
     }
 
+    /// `NoSuchInstance` unless the row exists. The writes that only need
+    /// to know that much ask the row store and stop: [`Gallery::get_instance`]
+    /// would build a whole `ModelInstance` (ids, version parse, metadata
+    /// string) to have it dropped.
+    fn require_instance(&self, id: &InstanceId) -> Result<()> {
+        match self.dal.get(tables::INSTANCES, id.as_str())? {
+            Some(_) => Ok(()),
+            None => Err(GalleryError::NoSuchInstance(id.to_string())),
+        }
+    }
+
     pub fn deprecate_instance(&self, id: &InstanceId) -> Result<()> {
-        self.get_instance(id)?;
+        self.require_instance(id)?;
         self.dal
             .set_flag(tables::INSTANCES, id.as_str(), "deprecated", true)?;
         self.events.publish(&GalleryEvent::Deprecated {
@@ -506,7 +519,7 @@ impl Gallery {
         instance_id: &InstanceId,
         spec: MetricSpec,
     ) -> Result<MetricRecord> {
-        self.get_instance(instance_id)?;
+        self.require_instance(instance_id)?;
         if !spec.value.is_finite() {
             return Err(GalleryError::Invalid(format!(
                 "metric {} value must be finite, got {}",
@@ -995,6 +1008,26 @@ mod tests {
             .insert_metric_blob(&inst.id, MetricScope::Training, "mae:0.2\nmape:0.12")
             .unwrap();
         assert_eq!(metrics.len(), 2);
+    }
+
+    #[test]
+    fn writes_to_a_missing_instance_or_model_name_it() {
+        let g = gallery();
+        let ghost = InstanceId::from("no-such-instance");
+        let spec = MetricSpec::new("mape", MetricScope::Validation, 0.1);
+        assert_eq!(
+            g.insert_metric(&ghost, spec).unwrap_err(),
+            GalleryError::NoSuchInstance("no-such-instance".into())
+        );
+        assert_eq!(
+            g.deprecate_instance(&ghost).unwrap_err(),
+            GalleryError::NoSuchInstance("no-such-instance".into())
+        );
+        assert_eq!(
+            g.deprecate_model(&ModelId::from("no-such-model"))
+                .unwrap_err(),
+            GalleryError::NoSuchModel("no-such-model".into())
+        );
     }
 
     #[test]

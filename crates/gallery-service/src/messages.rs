@@ -419,12 +419,12 @@ wire_union! {
 
 wire_struct! {
     /// One shipped WAL op on the wire: the leader's 1-based commit sequence
-    /// plus the op in the physical WAL's JSON encoding (see
+    /// plus the op as the payload bytes of its physical WAL frame (see
     /// `gallery_store::ShipFrame` — this is its wire twin).
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub struct WireWalFrame {
         pub seq: u64,
-        pub op_json: String,
+        pub op: Bytes,
     }
 }
 
@@ -841,11 +841,11 @@ mod tests {
             frames: vec![
                 WireWalFrame {
                     seq: 43,
-                    op_json: r#"{"Insert":{}}"#.into(),
+                    op: Bytes::from_static(br#"{"Insert":{}}"#),
                 },
                 WireWalFrame {
                     seq: 44,
-                    op_json: "{}".into(),
+                    op: Bytes::from_static(b"{}"),
                 },
             ],
         });
@@ -903,7 +903,7 @@ mod tests {
             leader_seq: 99,
             frames: vec![WireWalFrame {
                 seq: 7,
-                op_json: "{}".into(),
+                op: Bytes::from_static(b"{}"),
             }],
         });
         roundtrip_response(Response::WalFrames {

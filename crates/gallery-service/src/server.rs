@@ -805,14 +805,14 @@ impl GalleryServer {
                     .gallery
                     .dal()
                     .metadata()
-                    .ship_since(from_seq, (max as usize).min(65_536))?;
+                    .ship_since(from_seq, (max as usize).min(65_536));
                 Response::WalFrames {
                     leader_seq,
                     frames: frames
                         .into_iter()
                         .map(|f| crate::messages::WireWalFrame {
                             seq: f.seq,
-                            op_json: f.op_json,
+                            op: f.op,
                         })
                         .collect(),
                 }
@@ -822,7 +822,7 @@ impl GalleryServer {
                     .into_iter()
                     .map(|f| gallery_store::ShipFrame {
                         seq: f.seq,
-                        op_json: f.op_json,
+                        op: f.op,
                     })
                     .collect();
                 // A gap is not an error: the response carries the applied

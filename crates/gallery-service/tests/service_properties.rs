@@ -20,7 +20,7 @@ fn server() -> GalleryServer {
 fn wal_frame() -> WireWalFrame {
     WireWalFrame {
         seq: 7,
-        op_json: "{}".into(),
+        op: Bytes::from_static(b"{}"),
     }
 }
 

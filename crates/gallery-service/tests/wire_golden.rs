@@ -215,11 +215,11 @@ fn requests() -> Vec<(Request, &'static str)> {
                 frames: vec![
                     WireWalFrame {
                         seq: 43,
-                        op_json: s(r#"{"Insert":{}}"#),
+                        op: Bytes::from_static(br#"{"Insert":{}}"#),
                     },
                     WireWalFrame {
                         seq: 16_384,
-                        op_json: s("{}"),
+                        op: Bytes::from_static(b"{}"),
                     },
                 ],
             },
@@ -324,7 +324,7 @@ fn responses() -> Vec<(Response, &'static str)> {
                 leader_seq: 99,
                 frames: vec![WireWalFrame {
                     seq: 7,
-                    op_json: s("{}"),
+                    op: Bytes::from_static(b"{}"),
                 }],
             },
             "070000000d630107027b7d",

@@ -71,41 +71,6 @@ impl Default for Record {
     }
 }
 
-/// Reusable encode buffer for hot serialization paths (the WAL's group
-/// commit). Encoding a record-bearing op per append used to allocate a
-/// fresh line buffer every time; a batch borrows one `EncodeBuf`, appends
-/// every framed entry into it, and hands the whole batch to the file in a
-/// single write. `reset` keeps the capacity, so steady-state appends stop
-/// allocating once the buffer has grown to the largest batch seen.
-#[derive(Debug, Default)]
-pub struct EncodeBuf {
-    buf: String,
-}
-
-impl EncodeBuf {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Clear contents, keep capacity.
-    pub fn reset(&mut self) {
-        self.buf.clear();
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    pub fn as_bytes(&self) -> &[u8] {
-        self.buf.as_bytes()
-    }
-
-    /// Mutable access for callers assembling framed lines in place.
-    pub fn buf_mut(&mut self) -> &mut String {
-        &mut self.buf
-    }
-}
-
 impl FromIterator<(String, Value)> for Record {
     fn from_iter<T: IntoIterator<Item = (String, Value)>>(iter: T) -> Self {
         Record {

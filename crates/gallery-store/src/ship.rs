@@ -2,38 +2,39 @@
 //! followers (docs/replication.md).
 //!
 //! A [`ShipFrame`] is one committed [`WalOp`] plus its 1-based commit
-//! sequence, with the op carried as the same serde-JSON encoding the
-//! physical WAL uses — so what travels between nodes is byte-compatible
-//! with what recovery replays from disk. The service layer moves frames
-//! over the wire; this module owns their (de)serialization and the
-//! store-side batch helpers.
+//! sequence, with the op carried as the payload bytes of its frame in the
+//! physical WAL (one codec, in `wal.rs`) — so what travels between nodes
+//! is what recovery replays from disk. The service layer moves frames
+//! over the wire; this module owns the store-side batch helpers.
 
 use crate::error::{Result, StoreError};
 use crate::meta::{MetadataStore, ShipApply};
-use crate::wal::WalOp;
+use crate::wal::{decode_op, encode_op, WalOp};
+use bytes::Bytes;
 
-/// One shipped op: `(seq, op)` with the op in WAL JSON form.
+/// One shipped op: `(seq, op)` with the op in WAL payload form.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShipFrame {
     /// 1-based commit sequence on the leader.
     pub seq: u64,
-    /// The op, encoded exactly as a physical WAL record's payload.
-    pub op_json: String,
+    /// The op, encoded exactly as a physical WAL frame's payload.
+    pub op: Bytes,
 }
 
 impl ShipFrame {
-    pub fn new(seq: u64, op: &WalOp) -> Result<Self> {
-        Ok(ShipFrame {
+    pub fn new(seq: u64, op: &WalOp) -> Self {
+        let mut payload = Vec::new();
+        encode_op(op, &mut payload);
+        ShipFrame {
             seq,
-            op_json: serde_json::to_string(op)
-                .map_err(|e| StoreError::Io(format!("ship encode: {e}")))?,
-        })
+            op: Bytes::from(payload),
+        }
     }
 
     /// Decode the carried op. A frame that fails to decode is a protocol
     /// bug or corruption, never applied.
     pub fn op(&self) -> Result<WalOp> {
-        serde_json::from_str(&self.op_json).map_err(|e| StoreError::Io(format!("ship decode: {e}")))
+        decode_op(&self.op).map_err(|why| StoreError::Io(format!("ship decode: {why}")))
     }
 }
 
@@ -54,13 +55,13 @@ impl MetadataStore {
     /// Leader side: the frames a follower at `from_seq` is missing, at
     /// most `max` of them, plus this store's own applied sequence (so the
     /// caller can compute lag even when no frames ship).
-    pub fn ship_since(&self, from_seq: u64, max: usize) -> Result<(u64, Vec<ShipFrame>)> {
+    pub fn ship_since(&self, from_seq: u64, max: usize) -> (u64, Vec<ShipFrame>) {
         let frames = self
             .ops_since(from_seq, max)
             .into_iter()
             .map(|(seq, op)| ShipFrame::new(seq, &op))
-            .collect::<Result<Vec<_>>>()?;
-        Ok((self.applied_seq(), frames))
+            .collect();
+        (self.applied_seq(), frames)
     }
 
     /// Follower side: apply a batch of shipped frames in order,
@@ -122,7 +123,7 @@ mod tests {
             table: "models".into(),
             record: std::sync::Arc::new(Record::new().set("id", "m1").set("name", "rf")),
         };
-        let frame = ShipFrame::new(42, &op).unwrap();
+        let frame = ShipFrame::new(42, &op);
         let back = frame.op().unwrap();
         match back {
             WalOp::Insert { table, .. } => assert_eq!(table, "models"),
@@ -130,7 +131,7 @@ mod tests {
         }
         assert!(ShipFrame {
             seq: 1,
-            op_json: "not json".into()
+            op: Bytes::from_static(b"not an op"),
         }
         .op()
         .is_err());
@@ -141,7 +142,7 @@ mod tests {
         let leader = leader();
         let follower = MetadataStore::in_memory();
         loop {
-            let (leader_seq, frames) = leader.ship_since(follower.applied_seq(), 3).unwrap();
+            let (leader_seq, frames) = leader.ship_since(follower.applied_seq(), 3);
             if frames.is_empty() {
                 assert_eq!(follower.applied_seq(), leader_seq);
                 break;
@@ -157,7 +158,7 @@ mod tests {
     fn overlapping_reship_skips_and_gap_reports_resend_point() {
         let leader = leader();
         let follower = MetadataStore::in_memory();
-        let (_, frames) = leader.ship_since(0, 1000).unwrap();
+        let (_, frames) = leader.ship_since(0, 1000);
         follower.apply_ship(&frames[..4]).unwrap();
         // Overlapping batch: the first frames skip, the rest apply.
         let report = follower.apply_ship(&frames[2..6]).unwrap();

@@ -186,10 +186,11 @@ pub struct IoOpRecord {
     pub op: IoOp,
     pub path: PathBuf,
     pub bytes: usize,
-    /// Newline count in the write payload. Line-framed files (the WAL) use
-    /// one line per record, so `newlines > 1` marks a group-commit batch —
-    /// the crash matrix uses this to target mid-batch crash points.
-    pub newlines: usize,
+    /// Whole WAL frames in the write payload ([`crate::wal::frames_in`]).
+    /// The WAL writes one frame per op, so `frames > 1` marks a
+    /// group-commit batch — the crash matrix uses this to target mid-batch
+    /// crash points. Zero for anything that is not a WAL write.
+    pub frames: usize,
 }
 
 /// Deterministic fault plan for a [`SimFs`]. All fields compose; the
@@ -376,9 +377,7 @@ impl SimFs {
             op,
             path: path.to_path_buf(),
             bytes: payload.map(<[u8]>::len).unwrap_or(0),
-            newlines: payload
-                .map(|b| b.iter().filter(|c| **c == b'\n').count())
-                .unwrap_or(0),
+            frames: payload.map(crate::wal::frames_in).unwrap_or(0),
         });
         Ok(())
     }

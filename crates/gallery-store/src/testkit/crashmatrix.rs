@@ -45,10 +45,11 @@ use crate::error::StoreError;
 use crate::meta::MetadataStore;
 use crate::query::Query;
 use crate::simfs::{FileSystem, IoOp, IoOpRecord, SimFaultPlan, SimFs};
-use crate::wal::{SyncPolicy, Wal};
+use crate::wal::{encode_op, frame_len, SyncPolicy, Wal, WalOp, FRAME_HEADER};
 use gallery_telemetry::Telemetry;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::path::Path;
 use std::sync::Arc;
 
 /// WAL path used by matrix runs (inside the simulated fs).
@@ -70,7 +71,8 @@ pub struct CrashMatrixConfig {
     pub torn_writes: bool,
     /// Also run lying-fsync scenarios (drop syncs on the WAL / on blobs).
     pub drop_sync: bool,
-    /// Number of bit-flip-at-recovery scenarios (alternating WAL/blobs).
+    /// Number of bit-flip-at-recovery scenarios (alternating WAL/blobs:
+    /// WAL length field, blob payload, WAL payload, blob header, ...).
     pub bit_flips: usize,
     /// Test every `stride`-th crash point (1 = exhaustive; smoke uses more).
     pub stride: usize,
@@ -95,7 +97,7 @@ impl CrashMatrixConfig {
     pub fn smoke(seed: u64) -> Self {
         CrashMatrixConfig {
             workload_len: 28,
-            bit_flips: 2,
+            bit_flips: 3,
             stride: 3,
             ..Self::new(seed)
         }
@@ -181,12 +183,12 @@ impl CrashMatrixReport {
 /// (the fsync making a metadata record durable) and `blob.publish` (the
 /// rename exposing a blob under its final key) are the two commit points
 /// §3.5's ordering argument is about. A WAL write carrying more than one
-/// line is a group-commit batch (`wal.append.batch`) — crashing there is
+/// frame is a group-commit batch (`wal.append.batch`) — crashing there is
 /// the mid-batch crash the acked-durability invariant targets.
 pub fn classify(rec: &IoOpRecord) -> &'static str {
     let wal = rec.path.to_string_lossy().contains("wal");
     match (wal, rec.op) {
-        (true, IoOp::Write) if rec.newlines > 1 => "wal.append.batch",
+        (true, IoOp::Write) if rec.frames > 1 => "wal.append.batch",
         (true, IoOp::Write) => "wal.append",
         (true, IoOp::Sync) => "wal.commit",
         (true, _) => "wal.other",
@@ -234,6 +236,20 @@ pub fn run_crash_matrix(cfg: &CrashMatrixConfig) -> CrashMatrixReport {
     }
     let trace = trace_fs.op_log();
     report.io_ops_traced = trace.len();
+    // Where each WAL write starts in the fault-free log: the workload only
+    // ever appends to it, so write k begins where the earlier ones end.
+    let wal_image = trace_fs.read(Path::new(WAL_PATH)).unwrap_or_default();
+    let mut wal_end = 0;
+    let wal_starts: Vec<usize> = trace
+        .iter()
+        .map(|rec| {
+            let start = wal_end;
+            if classify(rec).starts_with("wal.append") {
+                wal_end += rec.bytes;
+            }
+            start
+        })
+        .collect();
 
     // Pass 2: crash at every (stride-sampled) IO op, plus a torn variant
     // for multi-byte writes. Group-commit batch writes are always crash
@@ -254,23 +270,28 @@ pub fn run_crash_matrix(cfg: &CrashMatrixConfig) -> CrashMatrixReport {
         run_scenario(cfg, &w, &model, &mut report, name, plan, Rigor::Strict);
         report.crash_points += 1;
         if cfg.torn_writes && rec.op == IoOp::Write && rec.bytes > 1 {
-            let keep = rec.bytes / 2;
-            let name = format!("torn@{k}(keep={keep}):{}", rec.path.display());
-            let plan = SimFaultPlan {
-                crash_at_op: Some(k as u64),
-                torn_write_keep: Some(keep),
-                ..Default::default()
-            };
-            run_scenario(cfg, &w, &model, &mut report, name, plan, Rigor::Strict);
-            report.crash_points += 1;
-            // Torn *batch*: a multi-record group-commit write torn at a
-            // line boundary minus one byte — every record but the last
-            // persists whole, the last heals away as a torn tail. None of
-            // the batch was acked, so losing its suffix must be invisible
-            // to the acked-durability check.
-            if rec.newlines > 1 {
-                let keep = rec.bytes - 1;
-                let name = format!("torn-batch@{k}(keep={keep}):{}", rec.path.display());
+            let mut tears = vec![("torn", rec.bytes / 2)];
+            // Torn *batch*: a multi-frame group-commit write torn inside
+            // its second frame's header, inside that frame's payload, and
+            // one byte short of whole. The frames before the tear persist
+            // whole, the torn one heals away as a torn tail. None of the
+            // batch was acked, so losing its suffix must be invisible to
+            // the acked-durability check.
+            if rec.frames > 1 {
+                let batch = &wal_image[wal_starts[k]..wal_starts[k] + rec.bytes];
+                let second = frame_len(batch).expect("a batch starts with a whole frame");
+                let second_len = frame_len(&batch[second..]).expect("and holds a second one");
+                tears.extend([
+                    ("torn-batch-header", second + FRAME_HEADER / 2),
+                    (
+                        "torn-batch-payload",
+                        second + (FRAME_HEADER + second_len) / 2,
+                    ),
+                    ("torn-batch", rec.bytes - 1),
+                ]);
+            }
+            for (what, keep) in tears {
+                let name = format!("{what}@{k}(keep={keep}):{}", rec.path.display());
                 let plan = SimFaultPlan {
                     crash_at_op: Some(k as u64),
                     torn_write_keep: Some(keep),
@@ -301,10 +322,17 @@ pub fn run_crash_matrix(cfg: &CrashMatrixConfig) -> CrashMatrixReport {
     }
 
     // Pass 4: bit rot — run to completion, flip a durable byte at
-    // recovery, alternate between the WAL and the blob tree.
-    for j in 0..cfg.bit_flips {
-        let needle = if j % 2 == 0 { "wal.log" } else { "blobs" };
-        let offset = 7 + 13 * j;
+    // recovery. The targets take turns: the first WAL frame's length field
+    // (caught by its complement — alone it would read as a torn tail and
+    // drop the whole log), a blob's payload, the first WAL frame's payload
+    // (caught by its CRC, with frames after it), a blob's header.
+    let targets = [
+        ("wal.log", 1),
+        ("blobs", 16 + 3),
+        ("wal.log", FRAME_HEADER + 9),
+        ("blobs", 5),
+    ];
+    for (needle, offset) in targets.into_iter().cycle().take(cfg.bit_flips) {
         let name = format!("bit-flip({needle}@{offset})");
         let plan = SimFaultPlan {
             bit_flip: Some((needle.to_string(), offset)),
@@ -429,9 +457,14 @@ fn check_recovery(
         Wal::replay_with_fs(&*fs_arc, WAL_PATH),
     ) {
         (Ok(a), Ok(b)) => {
-            let ja = serde_json::to_string(&a).unwrap_or_default();
-            let jb = serde_json::to_string(&b).unwrap_or_default();
-            if ja != jb {
+            // Compared in the log's own encoding: it is total (JSON has no
+            // NaN, and the workload's scores are mostly that) and exact.
+            let encoded = |ops: &[WalOp]| {
+                let mut out = Vec::new();
+                ops.iter().for_each(|op| encode_op(op, &mut out));
+                out
+            };
+            if encoded(&a) != encoded(&b) {
                 report.violations.push(fail(
                     invariants::REPLAY_IDEMPOTENT,
                     "two replays of the healed log disagree".to_string(),
@@ -506,6 +539,14 @@ fn check_recovery(
                 format!("{pk} recovered but never written by the workload"),
             ));
             continue;
+        }
+        // Scores are mostly non-finite floats; the log has to hand back the
+        // bits it was given.
+        if expected.is_some_and(|r| !r.score_matches(row)) {
+            report.violations.push(fail(
+                invariants::NO_SILENT_CORRUPTION,
+                format!("{pk}: score recovered as {:?}", row.get("score")),
+            ));
         }
         if let Some(loc) = row.get("blob_location").and_then(|v| v.as_str()) {
             match dal.fetch_blob(&BlobLocation::new(loc)) {
@@ -657,35 +698,54 @@ mod tests {
     }
 
     #[test]
+    fn every_bit_flip_target_is_detected() {
+        // Bit flips alone (plus the handful of crash points no stride
+        // skips). A flipped WAL length field and a flipped WAL payload byte
+        // each stop recovery with `WalCorrupt`; a flipped blob payload byte
+        // and a flipped blob header byte each fail the read of the one row
+        // that points there. Four flips, four detections, nothing served.
+        let cfg = CrashMatrixConfig {
+            torn_writes: false,
+            drop_sync: false,
+            bit_flips: 4,
+            stride: usize::MAX,
+            ..CrashMatrixConfig::smoke(0xB17)
+        };
+        let report = run_crash_matrix(&cfg);
+        assert!(report.is_clean(), "violations: {:#?}", report.violations);
+        assert_eq!(report.corruption_detected, 4);
+    }
+
+    #[test]
     fn classify_covers_both_trees() {
         use std::path::PathBuf;
         let wal = IoOpRecord {
             op: IoOp::Sync,
             path: PathBuf::from(WAL_PATH),
             bytes: 0,
-            newlines: 0,
+            frames: 0,
         };
         assert_eq!(classify(&wal), "wal.commit");
         let blob = IoOpRecord {
             op: IoOp::Rename,
             path: PathBuf::from("/db/blobs/00/x.blob"),
             bytes: 0,
-            newlines: 0,
+            frames: 0,
         };
         assert_eq!(classify(&blob), "blob.publish");
-        // One line per record: multi-line writes are group-commit batches.
+        // One frame per op: multi-frame writes are group-commit batches.
         let single = IoOpRecord {
             op: IoOp::Write,
             path: PathBuf::from(WAL_PATH),
             bytes: 64,
-            newlines: 1,
+            frames: 1,
         };
         assert_eq!(classify(&single), "wal.append");
         let batch = IoOpRecord {
             op: IoOp::Write,
             path: PathBuf::from(WAL_PATH),
             bytes: 256,
-            newlines: 4,
+            frames: 4,
         };
         assert_eq!(classify(&batch), "wal.append.batch");
     }

@@ -38,4 +38,4 @@ pub use crashmatrix::{
 };
 pub use model::{run_differential, DiffReport, RefModel, RefRow};
 pub use schedule::ScheduleShaker;
-pub use workload::{instance_schema, payload_for, Workload, WorkloadOp, TABLE};
+pub use workload::{instance_schema, payload_for, score_for, Workload, WorkloadOp, TABLE};

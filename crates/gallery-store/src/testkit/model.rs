@@ -1,7 +1,7 @@
 //! In-memory reference model of DAL semantics, plus a differential runner.
 //!
 //! [`RefModel`] is the *obviously correct* implementation: a map from
-//! instance id to `{has_blob, deprecated}`. It ignores storage entirely —
+//! instance id to `{has_blob, deprecated, score_bits}`. It ignores storage entirely —
 //! no WAL, no blob store, no caching — which is exactly what makes it a
 //! useful oracle. [`run_differential`] drives a real DAL and the model with
 //! the same seeded workload and reports every observable divergence:
@@ -12,11 +12,13 @@
 //! against the model's final state with prefix-tolerant invariants
 //! (monotone flags, no phantom rows) rather than strict equality.
 
-use super::workload::{self, instance_schema, payload_for, Workload, WorkloadOp, TABLE};
+use super::workload::{self, instance_schema, payload_for, score_for, Workload, WorkloadOp, TABLE};
 use crate::blob::memory::MemoryBlobStore;
 use crate::dal::Dal;
 use crate::meta::MetadataStore;
 use crate::query::Query;
+use crate::record::Record;
+use crate::value::Value;
 use gallery_telemetry::Telemetry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -26,6 +28,21 @@ use std::sync::Arc;
 pub struct RefRow {
     pub has_blob: bool,
     pub deprecated: bool,
+    /// Bit pattern of the row's `score`, if it was written with one. Bits,
+    /// because the scores are mostly non-finite (`score_for`) and must
+    /// come back exactly.
+    pub score_bits: Option<u64>,
+}
+
+impl RefRow {
+    /// Whether a stored row carries exactly this row's score.
+    pub fn score_matches(&self, row: &Record) -> bool {
+        let stored = match row.get("score") {
+            Some(Value::Float(x)) => Some(x.to_bits()),
+            _ => None,
+        };
+        stored == self.score_bits
+    }
 }
 
 /// Reference implementation of the DAL's observable state.
@@ -48,12 +65,14 @@ impl RefModel {
                 self.rows.entry(id.clone()).or_insert(RefRow {
                     has_blob: true,
                     deprecated: false,
+                    score_bits: None,
                 });
             }
             WorkloadOp::PutMeta { id } => {
                 self.rows.entry(id.clone()).or_insert(RefRow {
                     has_blob: false,
                     deprecated: false,
+                    score_bits: Some(score_for(id).to_bits()),
                 });
             }
             WorkloadOp::PutMany { ids } => {
@@ -61,6 +80,7 @@ impl RefModel {
                     self.rows.entry(id.clone()).or_insert(RefRow {
                         has_blob: false,
                         deprecated: false,
+                        score_bits: None,
                     });
                 }
             }
@@ -131,6 +151,13 @@ pub fn diff_against_model(dal: &Dal, model: &RefModel, seed: u64) -> Vec<String>
             out.push(format!(
                 "{pk}: deprecated dal={deprecated} model={}",
                 expected.deprecated
+            ));
+        }
+        if !expected.score_matches(row) {
+            out.push(format!(
+                "{pk}: score dal={:?} model bits={:x?}",
+                row.get("score"),
+                expected.score_bits
             ));
         }
         let has_blob = row.get("blob_location").and_then(|v| v.as_str()).is_some();
@@ -223,6 +250,12 @@ mod tests {
                 report.divergences
             );
             assert_eq!(report.ops_applied, 120);
+            // Each run carried rows whose score no text encoding keeps.
+            let w = Workload::generate(seed, 120);
+            assert!(w
+                .ops
+                .iter()
+                .any(|op| matches!(op, WorkloadOp::PutMeta { id } if !score_for(id).is_finite())));
         }
     }
 

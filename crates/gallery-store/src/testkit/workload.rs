@@ -31,7 +31,7 @@ use rand::{Rng, SeedableRng};
 pub const TABLE: &str = "instances";
 
 /// Schema for [`TABLE`]: primary key, nullable blob pointer, nullable
-/// deprecation flag.
+/// deprecation flag, nullable score (see [`score_for`]).
 pub fn instance_schema() -> TableSchema {
     TableSchema::new(
         TABLE,
@@ -40,9 +40,25 @@ pub fn instance_schema() -> TableSchema {
             ColumnDef::new("id", ValueType::Str),
             ColumnDef::new("blob_location", ValueType::Str).nullable(),
             ColumnDef::new("deprecated", ValueType::Bool).nullable(),
+            ColumnDef::new("score", ValueType::Float).nullable(),
         ],
     )
     .expect("static schema is valid")
+}
+
+/// Deterministic `score` of a metadata-only instance. Four in five are the
+/// floats a text encoding loses — a NaN with a payload, both infinities,
+/// negative zero — so every store under test has to carry them bit for
+/// bit, through its log and back.
+pub fn score_for(id: &str) -> f64 {
+    let pick = id.bytes().fold(0usize, |h, b| h * 31 + usize::from(b)) % 5;
+    [
+        f64::from_bits(0x7ff8_0000_0000_0bad),
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -0.0,
+        0.5,
+    ][pick]
 }
 
 /// Deterministic blob payload for instance `id` under `seed`: 16–135 bytes
@@ -63,7 +79,7 @@ pub enum WorkloadOp {
     /// `put_with_blob`: new instance with payload `payload_for(seed, id)`.
     PutWithBlob { id: String },
     /// Metadata-only insert (no blob), e.g. a registered-but-unmaterialised
-    /// instance.
+    /// instance. Carries `score_for(id)`.
     PutMeta { id: String },
     /// Batched metadata-only insert through the store's group commit —
     /// `put_many`, one WAL batch for all ids. Acknowledged atomically from
@@ -195,7 +211,12 @@ pub fn apply(dal: &Dal, seed: u64, op: &WorkloadOp) -> crate::error::Result<()> 
                 Bytes::from(payload_for(seed, id)),
             )
             .map(|_| ()),
-        WorkloadOp::PutMeta { id } => dal.put(TABLE, Record::new().set("id", id.as_str())),
+        WorkloadOp::PutMeta { id } => dal.put(
+            TABLE,
+            Record::new()
+                .set("id", id.as_str())
+                .set("score", score_for(id)),
+        ),
         WorkloadOp::PutMany { ids } => dal
             .put_many(
                 TABLE,

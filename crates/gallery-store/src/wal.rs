@@ -1,9 +1,20 @@
 //! Write-ahead log for the metadata store.
 //!
 //! The paper's metadata lives in an HA MySQL deployment; our embedded
-//! stand-in gains durability through a simple append-only log. Each entry
-//! is a CRC-framed JSON line; replay stops cleanly at a torn tail (the
-//! standard WAL contract) but reports corruption in the middle of the log.
+//! stand-in gains durability through a simple append-only log of binary
+//! frames, one per operation:
+//!
+//! ```text
+//! [len u32 LE][!len u32 LE][crc32(payload) u32 LE][payload: len bytes]
+//! ```
+//!
+//! The payload is the op codec below (`encode_op` / `decode_op`), the
+//! same bytes a [`crate::ship::ShipFrame`] carries between nodes. Replay
+//! stops cleanly at a torn tail (the standard WAL contract) but reports
+//! corruption in the middle of the log. The length carries its complement
+//! because the length alone decides where the next frame starts: without
+//! it, one flipped length bit mid-log would point past end of file, read
+//! as a torn tail, and silently drop every frame after it.
 //!
 //! All file IO goes through the [`FileSystem`] abstraction so the
 //! crash-consistency harness ([`crate::testkit`]) can run the WAL over a
@@ -13,22 +24,23 @@
 
 use crate::blob::checksum::crc32;
 use crate::error::{Result, StoreError};
-use crate::record::{EncodeBuf, Record};
-use crate::schema::TableSchema;
+use crate::record::Record;
+use crate::schema::{ColumnDef, IndexKind, TableSchema};
 use crate::simfs::{real_fs, FileSystem, FsFile};
+use crate::value::{Value, ValueType};
 use gallery_sync::locks::{OrderedCondvar, OrderedMutex, OrderedMutexGuard};
 use gallery_sync::{io_section, rank};
 use gallery_telemetry::{kinds, Counter, EventSink, Gauge, Histogram, Telemetry};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// One logical operation recorded in the WAL.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// One logical operation recorded in the WAL. `Serialize` is for people
+/// (`gallery wal-dump`); the log and the wire use `encode_op`.
+#[derive(Debug, Clone, Serialize)]
 pub enum WalOp {
     CreateTable {
         schema: TableSchema,
@@ -47,6 +59,342 @@ pub enum WalOp {
         column: String,
         value: bool,
     },
+}
+
+/// Bytes of a frame header: payload length, its complement, payload CRC.
+pub(crate) const FRAME_HEADER: usize = 12;
+
+const OP_CREATE_TABLE: u8 = 1;
+const OP_INSERT: u8 = 2;
+const OP_SET_FLAG: u8 = 3;
+
+/// Value tags; the six typed ones double as [`ValueType`] tags in a
+/// `CreateTable` payload.
+const TAG_NULL: u8 = 0;
+const TAG_BOOL: u8 = 1;
+const TAG_INT: u8 = 2;
+const TAG_FLOAT: u8 = 3;
+const TAG_STR: u8 = 4;
+const TAG_BYTES: u8 = 5;
+const TAG_TIMESTAMP: u8 = 6;
+
+const INDEX_NONE: u8 = 0;
+const INDEX_HASH: u8 = 1;
+const INDEX_BTREE: u8 = 2;
+
+fn put_uvarint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
+    put_uvarint(out, b.len() as u64);
+    out.extend_from_slice(b);
+}
+
+fn type_tag(ty: ValueType) -> u8 {
+    match ty {
+        ValueType::Bool => TAG_BOOL,
+        ValueType::Int => TAG_INT,
+        ValueType::Float => TAG_FLOAT,
+        ValueType::Str => TAG_STR,
+        ValueType::Bytes => TAG_BYTES,
+        ValueType::Timestamp => TAG_TIMESTAMP,
+    }
+}
+
+fn put_value(out: &mut Vec<u8>, v: &Value) {
+    match v {
+        Value::Null => out.push(TAG_NULL),
+        Value::Bool(b) => out.extend_from_slice(&[TAG_BOOL, u8::from(*b)]),
+        Value::Int(i) => {
+            out.push(TAG_INT);
+            out.extend_from_slice(&i.to_le_bytes());
+        }
+        // The bit pattern, not the number: NaN payloads, infinities and
+        // the sign of zero all survive.
+        Value::Float(x) => {
+            out.push(TAG_FLOAT);
+            out.extend_from_slice(&x.to_bits().to_le_bytes());
+        }
+        Value::Str(s) => {
+            out.push(TAG_STR);
+            put_bytes(out, s.as_bytes());
+        }
+        Value::Bytes(b) => {
+            out.push(TAG_BYTES);
+            put_bytes(out, b);
+        }
+        Value::Timestamp(t) => {
+            out.push(TAG_TIMESTAMP);
+            out.extend_from_slice(&t.to_le_bytes());
+        }
+    }
+}
+
+/// Append the self-describing encoding of `op` to `out`: an op tag, then
+/// uvarint-length-prefixed names and one tag byte per value. These bytes
+/// are the payload of a WAL frame and of a shipped frame alike. Encoding
+/// cannot fail — whatever the tables accept, the log accepts.
+pub(crate) fn encode_op(op: &WalOp, out: &mut Vec<u8>) {
+    match op {
+        WalOp::CreateTable { schema } => {
+            out.push(OP_CREATE_TABLE);
+            put_bytes(out, schema.name.as_bytes());
+            put_bytes(out, schema.primary_key.as_bytes());
+            put_uvarint(out, schema.columns.len() as u64);
+            for col in &schema.columns {
+                put_bytes(out, col.name.as_bytes());
+                out.extend_from_slice(&[
+                    type_tag(col.ty),
+                    u8::from(col.nullable),
+                    match col.index {
+                        None => INDEX_NONE,
+                        Some(IndexKind::Hash) => INDEX_HASH,
+                        Some(IndexKind::BTree) => INDEX_BTREE,
+                    },
+                ]);
+            }
+        }
+        WalOp::Insert { table, record } => {
+            out.push(OP_INSERT);
+            put_bytes(out, table.as_bytes());
+            put_uvarint(out, record.len() as u64);
+            for (name, value) in record.fields() {
+                put_bytes(out, name.as_bytes());
+                put_value(out, value);
+            }
+        }
+        WalOp::SetFlag {
+            table,
+            pk,
+            column,
+            value,
+        } => {
+            out.push(OP_SET_FLAG);
+            put_bytes(out, table.as_bytes());
+            put_bytes(out, pk.as_bytes());
+            put_bytes(out, column.as_bytes());
+            out.push(u8::from(*value));
+        }
+    }
+}
+
+/// A decoding step; the error says why the payload did not decode (the
+/// caller adds which frame, and where).
+type Decoded<T> = std::result::Result<T, &'static str>;
+
+/// Bounds-checked reads over untrusted payload bytes: the log after bit
+/// rot, or whatever a peer shipped.
+struct Cursor<'a>(&'a [u8]);
+
+impl<'a> Cursor<'a> {
+    fn take(&mut self, n: usize) -> Decoded<&'a [u8]> {
+        if n > self.0.len() {
+            return Err("payload ends early");
+        }
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Ok(head)
+    }
+
+    fn u8(&mut self) -> Decoded<u8> {
+        Ok(self.take(1)?[0])
+    }
+
+    fn bool(&mut self) -> Decoded<bool> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err("bool byte is neither 0 nor 1"),
+        }
+    }
+
+    fn u64_le(&mut self) -> Decoded<u64> {
+        let mut b = [0u8; 8];
+        b.copy_from_slice(self.take(8)?);
+        Ok(u64::from_le_bytes(b))
+    }
+
+    fn uvarint(&mut self) -> Decoded<u64> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let b = self.u8()?;
+            // The tenth byte has room for bit 63 alone.
+            if shift == 63 && b > 1 {
+                break;
+            }
+            v |= u64::from(b & 0x7F) << shift;
+            if b & 0x80 == 0 {
+                return Ok(v);
+            }
+        }
+        Err("varint overflows 64 bits")
+    }
+
+    /// A length-prefixed byte string. The length is checked against what
+    /// is left before anything is sliced or allocated.
+    fn bytes(&mut self) -> Decoded<&'a [u8]> {
+        let n = self.uvarint()?;
+        self.take(usize::try_from(n).map_err(|_| "length overflows usize")?)
+    }
+
+    fn string(&mut self) -> Decoded<String> {
+        std::str::from_utf8(self.bytes()?)
+            .map(str::to_owned)
+            .map_err(|_| "string is not utf-8")
+    }
+
+    /// An item count, and how many items to reserve room for: never more
+    /// than the rest of the payload could hold at `min_item_bytes` each. A
+    /// count inflated to 2^62 then fails on the item where the bytes run
+    /// out, having reserved no more items than the input has bytes.
+    fn count(&mut self, min_item_bytes: usize) -> Decoded<(u64, usize)> {
+        let n = self.uvarint()?;
+        let fit = self.0.len() / min_item_bytes;
+        Ok((n, usize::try_from(n).map_or(fit, |n| n.min(fit))))
+    }
+
+    fn value_type(&mut self) -> Decoded<ValueType> {
+        Ok(match self.u8()? {
+            TAG_BOOL => ValueType::Bool,
+            TAG_INT => ValueType::Int,
+            TAG_FLOAT => ValueType::Float,
+            TAG_STR => ValueType::Str,
+            TAG_BYTES => ValueType::Bytes,
+            TAG_TIMESTAMP => ValueType::Timestamp,
+            _ => return Err("unknown column type tag"),
+        })
+    }
+
+    fn value(&mut self) -> Decoded<Value> {
+        Ok(match self.u8()? {
+            TAG_NULL => Value::Null,
+            TAG_BOOL => Value::Bool(self.bool()?),
+            TAG_INT => Value::Int(self.u64_le()? as i64),
+            TAG_FLOAT => Value::Float(f64::from_bits(self.u64_le()?)),
+            TAG_STR => Value::Str(self.string()?),
+            TAG_BYTES => Value::Bytes(self.bytes()?.to_vec()),
+            TAG_TIMESTAMP => Value::Timestamp(self.u64_le()? as i64),
+            _ => return Err("unknown value tag"),
+        })
+    }
+}
+
+/// Decode one op payload (inverse of [`encode_op`]). The payload must be
+/// consumed exactly: trailing bytes are as much an error as missing ones.
+pub(crate) fn decode_op(payload: &[u8]) -> Decoded<WalOp> {
+    let mut c = Cursor(payload);
+    let op = match c.u8()? {
+        OP_CREATE_TABLE => {
+            let name = c.string()?;
+            let primary_key = c.string()?;
+            // A column is at least an empty name's length byte + 3 tags.
+            let (n, reserve) = c.count(4)?;
+            let mut columns = Vec::with_capacity(reserve);
+            for _ in 0..n {
+                columns.push(ColumnDef {
+                    name: c.string()?,
+                    ty: c.value_type()?,
+                    nullable: c.bool()?,
+                    index: match c.u8()? {
+                        INDEX_NONE => None,
+                        INDEX_HASH => Some(IndexKind::Hash),
+                        INDEX_BTREE => Some(IndexKind::BTree),
+                        _ => return Err("unknown index tag"),
+                    },
+                });
+            }
+            WalOp::CreateTable {
+                schema: TableSchema {
+                    name,
+                    primary_key,
+                    columns,
+                },
+            }
+        }
+        OP_INSERT => {
+            let table = c.string()?;
+            // A field is at least an empty name's length byte + a value tag.
+            let (n, reserve) = c.count(2)?;
+            let mut fields = Vec::with_capacity(reserve);
+            for _ in 0..n {
+                fields.push((c.string()?, c.value()?));
+            }
+            WalOp::Insert {
+                table,
+                record: Arc::new(fields.into_iter().collect()),
+            }
+        }
+        OP_SET_FLAG => WalOp::SetFlag {
+            table: c.string()?,
+            pk: c.string()?,
+            column: c.string()?,
+            value: c.bool()?,
+        },
+        _ => return Err("unknown op tag"),
+    };
+    if !c.0.is_empty() {
+        return Err("bytes left over after the op");
+    }
+    Ok(op)
+}
+
+/// What the bytes at a frame boundary hold, structurally (the CRC and the
+/// payload's meaning are replay's job).
+enum Framing<'a> {
+    /// Fewer bytes than a header, or than the header's length announces:
+    /// what a crash mid-append leaves.
+    Short,
+    /// The length disagrees with its complement.
+    BadLength,
+    Whole {
+        payload: &'a [u8],
+        crc: u32,
+    },
+}
+
+fn framing(buf: &[u8]) -> Framing<'_> {
+    let Some(h) = buf.get(..FRAME_HEADER) else {
+        return Framing::Short;
+    };
+    let field = |i: usize| u32::from_le_bytes([h[i], h[i + 1], h[i + 2], h[i + 3]]);
+    let (len, not_len, crc) = (field(0), field(4), field(8));
+    if len != !not_len {
+        return Framing::BadLength;
+    }
+    match usize::try_from(len)
+        .ok()
+        .and_then(|len| buf[FRAME_HEADER..].get(..len))
+    {
+        Some(payload) => Framing::Whole { payload, crc },
+        None => Framing::Short,
+    }
+}
+
+/// Whole length (header + payload) of the frame at the start of `buf`, if
+/// its header is intact and the payload it announces is all there.
+pub(crate) fn frame_len(buf: &[u8]) -> Option<usize> {
+    match framing(buf) {
+        Framing::Whole { payload, .. } => Some(FRAME_HEADER + payload.len()),
+        Framing::Short | Framing::BadLength => None,
+    }
+}
+
+/// How many whole WAL frames `buf` starts with, found by walking frame
+/// headers. One frame per op, so a single write holding more than one is a
+/// group-commit batch — which is how the crash matrix finds batches.
+pub fn frames_in(buf: &[u8]) -> usize {
+    let mut offset = 0;
+    let mut frames = 0;
+    while let Some(whole) = frame_len(&buf[offset..]) {
+        offset += whole;
+        frames += 1;
+    }
+    frames
 }
 
 /// When to fsync the log file.
@@ -77,9 +425,10 @@ pub struct Wal {
     sync: SyncPolicy,
     entries_written: u64,
     telemetry: Option<WalTelemetry>,
-    /// Reused across batches: framed lines accumulate here so one batch is
-    /// one `write` syscall and (at most) one fsync.
-    encode_buf: EncodeBuf,
+    /// Reused across batches: frames accumulate here so one batch is one
+    /// `write` syscall and (at most) one fsync, and steady-state appends
+    /// stop allocating once it has grown to the largest batch seen.
+    frame_buf: Vec<u8>,
 }
 
 impl std::fmt::Debug for Wal {
@@ -132,7 +481,7 @@ impl Wal {
             sync,
             entries_written: 0,
             telemetry: None,
-            encode_buf: EncodeBuf::new(),
+            frame_buf: Vec::new(),
         })
     }
 
@@ -159,7 +508,7 @@ impl Wal {
             sync,
             entries_written: 0,
             telemetry: None,
-            encode_buf: EncodeBuf::new(),
+            frame_buf: Vec::new(),
         })
     }
 
@@ -231,21 +580,27 @@ impl Wal {
     /// primitive — N coalesced commits cost one write + one sync instead
     /// of N of each. The batch buffer is one write syscall, so a crash can
     /// tear it mid-batch; replay then recovers a clean prefix of the batch
-    /// (entries are self-framed lines) and none of them were acked.
+    /// (every op is its own frame) and none of them were acked.
     pub fn append_batch(&mut self, ops: &[&WalOp]) -> Result<()> {
         if ops.is_empty() {
             return Ok(());
         }
         let start = Instant::now();
-        self.encode_buf.reset();
+        self.frame_buf.clear();
         for op in ops {
-            let json = serde_json::to_string(op)
-                .map_err(|e| StoreError::Io(format!("wal encode: {e}")))?;
-            let crc = crc32(json.as_bytes());
-            let line = self.encode_buf.buf_mut();
-            let _ = writeln!(line, "{crc:08x} {json}");
+            let header_at = self.frame_buf.len();
+            self.frame_buf.extend_from_slice(&[0; FRAME_HEADER]);
+            encode_op(op, &mut self.frame_buf);
+            let payload = &self.frame_buf[header_at + FRAME_HEADER..];
+            let len = u32::try_from(payload.len())
+                .map_err(|_| StoreError::Io("wal frame exceeds 4 GiB".to_string()))?;
+            let crc = crc32(payload);
+            let header = &mut self.frame_buf[header_at..header_at + FRAME_HEADER];
+            header[..4].copy_from_slice(&len.to_le_bytes());
+            header[4..8].copy_from_slice(&(!len).to_le_bytes());
+            header[8..].copy_from_slice(&crc.to_le_bytes());
         }
-        self.writer.write_all(self.encode_buf.as_bytes())?;
+        self.writer.write_all(&self.frame_buf)?;
         self.writer.flush()?;
         if self.sync == SyncPolicy::Always {
             io_section("wal.append_batch", || self.writer.sync_data())?;
@@ -264,9 +619,9 @@ impl Wal {
         Ok(())
     }
 
-    /// Replay all intact entries from a log file. A torn final line is
-    /// tolerated (it is the expected crash artifact); a CRC mismatch on a
-    /// non-final line is reported as corruption.
+    /// Replay all intact entries from a log file. A torn final frame is
+    /// tolerated (it is the expected crash artifact); damage with bytes
+    /// after it is reported as corruption.
     pub fn replay(path: impl AsRef<Path>) -> Result<Vec<WalOp>> {
         Ok(Self::replay_report(&*real_fs(), path)?.ops)
     }
@@ -317,37 +672,49 @@ impl Wal {
         Ok(report.ops)
     }
 
+    /// Three outcomes, decided by these bytes alone. **Clean**: every
+    /// frame verifies and the last one ends the file. **Torn tail**: fewer
+    /// than a header's bytes are left, or the length runs past end of file,
+    /// or the frame that ends the file fails its CRC or does not decode —
+    /// what a crash mid-append leaves; the caller may truncate it away.
+    /// **Corrupt**: a length that disagrees with its complement, or a bad
+    /// CRC / undecodable payload with more bytes after it — damage to
+    /// history, which truncation would silently discard.
     fn replay_bytes(data: &[u8]) -> Result<ReplayReport> {
         let mut ops = Vec::new();
         let mut offset = 0usize;
-        let mut line_no = 0usize;
         let mut torn = false;
         while offset < data.len() {
-            let Some(nl) = data[offset..].iter().position(|&b| b == b'\n') else {
-                // Trailing bytes without a newline: the classic torn tail.
-                torn = true;
-                break;
+            let rest = &data[offset..];
+            let corrupt = |why: &str| {
+                StoreError::WalCorrupt(format!("frame {} at offset {offset}: {why}", ops.len() + 1))
             };
-            line_no += 1;
-            let line = &data[offset..offset + nl];
-            let parsed = std::str::from_utf8(line)
-                .map_err(|e| format!("invalid utf-8: {e}"))
-                .and_then(Self::parse_entry);
-            match parsed {
+            let (payload, crc) = match framing(rest) {
+                Framing::Whole { payload, crc } => (payload, crc),
+                Framing::Short => {
+                    torn = true;
+                    break;
+                }
+                Framing::BadLength => {
+                    return Err(corrupt("length does not match its complement"));
+                }
+            };
+            let decoded = if crc32(payload) == crc {
+                decode_op(payload)
+            } else {
+                Err("crc mismatch")
+            };
+            let end = FRAME_HEADER + payload.len();
+            match decoded {
                 Ok(op) => {
                     ops.push(op);
-                    offset += nl + 1;
+                    offset += end;
                 }
-                Err(e) => {
-                    // A complete-but-bad line: torn tail if nothing but
-                    // whitespace follows, mid-log corruption otherwise.
-                    let rest = &data[offset + nl + 1..];
-                    if rest.iter().all(u8::is_ascii_whitespace) {
-                        torn = true;
-                        break;
-                    }
-                    return Err(StoreError::WalCorrupt(format!("line {line_no}: {e}")));
+                Err(_) if end == rest.len() => {
+                    torn = true;
+                    break;
                 }
+                Err(why) => return Err(corrupt(why)),
             }
         }
         let torn_tail = torn.then(|| TornTail {
@@ -355,21 +722,6 @@ impl Wal {
             dropped_bytes: (data.len() - offset) as u64,
         });
         Ok(ReplayReport { ops, torn_tail })
-    }
-
-    fn parse_entry(line: &str) -> std::result::Result<WalOp, String> {
-        let (crc_hex, json) = line
-            .split_once(' ')
-            .ok_or_else(|| "missing crc frame".to_string())?;
-        let expected =
-            u32::from_str_radix(crc_hex, 16).map_err(|e| format!("bad crc field: {e}"))?;
-        let actual = crc32(json.as_bytes());
-        if expected != actual {
-            return Err(format!(
-                "crc mismatch: expected {expected:08x}, got {actual:08x}"
-            ));
-        }
-        serde_json::from_str(json).map_err(|e| format!("bad json: {e}"))
     }
 }
 
@@ -611,9 +963,9 @@ impl Committer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::ColumnDef;
+    use crate::ship::ShipFrame;
     use crate::simfs::SimFs;
-    use crate::value::ValueType;
+    use bytes::Bytes;
 
     fn tmpdir(name: &str) -> PathBuf {
         let dir =
@@ -667,50 +1019,60 @@ mod tests {
         assert!(ops.is_empty());
     }
 
+    /// `ops` framed the way `append_batch` frames them.
+    fn log_of(ops: &[WalOp]) -> Vec<u8> {
+        let fs = SimFs::new();
+        let path = Path::new("/wal.log");
+        let mut wal = Wal::open_with_fs(Arc::new(fs.clone()), path, SyncPolicy::Never).unwrap();
+        wal.append_batch(&ops.iter().collect::<Vec<_>>()).unwrap();
+        fs.read(path).unwrap()
+    }
+
+    /// A log file holding `sample_ops()`, and its bytes.
+    fn sample_log(name: &str) -> (PathBuf, Vec<u8>) {
+        let path = tmpdir(name).join("wal.log");
+        let bytes = log_of(&sample_ops());
+        std::fs::write(&path, &bytes).unwrap();
+        (path, bytes)
+    }
+
+    fn frame_starts(log: &[u8]) -> Vec<usize> {
+        let mut starts = Vec::new();
+        let mut at = 0;
+        while let Some(whole) = frame_len(&log[at..]) {
+            starts.push(at);
+            at += whole;
+        }
+        starts
+    }
+
+    /// What a crash mid-append leaves: a whole header announcing more
+    /// payload than made it to disk.
+    fn torn_frame() -> Vec<u8> {
+        let mut frame = Vec::new();
+        frame.extend_from_slice(&40u32.to_le_bytes());
+        frame.extend_from_slice(&(!40u32).to_le_bytes());
+        frame.extend_from_slice(&0xDEAD_BEEFu32.to_le_bytes());
+        frame.extend_from_slice(b"\x02\x01t\x01");
+        frame
+    }
+
     #[test]
     fn torn_tail_tolerated() {
-        let dir = tmpdir("torn");
-        let path = dir.join("wal.log");
-        {
-            let mut wal = Wal::open(&path, SyncPolicy::Never).unwrap();
-            for op in sample_ops() {
-                wal.append(&op).unwrap();
-            }
-        }
-        // Simulate a crash mid-append: garbage partial line at the end.
-        {
-            use std::io::Write as _;
-            let mut f = std::fs::OpenOptions::new()
-                .append(true)
-                .open(&path)
-                .unwrap();
-            write!(f, "deadbeef {{\"Ins").unwrap();
-        }
+        let (path, mut log) = sample_log("torn");
+        // Simulate a crash mid-append: a partial frame at the end.
+        log.extend_from_slice(&torn_frame());
+        std::fs::write(&path, &log).unwrap();
         let ops = Wal::replay(&path).unwrap();
         assert_eq!(ops.len(), 3);
     }
 
     #[test]
     fn recover_truncates_torn_tail_and_counts_it() {
-        let dir = tmpdir("heal");
-        let path = dir.join("wal.log");
-        let clean_len;
-        {
-            let mut wal = Wal::open(&path, SyncPolicy::Never).unwrap();
-            for op in sample_ops() {
-                wal.append(&op).unwrap();
-            }
-            wal.sync_all().unwrap();
-            clean_len = std::fs::metadata(&path).unwrap().len();
-        }
-        {
-            use std::io::Write as _;
-            let mut f = std::fs::OpenOptions::new()
-                .append(true)
-                .open(&path)
-                .unwrap();
-            write!(f, "deadbeef {{\"Ins").unwrap();
-        }
+        let (path, mut log) = sample_log("heal");
+        let clean_len = log.len() as u64;
+        log.extend_from_slice(&torn_frame());
+        std::fs::write(&path, &log).unwrap();
         let telemetry = Telemetry::new();
         let ops = Wal::recover(&*real_fs(), &path, &telemetry).unwrap();
         assert_eq!(ops.len(), 3);
@@ -742,21 +1104,77 @@ mod tests {
 
     #[test]
     fn mid_log_corruption_detected() {
-        let dir = tmpdir("corrupt");
-        let path = dir.join("wal.log");
-        {
-            let mut wal = Wal::open(&path, SyncPolicy::Never).unwrap();
-            for op in sample_ops() {
-                wal.append(&op).unwrap();
+        let (path, log) = sample_log("corrupt");
+        // Flip a byte in the first frame's payload.
+        let mut flipped = log.clone();
+        flipped[FRAME_HEADER + 3] ^= 0x01;
+        std::fs::write(&path, &flipped).unwrap();
+        assert!(matches!(Wal::replay(&path), Err(StoreError::WalCorrupt(_))));
+        // Flip a bit in the first frame's *length*: the complement catches
+        // it. Without one the length would run past end of file, read as a
+        // torn tail, and recovery would quietly drop the whole log.
+        let mut flipped = log.clone();
+        flipped[1] ^= 0x40;
+        std::fs::write(&path, &flipped).unwrap();
+        assert!(matches!(Wal::replay(&path), Err(StoreError::WalCorrupt(_))));
+    }
+
+    #[test]
+    fn every_tear_of_the_last_frame_heals_to_the_frames_before_it() {
+        let log = log_of(&sample_ops());
+        let last_start = frame_starts(&log)[2];
+        for cut in last_start..log.len() {
+            let report = Wal::replay_bytes(&log[..cut]).unwrap();
+            assert_eq!(report.ops.len(), 2, "cut at {cut}");
+            let torn = report.torn_tail;
+            if cut == last_start {
+                assert_eq!(torn, None);
+            } else {
+                assert_eq!(
+                    torn,
+                    Some(TornTail {
+                        valid_len: last_start as u64,
+                        dropped_bytes: (cut - last_start) as u64,
+                    }),
+                    "cut at {cut}"
+                );
             }
         }
-        // Flip a byte in the first line's JSON payload.
-        let content = std::fs::read_to_string(&path).unwrap();
-        let mut lines: Vec<String> = content.lines().map(String::from).collect();
-        lines[0] = lines[0].replace("CreateTable", "CreateTabl3");
-        std::fs::write(&path, lines.join("\n") + "\n").unwrap();
-        let err = Wal::replay(&path);
-        assert!(matches!(err, Err(StoreError::WalCorrupt(_))));
+        // A whole last frame with a damaged payload is a torn tail too:
+        // nothing follows it, so nothing but the crash's own write is lost.
+        let mut flipped = log.clone();
+        *flipped.last_mut().unwrap() ^= 0x01;
+        let report = Wal::replay_bytes(&flipped).unwrap();
+        assert_eq!(report.ops.len(), 2);
+        assert_eq!(report.torn_tail.unwrap().valid_len, last_start as u64);
+    }
+
+    #[test]
+    fn a_json_lines_log_is_corrupt_and_left_untouched() {
+        // The format this one replaced. No reader is kept for it, and it
+        // must never be "healed" into an empty log.
+        let path = tmpdir("jsonl").join("wal.log");
+        let old = b"5d0b8a6c {\"SetFlag\":{\"table\":\"t\",\"pk\":\"x\",\"column\":\"deprecated\",\"value\":true}}\n";
+        std::fs::write(&path, old).unwrap();
+        let telemetry = Telemetry::new();
+        assert!(matches!(
+            Wal::recover(&*real_fs(), &path, &telemetry),
+            Err(StoreError::WalCorrupt(_))
+        ));
+        assert_eq!(std::fs::read(&path).unwrap(), old);
+    }
+
+    #[test]
+    fn frames_in_walks_headers() {
+        let log = log_of(&sample_ops());
+        assert_eq!(frames_in(&log), 3);
+        assert_eq!(frames_in(&log[..log.len() - 1]), 2);
+        assert_eq!(frames_in(&log[..FRAME_HEADER - 1]), 0);
+        assert_eq!(frames_in(b""), 0);
+        assert_eq!(frames_in(b"GBL1 not a wal frame at all"), 0);
+        let mut bad_len = log.clone();
+        bad_len[0] ^= 0x01;
+        assert_eq!(frames_in(&bad_len), 0);
     }
 
     #[test]
@@ -942,5 +1360,253 @@ mod tests {
         // Per-commit seq matches oplog position.
         let oplog = committer.oplog.lock();
         assert_eq!(oplog.len(), total as usize);
+    }
+    #[test]
+    fn non_finite_floats_do_not_poison_a_group_commit() {
+        // One writer's row carries a NaN. The JSON encoder refused it, and
+        // the refusal failed every other commit in the same batch.
+        let dir = tmpdir("commit-nan");
+        let (committer, _) = test_committer(&dir);
+        let committer = Arc::new(committer);
+        let start = Arc::new(std::sync::Barrier::new(6));
+        let handles: Vec<_> = (0..6)
+            .map(|t| {
+                let c = Arc::clone(&committer);
+                let start = Arc::clone(&start);
+                std::thread::spawn(move || {
+                    start.wait();
+                    let score = if t == 3 { f64::NAN } else { t as f64 };
+                    c.commit(WalOp::Insert {
+                        table: "t".into(),
+                        record: Arc::new(
+                            Record::new()
+                                .set("id", format!("row-{t}"))
+                                .set("score", score),
+                        ),
+                    })
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap().unwrap();
+        }
+        let replayed = Wal::replay(dir.join("wal.log")).unwrap();
+        assert_eq!(replayed.len(), 6);
+        let nans = replayed
+            .iter()
+            .filter(|op| match op {
+                WalOp::Insert { record, .. } => {
+                    matches!(record.get("score"), Some(Value::Float(x)) if x.is_nan())
+                }
+                _ => false,
+            })
+            .count();
+        assert_eq!(nans, 1);
+    }
+
+    fn encoded(op: &WalOp) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_op(op, &mut out);
+        out
+    }
+
+    mod codec_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn arb_value() -> BoxedStrategy<Value> {
+            prop_oneof![
+                Just(Value::Null),
+                any::<bool>().prop_map(Value::Bool),
+                any::<i64>().prop_map(Value::Int),
+                // Every bit pattern: NaN payloads, infinities, -0.0.
+                any::<u64>().prop_map(|bits| Value::Float(f64::from_bits(bits))),
+                "[a-zé]{0,12}".prop_map(Value::Str),
+                // Arbitrary bytes, so mostly not UTF-8.
+                proptest::collection::vec(any::<u8>(), 0..24).prop_map(Value::Bytes),
+                any::<i64>().prop_map(Value::Timestamp),
+            ]
+            .boxed()
+        }
+
+        fn arb_column() -> BoxedStrategy<ColumnDef> {
+            ("[a-z_]{0,8}", 0usize..6, any::<bool>(), 0usize..3)
+                .prop_map(|(name, ty, nullable, index)| ColumnDef {
+                    name,
+                    ty: [
+                        ValueType::Bool,
+                        ValueType::Int,
+                        ValueType::Float,
+                        ValueType::Str,
+                        ValueType::Bytes,
+                        ValueType::Timestamp,
+                    ][ty],
+                    nullable,
+                    index: [None, Some(IndexKind::Hash), Some(IndexKind::BTree)][index],
+                })
+                .boxed()
+        }
+
+        fn arb_op() -> BoxedStrategy<WalOp> {
+            prop_oneof![
+                (
+                    "[a-z]{0,8}",
+                    "[a-z]{0,8}",
+                    proptest::collection::vec(arb_column(), 0..8)
+                )
+                    .prop_map(|(name, primary_key, columns)| WalOp::CreateTable {
+                        schema: TableSchema {
+                            name,
+                            primary_key,
+                            columns,
+                        },
+                    }),
+                (
+                    "[a-z]{0,8}",
+                    proptest::collection::vec(("[a-z_]{0,8}", arb_value()), 0..10)
+                )
+                    .prop_map(|(table, fields)| WalOp::Insert {
+                        table,
+                        record: Arc::new(fields.into_iter().collect()),
+                    }),
+                ("[a-z]{0,8}", "[a-z0-9-]{0,12}", "[a-z]{0,8}", any::<bool>()).prop_map(
+                    |(table, pk, column, value)| WalOp::SetFlag {
+                        table,
+                        pk,
+                        column,
+                        value,
+                    }
+                ),
+            ]
+            .boxed()
+        }
+
+        /// Replay and shipped-frame decoding, the two places untrusted op
+        /// bytes enter. Returning at all is the property (no panic, no
+        /// allocation sized by a hostile count); the outcome is clean, a
+        /// torn tail, or `WalCorrupt`.
+        fn decode_everywhere(bytes: &[u8]) -> Result<ReplayReport> {
+            let _ = ShipFrame {
+                seq: 1,
+                op: Bytes::copy_from_slice(bytes),
+            }
+            .op();
+            let fs = SimFs::new();
+            let path = Path::new("/wal.log");
+            fs.create(path).unwrap().write_all(bytes).unwrap();
+            let report = Wal::replay_report(&fs, path);
+            assert!(
+                matches!(report, Ok(_) | Err(StoreError::WalCorrupt(_))),
+                "{report:?}"
+            );
+            if let Ok(r) = &report {
+                let kept = r.torn_tail.as_ref().map_or(bytes.len() as u64, |t| {
+                    assert_eq!(t.valid_len + t.dropped_bytes, bytes.len() as u64);
+                    t.valid_len
+                });
+                assert_eq!(frames_in(&bytes[..kept as usize]), r.ops.len());
+            }
+            report
+        }
+
+        proptest! {
+            // Miri interprets every step; it is after the decoder's bounds,
+            // which a handful of cases already walk.
+            #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 8 } else { 256 }))]
+
+            #[test]
+            fn ops_round_trip_bit_for_bit(op in arb_op()) {
+                let bytes = encoded(&op);
+                let back = decode_op(&bytes).unwrap();
+                // `Value`'s `==` is numeric across Int/Float, and NaN prints
+                // the same whatever its payload: the re-encoding pins bits
+                // and variants, the Debug form the structure around them.
+                prop_assert_eq!(encoded(&back), bytes.clone());
+                prop_assert_eq!(format!("{back:?}"), format!("{op:?}"));
+                // Exact consumption: a byte more or a byte less is an error.
+                let mut longer = bytes.clone();
+                longer.push(0);
+                prop_assert!(decode_op(&longer).is_err());
+                prop_assert!(decode_op(&bytes[..bytes.len() - 1]).is_err());
+            }
+
+            #[test]
+            fn decoders_survive_hostile_logs(
+                garbage in proptest::collection::vec(any::<u8>(), 0..256),
+                ops in proptest::collection::vec(arb_op(), 1..5),
+                cut in any::<prop::sample::Index>(),
+                flip in any::<prop::sample::Index>(),
+                bit in 0u8..8,
+            ) {
+                let _ = decode_everywhere(&garbage);
+
+                let log = log_of(&ops);
+                prop_assert_eq!(decode_everywhere(&log).unwrap().ops.len(), ops.len());
+                // Every truncation is a clean prefix or a torn tail, never
+                // corruption: a crash may stop a write anywhere.
+                let cut = cut.index(log.len());
+                let report = decode_everywhere(&log[..cut]).unwrap();
+                prop_assert_eq!(report.torn_tail.is_some(), frame_starts(&log).binary_search(&cut).is_err());
+
+                // One flipped bit never passes: the ops before it survive,
+                // and the flip is either corruption or the torn last frame.
+                let at = flip.index(log.len());
+                let mut flipped = log.clone();
+                flipped[at] ^= 1 << bit;
+                let starts = frame_starts(&log);
+                let hit = starts.partition_point(|s| *s <= at) - 1;
+                match decode_everywhere(&flipped) {
+                    Ok(report) => {
+                        prop_assert_eq!(hit, starts.len() - 1, "a mid-log flip passed as a torn tail");
+                        prop_assert_eq!(report.ops.len(), hit);
+                        prop_assert_eq!(report.torn_tail.unwrap().valid_len, starts[hit] as u64);
+                    }
+                    Err(e) => prop_assert!(matches!(e, StoreError::WalCorrupt(_))),
+                }
+            }
+        }
+
+        #[test]
+        fn inflated_counts_and_lengths_fail_without_allocating_for_them() {
+            // uvarint(2^62): eight continuation bytes, then 0x40.
+            const HUGE: [u8; 9] = [0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40];
+            let insert = WalOp::Insert {
+                table: "t".into(),
+                record: Arc::new(Record::new().set("id", "x").set("n", 1i64)),
+            };
+            let create = sample_ops().remove(0);
+            // (op, offset of a one-byte count or length in its payload)
+            for (op, at) in [
+                (&insert, 1), // table name length
+                (&insert, 3), // field count
+                (&insert, 4), // first field's name length
+                (&insert, 8), // string value's length
+                (&create, 1), // table name length
+                (&create, 6), // column count
+            ] {
+                let payload = encoded(op);
+                assert!(decode_op(&payload).is_ok());
+                let mut inflated = payload[..at].to_vec();
+                inflated.extend_from_slice(&HUGE);
+                inflated.extend_from_slice(&payload[at + 1..]);
+                assert!(decode_op(&inflated).is_err(), "offset {at} of {op:?}");
+                // The same payload in a frame whose CRC vouches for it: the
+                // decoder is the last line, and it holds.
+                let mut frame = (inflated.len() as u32).to_le_bytes().to_vec();
+                frame.extend_from_slice(&(!(inflated.len() as u32)).to_le_bytes());
+                frame.extend_from_slice(&crc32(&inflated).to_le_bytes());
+                frame.extend_from_slice(&inflated);
+                let torn = decode_everywhere(&frame).unwrap();
+                assert_eq!((torn.ops.len(), torn.torn_tail.unwrap().valid_len), (0, 0));
+                frame.extend_from_slice(&log_of(std::slice::from_ref(&insert)));
+                assert!(decode_everywhere(&frame).is_err());
+            }
+            // A frame length inflated to the maximum, complement and all,
+            // announces 4 GiB that are not there: a torn tail, not a read.
+            let mut frame = u32::MAX.to_le_bytes().to_vec();
+            frame.extend_from_slice(&0u32.to_le_bytes());
+            frame.extend_from_slice(&[0; 20]);
+            assert!(decode_everywhere(&frame).unwrap().torn_tail.is_some());
+        }
     }
 }

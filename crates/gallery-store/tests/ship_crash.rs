@@ -12,7 +12,8 @@
 
 use gallery_store::{ColumnDef, FileSystem};
 use gallery_store::{
-    MetadataStore, Record, ShipFrame, SimFaultPlan, SimFs, SyncPolicy, TableSchema, ValueType,
+    MetadataStore, Record, ShipFrame, SimFaultPlan, SimFs, SyncPolicy, TableSchema, Value,
+    ValueType,
 };
 use std::sync::Arc;
 
@@ -84,7 +85,7 @@ fn open_follower(fs: &SimFs) -> gallery_store::Result<MetadataStore> {
 /// crash lands mid-batch). Returns Err when the follower crashes.
 fn ship_all(leader: &MetadataStore, follower: &MetadataStore) -> gallery_store::Result<()> {
     loop {
-        let (leader_seq, frames) = leader.ship_since(follower.applied_seq(), 4)?;
+        let (leader_seq, frames) = leader.ship_since(follower.applied_seq(), 4);
         if frames.is_empty() {
             assert_eq!(follower.applied_seq(), leader_seq);
             return Ok(());
@@ -125,7 +126,7 @@ fn assert_converged(leader: &MetadataStore, follower: &MetadataStore) {
 
 /// Re-applying the complete frame set from sequence 0 must be a no-op.
 fn assert_replay_idempotent(leader: &MetadataStore, follower: &MetadataStore) {
-    let (_, frames) = leader.ship_since(0, 10_000).unwrap();
+    let (_, frames) = leader.ship_since(0, 10_000);
     let before = follower.applied_seq();
     let report = follower.apply_ship(&frames).unwrap();
     assert_eq!(report.applied, 0, "full replay applies nothing");
@@ -214,23 +215,72 @@ fn double_crash_while_reshipping_converges() {
 #[test]
 fn shipped_frames_survive_the_follower_wal_byte_for_byte() {
     // A frame applied on the follower is re-shippable from the follower's
-    // own log with identical op JSON — chained replication would see the
+    // own log with identical op bytes — chained replication would see the
     // same bytes the leader shipped.
     let leader = leader();
     let follower = MetadataStore::in_memory();
-    let (_, frames) = leader.ship_since(0, 10_000).unwrap();
+    let (_, frames) = leader.ship_since(0, 10_000);
     follower.apply_ship(&frames).unwrap();
-    let (_, reshipped) = follower.ship_since(0, 10_000).unwrap();
+    let (_, reshipped) = follower.ship_since(0, 10_000);
     assert_eq!(frames.len(), reshipped.len());
     for (a, b) in frames.iter().zip(reshipped.iter()) {
         assert_eq!(a, b);
     }
-    // And a frame with corrupted JSON is rejected before any state change.
+    // And a frame with a corrupted op is rejected before any state change.
     let bad = ShipFrame {
         seq: follower.applied_seq() + 1,
-        op_json: "{not json".into(),
+        op: frames[0].op.slice(..frames[0].op.len() - 1),
     };
     let before = follower.applied_seq();
     assert!(follower.apply_ship(&[bad]).is_err());
     assert_eq!(follower.applied_seq(), before);
+}
+
+#[test]
+fn non_finite_floats_survive_restart_and_shipping_bit_for_bit() {
+    // The in-memory store always took these; the durable one refused them
+    // while its log was JSON ("cannot serialize non-finite float").
+    let floats = [
+        ("nan", f64::from_bits(0x7ff8_0000_dead_beef)),
+        ("pos_inf", f64::INFINITY),
+        ("neg_inf", f64::NEG_INFINITY),
+        ("neg_zero", -0.0),
+    ];
+    let mut columns = vec![ColumnDef::new("id", ValueType::Str)];
+    columns.extend(floats.map(|(name, _)| ColumnDef::new(name, ValueType::Float)));
+    let schema = TableSchema::new("scores", "id", columns).unwrap();
+    let row = floats
+        .iter()
+        .fold(Record::new().set("id", "r1"), |r, (name, x)| {
+            r.set(*name, *x)
+        });
+    let assert_bits = |store: &MetadataStore, who: &str| {
+        let got = store.get("scores", "r1").unwrap().expect("row present");
+        for (name, x) in floats {
+            let Some(Value::Float(y)) = got.get(name) else {
+                panic!("{who}: {name} is {:?}", got.get(name));
+            };
+            assert_eq!(y.to_bits(), x.to_bits(), "{who}: {name}");
+        }
+    };
+
+    let leader_fs = SimFs::new();
+    let leader = open_follower(&leader_fs).unwrap();
+    leader.create_table(schema).unwrap();
+    leader.insert("scores", row).unwrap();
+    assert_bits(&leader, "leader");
+    drop(leader);
+    let leader = open_follower(&leader_fs.recover()).unwrap();
+    assert_bits(&leader, "restarted leader");
+
+    let follower_fs = SimFs::new();
+    let follower = open_follower(&follower_fs).unwrap();
+    ship_all(&leader, &follower).unwrap();
+    assert_bits(&follower, "follower");
+    assert_eq!(leader.ship_since(0, 10), follower.ship_since(0, 10));
+    drop(follower);
+    assert_bits(
+        &open_follower(&follower_fs.recover()).unwrap(),
+        "restarted follower",
+    );
 }

@@ -29,6 +29,7 @@
 //!           [monitor flags]
 //!   audit [--repair]
 //!   compact
+//!   wal-dump
 //!   stats [--probe]
 //!   stats --cluster [--nodes N] [--shards S] [--replication R] [--writes W]
 //!   explain TABLE [key=value|key<value|key>value]...
@@ -57,6 +58,14 @@
 //! exposition ([`ClusterRouter::federate`]): every node's registry
 //! relabeled with `node="<id>"` plus the derived `gallery_cluster_*`
 //! gauges (docs/observability.md, "Cluster tracing & federation").
+//!
+//! `wal-dump` reads the data directory's WAL without opening the store —
+//! nothing is healed, truncated or created — and prints one JSON object
+//! per logged op (the log itself is binary frames, DESIGN.md §7 "WAL
+//! format"; an op holding a non-finite float has no JSON form and prints
+//! in Rust debug syntax), then `torn tail at <offset>, <n> bytes` if the log ends in a
+//! crash artifact. A log damaged anywhere else prints `corrupt: <reason>`
+//! and exits non-zero.
 //!
 //! `explain` plans and runs one store-level query against TABLE (e.g.
 //! `models`, `instances`) and prints the [`Explain`] artifact: chosen
@@ -88,7 +97,8 @@ use gallery::core::ManualClock;
 use gallery::prelude::*;
 use gallery::rules::{compile_condition, register_lifecycle_actions};
 use gallery::store::blob::localfs::LocalFsBlobStore;
-use gallery::store::{Dal, MetadataStore, SyncPolicy};
+use gallery::store::wal::Wal;
+use gallery::store::{Dal, MetadataStore, StoreError, SyncPolicy};
 use gallery::telemetry::{AlertEngine, AlertRule};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -241,6 +251,34 @@ fn print_snapshot(snapshot: &MonitorSnapshot) {
     }
     println!("completeness:    {:.3}", snapshot.feature_completeness);
     println!("staleness:       {} ms", snapshot.staleness_ms);
+}
+
+/// `gallery wal-dump` — replay the WAL read-only and print it as text.
+fn cmd_wal_dump(data_dir: &std::path::Path) -> Result<(), String> {
+    let fs = gallery::store::real_fs();
+    let report = match Wal::replay_report(&*fs, data_dir.join("wal.log")) {
+        Ok(report) => report,
+        Err(StoreError::WalCorrupt(reason)) => {
+            println!("corrupt: {reason}");
+            return Err("wal is corrupt".into());
+        }
+        Err(e) => return Err(e.to_string()),
+    };
+    for op in &report.ops {
+        // JSON has no NaN or infinity: an op holding one prints in Rust
+        // debug syntax instead of failing the dump.
+        match serde_json::to_string(op) {
+            Ok(json) => println!("{json}"),
+            Err(_) => println!("{op:?}"),
+        }
+    }
+    if let Some(torn) = &report.torn_tail {
+        println!(
+            "torn tail at {}, {} bytes",
+            torn.valid_len, torn.dropped_bytes
+        );
+    }
+    Ok(())
 }
 
 /// `gallery lint` — run the rule-language static analyzer.
@@ -479,6 +517,10 @@ fn run() -> Result<(), String> {
     if command == "stats" && args.iter().any(|a| a == "--cluster") {
         args.retain(|a| a != "--cluster");
         return cmd_cluster_stats(&mut args);
+    }
+    // `wal-dump` is read-only: opening the store would heal a torn tail.
+    if command == "wal-dump" {
+        return cmd_wal_dump(&data_dir);
     }
     let g = Arc::new(open(&data_dir)?);
     let err = |e: GalleryError| e.to_string();

@@ -157,6 +157,43 @@ fn cli_full_workflow() {
 }
 
 #[test]
+fn cli_wal_dump_prints_the_binary_log_and_changes_nothing() {
+    let data = data_dir();
+    ok_stdout(&data, &["create-model", "marketplace", "demand/sf"]);
+    let wal = data.join("wal.log");
+    let clean = std::fs::read(&wal).unwrap();
+
+    let dump = ok_stdout(&data, &["wal-dump"]);
+    assert!(
+        dump.lines().next().unwrap().contains("CreateTable"),
+        "{dump}"
+    );
+    assert!(dump.lines().all(|l| l.starts_with("{\"")), "{dump}");
+    assert!(dump.lines().last().unwrap().contains("Insert"), "{dump}");
+
+    // A crash artifact: the first 20 bytes of a frame, appended. The dump
+    // reports it and — unlike opening the store — leaves it where it is.
+    let torn = [&clean[..], &clean[..20]].concat();
+    std::fs::write(&wal, &torn).unwrap();
+    let dump = ok_stdout(&data, &["wal-dump"]);
+    assert_eq!(
+        dump.lines().last().unwrap(),
+        format!("torn tail at {}, 20 bytes", clean.len())
+    );
+    assert_eq!(std::fs::read(&wal).unwrap(), torn);
+
+    // Damage inside the log is named, not healed.
+    let mut flipped = clean.clone();
+    flipped[2] ^= 0x10;
+    std::fs::write(&wal, &flipped).unwrap();
+    let out = gallery(&data, &["wal-dump"]);
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stdout).starts_with("corrupt: frame 1 at offset 0"));
+    assert_eq!(std::fs::read(&wal).unwrap(), flipped);
+    let _ = std::fs::remove_dir_all(&data);
+}
+
+#[test]
 fn cli_errors_are_reported() {
     let data = data_dir();
     let out = gallery(&data, &["fetch", "no-such-instance", "/tmp/x"]);
