@@ -219,7 +219,7 @@ fn flight_scenario() -> (bool, usize, Vec<String>, String) {
     let Some(capture) = captures.first() else {
         return (false, 0, Vec::new(), String::new());
     };
-    let names: Vec<String> = capture.spans.iter().map(|s| s.name.clone()).collect();
+    let names: Vec<String> = capture.spans.iter().map(|s| s.name.to_owned()).collect();
     let count = |n: &str| names.iter().filter(|name| name.as_str() == n).count();
     // The complete client → router → leader → follower tree: the client
     // root, the router's route+ship spans, the leader's handler and

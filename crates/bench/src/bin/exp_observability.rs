@@ -99,7 +99,7 @@ fn run_trace_stitching() {
     for s in &spans {
         table.add_row(vec![
             "span".into(),
-            s.name.clone(),
+            s.name.into(),
             s.span_id.to_string(),
             s.parent_span_id
                 .map(|p| p.to_string())

@@ -183,7 +183,7 @@ impl Gallery {
                 .start_child("registry/propagate", ctx),
             None => metrics.telemetry.tracer().start_span("registry/propagate"),
         };
-        span.set_attr("changed", changed.as_str());
+        span.set_attr("changed", changed.to_string());
         // BFS over downstream edges; attribute each bump to the direct
         // upstream through which the change arrived.
         let mut seen: HashSet<ModelId> = HashSet::new();

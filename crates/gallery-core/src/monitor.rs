@@ -183,11 +183,7 @@ impl ModelMonitor {
             completeness: r.gauge("gallery_monitor_feature_completeness", labels),
             staleness_ms: r.gauge("gallery_monitor_staleness_ms", labels),
             window_events: r.gauge("gallery_monitor_window_events", labels),
-            abs_error: r.histogram(
-                "gallery_monitor_abs_error",
-                labels,
-                config.error_buckets.clone(),
-            ),
+            abs_error: r.histogram("gallery_monitor_abs_error", labels, &config.error_buckets),
         };
         ModelMonitor {
             instance_id,

@@ -22,7 +22,7 @@ use crate::schemas::{
 use crate::version::{DisplayVersion, InstanceTrigger};
 use bytes::Bytes;
 use gallery_store::blob::memory::MemoryBlobStore;
-use gallery_store::{Constraint, Dal, MetadataStore, Query, Record, Value};
+use gallery_store::{BlobLocation, Constraint, Dal, MetadataStore, Query, Record, Value};
 use gallery_telemetry::{Counter, Histogram, Telemetry};
 use std::sync::Arc;
 use std::time::Instant;
@@ -308,7 +308,7 @@ impl Gallery {
             .telemetry
             .tracer()
             .start_span("registry/upload_instance");
-        span.set_attr("model_id", model_id.as_str());
+        span.set_attr("model_id", model_id.to_string());
         let model = self.get_model(model_id)?;
         if model.deprecated {
             return Err(GalleryError::Deprecated(model_id.to_string()));
@@ -445,21 +445,29 @@ impl Gallery {
     /// blob of their own; the lineage is walked to the nearest trained
     /// ancestor's blob (that is what "no real change of Model A" means in
     /// Fig 6 — the served artifact is unchanged).
+    ///
+    /// Each hop reads `blob_location` and `parent` from the stored row; no
+    /// [`ModelInstance`] is built along the way.
     pub fn fetch_instance_blob(&self, id: &InstanceId) -> Result<Bytes> {
-        let mut current = self.get_instance(id)?;
+        let row_of = |instance_id: &str| {
+            self.dal
+                .get(tables::INSTANCES, instance_id)?
+                .ok_or_else(|| GalleryError::NoSuchInstance(instance_id.to_owned()))
+        };
+        let mut current = row_of(id.as_str())?;
         let mut guard = 0;
         loop {
-            if let Some(loc) = &current.blob_location {
-                return Ok(self.dal.fetch_blob(loc)?);
+            if let Some(loc) = schemas::opt(&current, "blob_location") {
+                return Ok(self.dal.fetch_blob(&BlobLocation::new(loc))?);
             }
-            match &current.parent {
-                Some(parent) => current = self.get_instance(parent)?,
+            current = match schemas::opt(&current, "parent") {
+                Some(parent) => row_of(parent)?,
                 None => {
                     return Err(GalleryError::Invalid(format!(
                         "instance {id} has no blob anywhere in its lineage"
                     )))
                 }
-            }
+            };
             guard += 1;
             if guard > 10_000 {
                 return Err(GalleryError::Invalid("instance lineage cycle".into()));
@@ -931,6 +939,16 @@ mod tests {
         assert_eq!(inst.display_version, DisplayVersion::new(1, 0));
         let blob = g.fetch_instance_blob(&inst.id).unwrap();
         assert_eq!(blob, Bytes::from_static(b"serialized model"));
+    }
+
+    #[test]
+    fn fetching_the_blob_of_a_missing_instance_names_it() {
+        let g = gallery();
+        assert_eq!(
+            g.fetch_instance_blob(&InstanceId::from("no-such-instance"))
+                .unwrap_err(),
+            GalleryError::NoSuchInstance("no-such-instance".into())
+        );
     }
 
     #[test]

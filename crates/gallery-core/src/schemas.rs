@@ -175,11 +175,13 @@ fn req_str(record: &Record, field: &str) -> Result<String> {
     req(record, field).map(str::to_owned)
 }
 
+/// A nullable string column, borrowed from the row.
+pub(crate) fn opt<'r>(record: &'r Record, field: &str) -> Option<&'r str> {
+    record.get(field).and_then(|v| v.as_str())
+}
+
 fn opt_str(record: &Record, field: &str) -> Option<String> {
-    record
-        .get(field)
-        .and_then(|v| v.as_str())
-        .map(str::to_owned)
+    opt(record, field).map(str::to_owned)
 }
 
 fn req_ts(record: &Record, field: &str) -> Result<TimestampMs> {

@@ -58,14 +58,14 @@ fn registry_ops_counted_and_upload_spans_parent_propagation() {
         .expect("upload span");
     assert!(upload
         .attrs
-        .contains(&("model_id", a.id.as_str().to_owned())));
+        .contains(&("model_id", a.id.as_str().to_owned().into())));
     let propagate = spans
         .iter()
         .find(|s| s.name == "registry/propagate" && s.parent_span_id.is_some())
         .expect("propagate child span");
     assert_eq!(propagate.parent_span_id, Some(upload.span_id));
     assert_eq!(propagate.trace_id, upload.trace_id);
-    assert!(propagate.attrs.contains(&("bumped", "1".to_owned())));
+    assert!(propagate.attrs.contains(&("bumped", "1".into())));
 }
 
 #[test]
@@ -97,6 +97,6 @@ fn model_query_is_timed_and_span_carries_result_count() {
         .iter()
         .find(|s| s.name == "registry/model_query")
         .expect("query span");
-    assert!(query.attrs.contains(&("constraints", "1".to_owned())));
-    assert!(query.attrs.contains(&("results", "1".to_owned())));
+    assert!(query.attrs.contains(&("constraints", "1".into())));
+    assert!(query.attrs.contains(&("results", "1".into())));
 }

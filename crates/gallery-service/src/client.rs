@@ -6,16 +6,18 @@
 //! [`GalleryClient::create_model`], [`GalleryClient::upload_model`],
 //! [`GalleryClient::insert_metric`], and [`GalleryClient::model_query`].
 
+use crate::decimal;
 use crate::messages::{
-    ErrorCode, HealthDto, InstanceDto, ModelDto, Request, Response, WireConstraint, WireDiagnostic,
+    ErrorCode, HealthDto, InstanceDto, ModelDto, PerMethod, Request, Response, WireConstraint,
+    WireDiagnostic,
 };
 use crate::resilience::Resilience;
 use crate::transport::{Transport, TransportErrorKind};
 use crate::wire::WireError;
 use bytes::Bytes;
-use gallery_telemetry::{kinds, SpanContext, Telemetry};
+use gallery_telemetry::{kinds, Counter, Histogram, SpanContext, Telemetry};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Client-side error, classified for retry decisions.
@@ -75,6 +77,49 @@ impl From<WireError> for ClientError {
     }
 }
 
+/// One method's client-side series. Each is looked up in the registry
+/// the first time it is recorded — so it appears in the exposition on
+/// first use, as it always has — and every later call goes through the
+/// handle: no key string, no registry lock, no hashing.
+#[derive(Default)]
+struct MethodSeries {
+    attempts: OnceLock<Arc<Counter>>,
+    calls_ok: OnceLock<Arc<Counter>>,
+    calls_error: OnceLock<Arc<Counter>>,
+    call_ms: OnceLock<Arc<Histogram>>,
+}
+
+impl MethodSeries {
+    fn attempts(&self, telemetry: &Telemetry, method: &str) -> &Counter {
+        self.attempts.get_or_init(|| {
+            telemetry
+                .registry()
+                .counter("gallery_rpc_client_attempts_total", &[("method", method)])
+        })
+    }
+
+    fn calls(&self, telemetry: &Telemetry, method: &str, outcome: &str) -> &Counter {
+        let slot = match outcome {
+            "ok" => &self.calls_ok,
+            _ => &self.calls_error,
+        };
+        slot.get_or_init(|| {
+            telemetry.registry().counter(
+                "gallery_rpc_client_calls_total",
+                &[("method", method), ("outcome", outcome)],
+            )
+        })
+    }
+
+    fn call_ms(&self, telemetry: &Telemetry, method: &str) -> &Histogram {
+        self.call_ms.get_or_init(|| {
+            telemetry
+                .registry()
+                .duration_histogram("gallery_rpc_client_call_duration_ms", &[("method", method)])
+        })
+    }
+}
+
 /// Typed client over any transport, optionally wrapped in a
 /// [`Resilience`] bundle (retries, deadlines, circuit breaking,
 /// idempotency keys).
@@ -83,6 +128,8 @@ pub struct GalleryClient {
     transport: Arc<dyn Transport>,
     resilience: Option<Arc<Resilience>>,
     telemetry: Arc<Telemetry>,
+    /// Handles into `telemetry`'s registry; clones share them.
+    series: Arc<PerMethod<MethodSeries>>,
 }
 
 impl GalleryClient {
@@ -91,6 +138,7 @@ impl GalleryClient {
             transport,
             resilience: None,
             telemetry: Arc::clone(gallery_telemetry::global()),
+            series: Arc::default(),
         }
     }
 
@@ -108,6 +156,7 @@ impl GalleryClient {
     /// attempt emits a `rpc.attempt` event on that trace.
     pub fn with_telemetry(mut self, telemetry: Arc<Telemetry>) -> Self {
         self.telemetry = telemetry;
+        self.series = Arc::default();
         self
     }
 
@@ -121,29 +170,26 @@ impl GalleryClient {
 
     fn call(&self, request: Request) -> Result<Response, ClientError> {
         let method = request.method_name();
+        let series = self.series.of(&request);
         let started = Instant::now();
         let mut span = self
             .telemetry
             .tracer()
-            .start_span(format!("rpc.client/{method}"));
+            .start_span(request.client_span_name());
         span.set_attr("method", method);
         let trace = span.context();
         let result = match &self.resilience {
             None => {
                 let outcome = self.call_once(request.encode_with(None, Some(trace)));
-                self.observe_attempt(method, trace, 1, 0, &outcome);
+                self.observe_attempt(series, method, trace, 1, 0, &outcome);
                 outcome
             }
-            Some(r) => self.call_resilient(r, request, trace),
+            Some(r) => self.call_resilient(r, request, series, trace),
         };
         let outcome = if result.is_ok() { "ok" } else { "error" };
-        let reg = self.telemetry.registry();
-        reg.counter(
-            "gallery_rpc_client_calls_total",
-            &[("method", method), ("outcome", outcome)],
-        )
-        .inc();
-        reg.duration_histogram("gallery_rpc_client_call_duration_ms", &[("method", method)])
+        series.calls(&self.telemetry, method, outcome).inc();
+        series
+            .call_ms(&self.telemetry, method)
             .observe_since(started);
         span.set_attr("outcome", outcome);
         span.finish();
@@ -155,16 +201,18 @@ impl GalleryClient {
     /// (0 for the first).
     fn observe_attempt(
         &self,
+        series: &MethodSeries,
         method: &'static str,
         trace: SpanContext,
         attempt: u32,
         delay_ms: u64,
         outcome: &Result<Response, ClientError>,
     ) {
-        self.telemetry
-            .registry()
-            .counter("gallery_rpc_client_attempts_total", &[("method", method)])
-            .inc();
+        series.attempts(&self.telemetry, method).inc();
+        let events = self.telemetry.events();
+        if !events.is_enabled() {
+            return;
+        }
         let verdict = match outcome {
             Ok(_) => "ok",
             Err(ClientError::Transport { .. }) => "transport_error",
@@ -172,14 +220,14 @@ impl GalleryClient {
             Err(ClientError::Protocol(_)) => "protocol_error",
             Err(ClientError::CircuitOpen { .. }) => "circuit_open",
         };
-        self.telemetry.events().emit_traced(
+        events.emit_traced(
             kinds::RPC_ATTEMPT,
             Some(trace.trace_id),
             vec![
-                ("method", method.to_string()),
-                ("attempt", attempt.to_string()),
-                ("delay_ms", delay_ms.to_string()),
-                ("outcome", verdict.to_string()),
+                ("method", method.into()),
+                ("attempt", decimal(attempt)),
+                ("delay_ms", decimal(delay_ms)),
+                ("outcome", verdict.into()),
             ],
         );
     }
@@ -209,6 +257,7 @@ impl GalleryClient {
         &self,
         r: &Arc<Resilience>,
         request: Request,
+        series: &MethodSeries,
         trace: SpanContext,
     ) -> Result<Response, ClientError> {
         let endpoint = request.method_name();
@@ -237,7 +286,7 @@ impl GalleryClient {
             }
             r.stats_mut().attempts += 1;
             let outcome = self.call_once(frame.clone());
-            self.observe_attempt(endpoint, trace, retry + 1, slept_ms, &outcome);
+            self.observe_attempt(series, endpoint, trace, retry + 1, slept_ms, &outcome);
             // Remote and Protocol errors mean the transport did its job.
             let transport_ok = !matches!(outcome, Err(ClientError::Transport { .. }));
             if let Some(breaker) = r.breaker() {

@@ -254,7 +254,10 @@ impl SimCluster {
         }
         self.telemetry.events().emit(
             kinds::CLUSTER_RESYNC,
-            vec![("node", id.to_string()), ("shipped", reshipped.to_string())],
+            vec![
+                ("node", id.to_string().into()),
+                ("shipped", reshipped.to_string().into()),
+            ],
         );
     }
 }

@@ -27,7 +27,9 @@ use bytes::Bytes;
 use gallery_core::shard_of;
 use gallery_sync::locks::{OrderedMutex, OrderedRwLock};
 use gallery_sync::rank;
-use gallery_telemetry::{kinds, relabel_exposition, Registry, Span, SpanContext, Telemetry};
+use gallery_telemetry::{
+    kinds, relabel_exposition, Counter, Registry, Span, SpanContext, Telemetry,
+};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -83,6 +85,28 @@ fn route_of(request: &Request) -> Route {
     }
 }
 
+/// The series the router records on every forwarded request and every
+/// shipped batch, resolved once at construction. The rare ones (failovers,
+/// wrong-shard re-resolutions, the per-shard lag gauge) stay by-name.
+struct RouterMetrics {
+    forwards_leader: Arc<Counter>,
+    forwards_follower: Arc<Counter>,
+    follower_reads: Arc<Counter>,
+    replication_frames: Arc<Counter>,
+}
+
+impl RouterMetrics {
+    fn new(r: &Registry) -> Self {
+        RouterMetrics {
+            forwards_leader: r.counter("gallery_cluster_forwards_total", &[("target", "leader")]),
+            forwards_follower: r
+                .counter("gallery_cluster_forwards_total", &[("target", "follower")]),
+            follower_reads: r.counter("gallery_cluster_follower_reads_total", &[]),
+            replication_frames: r.counter("gallery_cluster_replication_frames_total", &[]),
+        }
+    }
+}
+
 /// Router over per-node transports. Cheap to share: all state is behind
 /// locks, and `Transport::call` takes `&self`.
 pub struct ClusterRouter {
@@ -97,6 +121,7 @@ pub struct ClusterRouter {
     staleness_budget_ops: u64,
     reads_rr: AtomicU64,
     telemetry: Arc<Telemetry>,
+    metrics: RouterMetrics,
 }
 
 impl ClusterRouter {
@@ -123,6 +148,7 @@ impl ClusterRouter {
             follower_reads,
             staleness_budget_ops,
             reads_rr: AtomicU64::new(0),
+            metrics: RouterMetrics::new(telemetry.registry()),
             telemetry,
         }
     }
@@ -161,7 +187,10 @@ impl ClusterRouter {
         if self.node_up[node].swap(false, Ordering::SeqCst) {
             self.telemetry.events().emit(
                 kinds::CLUSTER_NODE_DOWN,
-                vec![("node", node.to_string()), ("reason", reason.to_owned())],
+                vec![
+                    ("node", node.to_string().into()),
+                    ("reason", reason.to_owned().into()),
+                ],
             );
             self.nodes_up_gauge();
         }
@@ -311,10 +340,7 @@ impl ClusterRouter {
                     }
                     Err(_) => break, // already marked down
                 };
-                self.telemetry
-                    .registry()
-                    .counter("gallery_cluster_replication_frames_total", &[])
-                    .add(count);
+                self.metrics.replication_frames.add(count);
                 frames_shipped += count;
                 if applied <= from {
                     // The follower applied less than we shipped it to: a
@@ -326,11 +352,11 @@ impl ClusterRouter {
                         kinds::CLUSTER_SHIP_GAP,
                         Some(ship_ctx.trace_id),
                         vec![
-                            ("shard", shard.to_string()),
-                            ("node", follower.to_string()),
-                            ("epoch", epoch.to_string()),
-                            ("from_seq", from.to_string()),
-                            ("applied_seq", applied.to_string()),
+                            ("shard", shard.to_string().into()),
+                            ("node", follower.to_string().into()),
+                            ("epoch", epoch.to_string().into()),
+                            ("from_seq", from.to_string().into()),
+                            ("applied_seq", applied.to_string().into()),
                         ],
                     );
                     if stalled > 2 {
@@ -416,19 +442,19 @@ impl ClusterRouter {
             kinds::CLUSTER_PROMOTE,
             Some(ctx.trace_id),
             vec![
-                ("shard", shard.to_string()),
-                ("node", node.to_string()),
-                ("applied_seq", applied_seq.to_string()),
+                ("shard", shard.to_string().into()),
+                ("node", node.to_string().into()),
+                ("applied_seq", applied_seq.to_string().into()),
             ],
         );
         self.telemetry.events().emit_traced(
             kinds::CLUSTER_FAILOVER,
             Some(ctx.trace_id),
             vec![
-                ("shard", shard.to_string()),
-                ("from", leader.to_string()),
-                ("to", node.to_string()),
-                ("epoch", epoch.to_string()),
+                ("shard", shard.to_string().into()),
+                ("from", leader.to_string().into()),
+                ("to", node.to_string().into()),
+                ("epoch", epoch.to_string().into()),
             ],
         );
         span.set_attr("from", leader.to_string());
@@ -487,10 +513,7 @@ impl ClusterRouter {
             ));
         }
         span.set_attr("leader", leader.to_string());
-        self.telemetry
-            .registry()
-            .counter("gallery_cluster_forwards_total", &[("target", "leader")])
-            .inc();
+        self.metrics.forwards_leader.inc();
         let response = match self.call_node(leader, encode_sharded(shard, frame)) {
             Ok(bytes) => bytes,
             Err(e) => {
@@ -567,15 +590,11 @@ impl ClusterRouter {
             ));
         }
         if is_follower {
-            self.counter("gallery_cluster_follower_reads_total");
+            self.metrics.follower_reads.inc();
+            self.metrics.forwards_follower.inc();
+        } else {
+            self.metrics.forwards_leader.inc();
         }
-        self.telemetry
-            .registry()
-            .counter(
-                "gallery_cluster_forwards_total",
-                &[("target", if is_follower { "follower" } else { "leader" })],
-            )
-            .inc();
         let response = match self.call_node(target, encode_sharded(shard, frame)) {
             Ok(bytes) => bytes,
             Err(e) => {

@@ -33,6 +33,22 @@ pub mod wire;
 
 pub use gallery_telemetry as telemetry;
 
+/// Decimal text of a number for a span attribute or an event field.
+/// Nearly every such number on the request path is 0 or 1 (whole
+/// milliseconds spent, the attempt number), and those borrow a literal.
+pub(crate) fn decimal<T>(n: T) -> std::borrow::Cow<'static, str>
+where
+    T: std::fmt::Display + PartialEq + From<u8>,
+{
+    if n == T::from(0) {
+        "0".into()
+    } else if n == T::from(1) {
+        "1".into()
+    } else {
+        n.to_string().into()
+    }
+}
+
 pub use client::{ClientError, GalleryClient};
 pub use cluster::{
     run_drill, ClusterConfig, ClusterRouter, DrillAction, DrillPlan, DrillReport, SimCluster,

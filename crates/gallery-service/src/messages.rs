@@ -200,7 +200,8 @@ macro_rules! wire_tags {
 ///
 /// The first form is for RPC requests, whose rows end in
 /// `: "methodName", mutating` so that a method's name and whether it
-/// changes server state are stated next to its tag and fields.
+/// changes server state are stated next to its tag and fields. The span
+/// names of a call are built from the method name here, at compile time.
 macro_rules! wire_union {
     (
         $(#[$meta:meta])*
@@ -235,6 +236,35 @@ macro_rules! wire_union {
             pub fn is_mutating(&self) -> bool {
                 match self {
                     $($name::$variant { .. } => $mutating,)*
+                }
+            }
+
+            /// One more than the largest tag: the length of a table with a
+            /// slot per method, indexed by [`Self::tag`].
+            const TAG_SLOTS: usize = {
+                let mut slots = 0;
+                $(if $tag >= slots { slots = $tag + 1; })*
+                slots
+            };
+
+            /// The variant's wire tag.
+            fn tag(&self) -> usize {
+                match self {
+                    $($name::$variant { .. } => $tag,)*
+                }
+            }
+
+            /// Name of the client's span for this call.
+            pub(crate) fn client_span_name(&self) -> &'static str {
+                match self {
+                    $($name::$variant { .. } => concat!("rpc.client/", $method),)*
+                }
+            }
+
+            /// Name of the server's handler span for this call.
+            pub(crate) fn server_span_name(&self) -> &'static str {
+                match self {
+                    $($name::$variant { .. } => concat!("rpc.server/", $method),)*
                 }
             }
         }
@@ -425,6 +455,23 @@ wire_struct! {
     pub struct WireWalFrame {
         pub seq: u64,
         pub op: Bytes,
+    }
+}
+
+/// One `T` per RPC method, in a fixed table indexed by the request's wire
+/// tag: where the client and the server keep what they resolve once per
+/// method (their metric handles) instead of once per request.
+pub(crate) struct PerMethod<T>([T; Request::TAG_SLOTS]);
+
+impl<T: Default> Default for PerMethod<T> {
+    fn default() -> Self {
+        PerMethod(std::array::from_fn(|_| T::default()))
+    }
+}
+
+impl<T> PerMethod<T> {
+    pub(crate) fn of(&self, request: &Request) -> &T {
+        &self.0[request.tag()]
     }
 }
 

@@ -240,9 +240,9 @@ impl CircuitBreaker {
         self.telemetry.events().emit(
             kinds::BREAKER_TRANSITION,
             vec![
-                ("endpoint", endpoint.to_string()),
-                ("to", next.as_str().to_string()),
-                ("at_ms", now.to_string()),
+                ("endpoint", endpoint.to_string().into()),
+                ("to", next.as_str().into()),
+                ("at_ms", now.to_string().into()),
             ],
         );
     }

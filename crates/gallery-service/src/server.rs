@@ -4,9 +4,10 @@
 //! state lives in the storage layer, so any number of `GalleryServer`
 //! instances can serve the same store.
 
+use crate::decimal;
 use crate::messages::{
-    ErrorCode, HealthDto, InstanceDto, ModelDto, Request, Response, WireConstraint, WireDiagnostic,
-    WireOp, WireValue,
+    ErrorCode, HealthDto, InstanceDto, ModelDto, PerMethod, Request, Response, WireConstraint,
+    WireDiagnostic, WireOp, WireValue,
 };
 use bytes::Bytes;
 use gallery_core::metadata::Metadata;
@@ -18,9 +19,9 @@ use gallery_rules::RuleEngine;
 use gallery_store::{Constraint, Op, StoreError, Value};
 use gallery_sync::locks::OrderedMutex;
 use gallery_sync::rank;
-use gallery_telemetry::{kinds, AlertEngine, Telemetry};
+use gallery_telemetry::{kinds, AlertEngine, Counter, Histogram, Telemetry};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Server-side idempotency-key dedupe (the other half of the client's
@@ -341,6 +342,34 @@ fn error_response(e: GalleryError) -> Response {
     }
 }
 
+/// One method's server-side series, looked up in the registry when the
+/// method is first handled (so a series still appears on first use) and
+/// recorded through the handle from then on.
+#[derive(Default)]
+struct MethodSeries {
+    requests: OnceLock<Arc<Counter>>,
+    handle_ms: OnceLock<Arc<Histogram>>,
+}
+
+impl MethodSeries {
+    fn requests(&self, telemetry: &Telemetry, method: &str) -> &Counter {
+        self.requests.get_or_init(|| {
+            telemetry
+                .registry()
+                .counter("gallery_rpc_server_requests_total", &[("method", method)])
+        })
+    }
+
+    fn handle_ms(&self, telemetry: &Telemetry, method: &str) -> &Histogram {
+        self.handle_ms.get_or_init(|| {
+            telemetry.registry().duration_histogram(
+                "gallery_rpc_server_handle_duration_ms",
+                &[("method", method)],
+            )
+        })
+    }
+}
+
 /// A stateless Gallery server.
 pub struct GalleryServer {
     gallery: Arc<Gallery>,
@@ -348,6 +377,8 @@ pub struct GalleryServer {
     alerts: Option<Arc<AlertEngine>>,
     idempotency: IdempotencyCache,
     telemetry: Arc<Telemetry>,
+    /// Handles into `telemetry`'s registry.
+    series: PerMethod<MethodSeries>,
     role: OrderedMutex<ReplicaRole>,
 }
 
@@ -359,6 +390,7 @@ impl GalleryServer {
             alerts: None,
             idempotency: IdempotencyCache::default(),
             telemetry: Arc::clone(gallery_telemetry::global()),
+            series: PerMethod::default(),
             role: OrderedMutex::new(rank::REPLICA_ROLE, ReplicaRole::Leader),
         }
     }
@@ -369,6 +401,7 @@ impl GalleryServer {
     /// trace envelope.
     pub fn with_telemetry(mut self, telemetry: Arc<Telemetry>) -> Self {
         self.telemetry = telemetry;
+        self.series = PerMethod::default();
         self
     }
 
@@ -429,7 +462,7 @@ impl GalleryServer {
         // Timing segments come from the telemetry time source (not
         // `Instant`): real durations under a wall clock, flat zeros under
         // a test's manual clock — which keeps traced runs deterministic.
-        let time = Arc::clone(self.telemetry.time_source());
+        let time = self.telemetry.time_source();
         let t_recv = time.now_ms();
         let decoded = match Request::decode_full(frame) {
             Ok(d) => d,
@@ -447,11 +480,13 @@ impl GalleryServer {
         };
         let decode_ms = time.now_ms() - t_recv;
         let method = decoded.request.method_name();
+        let series = self.series.of(&decoded.request);
         let started = Instant::now();
         let tracer = self.telemetry.tracer();
+        let span_name = decoded.request.server_span_name();
         let mut span = match decoded.trace {
-            Some(remote) => tracer.start_child(format!("rpc.server/{method}"), remote),
-            None => tracer.start_span(format!("rpc.server/{method}")),
+            Some(remote) => tracer.start_child(span_name, remote),
+            None => tracer.start_span(span_name),
         };
         span.set_attr("method", method);
         let trace_id = span.context().trace_id;
@@ -480,7 +515,7 @@ impl GalleryServer {
                     self.telemetry.events().emit_traced(
                         kinds::IDEMPOTENT_REPLAY,
                         Some(trace_id),
-                        vec![("method", method.to_string()), ("key", key.clone())],
+                        vec![("method", method.into()), ("key", key.into())],
                     );
                     span.set_attr("replay", "true");
                     recorded
@@ -504,17 +539,13 @@ impl GalleryServer {
         // Per-request server-side timing segments as span annotations:
         // where inside the node a slow request spent its time. (The ship
         // segment is router-side, on the route span.)
-        span.set_attr("decode_ms", decode_ms.to_string());
-        span.set_attr("store_ms", store_ms.to_string());
-        span.set_attr("encode_ms", encode_ms.to_string());
-        let reg = self.telemetry.registry();
-        reg.counter("gallery_rpc_server_requests_total", &[("method", method)])
-            .inc();
-        reg.duration_histogram(
-            "gallery_rpc_server_handle_duration_ms",
-            &[("method", method)],
-        )
-        .observe_since(started);
+        span.set_attr("decode_ms", decimal(decode_ms));
+        span.set_attr("store_ms", decimal(store_ms));
+        span.set_attr("encode_ms", decimal(encode_ms));
+        series.requests(&self.telemetry, method).inc();
+        series
+            .handle_ms(&self.telemetry, method)
+            .observe_since(started);
         span.finish();
         encoded
     }

@@ -32,15 +32,30 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Encoder over a growable buffer.
-#[derive(Debug, Default)]
+/// Bytes of the frame's length prefix.
+const PREFIX: usize = 4;
+
+/// Encoder over a growable buffer. The buffer starts with room for the
+/// frame's length prefix, so [`Writer::frame`] patches the length in
+/// rather than copying the payload behind a new header.
+#[derive(Debug)]
 pub struct Writer {
     buf: BytesMut,
 }
 
+impl Default for Writer {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl Writer {
     pub fn new() -> Self {
-        Self::default()
+        // Most messages (a DTO and its envelope) fit without regrowing; a
+        // blob grows the buffer once, to the size it needs.
+        let mut buf = BytesMut::with_capacity(256);
+        buf.put_slice(&[0; PREFIX]);
+        Writer { buf }
     }
 
     pub fn put_u8(&mut self, v: u8) {
@@ -94,17 +109,17 @@ impl Writer {
     }
 
     /// Finish the payload and frame it with a u32 length prefix.
-    pub fn frame(self) -> Bytes {
-        let payload = self.buf.freeze();
-        let mut framed = BytesMut::with_capacity(4 + payload.len());
-        framed.put_u32_le(payload.len() as u32);
-        framed.put_slice(&payload);
-        framed.freeze()
+    pub fn frame(mut self) -> Bytes {
+        let len = (self.buf.len() - PREFIX) as u32;
+        self.buf[..PREFIX].copy_from_slice(&len.to_le_bytes());
+        self.buf.freeze()
     }
 
     /// Raw payload without framing.
     pub fn into_bytes(self) -> Bytes {
-        self.buf.freeze()
+        let mut framed = self.buf.freeze();
+        framed.advance(PREFIX);
+        framed
     }
 }
 
@@ -150,7 +165,8 @@ impl Reader {
         let mut shift = 0u32;
         loop {
             let byte = self.get_u8()?;
-            if shift >= 64 {
+            // The tenth byte has room for bit 63 alone.
+            if shift == 63 && byte > 1 {
                 return Err(WireError::new("varint overflow"));
             }
             result |= ((byte & 0x7F) as u64) << shift;
@@ -186,8 +202,9 @@ impl Reader {
         if self.buf.len() < len {
             return Err(WireError::new("unexpected end of buffer (str)"));
         }
-        let bytes = self.buf.split_to(len);
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::new("invalid utf-8 in string"))
+        let parsed = std::str::from_utf8(&self.buf[..len]).map(str::to_owned);
+        self.buf.advance(len);
+        parsed.map_err(|_| WireError::new("invalid utf-8 in string"))
     }
 
     pub fn get_bytes(&mut self) -> Result<Bytes, WireError> {
@@ -222,6 +239,7 @@ impl Reader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn uvarint_roundtrip() {
@@ -242,6 +260,24 @@ mod tests {
             assert_eq!(r.get_uvarint().unwrap(), v);
             r.finish().unwrap();
         }
+    }
+
+    #[test]
+    fn overlong_varints_are_rejected() {
+        // Nine continuation bytes carry bits 0..63; the tenth may only be
+        // 0 or 1. Anything above used to have its high bits shifted away,
+        // so distinct byte strings decoded to one value.
+        for last in [0x02u8, 0x7E, 0x7F, 0x80, 0xFF] {
+            let mut bytes = vec![0xFF; 9];
+            bytes.push(last);
+            let err = Reader::new(Bytes::from(bytes)).get_uvarint().unwrap_err();
+            assert_eq!(err.message, "varint overflow", "tenth byte {last:#x}");
+        }
+        let mut max = vec![0xFF; 9];
+        max.push(0x01);
+        let mut r = Reader::new(Bytes::from(max));
+        assert_eq!(r.get_uvarint().unwrap(), u64::MAX);
+        r.finish().unwrap();
     }
 
     #[test]
@@ -339,7 +375,115 @@ mod tests {
     fn bad_utf8_rejected() {
         let mut w = Writer::new();
         w.put_bytes(&[0xFF, 0xFE]);
+        w.put_u8(9);
         let mut r = Reader::new(w.into_bytes());
-        assert!(r.get_str().is_err());
+        assert_eq!(r.get_str().unwrap_err().message, "invalid utf-8 in string");
+        // The bad string was consumed all the same.
+        assert_eq!(r.get_u8().unwrap(), 9);
+        r.finish().unwrap();
+    }
+
+    #[test]
+    fn string_length_past_the_end_is_rejected_before_reading() {
+        let mut w = Writer::new();
+        w.put_uvarint(1_000);
+        w.put_u8(b'x');
+        let mut r = Reader::new(w.into_bytes());
+        assert_eq!(
+            r.get_str().unwrap_err().message,
+            "unexpected end of buffer (str)"
+        );
+        // Only the length was consumed.
+        assert_eq!(r.remaining(), 1);
+        assert_eq!(r.get_u8().unwrap(), b'x');
+    }
+
+    /// One `Writer` call, for the property below.
+    #[derive(Debug, Clone)]
+    enum Put {
+        U8(u8),
+        Uvarint(u64),
+        Ivarint(i64),
+        F64(f64),
+        Bool(bool),
+        Str(String),
+        Bytes(Vec<u8>),
+        OptStr(Option<String>),
+    }
+
+    fn arb_string(max: usize) -> impl Strategy<Value = String> {
+        proptest::collection::vec(any::<char>(), 0..max).prop_map(String::from_iter)
+    }
+
+    fn arb_put() -> impl Strategy<Value = Put> {
+        prop_oneof![
+            any::<u8>().prop_map(Put::U8),
+            any::<u64>().prop_map(Put::Uvarint),
+            any::<i64>().prop_map(Put::Ivarint),
+            any::<f64>().prop_map(Put::F64),
+            any::<bool>().prop_map(Put::Bool),
+            arb_string(40).prop_map(Put::Str),
+            proptest::collection::vec(any::<u8>(), 0..600).prop_map(Put::Bytes),
+            (any::<bool>(), arb_string(12)).prop_map(|(some, s)| Put::OptStr(some.then_some(s))),
+        ]
+    }
+
+    fn apply(puts: &[Put]) -> Writer {
+        let mut w = Writer::new();
+        for put in puts {
+            match put {
+                Put::U8(v) => w.put_u8(*v),
+                Put::Uvarint(v) => w.put_uvarint(*v),
+                Put::Ivarint(v) => w.put_ivarint(*v),
+                Put::F64(v) => w.put_f64(*v),
+                Put::Bool(v) => w.put_bool(*v),
+                Put::Str(v) => w.put_str(v),
+                Put::Bytes(v) => w.put_bytes(v),
+                Put::OptStr(v) => w.put_opt_str(v.as_deref()),
+            }
+        }
+        w
+    }
+
+    /// Framing as it was before the prefix was reserved up front: the
+    /// finished payload copied behind a fresh header.
+    fn frame_by_copying(payload: &[u8]) -> Vec<u8> {
+        let mut framed = Vec::with_capacity(4 + payload.len());
+        framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        framed.extend_from_slice(payload);
+        framed
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 8 } else { 128 }))]
+
+        #[test]
+        fn frame_is_length_then_payload(puts in proptest::collection::vec(arb_put(), 0..12)) {
+            let payload = apply(&puts).into_bytes();
+            let framed = apply(&puts).frame();
+            prop_assert_eq!(&framed[..], &frame_by_copying(&payload)[..]);
+            // And the payload reads back as what was put.
+            let mut r = Reader::unframe(framed).unwrap();
+            for put in &puts {
+                match put {
+                    Put::U8(v) => prop_assert_eq!(r.get_u8().unwrap(), *v),
+                    Put::Uvarint(v) => prop_assert_eq!(r.get_uvarint().unwrap(), *v),
+                    Put::Ivarint(v) => prop_assert_eq!(r.get_ivarint().unwrap(), *v),
+                    Put::F64(v) => prop_assert_eq!(r.get_f64().unwrap().to_bits(), v.to_bits()),
+                    Put::Bool(v) => prop_assert_eq!(r.get_bool().unwrap(), *v),
+                    Put::Str(v) => prop_assert_eq!(&r.get_str().unwrap(), v),
+                    Put::Bytes(v) => prop_assert_eq!(&r.get_bytes().unwrap()[..], &v[..]),
+                    Put::OptStr(v) => prop_assert_eq!(&r.get_opt_str().unwrap(), v),
+                }
+            }
+            r.finish().unwrap();
+        }
+    }
+
+    #[test]
+    fn empty_writer_frames_and_unwraps_to_nothing() {
+        assert_eq!(Writer::new().frame(), [0, 0, 0, 0]);
+        assert!(Writer::new().into_bytes().is_empty());
+        assert!(Writer::default().into_bytes().is_empty());
     }
 }

@@ -239,23 +239,38 @@ proptest! {
             decode_everywhere(&reframe(&flipped));
         }
 
-        let inflate = |frame: &Bytes, count_at: usize| {
+        // Replace the one-byte count at `count_at` with another varint.
+        let recount = |frame: &Bytes, count_at: usize, varint: &[u8]| {
             let payload = &frame[4..];
-            let mut inflated = payload[..count_at].to_vec();
-            // uvarint(2^62): eight continuation bytes, then 0x40.
-            inflated.extend_from_slice(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40]);
-            inflated.extend_from_slice(&payload[count_at + 1..]);
-            let inflated = reframe(&inflated);
-            decode_everywhere(&inflated);
-            inflated
+            let mut recounted = payload[..count_at].to_vec();
+            recounted.extend_from_slice(varint);
+            recounted.extend_from_slice(&payload[count_at + 1..]);
+            let recounted = reframe(&recounted);
+            decode_everywhere(&recounted);
+            recounted
+        };
+        // uvarint(2^62): eight continuation bytes, then 0x40.
+        let inflate = |frame: &Bytes, count_at: usize| {
+            recount(frame, count_at, &[0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40])
+        };
+        // The same count spelt in ten bytes, the tenth with bits that do
+        // not fit a u64: shifting them away used to make this a second
+        // spelling of a valid frame.
+        let overlong = |frame: &Bytes, count_at: usize| {
+            let low = frame[4 + count_at] | 0x80;
+            recount(frame, count_at, &[low, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x7E])
         };
         for (frame, count_at) in &requests {
             prop_assert!(Request::decode_full(frame.clone()).is_ok());
             prop_assert!(Request::decode_full(inflate(frame, *count_at)).is_err());
+            let err = Request::decode_full(overlong(frame, *count_at)).unwrap_err();
+            prop_assert_eq!(err.message, "varint overflow");
         }
         for (frame, count_at) in &responses {
             prop_assert!(Response::decode(frame.clone()).is_ok());
             prop_assert!(Response::decode(inflate(frame, *count_at)).is_err());
+            let err = Response::decode(overlong(frame, *count_at)).unwrap_err();
+            prop_assert_eq!(err.message, "varint overflow");
         }
     }
 }

@@ -6,14 +6,14 @@
 
 use gallery_core::clock::{ManualClock, SimulatedSleeper};
 use gallery_core::Gallery;
-use gallery_service::telemetry::{kinds, Telemetry};
+use gallery_service::telemetry::{kinds, parse_samples, Telemetry};
 use gallery_service::{
     BreakerConfig, BreakerState, CircuitBreaker, ClusterConfig, DirectTransport, FlakyTransport,
     GalleryClient, GalleryServer, Resilience, RetryPolicy, SimCluster,
 };
 use gallery_store::fault::{sites, FaultPlan};
 use gallery_store::Query;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 /// Client + server sharing one isolated telemetry bundle, wired through a
 /// flaky transport driven by `plan`, with simulated-time retries.
@@ -150,7 +150,7 @@ fn lost_response_replay_is_observable() {
     assert_eq!(servers[0].parent_span_id, servers[1].parent_span_id);
     assert!(servers
         .iter()
-        .any(|s| s.attrs.contains(&("replay", "true".to_string()))));
+        .any(|s| s.attrs.contains(&("replay", "true".into()))));
 }
 
 /// Same workload, same manual clock ⇒ byte-identical span records. The
@@ -226,7 +226,7 @@ fn cluster_mutation_stitches_one_trace_across_router_leader_and_followers() {
             );
         }
     }
-    let names: Vec<&str> = a.iter().map(|s| s.name.as_str()).collect();
+    let names: Vec<&str> = a.iter().map(|s| s.name).collect();
     let count = |n: &str| names.iter().filter(|x| **x == n).count();
     assert_eq!(count("cluster/route"), 1, "{names:?}");
     assert_eq!(count("rpc.server/createGalleryModel"), 1, "{names:?}");
@@ -255,6 +255,138 @@ fn cluster_mutation_stitches_one_trace_across_router_leader_and_followers() {
         "route span missing ship_ms: {:?}",
         route.attrs
     );
+}
+
+/// The per-method series are resolved on a method's first call. When
+/// that first call is made by many threads at once, each series must
+/// still be registered exactly once and count every call.
+#[test]
+fn concurrent_first_calls_register_each_series_once_and_count_exactly() {
+    const THREADS: usize = 8;
+    const CALLS: usize = 25;
+    let telemetry = Telemetry::new();
+    let gallery = Arc::new(Gallery::in_memory());
+    let server =
+        Arc::new(GalleryServer::new(Arc::clone(&gallery)).with_telemetry(Arc::clone(&telemetry)));
+    let client = GalleryClient::new(Arc::new(DirectTransport::new(server)))
+        .with_telemetry(Arc::clone(&telemetry));
+    let model = client.create_model("p", "b", "m", "o", "", "{}").unwrap();
+    let instance = client
+        .upload_model(&model.id, "{}", bytes::Bytes::from_static(b"w"))
+        .unwrap();
+
+    // Nobody has called getInstance or latestInstance yet.
+    let barrier = Barrier::new(THREADS);
+    std::thread::scope(|scope| {
+        for _ in 0..THREADS {
+            // Clones share the handle table, as the threads of one
+            // serving host do.
+            let client = client.clone();
+            let (barrier, model, instance) = (&barrier, &model, &instance);
+            scope.spawn(move || {
+                barrier.wait();
+                for _ in 0..CALLS {
+                    client.get_instance(&instance.id).unwrap();
+                    client.latest_instance(&model.id).unwrap();
+                }
+            });
+        }
+    });
+
+    let text = telemetry.render_text();
+    let samples = parse_samples(&text).unwrap();
+    let expected = (THREADS * CALLS) as f64;
+    for method in ["getInstance", "latestInstance"] {
+        for (family, outcome) in [
+            ("gallery_rpc_client_calls_total", Some("ok")),
+            ("gallery_rpc_client_attempts_total", None),
+            ("gallery_rpc_server_requests_total", None),
+            ("gallery_rpc_client_call_duration_ms_count", None),
+            ("gallery_rpc_server_handle_duration_ms_count", None),
+        ] {
+            let series: Vec<_> = samples
+                .iter()
+                .filter(|s| s.name == family && s.label("method") == Some(method))
+                .collect();
+            assert_eq!(series.len(), 1, "{family}{{{method}}} appears once");
+            assert_eq!(series[0].label("outcome"), outcome);
+            assert_eq!(series[0].value, expected, "{family}{{{method}}}");
+        }
+    }
+    // No call failed, so no error series was minted.
+    assert!(!text.contains("outcome=\"error\""), "{text}");
+}
+
+/// What one plain read leaves behind: the span names come from the
+/// message table, and the attribute values are the ones a reader of the
+/// trace sees.
+#[test]
+fn get_instance_span_names_and_attr_values() {
+    let clock = ManualClock::new(1_000);
+    let telemetry = Telemetry::with_time_source(Arc::new(clock.clone()));
+    let gallery = Arc::new(Gallery::in_memory_with_clock(Arc::new(clock)));
+    let server = Arc::new(GalleryServer::new(gallery).with_telemetry(Arc::clone(&telemetry)));
+    let client = GalleryClient::new(Arc::new(DirectTransport::new(server)))
+        .with_telemetry(Arc::clone(&telemetry));
+    let model = client.create_model("p", "b", "m", "o", "", "{}").unwrap();
+    let instance = client
+        .upload_model(&model.id, "{}", bytes::Bytes::from_static(b"w"))
+        .unwrap();
+    telemetry.tracer().clear();
+
+    client.get_instance(&instance.id).unwrap();
+    assert!(client.get_instance("ghost").is_err());
+
+    let spans = telemetry.tracer().finished_spans();
+    let names: Vec<&str> = spans.iter().map(|s| s.name).collect();
+    assert_eq!(
+        names,
+        [
+            "rpc.server/getInstance",
+            "rpc.client/getInstance",
+            "rpc.server/getInstance",
+            "rpc.client/getInstance",
+        ]
+    );
+    let (server_span, client_span) = (&spans[0], &spans[1]);
+    assert_eq!(server_span.parent_span_id, Some(client_span.span_id));
+    assert_eq!(
+        client_span.attrs,
+        [("method", "getInstance".into()), ("outcome", "ok".into())]
+    );
+    // A manual clock moves one tick per reading, so every segment of the
+    // handler (two readings each) took 1 ms.
+    assert_eq!(
+        server_span.attrs,
+        [
+            ("method", "getInstance".into()),
+            ("decode_ms", "1".into()),
+            ("store_ms", "1".into()),
+            ("encode_ms", "1".into()),
+        ]
+    );
+    // A server verdict is an error outcome on the client span only.
+    assert_eq!(
+        spans[3].attrs,
+        [
+            ("method", "getInstance".into()),
+            ("outcome", "error".into())
+        ]
+    );
+    assert_eq!(spans[2].attrs, server_span.attrs);
+
+    let attempts = telemetry.events().of_kind(kinds::RPC_ATTEMPT);
+    let last_two = &attempts[attempts.len() - 2..];
+    assert_eq!(
+        last_two[0].fields,
+        [
+            ("method", "getInstance".into()),
+            ("attempt", "1".into()),
+            ("delay_ms", "0".into()),
+            ("outcome", "ok".into()),
+        ]
+    );
+    assert_eq!(last_two[1].field("outcome"), Some("remote_error"));
 }
 
 /// Breaker state flips surface as `breaker.transition` events and a

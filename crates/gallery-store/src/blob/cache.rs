@@ -227,7 +227,10 @@ impl CachedBlobStore {
                     self.metrics.evictions.inc();
                     self.metrics.telemetry.events().emit(
                         kinds::CACHE_EVICT,
-                        vec![("location", loc.to_string()), ("bytes", size.to_string())],
+                        vec![
+                            ("location", loc.to_string().into()),
+                            ("bytes", size.to_string().into()),
+                        ],
                     );
                 }
                 None => break,

@@ -415,9 +415,9 @@ impl Dal {
                     self.metrics.telemetry.events().emit(
                         kinds::DEGRADED_READ,
                         vec![
-                            ("table", table.to_string()),
-                            ("pk", pk.to_string()),
-                            ("stale", "true".to_string()),
+                            ("table", table.to_string().into()),
+                            ("pk", pk.to_string().into()),
+                            ("stale", "true".into()),
                         ],
                     );
                     Ok(DegradedRead { data, stale: true })
@@ -444,10 +444,10 @@ impl Dal {
                 Ok(()) => {
                     self.metrics.blob_delete_total.inc();
                     self.metrics.orphans_repaired_total.inc();
-                    self.metrics
-                        .telemetry
-                        .events()
-                        .emit(kinds::ORPHAN_REPAIRED, vec![("location", loc.to_string())]);
+                    self.metrics.telemetry.events().emit(
+                        kinds::ORPHAN_REPAIRED,
+                        vec![("location", loc.to_string().into())],
+                    );
                     report.deleted.push(loc.clone());
                 }
                 Err(e) => report.failed.push((loc.clone(), e)),

@@ -87,9 +87,7 @@ const QUERY_SHAPES: [&str; 4] = ["pk", "index_eq", "index_range", "full_scan"];
 /// than the default duration buckets: there are up to
 /// [`crate::table::MAX_LOCK_STRIPES`] stripes, and lock contention is an
 /// order-of-magnitude question.
-fn stripe_wait_buckets_ms() -> Vec<f64> {
-    vec![0.001, 0.01, 0.1, 1.0, 10.0, 100.0]
-}
+const STRIPE_WAIT_BUCKETS_MS: [f64; 6] = [0.001, 0.01, 0.1, 1.0, 10.0, 100.0];
 
 /// Store-level metric handles (`gallery_meta_*`, `gallery_store_*`),
 /// re-minted whenever the telemetry sink changes.
@@ -127,7 +125,7 @@ fn mint_metrics(telemetry: &Telemetry, cfg: &StoreConfig) -> MetaMetrics {
                 r.histogram(
                     "gallery_store_stripe_lock_wait_ms",
                     &[("stripe", &i.to_string())],
-                    stripe_wait_buckets_ms(),
+                    &STRIPE_WAIT_BUCKETS_MS,
                 )
             })
             .collect(),
@@ -899,8 +897,8 @@ impl MetadataStore {
         self.telemetry.events().emit(
             kinds::WAL_FLUSH,
             vec![
-                ("entries", entries.to_string()),
-                ("reason", "compact".to_string()),
+                ("entries", entries.to_string().into()),
+                ("reason", "compact".into()),
             ],
         );
         Ok(entries)

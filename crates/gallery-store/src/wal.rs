@@ -533,7 +533,7 @@ impl Wal {
             group_commit_batch_size: r.histogram(
                 "gallery_wal_group_commit_batch_size",
                 &[],
-                vec![1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0],
+                &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0],
             ),
             events: Arc::clone(telemetry.events()),
         });
@@ -552,8 +552,8 @@ impl Wal {
             t.events.emit(
                 kinds::WAL_FLUSH,
                 vec![
-                    ("entries", self.entries_written.to_string()),
-                    ("reason", "sync_all".to_string()),
+                    ("entries", self.entries_written.to_string().into()),
+                    ("reason", "sync_all".into()),
                 ],
             );
         }
@@ -663,9 +663,9 @@ impl Wal {
             telemetry.events().emit(
                 kinds::WAL_TORN_TAIL,
                 vec![
-                    ("path", path.display().to_string()),
-                    ("valid_len", torn.valid_len.to_string()),
-                    ("dropped_bytes", torn.dropped_bytes.to_string()),
+                    ("path", path.display().to_string().into()),
+                    ("valid_len", torn.valid_len.to_string().into()),
+                    ("dropped_bytes", torn.dropped_bytes.to_string().into()),
                 ],
             );
         }
@@ -825,7 +825,7 @@ impl Committer {
             batch_occupancy: r.histogram(
                 "gallery_wal_commit_queue_batch_occupancy",
                 &[],
-                vec![0.0625, 0.125, 0.25, 0.5, 0.75, 1.0],
+                &[0.0625, 0.125, 0.25, 0.5, 0.75, 1.0],
             ),
             fsync_ms: r.duration_histogram("gallery_wal_commit_queue_fsync_ms", &[]),
         });

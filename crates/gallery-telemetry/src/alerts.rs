@@ -486,10 +486,9 @@ impl AlertEngine {
                 AlertState::Inactive => None,
             };
             if let Some(kind) = kind {
-                let mut fields: Vec<(&'static str, String)> =
-                    vec![("rule", transition.rule_id.clone())];
+                let mut fields = vec![("rule", transition.rule_id.clone().into())];
                 if let Some(v) = value {
-                    fields.push(("value", format!("{v}")));
+                    fields.push(("value", format!("{v}").into()));
                 }
                 self.events
                     .emit_traced(kind, transition.exemplar_trace_id, fields);
@@ -514,9 +513,9 @@ impl AlertEngine {
                         kinds::ALERT_ACTION,
                         transition.exemplar_trace_id,
                         vec![
-                            ("rule", transition.rule_id.clone()),
-                            ("action", action_name.clone()),
-                            ("outcome", outcome),
+                            ("rule", transition.rule_id.clone().into()),
+                            ("action", action_name.clone().into()),
+                            ("outcome", outcome.into()),
                         ],
                     );
                 }
@@ -822,7 +821,7 @@ mod tests {
     #[test]
     fn predicate_and_actions_and_exemplar() {
         let (t, clock, engine) = setup();
-        let h = t.registry().histogram("abs_err", &[], vec![1.0, 10.0]);
+        let h = t.registry().histogram("abs_err", &[], &[1.0, 10.0]);
         type Seen = Vec<(String, Option<u64>)>;
         let seen: Arc<Mutex<Seen>> = Arc::new(Mutex::new(Vec::new()));
         let seen2 = Arc::clone(&seen);

@@ -14,6 +14,7 @@
 
 use crate::trace::Clock;
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::io::Write;
 use std::sync::Arc;
@@ -26,7 +27,8 @@ pub struct TelemetryEvent {
     pub ts_ms: i64,
     pub kind: &'static str,
     pub trace_id: Option<u64>,
-    pub fields: Vec<(&'static str, String)>,
+    /// A value that is a literal at the emitting site is borrowed.
+    pub fields: Vec<(&'static str, Cow<'static, str>)>,
 }
 
 impl TelemetryEvent {
@@ -35,7 +37,7 @@ impl TelemetryEvent {
         self.fields
             .iter()
             .find(|(k, _)| *k == key)
-            .map(|(_, v)| v.as_str())
+            .map(|(_, v)| v.as_ref())
     }
 
     /// Render as one JSON object (the JSONL line format).
@@ -145,7 +147,7 @@ impl EventSink {
     }
 
     /// Record an event with no trace affiliation.
-    pub fn emit(&self, kind: &'static str, fields: Vec<(&'static str, String)>) {
+    pub fn emit(&self, kind: &'static str, fields: Vec<(&'static str, Cow<'static, str>)>) {
         self.emit_traced(kind, None, fields);
     }
 
@@ -154,7 +156,7 @@ impl EventSink {
         &self,
         kind: &'static str,
         trace_id: Option<u64>,
-        fields: Vec<(&'static str, String)>,
+        fields: Vec<(&'static str, Cow<'static, str>)>,
     ) {
         if !self.enabled {
             return;
@@ -304,7 +306,7 @@ mod tests {
     fn ring_bounded_but_total_keeps_counting() {
         let s = EventSink::with_capacity(Arc::new(StepClock(AtomicI64::new(0))), 2);
         for i in 0..5 {
-            s.emit(kinds::CACHE_EVICT, vec![("bytes", i.to_string())]);
+            s.emit(kinds::CACHE_EVICT, vec![("bytes", i.to_string().into())]);
         }
         assert_eq!(s.recent().len(), 2);
         assert_eq!(s.total_emitted(), 5);

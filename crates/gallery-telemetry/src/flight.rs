@@ -167,9 +167,9 @@ pub fn render_tree(spans: &[SpanRecord]) -> String {
 mod tests {
     use super::*;
 
-    fn span(name: &str, trace: u64, id: u64, parent: Option<u64>, dur: i64) -> SpanRecord {
+    fn span(name: &'static str, trace: u64, id: u64, parent: Option<u64>, dur: i64) -> SpanRecord {
         SpanRecord {
-            name: name.to_string(),
+            name,
             trace_id: trace,
             span_id: id,
             parent_span_id: parent,

@@ -214,8 +214,8 @@ mod tests {
         assert_eq!(rec.capacity(), 2);
         assert!(Arc::ptr_eq(&rec, &t.tracer().flight_recorder().unwrap()));
         // Threshold 0 captures every root span; capacity 2 evicts the rest.
-        for i in 0..5 {
-            t.tracer().start_span(format!("r{i}")).finish();
+        for name in ["r0", "r1", "r2", "r3", "r4"] {
+            t.tracer().start_span(name).finish();
         }
         assert_eq!(rec.captures().len(), 2);
         assert_eq!(

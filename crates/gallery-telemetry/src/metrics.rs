@@ -314,11 +314,13 @@ impl Histogram {
 /// exponential from 1µs to 10s, fine enough that interpolated quantiles
 /// stay meaningful for both in-memory ops and simulated network latency.
 pub fn default_duration_buckets_ms() -> Vec<f64> {
-    vec![
-        0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0,
-        100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0, 10000.0,
-    ]
+    DURATION_BUCKETS_MS.to_vec()
 }
+
+const DURATION_BUCKETS_MS: [f64; 22] = [
+    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0,
+    100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0, 10000.0,
+];
 
 /// Default bucket edges for payload sizes in bytes (64 B – 64 MiB).
 pub fn default_size_buckets_bytes() -> Vec<f64> {
@@ -524,12 +526,10 @@ impl Registry {
         )
     }
 
-    pub fn histogram(
-        &self,
-        name: &str,
-        labels: &[(&str, &str)],
-        bounds: Vec<f64>,
-    ) -> Arc<Histogram> {
+    /// Get or create a histogram. The bounds are copied only when the
+    /// series is created; looking up an existing one allocates nothing
+    /// for them.
+    pub fn histogram(&self, name: &str, labels: &[(&str, &str)], bounds: &[f64]) -> Arc<Histogram> {
         self.get_or_insert(
             name,
             labels,
@@ -537,13 +537,13 @@ impl Registry {
                 Metric::Histogram(h) => Some(h.clone()),
                 _ => None,
             },
-            |enabled| Metric::Histogram(Arc::new(Histogram::new(bounds, enabled))),
+            |enabled| Metric::Histogram(Arc::new(Histogram::new(bounds.to_vec(), enabled))),
         )
     }
 
     /// Histogram with the default millisecond duration buckets.
     pub fn duration_histogram(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
-        self.histogram(name, labels, default_duration_buckets_ms())
+        self.histogram(name, labels, &DURATION_BUCKETS_MS)
     }
 
     /// Current value of the series registered under exactly `name` +
@@ -1105,7 +1105,7 @@ mod tests {
     #[test]
     fn histogram_quantiles_simple() {
         let reg = Registry::new();
-        let h = reg.histogram("lat_ms", &[], vec![1.0, 2.0, 4.0, 8.0]);
+        let h = reg.histogram("lat_ms", &[], &[1.0, 2.0, 4.0, 8.0]);
         for v in [0.5, 1.5, 1.6, 3.0, 7.0] {
             h.observe(v);
         }
@@ -1126,7 +1126,7 @@ mod tests {
         reg.counter("ops_total", &[("op", "get")]).add(3);
         reg.counter("ops_total", &[("op", "put")]).add(1);
         reg.gauge("bytes_cached", &[]).set(4096);
-        let h = reg.histogram("dur_ms", &[("op", "get")], vec![1.0, 10.0]);
+        let h = reg.histogram("dur_ms", &[("op", "get")], &[1.0, 10.0]);
         h.observe(0.5);
         h.observe(20.0);
         let text = reg.render_text();
@@ -1186,9 +1186,9 @@ mod tests {
     #[test]
     fn non_finite_sums_render_spec_spellings() {
         let reg = Registry::new();
-        let h = reg.histogram("inf_ms", &[], vec![1.0]);
+        let h = reg.histogram("inf_ms", &[], &[1.0]);
         h.observe(f64::INFINITY);
-        let h2 = reg.histogram("nan_ms", &[], vec![1.0]);
+        let h2 = reg.histogram("nan_ms", &[], &[1.0]);
         h2.observe(f64::NAN);
         reg.gauge("neg_inf", &[]).set(i64::MIN); // stays finite: gauges are i64
         let text = reg.render_text();
@@ -1209,7 +1209,7 @@ mod tests {
     #[test]
     fn exemplars_render_and_parse_back() {
         let reg = Registry::new();
-        let h = reg.histogram("err_abs", &[("instance", "i-1")], vec![1.0, 10.0]);
+        let h = reg.histogram("err_abs", &[("instance", "i-1")], &[1.0, 10.0]);
         h.observe_with_exemplar(0.5, 41);
         h.observe_with_exemplar(50.0, 42);
         h.observe_with_exemplar(60.0, 43); // same tail bucket: last wins
@@ -1233,7 +1233,7 @@ mod tests {
         let reg = Registry::new();
         reg.counter("ops_total", &[("op", "get")]).add(3);
         reg.counter("bare_total", &[]).add(1);
-        let h = reg.histogram("dur_ms", &[], vec![1.0]);
+        let h = reg.histogram("dur_ms", &[], &[1.0]);
         h.observe_with_exemplar(0.5, 77);
         let text = reg.render_text();
 
@@ -1330,7 +1330,7 @@ mod tests {
             let h = reg.histogram(
                 "gallery_store_stripe_lock_wait_ms",
                 &[("stripe", &s)],
-                vec![0.001, 0.01, 0.1, 1.0, 10.0, 100.0],
+                &[0.001, 0.01, 0.1, 1.0, 10.0, 100.0],
             );
             h.observe_with_exemplar(0.05 * (stripe + 1) as f64, 100 + stripe as u64);
             reg.counter("gallery_store_stripe_lock_hold_us_total", &[("stripe", &s)])
@@ -1339,7 +1339,7 @@ mod tests {
         let occ = reg.histogram(
             "gallery_wal_commit_queue_batch_occupancy",
             &[],
-            vec![0.0625, 0.125, 0.25, 0.5, 0.75, 1.0],
+            &[0.0625, 0.125, 0.25, 0.5, 0.75, 1.0],
         );
         occ.observe(0.25);
         occ.observe(1.0);
@@ -1389,7 +1389,7 @@ mod tests {
         reg.counter("ops_total", &[("op", "get")]).add(3);
         reg.counter("ops_total", &[("op", "put")]).add(4);
         reg.gauge("depth", &[]).set(-2);
-        reg.histogram("h_ms", &[], vec![1.0]).observe(0.5);
+        reg.histogram("h_ms", &[], &[1.0]).observe(0.5);
         assert_eq!(reg.sample_value("ops_total", &[("op", "get")]), Some(3.0));
         assert_eq!(reg.family_value("ops_total"), Some(7.0));
         assert_eq!(reg.family_value("depth"), Some(-2.0));

@@ -56,7 +56,7 @@ impl Profile {
         let by_id: HashMap<u64, &SpanRecord> = spans.iter().map(|s| (s.span_id, s)).collect();
         let mut agg: HashMap<String, (i64, i64, u64)> = HashMap::new();
         for s in spans {
-            let mut names = vec![s.name.as_str()];
+            let mut names = vec![s.name];
             let mut cursor = s.parent_span_id;
             // The hop cap defends against malformed parent cycles; real
             // traces are far shallower.
@@ -64,7 +64,7 @@ impl Profile {
             while let (Some(parent), true) = (cursor, hops < 64) {
                 match by_id.get(&parent) {
                     Some(p) => {
-                        names.push(p.name.as_str());
+                        names.push(p.name);
                         cursor = p.parent_span_id;
                     }
                     // Parent evicted from the ring: fold as a root.
@@ -178,9 +178,15 @@ mod tests {
         }
     }
 
-    fn record(name: &str, span_id: u64, parent: Option<u64>, start: i64, end: i64) -> SpanRecord {
+    fn record(
+        name: &'static str,
+        span_id: u64,
+        parent: Option<u64>,
+        start: i64,
+        end: i64,
+    ) -> SpanRecord {
         SpanRecord {
-            name: name.to_string(),
+            name,
             trace_id: 1,
             span_id,
             parent_span_id: parent,

@@ -12,6 +12,7 @@
 
 use crate::flight::{FlightRecorder, SlowCapture};
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -54,16 +55,19 @@ pub struct SpanContext {
     pub span_id: u64,
 }
 
-/// A completed span as stored by the tracer.
+/// A completed span as stored by the tracer. The name is a literal (the
+/// RPC names come from the message table), and an attribute value borrows
+/// when it is one too, so recording a span copies no text it does not
+/// have to.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanRecord {
-    pub name: String,
+    pub name: &'static str,
     pub trace_id: u64,
     pub span_id: u64,
     pub parent_span_id: Option<u64>,
     pub start_ms: i64,
     pub end_ms: i64,
-    pub attrs: Vec<(&'static str, String)>,
+    pub attrs: Vec<(&'static str, Cow<'static, str>)>,
 }
 
 struct TracerInner {
@@ -130,19 +134,19 @@ impl Tracer {
     }
 
     /// Start a root span: a fresh trace.
-    pub fn start_span(self: &Arc<Self>, name: impl Into<String>) -> Span {
+    pub fn start_span(self: &Arc<Self>, name: &'static str) -> Span {
         let trace_id = self.next_id();
         self.start_with(name, trace_id, None)
     }
 
     /// Start a child span under an existing context (same trace).
-    pub fn start_child(self: &Arc<Self>, name: impl Into<String>, parent: SpanContext) -> Span {
+    pub fn start_child(self: &Arc<Self>, name: &'static str, parent: SpanContext) -> Span {
         self.start_with(name, parent.trace_id, Some(parent.span_id))
     }
 
     fn start_with(
         self: &Arc<Self>,
-        name: impl Into<String>,
+        name: &'static str,
         trace_id: u64,
         parent_span_id: Option<u64>,
     ) -> Span {
@@ -155,7 +159,7 @@ impl Tracer {
             tracer: Arc::clone(self),
             ctx: SpanContext { trace_id, span_id },
             parent_span_id,
-            name: name.into(),
+            name,
             start_ms: self.time.now_ms(),
             attrs: Vec::new(),
             finished: false,
@@ -215,7 +219,7 @@ impl Tracer {
         };
         // The recorder takes its own lock; call it outside ours.
         if let (Some(rec), Some(spans)) = (recorder, capture) {
-            let root_name = spans.last().map(|s| s.name.clone()).unwrap_or_default();
+            let root_name = spans.last().map(|s| s.name.to_owned()).unwrap_or_default();
             rec.record(SlowCapture {
                 trace_id,
                 root_name,
@@ -271,9 +275,9 @@ pub struct Span {
     tracer: Arc<Tracer>,
     ctx: SpanContext,
     parent_span_id: Option<u64>,
-    name: String,
+    name: &'static str,
     start_ms: i64,
-    attrs: Vec<(&'static str, String)>,
+    attrs: Vec<(&'static str, Cow<'static, str>)>,
     finished: bool,
 }
 
@@ -283,9 +287,13 @@ impl Span {
         self.ctx
     }
 
-    /// Attach a key/value attribute (e.g. `("outcome", "ok")`).
-    pub fn set_attr(&mut self, key: &'static str, value: impl Into<String>) {
-        self.attrs.push((key, value.into()));
+    /// Attach a key/value attribute (e.g. `("outcome", "ok")`). A literal
+    /// value is borrowed, a computed `String` is moved in. A disabled
+    /// tracer records nothing, so it keeps nothing here either.
+    pub fn set_attr(&mut self, key: &'static str, value: impl Into<Cow<'static, str>>) {
+        if self.tracer.enabled {
+            self.attrs.push((key, value.into()));
+        }
     }
 
     /// Close the span, stamping the end time.
@@ -311,7 +319,7 @@ impl Span {
             });
         }
         let record = SpanRecord {
-            name: std::mem::take(&mut self.name),
+            name: self.name,
             trace_id: self.ctx.trace_id,
             span_id: self.ctx.span_id,
             parent_span_id: self.parent_span_id,
@@ -402,8 +410,8 @@ mod tests {
     #[test]
     fn ring_capacity_drops_oldest() {
         let tracer = Arc::new(Tracer::with_capacity(StepClock::new(0, 1), 2));
-        for i in 0..4 {
-            tracer.start_span(format!("s{i}")).finish();
+        for name in ["s0", "s1", "s2", "s3"] {
+            tracer.start_span(name).finish();
         }
         let spans = tracer.finished_spans();
         assert_eq!(spans.len(), 2);
@@ -428,7 +436,7 @@ mod tests {
         assert_eq!(captures.len(), 1);
         assert_eq!(captures[0].root_name, "slow-request");
         assert_eq!(captures[0].duration_ms, 30);
-        let names: Vec<&str> = captures[0].spans.iter().map(|s| s.name.as_str()).collect();
+        let names: Vec<&str> = captures[0].spans.iter().map(|s| s.name).collect();
         assert_eq!(names, vec!["handler", "slow-request"]);
     }
 

@@ -21,7 +21,7 @@ fn exact_quantile(sorted: &[f64], q: f64) -> f64 {
 
 fn check_quantiles(bounds: Vec<f64>, mut values: Vec<f64>) -> Result<(), TestCaseError> {
     let reg = Registry::new();
-    let h = reg.histogram("q_test", &[], bounds.clone());
+    let h = reg.histogram("q_test", &[], &bounds);
     for &v in &values {
         h.observe(v);
     }

@@ -282,7 +282,7 @@ fn failover_retry_keeps_one_trace_across_attempts() {
     // failed and retried route, the election, and the handler on the
     // promoted leader.
     let spans = cluster.telemetry().tracer().spans_for_trace(trace_id);
-    let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
+    let names: Vec<&str> = spans.iter().map(|s| s.name).collect();
     for expected in [
         "rpc.client/createGalleryModel",
         "cluster/route",
