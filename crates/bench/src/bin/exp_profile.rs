@@ -11,11 +11,14 @@
 //! 2. **EXPLAIN tells the truth.** The same seeded fleet is loaded into
 //!    the tuned store (sharded locks, deferred indexes) and an *eager*
 //!    oracle (`lock_stripes: 1, index_batch: 1` — indexes always
-//!    current). Every query shape (index_eq, index_range, full_scan, pk)
-//!    must return identical row sets on both stores, and the [`Explain`]
-//!    `matched` count must equal the rows actually returned — the
-//!    deferred-index tail merge is visible in `tail_merge_rows`, never in
-//!    wrong answers.
+//!    current). Every query shape (index_eq, index_range, index_top,
+//!    full_scan, pk) must return the same rows in the same order on both
+//!    stores, and the [`Explain`] `matched` count must equal the rows
+//!    actually returned — the deferred-index tail merge is visible in
+//!    `tail_merge_rows`, never in wrong answers. The `index_top` row
+//!    ("the ten newest instances of one model class") must also scan
+//!    exactly what it returns: the fleet has no deprecated rows to walk
+//!    past, and an ordered index has no tail.
 //! 3. **Introspection is cheap enough to leave on.** The full
 //!    insert + query workload (which records per-shape metrics, stripe
 //!    wait histograms, and slow-query captures when enabled) is timed
@@ -45,13 +48,14 @@ fn schema_named(table: &str) -> TableSchema {
         "id",
         vec![
             ColumnDef::new("id", ValueType::Str),
-            ColumnDef::new("model_name", ValueType::Str).hash_indexed(),
+            ColumnDef::new("model_name", ValueType::Str),
             ColumnDef::new("city", ValueType::Str).hash_indexed(),
             ColumnDef::new("created", ValueType::Timestamp).btree_indexed(),
             ColumnDef::new("mape", ValueType::Float).btree_indexed(),
             ColumnDef::new("notes", ValueType::Str).nullable(),
         ],
     )
+    .and_then(|s| s.ordered_by("model_name", "created"))
     .expect("static schema")
 }
 
@@ -129,6 +133,13 @@ fn shaped_queries() -> Vec<(&'static str, Query)> {
             Query::all().and(Constraint::lt("mape", 0.01)),
         ),
         (
+            "index_top",
+            Query::all()
+                .and(Constraint::eq("model_name", "ridge"))
+                .order_by("created", true)
+                .limit(10),
+        ),
+        (
             "full_scan",
             Query::all().and(Constraint::new("notes", Op::Contains, "retrain #7")),
         ),
@@ -139,13 +150,10 @@ fn shaped_queries() -> Vec<(&'static str, Query)> {
     ]
 }
 
-fn sorted_ids(rows: &[Arc<Record>]) -> Vec<String> {
-    let mut ids: Vec<String> = rows
-        .iter()
+fn ids(rows: &[Arc<Record>]) -> Vec<String> {
+    rows.iter()
         .map(|r| r.get("id").unwrap().to_string())
-        .collect();
-    ids.sort();
-    ids
+        .collect()
 }
 
 /// Gate 2: the tuned store's EXPLAIN row counts must agree with an eager
@@ -170,7 +178,7 @@ fn run_explain_oracle(rows: usize) -> Vec<(String, Explain, usize)> {
     for (name, query) in shaped_queries() {
         let (tuned_rows, explain) = tuned.query_explain_full("instances", &query).unwrap();
         let (eager_rows, eager_explain) = eager.query_explain_full("instances", &query).unwrap();
-        if sorted_ids(&tuned_rows) != sorted_ids(&eager_rows) {
+        if ids(&tuned_rows) != ids(&eager_rows) {
             eprintln!(
                 "GATE FAILED: `{name}` returned {} rows on the tuned store but {} on the eager oracle",
                 tuned_rows.len(),
@@ -190,6 +198,18 @@ fn run_explain_oracle(rows: usize) -> Vec<(String, Explain, usize)> {
                 std::process::exit(1);
             }
         }
+        if explain.shape() != name {
+            eprintln!("GATE FAILED: `{name}` was planned as {}", explain.shape());
+            std::process::exit(1);
+        }
+        if name == "index_top" && explain.rows_scanned > tuned_rows.len() {
+            eprintln!(
+                "GATE FAILED: `index_top` scanned {} rows to return {}",
+                explain.rows_scanned,
+                tuned_rows.len()
+            );
+            std::process::exit(1);
+        }
         table.add_row(vec![
             name.to_string(),
             explain.shape().to_string(),
@@ -202,7 +222,10 @@ fn run_explain_oracle(rows: usize) -> Vec<(String, Explain, usize)> {
         out.push((name.to_string(), explain, tuned_rows.len()));
     }
     println!("{}", table.render());
-    println!("✓ all 4 shapes: identical rows on tuned vs eager, EXPLAIN matched == returned\n");
+    println!(
+        "✓ all 5 shapes: identical rows on tuned vs eager, EXPLAIN matched == returned, \
+         index_top scanned == returned\n"
+    );
     out
 }
 
@@ -261,7 +284,7 @@ fn measure_overhead(rows: usize) -> (f64, f64, f64) {
     table.add_row(vec!["enabled".into(), format!("{enabled_ms:.2}")]);
     println!("{}", table.render());
     println!(
-        "introspection overhead: {overhead:+.2}% ({rows} inserts + 40 shaped queries + 50 gets per run)"
+        "introspection overhead: {overhead:+.2}% ({rows} inserts + 50 shaped queries + 50 gets per run)"
     );
     (disabled_ms, enabled_ms, overhead)
 }

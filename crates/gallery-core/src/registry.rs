@@ -967,6 +967,40 @@ mod tests {
     }
 
     #[test]
+    fn uploads_at_one_timestamp_get_distinct_versions() {
+        // Two registries on one store (or a restart inside a millisecond):
+        // each issues increasing times of its own, so `created` can tie
+        // across them, and "latest" must still be the newest commit — or
+        // the next upload is handed a version that exists.
+        struct Wall(std::sync::atomic::AtomicI64);
+        impl Clock for Wall {
+            fn now_ms(&self) -> TimestampMs {
+                self.0.load(std::sync::atomic::Ordering::SeqCst)
+            }
+        }
+        let wall = Arc::new(Wall(1_000.into()));
+        let a = Gallery::in_memory_with_clock(Arc::clone(&wall) as Arc<dyn Clock>);
+        let b = Gallery::open(Arc::clone(a.dal()), Arc::clone(&wall) as Arc<dyn Clock>).unwrap();
+        let m = a.create_model(spec("demand")).unwrap();
+        let mut uploads = Vec::new();
+        for now in [2_000, 3_000, 4_000] {
+            wall.0.store(now, std::sync::atomic::Ordering::SeqCst);
+            for g in [&a, &b] {
+                let inst = g
+                    .upload_instance(&m.id, InstanceSpec::new(), Bytes::from_static(b"w"))
+                    .unwrap();
+                assert_eq!(g.latest_instance(&m.id).unwrap().unwrap().id, inst.id);
+                uploads.push((inst.created_at, inst.display_version));
+            }
+        }
+        let expected: Vec<_> = [2_000, 2_000, 3_000, 3_000, 4_000, 4_000]
+            .into_iter()
+            .zip((0..6).map(|minor| DisplayVersion::new(1, minor)))
+            .collect();
+        assert_eq!(uploads, expected);
+    }
+
+    #[test]
     fn base_version_traversal_is_time_ordered() {
         let g = gallery();
         let m = g.create_model(spec("supply_cancellation")).unwrap();

@@ -52,14 +52,16 @@ pub fn models_schema() -> TableSchema {
 
 /// Schema of the `instances` table. `city`, `model_name`, `model_type` and
 /// `project` are denormalized from metadata into indexed columns because
-/// they are the paper's canonical search keys (Listings 3 & 5).
+/// they are the paper's canonical search keys (Listings 3 & 5). The
+/// ordered index `model_id → created` answers "the latest instance of
+/// this model" — what serving hosts ask, and what every upload asks first.
 pub fn instances_schema() -> TableSchema {
     TableSchema::new(
         tables::INSTANCES,
         "id",
         vec![
             ColumnDef::new("id", ValueType::Str),
-            ColumnDef::new("model_id", ValueType::Str).hash_indexed(),
+            ColumnDef::new("model_id", ValueType::Str),
             ColumnDef::new("base_version_id", ValueType::Str).hash_indexed(),
             ColumnDef::new("display_version", ValueType::Str),
             ColumnDef::new("blob_location", ValueType::Str).nullable(),
@@ -82,17 +84,19 @@ pub fn instances_schema() -> TableSchema {
             ColumnDef::new("deprecated", ValueType::Bool).nullable(),
         ],
     )
+    .and_then(|s| s.ordered_by("model_id", "created"))
     .expect("instances schema is statically valid")
 }
 
-/// Schema of the `metrics` table.
+/// Schema of the `metrics` table; `instance_id → created` serves the
+/// latest-metric lookups of the rule engine.
 pub fn metrics_schema() -> TableSchema {
     TableSchema::new(
         tables::METRICS,
         "id",
         vec![
             ColumnDef::new("id", ValueType::Str),
-            ColumnDef::new("instance_id", ValueType::Str).hash_indexed(),
+            ColumnDef::new("instance_id", ValueType::Str),
             ColumnDef::new("name", ValueType::Str).hash_indexed(),
             ColumnDef::new("value", ValueType::Float).btree_indexed(),
             ColumnDef::new("scope", ValueType::Str).hash_indexed(),
@@ -100,6 +104,7 @@ pub fn metrics_schema() -> TableSchema {
             ColumnDef::new("created", ValueType::Timestamp).btree_indexed(),
         ],
     )
+    .and_then(|s| s.ordered_by("instance_id", "created"))
     .expect("metrics schema is statically valid")
 }
 
@@ -127,12 +132,13 @@ pub fn deployments_schema() -> TableSchema {
         "id",
         vec![
             ColumnDef::new("id", ValueType::Str),
-            ColumnDef::new("model_id", ValueType::Str).hash_indexed(),
+            ColumnDef::new("model_id", ValueType::Str),
             ColumnDef::new("instance_id", ValueType::Str).hash_indexed(),
             ColumnDef::new("environment", ValueType::Str).hash_indexed(),
             ColumnDef::new("created", ValueType::Timestamp).btree_indexed(),
         ],
     )
+    .and_then(|s| s.ordered_by("model_id", "created"))
     .expect("deployments schema is statically valid")
 }
 
@@ -144,11 +150,12 @@ pub fn lifecycle_schema() -> TableSchema {
         "id",
         vec![
             ColumnDef::new("id", ValueType::Str),
-            ColumnDef::new("instance_id", ValueType::Str).hash_indexed(),
+            ColumnDef::new("instance_id", ValueType::Str),
             ColumnDef::new("stage", ValueType::Str).hash_indexed(),
             ColumnDef::new("created", ValueType::Timestamp).btree_indexed(),
         ],
     )
+    .and_then(|s| s.ordered_by("instance_id", "created"))
     .expect("lifecycle schema is statically valid")
 }
 

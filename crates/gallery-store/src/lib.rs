@@ -10,8 +10,8 @@
 //! embedded, from-scratch equivalents:
 //!
 //! - [`meta::MetadataStore`] — typed tables with hash/btree secondary
-//!   indexes, constraint queries with a small planner, and WAL-based
-//!   durability;
+//!   indexes and ordered ("latest of X") indexes, constraint queries with
+//!   a small planner, and WAL-based durability;
 //! - [`blob`] — an [`blob::ObjectStore`] trait with in-memory and local-FS
 //!   backends, CRC-32 integrity, an LRU byte-budget cache, simulated
 //!   backend latency, and fault injection;
@@ -52,7 +52,7 @@ pub use latency::{LatencyMeter, LatencyModel};
 pub use meta::{MetadataStore, ShipApply, SlowQueryEntry, SlowQueryLog, StoreConfig};
 pub use query::{AccessPath, Constraint, Explain, Op, OrderBy, Query};
 pub use record::Record;
-pub use schema::{ColumnDef, IndexKind, TableSchema};
+pub use schema::{ColumnDef, IndexKind, OrderedIndexDef, TableSchema};
 pub use ship::{ShipFrame, ShipReport};
 pub use simfs::{real_fs, FileSystem, FsFile, RealFs, SimFaultPlan, SimFs};
 pub use value::{Value, ValueType};

@@ -78,10 +78,11 @@ pub enum ShipApply {
     Gap { expected: u64 },
 }
 
-/// The four values [`AccessPath::shape`] can take. Per-shape metric
+/// The five values [`AccessPath::shape`] can take. Per-shape metric
 /// cardinality is bounded by this list — shapes are plan classes, never
-/// user data.
-const QUERY_SHAPES: [&str; 4] = ["pk", "index_eq", "index_range", "full_scan"];
+/// user data. A shape missing here would be planned and never counted
+/// (`every_access_path_shape_is_minted` keeps the list whole).
+const QUERY_SHAPES: [&str; 5] = ["pk", "index_eq", "index_range", "index_top", "full_scan"];
 
 /// Wait-time bucket bounds for stripe lock acquisition, in ms. Coarser
 /// than the default duration buckets: there are up to
@@ -1518,6 +1519,39 @@ mod config_tests {
             r.sample_value("gallery_store_slow_queries_total", &[]),
             Some(1.0)
         );
+    }
+
+    #[test]
+    fn every_access_path_shape_is_minted() {
+        use crate::query::AccessPath;
+        let name = || "c".to_string();
+        let paths = [
+            AccessPath::PrimaryKey,
+            AccessPath::IndexEq { column: name() },
+            AccessPath::IndexRange { column: name() },
+            AccessPath::IndexTop {
+                column: name(),
+                order: name(),
+            },
+            AccessPath::FullScan,
+        ];
+        let metrics = mint_metrics(&Telemetry::new(), &StoreConfig::default());
+        for path in &paths {
+            // A variant added to `AccessPath` stops compiling here until it
+            // joins `paths` above — and then has to be in `QUERY_SHAPES`.
+            match path {
+                AccessPath::PrimaryKey
+                | AccessPath::IndexEq { .. }
+                | AccessPath::IndexRange { .. }
+                | AccessPath::IndexTop { .. }
+                | AccessPath::FullScan => {}
+            }
+            assert!(
+                metrics.query_shape(path.shape()).is_some(),
+                "{path:?} would be planned and never counted"
+            );
+        }
+        assert_eq!(paths.len(), QUERY_SHAPES.len());
     }
 
     #[test]

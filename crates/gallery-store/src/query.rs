@@ -4,6 +4,11 @@
 //! of `(field, operator, value)` constraints, implicitly conjoined. The
 //! planner picks an index for the most selective indexable constraint and
 //! filters residual constraints row-by-row.
+//!
+//! `order_by` is a total order: rows sort by `(value, commit sequence)`,
+//! and descending is the exact reverse — so among rows with equal values
+//! the newest commit is the latest, and `limit k` is always a prefix of
+//! the unlimited result.
 
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
@@ -198,20 +203,25 @@ pub enum AccessPath {
     FullScan,
     /// Served by the index on the named column; residual constraints filtered.
     IndexEq { column: String },
-    /// Range scan over the ordered index on the named column.
+    /// Range scan over the btree index on the named column.
     IndexRange { column: String },
+    /// `column == v ORDER BY order LIMIT k` read off one end of the ordered
+    /// index `column → order`: only rows up to the `limit`-th match are
+    /// visited, residual constraints filtered along the way.
+    IndexTop { column: String, order: String },
     /// Direct primary-key lookup.
     PrimaryKey,
 }
 
 impl AccessPath {
     /// Bounded-cardinality shape label for per-shape metrics: one of
-    /// `pk`, `index_eq`, `index_range`, `full_scan`.
+    /// `pk`, `index_eq`, `index_range`, `index_top`, `full_scan`.
     pub fn shape(&self) -> &'static str {
         match self {
             AccessPath::FullScan => "full_scan",
             AccessPath::IndexEq { .. } => "index_eq",
             AccessPath::IndexRange { .. } => "index_range",
+            AccessPath::IndexTop { .. } => "index_top",
             AccessPath::PrimaryKey => "pk",
         }
     }
@@ -226,16 +236,20 @@ impl AccessPath {
 pub struct Explain {
     /// The plan the planner chose.
     pub path: AccessPath,
-    /// Rows the planner expected the access path to yield as candidates.
+    /// Rows the planner expected the access path to yield as candidates
+    /// (`IndexTop`: the query's `limit`).
     pub estimated_rows: usize,
     /// Candidate rows the executor actually examined (before residual
-    /// filtering).
+    /// filtering). `IndexTop`: the rows it evaluated the predicate on —
+    /// those returned plus those skipped on the way.
     pub rows_scanned: usize,
-    /// Rows that survived every constraint (before `limit`).
+    /// Rows that survived every constraint (before `limit`; `IndexTop`
+    /// stops at `limit`, so for it this is the rows returned).
     pub matched_rows: usize,
     /// Of `rows_scanned`, how many came from per-stripe unindexed tails
     /// merged on top of the index (deferred secondary-index maintenance).
-    /// Always 0 for `PrimaryKey` and `FullScan`.
+    /// Always 0 for `PrimaryKey`, `FullScan`, `IndexTop`, and an `IndexEq`
+    /// served by an ordered index.
     pub tail_merge_rows: usize,
     /// Time spent choosing the plan, in milliseconds.
     pub plan_ms: f64,
@@ -263,6 +277,7 @@ impl Explain {
             AccessPath::FullScan => "FullScan".to_string(),
             AccessPath::IndexEq { column } => format!("IndexEq({column})"),
             AccessPath::IndexRange { column } => format!("IndexRange({column})"),
+            AccessPath::IndexTop { column, order } => format!("IndexTop({column}, {order})"),
             AccessPath::PrimaryKey => "PrimaryKey".to_string(),
         };
         format!(
@@ -340,6 +355,11 @@ mod tests {
             AccessPath::IndexRange { column: "c".into() }.shape(),
             "index_range"
         );
+        let top = AccessPath::IndexTop {
+            column: "model_id".into(),
+            order: "created".into(),
+        };
+        assert_eq!(top.shape(), "index_top");
         assert_eq!(AccessPath::FullScan.shape(), "full_scan");
         let ex = Explain {
             path: AccessPath::IndexEq {
@@ -360,6 +380,12 @@ mod tests {
         assert!(text.contains("estimated=12 scanned=10"), "{text}");
         assert!(text.contains("tail_merge=2"), "{text}");
         assert_eq!(format!("{ex}"), text);
+        let ex = Explain { path: top, ..ex };
+        let text = ex.to_string();
+        assert!(
+            text.contains("IndexTop(model_id, created) [index_top]"),
+            "{text}"
+        );
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Table schemas for the embedded metadata store.
 
 use crate::error::{Result, StoreError};
+use crate::table::MUTABLE_FLAG_COLUMNS;
 use crate::value::{Value, ValueType};
 use serde::{Deserialize, Serialize};
 
@@ -49,6 +50,17 @@ impl ColumnDef {
     }
 }
 
+/// Declaration of an ordered index: rows grouped by the value of `by`,
+/// each group kept in `(order value, commit sequence)` order. It serves
+/// `by == v` lookups and, walked from either end, `by == v ORDER BY order
+/// LIMIT k` — the "latest of X" shape. Unlike a column's [`IndexKind`]
+/// index it is maintained at insert, never deferred.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct OrderedIndexDef {
+    pub by: String,
+    pub order: String,
+}
+
 /// Schema of a table: a named, ordered collection of columns with a
 /// designated string primary-key column.
 ///
@@ -63,6 +75,9 @@ pub struct TableSchema {
     /// Name of the primary-key column; must be a non-nullable `Str` column.
     pub primary_key: String,
     pub columns: Vec<ColumnDef>,
+    /// Ordered indexes, at most one per `by` column (see
+    /// [`TableSchema::ordered_by`]).
+    pub ordered: Vec<OrderedIndexDef>,
 }
 
 impl TableSchema {
@@ -107,7 +122,51 @@ impl TableSchema {
             name,
             primary_key,
             columns,
+            ordered: Vec::new(),
         })
+    }
+
+    /// Declare an ordered index `by → order`. Both columns must exist and
+    /// be immutable; `by` carries no other index (this one answers its
+    /// equality lookups) and groups at most one ordered index.
+    pub fn ordered_by(mut self, by: impl Into<String>, order: impl Into<String>) -> Result<Self> {
+        let def = OrderedIndexDef {
+            by: by.into(),
+            order: order.into(),
+        };
+        let bad = |why: &str| {
+            StoreError::BadQuery(format!(
+                "ordered index {} -> {} on table {}: {why}",
+                def.by, def.order, self.name
+            ))
+        };
+        for name in [&def.by, &def.order] {
+            if self.column(name).is_none() {
+                return Err(StoreError::NoSuchColumn {
+                    table: self.name.clone(),
+                    column: name.clone(),
+                });
+            }
+            if MUTABLE_FLAG_COLUMNS.contains(&name.as_str()) {
+                return Err(bad("a flag column changes under the index"));
+            }
+        }
+        if def.by == def.order {
+            return Err(bad("groups and orders by the same column"));
+        }
+        if self.column(&def.by).is_some_and(|c| c.index.is_some()) {
+            return Err(bad("the grouping column already has an index"));
+        }
+        if self.ordered_on(&def.by).is_some() {
+            return Err(bad("the grouping column already has an ordered index"));
+        }
+        self.ordered.push(def);
+        Ok(self)
+    }
+
+    /// Position in `ordered` of the index grouping by `column`, if any.
+    pub fn ordered_on(&self, column: &str) -> Option<usize> {
+        self.ordered.iter().position(|o| o.by == column)
     }
 
     pub fn column(&self, name: &str) -> Option<&ColumnDef> {
@@ -212,6 +271,37 @@ mod tests {
             ],
         );
         assert!(err.is_err());
+    }
+
+    #[test]
+    fn ordered_index_declaration_is_checked() {
+        let s = schema().ordered_by("owner", "created").unwrap();
+        assert_eq!(s.ordered_on("owner"), Some(0));
+        assert_eq!(s.ordered_on("created"), None);
+        // One per grouping column, and not beside another index on it.
+        assert!(s.clone().ordered_by("owner", "note").is_err());
+        assert!(schema().ordered_by("id", "created").is_err());
+        assert!(schema().ordered_by("owner", "owner").is_err());
+        assert!(matches!(
+            schema().ordered_by("owner", "bogus"),
+            Err(StoreError::NoSuchColumn { .. })
+        ));
+        // A flag column is rewritten in place: it can neither group nor order.
+        let flagged = |by: &str, order: &str| {
+            TableSchema::new(
+                "t",
+                "id",
+                vec![
+                    ColumnDef::new("id", ValueType::Str),
+                    ColumnDef::new("owner", ValueType::Str),
+                    ColumnDef::new("deprecated", ValueType::Bool).nullable(),
+                ],
+            )
+            .unwrap()
+            .ordered_by(by, order)
+        };
+        assert!(flagged("deprecated", "owner").is_err());
+        assert!(flagged("owner", "deprecated").is_err());
     }
 
     #[test]

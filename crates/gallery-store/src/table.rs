@@ -18,16 +18,25 @@
 //! ## Deferred secondary-index maintenance
 //!
 //! Inserts append the row and update the primary-key map immediately, but
-//! secondary-index entries are *deferred*: each stripe tracks
+//! hash and btree index entries are *deferred*: each stripe tracks
 //! `indexed_upto`, the slot boundary below which indexes are current.
 //! Once the unindexed tail reaches `index_batch` rows the whole delta is
 //! applied in one column-major pass. Queries stay exact because the
 //! candidate set is the index result *plus every unindexed tail slot* —
 //! the two ranges are disjoint by construction, and the executor re-checks
 //! every constraint against every candidate row anyway.
+//!
+//! ## Ordered indexes
+//!
+//! An ordered index (`TableSchema::ordered_by`) is the exception: it is
+//! updated by the insert itself, under the stripe write lock the insert
+//! already holds, so a plan it serves has no tail to merge. That is what
+//! lets `by == v ORDER BY order LIMIT k` ([`AccessPath::IndexTop`]) read
+//! the k rows it returns and stop, instead of sorting the group plus
+//! every stripe's tail.
 
 use crate::error::{Result, StoreError};
-use crate::index::{dedup_rows, BTreeIndex, HashIndex, Index, RowId};
+use crate::index::{BTreeIndex, GroupHasher, HashIndex, Index, OrderedIndex, RowId};
 use crate::query::{AccessPath, Constraint, Explain, Op, Query};
 use crate::record::Record;
 use crate::schema::{IndexKind, TableSchema};
@@ -39,7 +48,9 @@ use gallery_sync::locks::{
 use gallery_sync::rank;
 use gallery_telemetry::{Counter, Histogram};
 use std::borrow::Cow;
+use std::cmp::Ordering as RowOrder;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -173,6 +184,14 @@ struct StoredRow {
     record: Arc<Record>,
 }
 
+/// `order_by`'s total order on `field`: by value, then by commit sequence.
+/// Descending is the exact reverse.
+fn order_cmp(a: &StoredRow, b: &StoredRow, field: &str) -> RowOrder {
+    field_or_null(&a.record, field)
+        .total_cmp(field_or_null(&b.record, field))
+        .then(a.seq.cmp(&b.seq))
+}
+
 /// One lock stripe: a row arena, the primary-key map for rows hashed
 /// here, this stripe's shard of every secondary index, and the deferred
 /// index watermark.
@@ -185,22 +204,61 @@ struct Stripe {
     /// column name -> this stripe's shard of the secondary index. Row ids
     /// are packed `(stripe, slot)`.
     indexes: HashMap<String, Index>,
+    /// This stripe's shard of every ordered index, in `schema.ordered`
+    /// order. Always current: an insert updates it before it returns.
+    ordered: Vec<OrderedIndex>,
     /// Slots below this boundary are reflected in `indexes`; slots at or
     /// above it are the pending index delta (scanned by queries).
     indexed_upto: usize,
 }
 
+/// How a `column == value` lookup reads a stripe (see
+/// [`Table::eq_probe`]): through an ordered index, the value hashed once
+/// for all stripes, or through the column's deferred index.
+enum EqProbe<'q> {
+    Ordered { index: usize, key: u64 },
+    Deferred { column: &'q str, value: &'q Value },
+}
+
+impl Stripe {
+    /// What an equality lookup has to look at here: the rows the index
+    /// holds for the value, and the slots that index has not seen yet —
+    /// none when the index is an ordered one.
+    fn eq_candidates(&self, probe: &EqProbe<'_>) -> (&[RowId], Range<usize>) {
+        match *probe {
+            EqProbe::Ordered { index, key } => (self.ordered[index].rows(key), 0..0),
+            EqProbe::Deferred { column, value } => (
+                self.indexes[column].lookup_eq(value),
+                self.indexed_upto..self.rows.len(),
+            ),
+        }
+    }
+}
+
+/// An `IndexTop` plan's parameters: which ordered index, which end to
+/// start from, and when to stop.
+#[derive(Clone, Copy)]
+struct Top {
+    index: usize,
+    descending: bool,
+    limit: usize,
+}
+
 /// What the planner chose: the access path, the constraint that path is
-/// served by (none for a full scan) and the candidate estimate.
+/// served by (none for a full scan), the candidate estimate, and the walk
+/// an `IndexTop` path makes.
 struct Plan<'q> {
     path: AccessPath,
     by: Option<&'q Constraint>,
     estimated_rows: usize,
+    top: Option<Top>,
 }
 
 #[derive(Debug)]
 pub struct Table {
     schema: TableSchema,
+    /// Keys the groups of every ordered index, in every stripe.
+    group_hasher: GroupHasher,
     /// Pending-delta threshold that triggers an index flush.
     index_batch: usize,
     stripes: Vec<OrderedRwLock<Stripe>>,
@@ -243,6 +301,7 @@ impl Table {
                         rows: Vec::new(),
                         pk_map: HashMap::new(),
                         indexes,
+                        ordered: schema.ordered.iter().map(|_| OrderedIndex::new()).collect(),
                         indexed_upto: 0,
                     },
                 )
@@ -250,6 +309,7 @@ impl Table {
             .collect();
         Table {
             schema,
+            group_hasher: GroupHasher::default(),
             index_batch: index_batch.max(1),
             stripes,
             stats: AtomicStats::default(),
@@ -489,19 +549,56 @@ impl Table {
         applied
     }
 
-    /// Plan a query: prefer primary-key equality, then an indexed equality
-    /// constraint, then an indexed range constraint, else a full scan.
+    /// Plan a query: prefer primary-key equality, then the end of an
+    /// ordered index, then an indexed equality constraint, then an indexed
+    /// range constraint, else a full scan.
     pub fn plan(&self, query: &Query) -> AccessPath {
         let guards: Vec<RwLockReadGuard<'_, Stripe>> =
             self.stripes.iter().map(|s| s.read()).collect();
         self.plan_with(&guards, query).path
     }
 
+    /// Whether `column` has a hash or btree (deferred) index.
     fn indexed(&self, column: &str) -> bool {
         self.schema
             .column(column)
             .map(|c| c.index.is_some())
             .unwrap_or(false)
+    }
+
+    /// The index that answers `column == value`, if the column has one.
+    fn eq_probe<'q>(&self, column: &'q str, value: &'q Value) -> Option<EqProbe<'q>> {
+        match self.schema.ordered_on(column) {
+            Some(index) => Some(EqProbe::Ordered {
+                index,
+                key: self.group_hasher.key(value),
+            }),
+            None => self
+                .indexed(column)
+                .then_some(EqProbe::Deferred { column, value }),
+        }
+    }
+
+    /// The walk that answers `query` off one end of an ordered index, if
+    /// it has the shape: equality on the index's grouping column,
+    /// `order_by` its order column, and a `limit`.
+    fn top_of<'q>(&self, query: &'q Query) -> Option<(&'q Constraint, Top)> {
+        let (ob, limit) = (query.order_by.as_ref()?, query.limit?);
+        let ordered = self.schema.ordered.iter().enumerate();
+        ordered
+            .filter(|(_, o)| o.order == ob.field)
+            .find_map(|(index, o)| {
+                let c = query
+                    .constraints
+                    .iter()
+                    .find(|c| c.op == Op::Eq && c.field == o.by)?;
+                let top = Top {
+                    index,
+                    descending: ob.descending,
+                    limit,
+                };
+                Some((c, top))
+            })
     }
 
     /// The equality constraint on the primary key, if the query has one:
@@ -515,28 +612,42 @@ impl Table {
 
     /// [`Table::plan`] over stripes the caller already holds (none are
     /// needed, or read, when the plan is `PrimaryKey`). The
-    /// candidate estimate: PrimaryKey resolves at most one row; IndexEq
-    /// counts the bucket plus the unindexed tails; a range scan has no
+    /// candidate estimate: PrimaryKey resolves at most one row; IndexTop
+    /// means to stop at `limit`; IndexEq counts the bucket plus the
+    /// unindexed tails (an ordered index has none); a range scan has no
     /// value-distribution statistics, so it is bounded by the full row
     /// count, as is a full scan.
     fn plan_with<'q>(&self, guards: &[RwLockReadGuard<'_, Stripe>], query: &'q Query) -> Plan<'q> {
+        let plan = |path, by, estimated_rows| Plan {
+            path,
+            by,
+            estimated_rows,
+            top: None,
+        };
         if let Some(c) = self.pk_eq(query) {
+            return plan(AccessPath::PrimaryKey, Some(c), 1);
+        }
+        if let Some((c, top)) = self.top_of(query) {
+            let def = &self.schema.ordered[top.index];
+            let path = AccessPath::IndexTop {
+                column: def.by.clone(),
+                order: def.order.clone(),
+            };
             return Plan {
-                path: AccessPath::PrimaryKey,
-                by: Some(c),
-                estimated_rows: 1,
+                top: Some(top),
+                ..plan(path, Some(c), top.limit)
             };
         }
         // Indexed equality first; among several indexed eq constraints pick
         // the smallest candidate set.
         let mut best_eq: Option<(&Constraint, usize)> = None;
-        for c in &query.constraints {
-            if c.op.index_eq_usable() && self.indexed(&c.field) {
+        for c in query.constraints.iter().filter(|c| c.op.index_eq_usable()) {
+            if let Some(probe) = self.eq_probe(&c.field, &c.value) {
                 let len: usize = guards
                     .iter()
                     .map(|g| {
-                        g.indexes[&c.field].eq_bucket_len(&c.value)
-                            + (g.rows.len() - g.indexed_upto)
+                        let (ids, tail) = g.eq_candidates(&probe);
+                        ids.len() + tail.len()
                     })
                     .sum();
                 if best_eq.map(|(_, b)| len < b).unwrap_or(true) {
@@ -545,29 +656,106 @@ impl Table {
             }
         }
         if let Some((c, estimated_rows)) = best_eq {
-            return Plan {
-                path: AccessPath::IndexEq {
-                    column: c.field.clone(),
-                },
-                by: Some(c),
-                estimated_rows,
+            let path = AccessPath::IndexEq {
+                column: c.field.clone(),
             };
+            return plan(path, Some(c), estimated_rows);
         }
         let by = query.constraints.iter().find(|c| {
             c.op.index_range_usable()
                 && self.indexed(&c.field)
                 && guards[0].indexes[&c.field].supports_range()
         });
-        Plan {
-            path: match by {
-                Some(c) => AccessPath::IndexRange {
-                    column: c.field.clone(),
-                },
-                None => AccessPath::FullScan,
+        let path = match by {
+            Some(c) => AccessPath::IndexRange {
+                column: c.field.clone(),
             },
-            by,
-            estimated_rows: guards.iter().map(|g| g.rows.len()).sum(),
+            None => AccessPath::FullScan,
+        };
+        plan(path, by, guards.iter().map(|g| g.rows.len()).sum())
+    }
+
+    /// Walk the group of `value` in ordered index `top.index` from one end
+    /// across all stripes — each stripe's group is sorted, so this is a
+    /// merge of their ends — evaluating `query` on every row visited, until
+    /// `top.limit` rows matched. Returns them in result order, and how many
+    /// rows were visited.
+    fn index_top(
+        &self,
+        guards: &[RwLockReadGuard<'_, Stripe>],
+        top: Top,
+        value: &Value,
+        query: &Query,
+    ) -> (Vec<Arc<Record>>, usize) {
+        /// One stripe's position: the slot it would yield next, that row's
+        /// order prefix, and the ids still behind it.
+        struct Cursor<'g> {
+            slot: usize,
+            prefix: i64,
+            rest: &'g [RowId],
+            rows: &'g [StoredRow],
         }
+        let order = &self.schema.ordered[top.index].order;
+        let key = self.group_hasher.key(value);
+        let step = |rest: &mut &[RowId]| {
+            let (&id, left) = if top.descending {
+                rest.split_last()?
+            } else {
+                rest.split_first()?
+            };
+            *rest = left;
+            Some(unpack(id).1)
+        };
+        // The ends come with their prefixes: no row is read to find where
+        // the walk starts.
+        let mut cursors: Vec<Cursor<'_>> = Vec::with_capacity(guards.len());
+        cursors.extend(guards.iter().filter_map(|g| {
+            let group = g.ordered[top.index].group(key)?;
+            let mut rest = group.rows();
+            Some(Cursor {
+                slot: step(&mut rest)?,
+                prefix: group.end_prefix(top.descending),
+                rest,
+                rows: &g.rows,
+            })
+        }));
+        // Which of two cursors the walk takes first. Rows are read only
+        // where the prefixes tie.
+        let ahead = |a: &Cursor<'_>, b: &Cursor<'_>| {
+            let ord = a
+                .prefix
+                .cmp(&b.prefix)
+                .then_with(|| order_cmp(&a.rows[a.slot], &b.rows[b.slot], order));
+            if top.descending {
+                ord
+            } else {
+                ord.reverse()
+            }
+        };
+        let mut out = Vec::new();
+        let mut scanned = 0;
+        while out.len() < top.limit {
+            let Some(next) = (0..cursors.len()).max_by(|&a, &b| ahead(&cursors[a], &cursors[b]))
+            else {
+                break;
+            };
+            let c = &mut cursors[next];
+            let record = &c.rows[c.slot].record;
+            scanned += 1;
+            if self.row_matches(record, query) {
+                out.push(Arc::clone(record));
+            }
+            match step(&mut c.rest) {
+                Some(slot) => {
+                    c.slot = slot;
+                    c.prefix = field_or_null(&c.rows[slot].record, order).order_prefix();
+                }
+                None => {
+                    cursors.swap_remove(next);
+                }
+            }
+        }
+        (out, scanned)
     }
 
     fn row_matches(&self, record: &Record, query: &Query) -> bool {
@@ -629,7 +817,8 @@ impl Table {
     /// the read lock of the owning stripe only; index and scan plans take
     /// every stripe read lock (in index order) for a consistent snapshot.
     /// The result is built under the guards and returned after they drop,
-    /// merged in sequence (= insertion) order.
+    /// in `order_by`'s `(value, sequence)` order, or merged in sequence
+    /// (= insertion) order without one.
     pub fn execute_explain(&self, query: &Query) -> Result<(Vec<Arc<Record>>, Explain)> {
         let query = &*self.typed(query)?;
         let plan_started = Instant::now();
@@ -647,22 +836,35 @@ impl Table {
             path,
             by,
             estimated_rows,
+            top,
         } = self.plan_with(&guards, query);
-        // Of the scanned candidates, how many were merged from unindexed
-        // deferred-index tails (index-served paths only).
-        let tail_merge_rows = match &path {
-            AccessPath::IndexEq { .. } | AccessPath::IndexRange { .. } => {
-                guards.iter().map(|g| g.rows.len() - g.indexed_upto).sum()
-            }
-            AccessPath::PrimaryKey | AccessPath::FullScan => 0,
-        };
         let plan_ms = plan_started.elapsed().as_secs_f64() * 1e3;
         let scan_started = Instant::now();
+        if let (Some(top), Some(c)) = (top, by) {
+            self.stats.index_queries.fetch_add(1, Ordering::Relaxed);
+            let (rows, rows_scanned) = self.index_top(&guards, top, &c.value, query);
+            self.stats
+                .rows_examined
+                .fetch_add(rows_scanned as u64, Ordering::Relaxed);
+            let explain = Explain {
+                path,
+                estimated_rows,
+                rows_scanned,
+                matched_rows: rows.len(),
+                tail_merge_rows: 0,
+                plan_ms,
+                scan_ms: scan_started.elapsed().as_secs_f64() * 1e3,
+                sort_ms: 0.0,
+            };
+            return Ok((rows, explain));
+        }
         // Candidates as (position in `guards`, slot) — the position is the
         // stripe number on every path but PrimaryKey, which holds one
-        // guard. Index-served paths add every stripe's unindexed tail so
-        // pending deltas never hide rows.
+        // guard. Paths served by a deferred index add every stripe's
+        // unindexed tail so pending deltas never hide rows;
+        // `tail_merge_rows` counts those.
         let mut cands: Vec<(usize, usize)> = Vec::new();
+        let mut tail_merge_rows = 0;
         match (&path, by) {
             (AccessPath::PrimaryKey, Some(c)) => {
                 self.stats.pk_lookups.fetch_add(1, Ordering::Relaxed);
@@ -674,13 +876,15 @@ impl Table {
             }
             (AccessPath::IndexEq { column }, Some(c)) => {
                 self.stats.index_queries.fetch_add(1, Ordering::Relaxed);
+                let probe = self
+                    .eq_probe(column, &c.value)
+                    .ok_or_else(|| StoreError::BadQuery(format!("no index serves `{c}`")))?;
+                cands.reserve(estimated_rows);
                 for (si, g) in guards.iter().enumerate() {
-                    for id in dedup_rows(g.indexes[column].lookup_eq(&c.value)) {
-                        cands.push(unpack(id));
-                    }
-                    for slot in g.indexed_upto..g.rows.len() {
-                        cands.push((si, slot));
-                    }
+                    let (ids, tail) = g.eq_candidates(&probe);
+                    cands.extend(ids.iter().map(|&id| unpack(id)));
+                    tail_merge_rows += tail.len();
+                    cands.extend(tail.map(|slot| (si, slot)));
                 }
             }
             (AccessPath::IndexRange { column }, Some(c)) => {
@@ -691,16 +895,14 @@ impl Table {
                     let ids = g.indexes[column]
                         .lookup_range(lo, hi)
                         .ok_or_else(no_range)?;
-                    for id in dedup_rows(ids) {
-                        cands.push(unpack(id));
-                    }
-                    for slot in g.indexed_upto..g.rows.len() {
-                        cands.push((si, slot));
-                    }
+                    cands.extend(ids.map(unpack));
+                    let tail = g.indexed_upto..g.rows.len();
+                    tail_merge_rows += tail.len();
+                    cands.extend(tail.map(|slot| (si, slot)));
                 }
             }
             // Scanning every row is exact whatever the planner chose.
-            (AccessPath::FullScan, _) | (_, None) => {
+            (AccessPath::FullScan | AccessPath::IndexTop { .. }, _) | (_, None) => {
                 self.stats.full_scans.fetch_add(1, Ordering::Relaxed);
                 for (si, g) in guards.iter().enumerate() {
                     for slot in 0..g.rows.len() {
@@ -709,43 +911,51 @@ impl Table {
                 }
             }
         }
+        // A row enters a column's index once, and only on leaving the tail.
+        debug_assert!(
+            {
+                let mut seen = std::collections::HashSet::new();
+                cands.iter().all(|c| seen.insert(*c))
+            },
+            "duplicate candidate under {path:?}"
+        );
         self.stats
             .rows_examined
             .fetch_add(cands.len() as u64, Ordering::Relaxed);
         let rows_scanned = cands.len();
 
-        let mut matches: Vec<(u64, &Arc<Record>)> = cands
+        let mut matches: Vec<&StoredRow> = cands
             .into_iter()
-            .map(|(gi, slot)| {
-                let row = &guards[gi].rows[slot];
-                (row.seq, &row.record)
-            })
-            .filter(|(_, r)| self.row_matches(r, query))
+            .map(|(gi, slot)| &guards[gi].rows[slot])
+            .filter(|row| self.row_matches(&row.record, query))
             .collect();
-        // Sequence order = insertion order, across stripes.
-        matches.sort_unstable_by_key(|(seq, _)| *seq);
         let matched_rows = matches.len();
         let scan_ms = scan_started.elapsed().as_secs_f64() * 1e3;
         let sort_started = Instant::now();
 
-        if let Some(ob) = &query.order_by {
-            let cmp = |a: &(u64, &Arc<Record>), b: &(u64, &Arc<Record>)| {
-                let ord = field_or_null(a.1, &ob.field).total_cmp(field_or_null(b.1, &ob.field));
-                if ob.descending {
-                    ord.reverse()
-                } else {
-                    ord
+        match &query.order_by {
+            Some(ob) => {
+                let cmp = |a: &&StoredRow, b: &&StoredRow| {
+                    let ord = order_cmp(a, b, &ob.field);
+                    if ob.descending {
+                        ord.reverse()
+                    } else {
+                        ord
+                    }
+                };
+                // Partial selection: a LIMIT far below the match count
+                // avoids a full sort. The order is total, so what is
+                // selected is exactly the sorted result's prefix.
+                if let Some(limit) = query.limit {
+                    if limit > 0 && limit < matches.len() {
+                        matches.select_nth_unstable_by(limit - 1, cmp);
+                        matches.truncate(limit);
+                    }
                 }
-            };
-            // Partial selection: a LIMIT far below the match count (the
-            // common "latest metric" shape) avoids a full sort.
-            if let Some(limit) = query.limit {
-                if limit > 0 && limit < matches.len() {
-                    matches.select_nth_unstable_by(limit - 1, cmp);
-                    matches.truncate(limit);
-                }
+                matches.sort_unstable_by(cmp);
             }
-            matches.sort_by(cmp);
+            // Sequence order = insertion order, across stripes.
+            None => matches.sort_unstable_by_key(|row| row.seq),
         }
         if let Some(limit) = query.limit {
             matches.truncate(limit);
@@ -761,10 +971,8 @@ impl Table {
             scan_ms,
             sort_ms,
         };
-        Ok((
-            matches.into_iter().map(|(_, r)| Arc::clone(r)).collect(),
-            explain,
-        ))
+        let rows = matches.iter().map(|row| Arc::clone(&row.record)).collect();
+        Ok((rows, explain))
     }
 
     /// All rows (shared handles, not deep copies) in sequence
@@ -901,6 +1109,17 @@ fn apply_insert_inner(
     let slot = s.rows.len();
     s.pk_map.insert(pk, slot);
     s.rows.push(StoredRow { seq, record });
+    let Stripe { rows, ordered, .. } = &mut *s;
+    let new = &rows[slot];
+    for (def, index) in table.schema.ordered.iter().zip(ordered) {
+        if let Some(v) = new.record.get(&def.by).filter(|v| !v.is_null()) {
+            let prefix = field_or_null(&new.record, &def.order).order_prefix();
+            let key = table.group_hasher.key(v);
+            index.insert(key, pack(stripe_idx, slot), prefix, |r| {
+                order_cmp(&rows[unpack(r).1], new, &def.order)
+            });
+        }
+    }
     table.row_count.fetch_add(1, Ordering::Relaxed);
     table.stats.inserts.fetch_add(1, Ordering::Relaxed);
     if !s.indexes.is_empty() && s.rows.len() - s.indexed_upto >= table.index_batch {
@@ -1382,6 +1601,214 @@ mod tests {
         );
         assert_eq!(ex.rows_scanned, 25);
         assert_eq!(ex.matched_rows, 25);
+    }
+
+    /// `table()` with the hash index on `model` replaced by the ordered
+    /// index `model → created`.
+    fn ordered_table(lock_stripes: usize, index_batch: usize) -> Table {
+        let mut schema = table().schema.clone();
+        schema.columns[1].index = None;
+        let schema = schema.ordered_by("model", "created").unwrap();
+        Table::with_config(schema, lock_stripes, index_batch)
+    }
+
+    fn ids(rows: &[Arc<Record>]) -> Vec<&str> {
+        rows.iter()
+            .map(|r| r.get("id").unwrap().as_str().unwrap())
+            .collect()
+    }
+
+    fn top_path() -> AccessPath {
+        AccessPath::IndexTop {
+            column: "model".into(),
+            order: "created".into(),
+        }
+    }
+
+    #[test]
+    fn order_by_breaks_ties_by_commit_sequence() {
+        // Same `created` everywhere: commit order is all that tells rows
+        // apart. Through the sort path (no ordered index) and IndexTop.
+        for t in [table(), ordered_table(16, 1024)] {
+            for i in 0..9 {
+                t.insert(row(&format!("i{i}"), "rf", "sf", 7, 0.1)).unwrap();
+            }
+            let by_model = Query::all().and(Constraint::eq("model", "rf"));
+            for descending in [false, true] {
+                let q = by_model.clone().order_by("created", descending);
+                let (all, _) = t.execute(&q).unwrap();
+                let mut expected: Vec<String> = (0..9).map(|i| format!("i{i}")).collect();
+                if descending {
+                    expected.reverse();
+                }
+                assert_eq!(ids(&all), expected, "descending={descending}");
+                // Every limit is a prefix of the unlimited result.
+                for k in [0, 1, 3, 9, 100] {
+                    let (some, _) = t.execute(&q.clone().limit(k)).unwrap();
+                    assert_eq!(some[..], all[..k.min(9)], "limit {k}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn index_top_reads_what_it_returns() {
+        // Deferred indexes never flush here: IndexTop must not care.
+        let t = ordered_table(4, 1_000_000);
+        for i in 0..100 {
+            let model = if i % 2 == 0 { "rf" } else { "lr" };
+            t.insert(row(&format!("i{i:02}"), model, "sf", i, 0.1))
+                .unwrap();
+        }
+        let latest = Query::all()
+            .and(Constraint::eq("model", "rf"))
+            .order_by("created", true)
+            .limit(1);
+        let (rows, ex) = t.execute_explain(&latest).unwrap();
+        assert_eq!(ids(&rows), ["i98"]);
+        assert_eq!(ex.path, top_path());
+        assert_eq!(
+            (
+                ex.estimated_rows,
+                ex.rows_scanned,
+                ex.matched_rows,
+                ex.tail_merge_rows
+            ),
+            (1, 1, 1, 0)
+        );
+        // Oldest three, from the other end.
+        let (rows, ex) = t
+            .execute_explain(&latest.clone().order_by("created", false).limit(3))
+            .unwrap();
+        assert_eq!(ids(&rows), ["i00", "i02", "i04"]);
+        assert_eq!((ex.rows_scanned, ex.matched_rows), (3, 3));
+        // Deprecated rows on top are walked past, and counted.
+        t.set_flag("i98", "deprecated", true).unwrap();
+        t.set_flag("i96", "deprecated", true).unwrap();
+        let (rows, ex) = t.execute_explain(&latest).unwrap();
+        assert_eq!(ids(&rows), ["i94"]);
+        assert_eq!((ex.rows_scanned, ex.matched_rows), (3, 1));
+        let (rows, ex) = t
+            .execute_explain(&latest.clone().with_deprecated())
+            .unwrap();
+        assert_eq!(ids(&rows), ["i98"]);
+        assert_eq!(ex.rows_scanned, 1);
+        // A residual constraint is evaluated on the way down.
+        let (rows, ex) = t
+            .execute_explain(&latest.clone().and(Constraint::lt("created", 50i64)))
+            .unwrap();
+        assert_eq!(ids(&rows), ["i48"]);
+        assert_eq!(
+            ex.rows_scanned, 26,
+            "25 skipped (i98 ... i50), i48 returned"
+        );
+        // A group that is not there, a limit of nothing, a limit of everything.
+        let absent = Query::all()
+            .and(Constraint::eq("model", "gbm"))
+            .order_by("created", true)
+            .limit(1);
+        let (rows, ex) = t.execute_explain(&absent).unwrap();
+        assert_eq!((rows.len(), ex.rows_scanned, &ex.path), (0, 0, &top_path()));
+        let (rows, ex) = t.execute_explain(&latest.clone().limit(0)).unwrap();
+        assert_eq!((rows.len(), ex.rows_scanned), (0, 0));
+        let (rows, ex) = t.execute_explain(&latest.clone().limit(1_000)).unwrap();
+        assert_eq!((rows.len(), ex.rows_scanned), (48, 50));
+    }
+
+    #[test]
+    fn groups_that_share_a_key_cost_rows_read_not_wrong_answers() {
+        let mut t = ordered_table(4, 1024);
+        t.group_hasher.collide = true;
+        for i in 0..40 {
+            let model = ["rf", "lr", "gbm", "svm"][i % 4];
+            t.insert(row(&format!("i{i:02}"), model, "sf", i as i64, 0.1))
+                .unwrap();
+        }
+        let by_model = Query::all().and(Constraint::eq("model", "lr"));
+        let (rows, ex) = t.execute_explain(&by_model).unwrap();
+        assert!(matches!(ex.path, AccessPath::IndexEq { .. }));
+        assert_eq!(rows.len(), 10);
+        assert_eq!(
+            ex.rows_scanned, 40,
+            "every model's rows sit in the one group"
+        );
+        let (rows, ex) = t
+            .execute_explain(&by_model.clone().order_by("created", true).limit(2))
+            .unwrap();
+        assert_eq!(ex.path, top_path());
+        assert_eq!(ids(&rows), ["i37", "i33"]);
+        assert_eq!(ex.rows_scanned, 7, "i39 down to i33");
+    }
+
+    #[test]
+    fn index_top_needs_equality_order_and_limit() {
+        let t = ordered_table(4, 1_000_000);
+        for i in 0..20 {
+            t.insert(row(&format!("i{i:02}"), "rf", "sf", i, 0.01 * i as f64))
+                .unwrap();
+        }
+        let by_model = Query::all().and(Constraint::eq("model", "rf"));
+        let eq_path = AccessPath::IndexEq {
+            column: "model".into(),
+        };
+        // No limit, no order, or another order: the same index, as IndexEq —
+        // current, so nothing is merged from a tail although nothing flushed.
+        for q in [
+            by_model.clone(),
+            by_model.clone().order_by("created", true),
+            by_model.clone().limit(1),
+            by_model.clone().order_by("mape", true).limit(1),
+        ] {
+            let (rows, ex) = t.execute_explain(&q).unwrap();
+            assert_eq!(ex.path, eq_path, "{q:?}");
+            assert_eq!((ex.estimated_rows, ex.rows_scanned), (20, 20));
+            assert_eq!(ex.tail_merge_rows, 0);
+            assert_eq!(rows.len(), q.limit.unwrap_or(20));
+        }
+        assert_eq!(t.pending_index_delta(), 20);
+        // A range on the grouping column is not an equality.
+        let q = Query::all()
+            .and(Constraint::ge("model", "rf"))
+            .order_by("created", true)
+            .limit(1);
+        assert_eq!(t.plan(&q), AccessPath::FullScan);
+        // The primary key still wins.
+        let q = by_model
+            .and(Constraint::eq("id", "i07"))
+            .order_by("created", true)
+            .limit(1);
+        assert_eq!(t.plan(&q), AccessPath::PrimaryKey);
+    }
+
+    #[test]
+    fn ordered_index_places_late_and_null_rows() {
+        let mut schema = table().schema.clone();
+        schema.columns[1].index = None;
+        // Order by the nullable column; created times arrive out of order.
+        let schema = schema.ordered_by("model", "mape").unwrap();
+        let t = Table::with_config(schema, 4, 1024);
+        for (i, mape) in [0.5, 0.1, 0.9, 0.1, 0.3].into_iter().enumerate() {
+            t.insert(row(&format!("i{i}"), "rf", "sf", i as i64, mape))
+                .unwrap();
+        }
+        // No `mape` at all: Null sorts first, as in the sort path.
+        let without = Record::new()
+            .set("id", "i5")
+            .set("model", "rf")
+            .set("city", "sf")
+            .set("created", Value::Timestamp(5));
+        t.insert(without).unwrap();
+        let q = Query::all()
+            .and(Constraint::eq("model", "rf"))
+            .order_by("mape", false);
+        let (sorted, path) = t.execute(&q).unwrap();
+        assert!(matches!(path, AccessPath::IndexEq { .. }));
+        assert_eq!(ids(&sorted), ["i5", "i1", "i3", "i4", "i0", "i2"]);
+        let (walked, ex) = t.execute_explain(&q.clone().limit(6)).unwrap();
+        assert!(matches!(ex.path, AccessPath::IndexTop { .. }));
+        assert_eq!(walked, sorted);
+        let (walked, _) = t.execute(&q.order_by("mape", true).limit(6)).unwrap();
+        assert_eq!(ids(&walked), ["i2", "i0", "i4", "i3", "i1", "i5"]);
     }
 
     #[test]

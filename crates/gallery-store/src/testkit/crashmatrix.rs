@@ -36,8 +36,8 @@
 //! strong invariants: data may be *lost*, corruption must be *detected*,
 //! silent wrong answers are violations everywhere.
 
-use super::model::RefModel;
-use super::workload::{self, instance_schema, payload_for, Workload, TABLE};
+use super::model::{ids_of, top_ids, RefModel};
+use super::workload::{self, instance_schema, payload_for, top_query, Workload, TABLE};
 use crate::blob::localfs::LocalFsBlobStore;
 use crate::blob::BlobLocation;
 use crate::dal::{Dal, WriteOrdering};
@@ -136,6 +136,7 @@ pub mod invariants {
     pub const FLAG_MONOTONE: &str = "deprecated-flag-monotone";
     pub const NO_PHANTOM_ROWS: &str = "no-phantom-rows";
     pub const ORPHANS_REPAIRABLE: &str = "orphans-repairable";
+    pub const TOP_MATCHES_ROWS: &str = "ordered-index-matches-rows";
 }
 
 /// Aggregate outcome of a matrix run.
@@ -586,6 +587,34 @@ fn check_recovery(
                 invariants::FLAG_MONOTONE,
                 format!("{pk}: deprecated after recovery but not in the full workload"),
             ));
+        }
+    }
+
+    // The ordered index is rebuilt by replay, insert by insert: what it
+    // answers must be what the recovered rows themselves say.
+    let live = || {
+        rows.iter().filter_map(|row| {
+            let deprecated = row.get("deprecated").and_then(|v| v.as_bool()) == Some(true);
+            let bits = row
+                .get("score")
+                .and_then(|v| v.as_float())
+                .map(f64::to_bits);
+            let id = row.get("id").and_then(|v| v.as_str())?;
+            (!deprecated).then_some((id, bits))
+        })
+    };
+    for group in workload::GROUPS {
+        for descending in [false, true] {
+            let expected = top_ids(live(), group, descending, 3);
+            let got = meta
+                .query_explain_full(TABLE, &top_query(group, descending, 3))
+                .map(|(top, explain)| (ids_of(&top), explain.shape()));
+            if !matches!(&got, Ok((ids, "index_top")) if *ids == expected) {
+                report.violations.push(fail(
+                    invariants::TOP_MATCHES_ROWS,
+                    format!("{group} descending={descending}: {got:?}, rows say {expected:?}"),
+                ));
+            }
         }
     }
 

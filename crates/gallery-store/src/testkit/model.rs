@@ -12,7 +12,10 @@
 //! against the model's final state with prefix-tolerant invariants
 //! (monotone flags, no phantom rows) rather than strict equality.
 
-use super::workload::{self, instance_schema, payload_for, score_for, Workload, WorkloadOp, TABLE};
+use super::workload::{
+    self, group_for, instance_schema, payload_for, score_for, top_query, Workload, WorkloadOp,
+    GROUPS, TABLE,
+};
 use crate::blob::memory::MemoryBlobStore;
 use crate::dal::Dal;
 use crate::meta::MetadataStore;
@@ -89,8 +92,23 @@ impl RefModel {
                     row.deprecated = true;
                 }
             }
-            WorkloadOp::Get { .. } | WorkloadOp::FetchBlob { .. } | WorkloadOp::RepairOrphans => {}
+            WorkloadOp::Get { .. }
+            | WorkloadOp::FetchBlob { .. }
+            | WorkloadOp::Top { .. }
+            | WorkloadOp::RepairOrphans => {}
         }
+    }
+
+    /// Ids a [`WorkloadOp::Top`] must return. The workload numbers its ids
+    /// in commit order, so the map's order is the tie-break.
+    pub fn top(&self, group: &str, descending: bool, limit: usize) -> Vec<String> {
+        let live = self.rows.iter().filter(|(_, row)| !row.deprecated);
+        top_ids(
+            live.map(|(id, row)| (id.as_str(), row.score_bits)),
+            group,
+            descending,
+            limit,
+        )
     }
 
     /// Replay a whole workload into a fresh model.
@@ -101,6 +119,46 @@ impl RefModel {
         }
         m
     }
+}
+
+/// The first `limit` ids of `group`, by `(score, commit order)` from the
+/// low end or — exactly reversed — the high end. `rows` are `(id, score
+/// bits)` in commit order. No score sorts first; scores sort as
+/// `f64::total_cmp` has them, which is where the workload's NaNs,
+/// infinities and negative zero each get a place.
+pub fn top_ids<'a>(
+    rows: impl Iterator<Item = (&'a str, Option<u64>)>,
+    group: &str,
+    descending: bool,
+    limit: usize,
+) -> Vec<String> {
+    let mut of_group: Vec<(usize, &str, Option<f64>)> = rows
+        .filter(|(id, _)| group_for(id) == group)
+        .enumerate()
+        .map(|(seq, (id, bits))| (seq, id, bits.map(f64::from_bits)))
+        .collect();
+    of_group.sort_by(|a, b| {
+        let by_score = match (a.2, b.2) {
+            (Some(x), Some(y)) => x.total_cmp(&y),
+            (x, y) => x.is_some().cmp(&y.is_some()),
+        };
+        by_score.then(a.0.cmp(&b.0))
+    });
+    if descending {
+        of_group.reverse();
+    }
+    of_group.truncate(limit);
+    of_group
+        .into_iter()
+        .map(|(_, id, _)| id.to_owned())
+        .collect()
+}
+
+/// Ids of queried rows, in result order.
+pub fn ids_of(rows: &[Arc<Record>]) -> Vec<String> {
+    rows.iter()
+        .filter_map(|r| r.get("id").and_then(|v| v.as_str()).map(str::to_owned))
+        .collect()
 }
 
 /// Outcome of one differential run.
@@ -175,6 +233,19 @@ pub fn diff_against_model(dal: &Dal, model: &RefModel, seed: u64) -> Vec<String>
             }
         }
     }
+    for group in GROUPS {
+        for descending in [false, true] {
+            let expected = model.top(group, descending, 3);
+            match dal.query(TABLE, &top_query(group, descending, 3)) {
+                Ok(rows) if ids_of(&rows) == expected => {}
+                Ok(rows) => out.push(format!(
+                    "top 3 of {group} (descending={descending}): dal={:?} model={expected:?}",
+                    ids_of(&rows)
+                )),
+                Err(e) => out.push(format!("top 3 of {group} failed: {e}")),
+            }
+        }
+    }
     match dal.audit_consistency(&[TABLE]) {
         Ok(audit) => {
             if !audit.is_consistent() {
@@ -221,6 +292,24 @@ pub fn run_differential(seed: u64, len: usize) -> DiffReport {
                     .push(format!("op {i}: get({id}) dal={dal_has} model={model_has}"));
             }
         }
+        if let WorkloadOp::Top {
+            group,
+            descending,
+            limit,
+        } = op
+        {
+            let expected = model.top(group, *descending, *limit);
+            match dal.query(TABLE, &top_query(group, *descending, *limit)) {
+                Ok(rows) if ids_of(&rows) == expected => {}
+                Ok(rows) => report.divergences.push(format!(
+                    "op {i}: {op:?} dal={:?} model={expected:?}",
+                    ids_of(&rows)
+                )),
+                Err(e) => report
+                    .divergences
+                    .push(format!("op {i}: {op:?} failed: {e}")),
+            }
+        }
         if let Err(e) = workload::apply(&dal, seed, op) {
             report
                 .divergences
@@ -250,8 +339,10 @@ mod tests {
                 report.divergences
             );
             assert_eq!(report.ops_applied, 120);
-            // Each run carried rows whose score no text encoding keeps.
+            // Each run carried rows whose score no text encoding keeps,
+            // and read a group's top through the ordered index.
             let w = Workload::generate(seed, 120);
+            assert!(w.ops.iter().any(|op| matches!(op, WorkloadOp::Top { .. })));
             assert!(w
                 .ops
                 .iter()

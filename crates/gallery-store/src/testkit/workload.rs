@@ -19,6 +19,7 @@
 
 use crate::dal::Dal;
 use crate::error::StoreError;
+use crate::query::{Constraint, Query};
 use crate::record::Record;
 use crate::schema::{ColumnDef, TableSchema};
 use crate::value::ValueType;
@@ -31,7 +32,9 @@ use rand::{Rng, SeedableRng};
 pub const TABLE: &str = "instances";
 
 /// Schema for [`TABLE`]: primary key, nullable blob pointer, nullable
-/// deprecation flag, nullable score (see [`score_for`]).
+/// deprecation flag, nullable group (see [`group_for`]; a row without one
+/// is in no group), nullable score (see [`score_for`]), and the ordered
+/// index `group → score` behind the workload's top-k reads.
 pub fn instance_schema() -> TableSchema {
     TableSchema::new(
         TABLE,
@@ -40,10 +43,28 @@ pub fn instance_schema() -> TableSchema {
             ColumnDef::new("id", ValueType::Str),
             ColumnDef::new("blob_location", ValueType::Str).nullable(),
             ColumnDef::new("deprecated", ValueType::Bool).nullable(),
+            ColumnDef::new("group", ValueType::Str).nullable(),
             ColumnDef::new("score", ValueType::Float).nullable(),
         ],
     )
+    .and_then(|s| s.ordered_by("group", "score"))
     .expect("static schema is valid")
+}
+
+/// The groups instances fall into.
+pub const GROUPS: [&str; 3] = ["g0", "g1", "g2"];
+
+/// Deterministic `group` of an instance: one of three, so a group holds
+/// rows with every kind of score (and mostly none — only
+/// [`WorkloadOp::PutMeta`] rows carry one; the rest tie on `Null` and are
+/// told apart by commit order alone).
+pub fn group_for(id: &str) -> &'static str {
+    GROUPS[id.bytes().fold(0usize, |h, b| h * 17 + usize::from(b)) % GROUPS.len()]
+}
+
+/// The row every insert op writes for `id`, before its score or blob.
+fn row_for(id: &str) -> Record {
+    Record::new().set("id", id).set("group", group_for(id))
 }
 
 /// Deterministic `score` of a metadata-only instance. Four in five are the
@@ -91,6 +112,13 @@ pub enum WorkloadOp {
     Get { id: String },
     /// Two-hop read: metadata row, then blob bytes.
     FetchBlob { id: String },
+    /// Top-k read off the ordered index: the first `limit` live rows of
+    /// `group` by score, from the high end or the low.
+    Top {
+        group: &'static str,
+        descending: bool,
+        limit: usize,
+    },
     /// Orphan GC pass over [`TABLE`].
     RepairOrphans,
 }
@@ -105,7 +133,7 @@ impl WorkloadOp {
             | WorkloadOp::Deprecate { id }
             | WorkloadOp::Get { id }
             | WorkloadOp::FetchBlob { id } => Some(id),
-            WorkloadOp::PutMany { .. } | WorkloadOp::RepairOrphans => None,
+            WorkloadOp::PutMany { .. } | WorkloadOp::Top { .. } | WorkloadOp::RepairOrphans => None,
         }
     }
 
@@ -164,9 +192,18 @@ impl Workload {
                 WorkloadOp::Deprecate {
                     id: pick(&mut rng, &ids),
                 }
-            } else if roll < 82 {
+            } else if roll < 76 {
                 WorkloadOp::Get {
                     id: pick(&mut rng, &ids),
+                }
+            } else if roll < 82 {
+                // Half of what used to be point reads, and like them one
+                // draw: write ops (and so the crash points) of a seed are
+                // what they were before this read existed.
+                WorkloadOp::Top {
+                    group: group_for(&pick(&mut rng, &ids)),
+                    descending: roll % 2 == 0,
+                    limit: [1, 3, 100][(roll / 2 % 3) as usize],
                 }
             } else if roll < 94 {
                 WorkloadOp::FetchBlob {
@@ -183,6 +220,14 @@ impl Workload {
 
 fn pick(rng: &mut StdRng, ids: &[String]) -> String {
     ids[rng.gen_range(0..ids.len() as u64) as usize].clone()
+}
+
+/// The query a [`WorkloadOp::Top`] runs.
+pub fn top_query(group: &str, descending: bool, limit: usize) -> Query {
+    Query::all()
+        .and(Constraint::eq("group", group))
+        .order_by("score", descending)
+        .limit(limit)
 }
 
 /// Whether an error from [`apply`] means the *storage layer* failed (crash,
@@ -205,29 +250,22 @@ pub fn is_storage_failure(e: &StoreError) -> bool {
 pub fn apply(dal: &Dal, seed: u64, op: &WorkloadOp) -> crate::error::Result<()> {
     let outcome = match op {
         WorkloadOp::PutWithBlob { id } => dal
-            .put_with_blob(
-                TABLE,
-                Record::new().set("id", id.as_str()),
-                Bytes::from(payload_for(seed, id)),
-            )
+            .put_with_blob(TABLE, row_for(id), Bytes::from(payload_for(seed, id)))
             .map(|_| ()),
-        WorkloadOp::PutMeta { id } => dal.put(
-            TABLE,
-            Record::new()
-                .set("id", id.as_str())
-                .set("score", score_for(id)),
-        ),
+        WorkloadOp::PutMeta { id } => dal.put(TABLE, row_for(id).set("score", score_for(id))),
         WorkloadOp::PutMany { ids } => dal
-            .put_many(
-                TABLE,
-                ids.iter()
-                    .map(|id| Record::new().set("id", id.as_str()))
-                    .collect(),
-            )
+            .put_many(TABLE, ids.iter().map(|id| row_for(id)).collect())
             .map(|_| ()),
         WorkloadOp::Deprecate { id } => dal.set_flag(TABLE, id, "deprecated", true),
         WorkloadOp::Get { id } => dal.get(TABLE, id).map(|_| ()),
         WorkloadOp::FetchBlob { id } => dal.fetch_blob_of(TABLE, id).map(|_| ()),
+        WorkloadOp::Top {
+            group,
+            descending,
+            limit,
+        } => dal
+            .query(TABLE, &top_query(group, *descending, *limit))
+            .map(|_| ()),
         WorkloadOp::RepairOrphans => dal.repair_orphans(&[TABLE]).map(|_| ()),
     };
     match outcome {
@@ -268,6 +306,21 @@ mod tests {
             }
         }
         assert!(!seen.is_empty());
+    }
+
+    #[test]
+    fn workloads_include_top_reads_of_every_group_from_both_ends() {
+        let w = Workload::generate(11, 400);
+        let mut seen = std::collections::BTreeSet::new();
+        for op in &w.ops {
+            if let WorkloadOp::Top {
+                group, descending, ..
+            } = op
+            {
+                seen.insert((*group, *descending));
+            }
+        }
+        assert_eq!(seen.len(), 6, "{seen:?}");
     }
 
     #[test]

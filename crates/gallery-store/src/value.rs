@@ -192,6 +192,34 @@ impl Value {
         }
     }
 
+    /// Eight bytes' worth of this value's place in [`Value::total_cmp`]'s
+    /// order among values of one column (one variant, or `Null`):
+    /// `a.total_cmp(b) == Less` implies `a.order_prefix() <= b.order_prefix()`.
+    /// Exact for booleans, integers, timestamps and floats; the first
+    /// eight bytes for strings and byte strings. Equal prefixes decide
+    /// nothing — compare the values.
+    pub fn order_prefix(&self) -> i64 {
+        // Unsigned order, moved onto i64.
+        let leading = |bytes: &[u8]| {
+            let mut head = [0u8; 8];
+            let n = bytes.len().min(8);
+            head[..n].copy_from_slice(&bytes[..n]);
+            (u64::from_be_bytes(head) ^ (1 << 63)) as i64
+        };
+        match self {
+            Value::Null => i64::MIN,
+            Value::Bool(b) => i64::from(*b),
+            Value::Int(i) | Value::Timestamp(i) => *i,
+            // `f64::total_cmp`'s own mapping of bit patterns to integers.
+            Value::Float(x) => {
+                let bits = x.to_bits() as i64;
+                bits ^ (((bits >> 63) as u64) >> 1) as i64
+            }
+            Value::Str(s) => leading(s.as_bytes()),
+            Value::Bytes(b) => leading(b),
+        }
+    }
+
     fn rank(&self) -> u8 {
         match self {
             Value::Null => 0,
@@ -289,6 +317,69 @@ mod tests {
         assert!(Value::Str("a".into()) < Value::Str("b".into()));
         assert!(Value::Float(1.5) < Value::Float(2.5));
         assert!(Value::Timestamp(10) < Value::Timestamp(20));
+    }
+
+    #[test]
+    fn order_prefix_never_contradicts_total_cmp() {
+        let nan = f64::from_bits(0x7ff8_0000_0000_0bad);
+        let columns: Vec<Vec<Value>> = vec![
+            vec![false.into(), true.into()],
+            [i64::MIN, -1, 0, 1, i64::MAX].map(Value::Int).to_vec(),
+            [i64::MIN, 0, 1_700_000_000_000]
+                .map(Value::Timestamp)
+                .to_vec(),
+            [
+                -nan,
+                f64::NEG_INFINITY,
+                -1.5,
+                -0.0,
+                0.0,
+                1e-300,
+                2.5,
+                f64::INFINITY,
+                nan,
+            ]
+            .map(Value::Float)
+            .to_vec(),
+            [
+                "",
+                "a",
+                "a\0",
+                "abcdefgh",
+                "abcdefghi",
+                "abcdefgz",
+                "b",
+                "é",
+            ]
+            .map(Value::from)
+            .to_vec(),
+            vec![
+                Value::Bytes(vec![]),
+                Value::Bytes(vec![0]),
+                Value::Bytes(vec![0xff; 9]),
+            ],
+        ];
+        for mut column in columns {
+            // A nullable column: Null sorts first.
+            column.push(Value::Null);
+            for a in &column {
+                for b in &column {
+                    let (by_value, by_prefix) =
+                        (a.total_cmp(b), a.order_prefix().cmp(&b.order_prefix()));
+                    assert!(
+                        by_prefix == by_value || by_prefix == Ordering::Equal,
+                        "{a:?} vs {b:?}: values {by_value:?}, prefixes {by_prefix:?}"
+                    );
+                }
+            }
+        }
+        // Exact where eight bytes hold the whole value.
+        assert!(Value::Float(-0.0).order_prefix() < Value::Float(0.0).order_prefix());
+        assert!(Value::Int(-1).order_prefix() < Value::Int(0).order_prefix());
+        assert_eq!(
+            Value::from("abcdefgh").order_prefix(),
+            Value::from("abcdefghi").order_prefix()
+        );
     }
 
     #[test]

@@ -158,6 +158,16 @@ pub(crate) fn encode_op(op: &WalOp, out: &mut Vec<u8>) {
                     },
                 ]);
             }
+            // Ordered indexes trail the columns, and only when there are
+            // any: a schema without them is the bytes it always was, and a
+            // log written before they existed decodes as having none.
+            if !schema.ordered.is_empty() {
+                put_uvarint(out, schema.ordered.len() as u64);
+                for def in &schema.ordered {
+                    put_bytes(out, def.by.as_bytes());
+                    put_bytes(out, def.order.as_bytes());
+                }
+            }
         }
         WalOp::Insert { table, record } => {
             out.push(OP_INSERT);
@@ -308,13 +318,27 @@ pub(crate) fn decode_op(payload: &[u8]) -> Decoded<WalOp> {
                     },
                 });
             }
-            WalOp::CreateTable {
-                schema: TableSchema {
-                    name,
-                    primary_key,
-                    columns,
-                },
+            let mut schema = TableSchema {
+                name,
+                primary_key,
+                columns,
+                ordered: Vec::new(),
+            };
+            if !c.0.is_empty() {
+                // A declaration is at least two empty names' length bytes.
+                let (n, _) = c.count(2)?;
+                if n == 0 {
+                    return Err("empty ordered-index section");
+                }
+                // Through the checked builder: a recovered or following
+                // store plans from these, so they must name real columns.
+                for _ in 0..n {
+                    schema = schema
+                        .ordered_by(c.string()?, c.string()?)
+                        .map_err(|_| "ordered index the columns do not allow")?;
+                }
             }
+            WalOp::CreateTable { schema }
         }
         OP_INSERT => {
             let table = c.string()?;
@@ -1452,14 +1476,31 @@ mod tests {
                 (
                     "[a-z]{0,8}",
                     "[a-z]{0,8}",
-                    proptest::collection::vec(arb_column(), 0..8)
+                    proptest::collection::vec(arb_column(), 0..8),
+                    proptest::collection::vec(
+                        (any::<prop::sample::Index>(), any::<prop::sample::Index>()),
+                        0..3,
+                    ),
                 )
-                    .prop_map(|(name, primary_key, columns)| WalOp::CreateTable {
-                        schema: TableSchema {
+                    .prop_map(|(name, primary_key, columns, picks)| {
+                        let mut schema = TableSchema {
                             name,
                             primary_key,
                             columns,
-                        },
+                            ordered: Vec::new(),
+                        };
+                        // Whichever picked column pairs the builder allows.
+                        let names: Vec<String> =
+                            schema.columns.iter().map(|c| c.name.clone()).collect();
+                        for (by, order) in picks.iter().filter(|_| !names.is_empty()) {
+                            let name_of =
+                                |i: &prop::sample::Index| names[i.index(names.len())].clone();
+                            if let Ok(with) = schema.clone().ordered_by(name_of(by), name_of(order))
+                            {
+                                schema = with;
+                            }
+                        }
+                        WalOp::CreateTable { schema }
                     }),
                 (
                     "[a-z]{0,8}",
@@ -1566,6 +1607,64 @@ mod tests {
             }
         }
 
+        /// `t(id, g, s)` with the ordered index `g → s`.
+        fn ordered_create() -> WalOp {
+            let columns = ["id", "g", "s"].map(|c| ColumnDef::new(c, ValueType::Str));
+            let schema = TableSchema::new("t", "id", columns.to_vec()).unwrap();
+            WalOp::CreateTable {
+                schema: schema.ordered_by("g", "s").unwrap(),
+            }
+        }
+
+        /// What the commit before ordered indexes wrote for `t(id, g, s)`.
+        const PARENT_CREATE: [u8; 23] = [
+            1, 1, b't', 2, b'i', b'd', 3, // op, "t", "id", three columns:
+            2, b'i', b'd', 4, 0, 0, // "id" str, not nullable, no index
+            1, b'g', 4, 0, 0, // "g"
+            1, b's', 4, 0, 0, // "s"
+        ];
+
+        #[test]
+        fn a_parent_create_table_decodes_and_the_ordered_section_trails_it() {
+            let WalOp::CreateTable { schema } = decode_op(&PARENT_CREATE).unwrap() else {
+                panic!("not a CreateTable");
+            };
+            assert!(schema.ordered.is_empty());
+            assert_eq!(schema.columns.len(), 3);
+            // Without ordered indexes the encoding is what it always was...
+            assert_eq!(encoded(&WalOp::CreateTable { schema }), PARENT_CREATE);
+            // ...and with them, the same bytes and then the section.
+            let with = encoded(&ordered_create());
+            assert_eq!(with[..23], PARENT_CREATE);
+            assert_eq!(with[23..], [1, 1, b'g', 1, b's']);
+            let WalOp::CreateTable { schema } = decode_op(&with).unwrap() else {
+                panic!("not a CreateTable");
+            };
+            assert_eq!(schema.ordered_on("g"), Some(0));
+            assert_eq!(schema.ordered[0].order, "s");
+
+            // A section is never empty, holds what it announces, and names
+            // a pair of columns the schema allows.
+            let section = |bytes: &[u8]| decode_op(&[&PARENT_CREATE[..], bytes].concat());
+            assert!(section(&[1, 1, b's', 1, b'g']).is_ok());
+            for hostile in [
+                &[0][..],                                 // announced, empty
+                &[2, 1, b'g', 1, b's'],                   // one short
+                &[1, 1, b'g'],                            // half a pair
+                &[1, 1, b'g', 1, b's', 0],                // a byte over
+                &[1, 1, b'g', 1, b'x'],                   // no such column
+                &[1, 1, b'g', 1, b'g'],                   // ordered by itself
+                &[2, 1, b'g', 1, b's', 1, b'g', 1, b'i'], // `g` grouped twice
+            ] {
+                assert!(section(hostile).is_err(), "{hostile:?}");
+            }
+            // A grouping column that already carries a hash index.
+            let mut indexed = PARENT_CREATE.to_vec();
+            indexed[17] = INDEX_HASH;
+            indexed.extend_from_slice(&[1, 1, b'g', 1, b's']);
+            assert!(decode_op(&indexed).is_err());
+        }
+
         #[test]
         fn inflated_counts_and_lengths_fail_without_allocating_for_them() {
             // uvarint(2^62): eight continuation bytes, then 0x40.
@@ -1575,14 +1674,18 @@ mod tests {
                 record: Arc::new(Record::new().set("id", "x").set("n", 1i64)),
             };
             let create = sample_ops().remove(0);
+            let ordered = ordered_create();
             // (op, offset of a one-byte count or length in its payload)
             for (op, at) in [
-                (&insert, 1), // table name length
-                (&insert, 3), // field count
-                (&insert, 4), // first field's name length
-                (&insert, 8), // string value's length
-                (&create, 1), // table name length
-                (&create, 6), // column count
+                (&insert, 1),   // table name length
+                (&insert, 3),   // field count
+                (&insert, 4),   // first field's name length
+                (&insert, 8),   // string value's length
+                (&create, 1),   // table name length
+                (&create, 6),   // column count
+                (&ordered, 23), // ordered-index count
+                (&ordered, 24), // grouping column's name length
+                (&ordered, 26), // order column's name length
             ] {
                 let payload = encoded(op);
                 assert!(decode_op(&payload).is_ok());

@@ -6,12 +6,18 @@
 //! a pending index delta are byte-identical (JSON-serialized) to the same
 //! query's results after a forced flush — and to an eager store
 //! (`index_batch = 1`) that indexed every row at insert time.
+//!
+//! The ordered index `group → score` is never deferred, but it answers
+//! through a plan of its own (`IndexTop`), so its top-k reads go through
+//! the same three stores and, besides, against a reference computed from a
+//! full scan: filter, sort by `(score, commit order)`, cut.
 
 use gallery_store::meta::StoreConfig;
 use gallery_store::{
     ColumnDef, Constraint, MetadataStore, Op, Query, Record, TableSchema, ValueType,
 };
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn schema() -> TableSchema {
     TableSchema::new(
@@ -19,12 +25,24 @@ fn schema() -> TableSchema {
         "id",
         vec![
             ColumnDef::new("id", ValueType::Str),
-            ColumnDef::new("group", ValueType::Str).hash_indexed(),
+            // Grouped by the ordered index; `tag` carries the same value
+            // under a (deferred) hash index.
+            ColumnDef::new("group", ValueType::Str),
+            ColumnDef::new("tag", ValueType::Str).hash_indexed(),
             ColumnDef::new("score", ValueType::Int).btree_indexed(),
             ColumnDef::new("deprecated", ValueType::Bool).nullable(),
         ],
     )
+    .and_then(|s| s.ordered_by("group", "score"))
     .unwrap()
+}
+
+fn record(n: usize, group: u8, score: i64) -> Record {
+    Record::new()
+        .set("id", format!("r{n:04}"))
+        .set("group", format!("g{group}"))
+        .set("tag", format!("g{group}"))
+        .set("score", score)
 }
 
 /// One step of a generated history.
@@ -38,11 +56,17 @@ enum Step {
     Deprecate { pick: usize },
 }
 
+/// Scores spread over a range, or crowded onto three values so that most
+/// of a group ties.
+fn score_strategy() -> impl Strategy<Value = i64> {
+    prop_oneof![-50i64..50, 0i64..3]
+}
+
 fn step_strategy() -> impl Strategy<Value = Step> {
     prop_oneof![
-        (0u8..5, -50i64..50).prop_map(|(group, score)| Step::Insert { group, score }),
-        (0u8..5, -50i64..50).prop_map(|(group, score)| Step::Insert { group, score }),
-        proptest::collection::vec((0u8..5, -50i64..50), 2..6)
+        (0u8..5, score_strategy()).prop_map(|(group, score)| Step::Insert { group, score }),
+        (0u8..5, score_strategy()).prop_map(|(group, score)| Step::Insert { group, score }),
+        proptest::collection::vec((0u8..5, score_strategy()), 2..6)
             .prop_map(|rows| Step::InsertMany { rows }),
         (0usize..1000).prop_map(|pick| Step::Deprecate { pick }),
     ]
@@ -53,27 +77,14 @@ fn apply(store: &MetadataStore, steps: &[Step]) {
     for step in steps {
         match step {
             Step::Insert { group, score } => {
-                store
-                    .insert(
-                        "t",
-                        Record::new()
-                            .set("id", format!("r{count:04}"))
-                            .set("group", format!("g{group}"))
-                            .set("score", *score),
-                    )
-                    .unwrap();
+                store.insert("t", record(count, *group, *score)).unwrap();
                 count += 1;
             }
             Step::InsertMany { rows } => {
                 let records: Vec<Record> = rows
                     .iter()
                     .enumerate()
-                    .map(|(i, (group, score))| {
-                        Record::new()
-                            .set("id", format!("r{:04}", count + i))
-                            .set("group", format!("g{group}"))
-                            .set("score", *score)
-                    })
+                    .map(|(i, (group, score))| record(count + i, *group, *score))
                     .collect();
                 count += records.len();
                 store.insert_many("t", records).unwrap();
@@ -89,18 +100,87 @@ fn apply(store: &MetadataStore, steps: &[Step]) {
     }
 }
 
+/// One "top k of a group" read.
+#[derive(Debug, Clone, Copy)]
+struct Top {
+    group: u8,
+    descending: bool,
+    limit: usize,
+    with_deprecated: bool,
+}
+
+impl Top {
+    fn query(self) -> Query {
+        let q = Query::all()
+            .and(Constraint::eq("group", format!("g{}", self.group)))
+            .order_by("score", self.descending)
+            .limit(self.limit);
+        if self.with_deprecated {
+            q.with_deprecated()
+        } else {
+            q
+        }
+    }
+
+    /// What the read must return, from every row in commit order.
+    fn reference(self, all: &[Arc<Record>]) -> Vec<Arc<Record>> {
+        let group = format!("g{}", self.group);
+        let mut rows: Vec<(i64, usize, &Arc<Record>)> = all
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| r.get("group").and_then(|v| v.as_str()) == Some(&group))
+            .filter(|(_, r)| {
+                self.with_deprecated || r.get("deprecated").and_then(|v| v.as_bool()) != Some(true)
+            })
+            .map(|(seq, r)| (r.get("score").and_then(|v| v.as_int()).unwrap(), seq, r))
+            .collect();
+        rows.sort_by_key(|(score, seq, _)| (*score, *seq));
+        if self.descending {
+            rows.reverse();
+        }
+        rows.truncate(self.limit);
+        rows.into_iter().map(|(_, _, r)| Arc::clone(r)).collect()
+    }
+}
+
+/// Every group (and `g9`, which has no rows) from both ends, for limits
+/// below, at and far above a group's size, with and without the rows that
+/// deprecation hides — those sit anywhere, on top included, and have to be
+/// walked past.
+fn tops() -> Vec<Top> {
+    let mut tops = Vec::new();
+    for group in [0, 1, 2, 3, 4, 9] {
+        for descending in [true, false] {
+            for limit in [0, 1, 3, 100] {
+                for with_deprecated in [false, true] {
+                    tops.push(Top {
+                        group,
+                        descending,
+                        limit,
+                        with_deprecated,
+                    });
+                }
+            }
+        }
+    }
+    tops
+}
+
 /// The query suite exercised against every store state: hash-index
-/// equality, btree ranges, combinations, ordering, limits, and the
-/// deprecated filter (whose flag writes race the pending delta).
+/// equality, ordered-index equality and top-k, btree ranges, combinations,
+/// ordering, limits, and the deprecated filter (whose flag writes race
+/// the pending delta).
 fn queries() -> Vec<Query> {
-    let mut qs = Vec::new();
+    let mut qs: Vec<Query> = tops().into_iter().map(Top::query).collect();
     for g in 0..5u8 {
-        qs.push(Query::all().and(Constraint::eq("group", format!("g{g}"))));
-        qs.push(
-            Query::all()
-                .and(Constraint::eq("group", format!("g{g}")))
-                .with_deprecated(),
-        );
+        for column in ["tag", "group"] {
+            qs.push(Query::all().and(Constraint::eq(column, format!("g{g}"))));
+            qs.push(
+                Query::all()
+                    .and(Constraint::eq(column, format!("g{g}")))
+                    .with_deprecated(),
+            );
+        }
     }
     for threshold in [-25i64, 0, 25] {
         qs.push(Query::all().and(Constraint::new("score", Op::Ge, threshold)));
@@ -112,9 +192,17 @@ fn queries() -> Vec<Query> {
     }
     qs.push(
         Query::all()
-            .and(Constraint::eq("group", "g2"))
+            .and(Constraint::eq("tag", "g2"))
             .and(Constraint::new("score", Op::Ge, 0i64))
             .with_deprecated(),
+    );
+    // Top-k with a residual constraint to evaluate on the way.
+    qs.push(
+        Query::all()
+            .and(Constraint::eq("group", "g2"))
+            .and(Constraint::new("score", Op::Lt, 1i64))
+            .order_by("score", true)
+            .limit(2),
     );
     qs.push(
         Query::all()
@@ -181,6 +269,19 @@ proptest! {
         let flushed = observe(&deferred);
         prop_assert_eq!(&pending, &flushed,
             "flushing the index delta changed query results (applied {} rows)", applied);
+
+        // The top-k reads against the full-scan reference, on each store.
+        let all = eager.query("t", &Query::all().with_deprecated()).unwrap();
+        for top in tops() {
+            let expected = top.reference(&all);
+            for (name, store) in [("flushed", &deferred), ("eager", &eager)] {
+                let (rows, explain) = store.query_explain_full("t", &top.query()).unwrap();
+                prop_assert_eq!(explain.shape(), "index_top");
+                prop_assert_eq!(&rows, &expected, "{:?} on the {} store", top, name);
+                prop_assert_eq!(explain.tail_merge_rows, 0);
+                prop_assert!(explain.rows_scanned >= rows.len());
+            }
+        }
     }
 
     /// Auto-flush thresholds mid-history are equally invisible: a tiny

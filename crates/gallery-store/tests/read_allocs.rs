@@ -4,8 +4,8 @@
 //! Readers are handed the `Arc<Record>` a stripe already holds, so what a
 //! read allocates must not grow with rows × columns. A counting global
 //! allocator (this test is its own binary) counts the calling thread's
-//! allocations around a point read and two index queries on a flushed,
-//! instances-shaped table of 1,600 rows.
+//! allocations around a point read, two index queries and a "latest of
+//! this model" lookup on a flushed, instances-shaped table of 1,600 rows.
 //!
 //! The lock-rank checker keeps books in debug builds, so the counts are
 //! asserted only in release builds (`cargo test --release`); a debug build
@@ -61,7 +61,8 @@ fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
 
 const TABLE: &str = "instances";
 
-/// The 14 columns of `gallery-core`'s `instances` table.
+/// The 14 columns of `gallery-core`'s `instances` table, and its ordered
+/// index.
 fn schema() -> TableSchema {
     let str_col = |name: &str| ColumnDef::new(name, ValueType::Str);
     TableSchema::new(
@@ -69,7 +70,7 @@ fn schema() -> TableSchema {
         "id",
         vec![
             str_col("id"),
-            str_col("model_id").hash_indexed(),
+            str_col("model_id"),
             str_col("base_version_id").hash_indexed(),
             str_col("display_version"),
             str_col("blob_location").nullable(),
@@ -84,6 +85,7 @@ fn schema() -> TableSchema {
             ColumnDef::new("deprecated", ValueType::Bool).nullable(),
         ],
     )
+    .and_then(|s| s.ordered_by("model_id", "created"))
     .unwrap()
 }
 
@@ -116,18 +118,20 @@ fn reads_do_not_allocate_per_row_and_column() {
         .unwrap();
     store.flush_index_deltas();
 
-    let query = |column: &str, value: &str| {
-        let q = Query::all().and(Constraint::eq(column, value));
+    let measured = |q: &Query, path: AccessPath| {
         // Once unmeasured: the slow-query ring grows to its working size.
-        store.query_explain_full(TABLE, &q).unwrap();
+        store.query_explain_full(TABLE, q).unwrap();
         let ((rows, explain), allocations) =
-            allocations_in(|| store.query_explain_full(TABLE, &q).unwrap());
+            allocations_in(|| store.query_explain_full(TABLE, q).unwrap());
+        assert_eq!(explain.path, path);
+        assert_eq!(explain.rows_scanned, rows.len(), "flushed: no tail merged");
+        (rows.len(), allocations)
+    };
+    let query = |column: &str, value: &str| {
         let by_index = AccessPath::IndexEq {
             column: column.into(),
         };
-        assert_eq!(explain.path, by_index);
-        assert_eq!(explain.rows_scanned, rows.len(), "flushed: no tail merged");
-        (rows.len(), allocations)
+        measured(&Query::all().and(Constraint::eq(column, value)), by_index)
     };
 
     let (got, get_allocations) = allocations_in(|| store.get(TABLE, "inst-00777").unwrap());
@@ -135,22 +139,40 @@ fn reads_do_not_allocate_per_row_and_column() {
     let (rows_40, allocations_40) = query("model_id", "model-17");
     let (rows_400, allocations_400) = query("project", "project-1");
     assert_eq!((rows_40, rows_400), (40, 400));
+    let latest = Query::all()
+        .and(Constraint::eq("model_id", "model-17"))
+        .order_by("created", true)
+        .limit(1);
+    let top = AccessPath::IndexTop {
+        column: "model_id".into(),
+        order: "created".into(),
+    };
+    let (rows_latest, allocations_latest) = measured(&latest, top);
+    assert_eq!(rows_latest, 1);
 
     println!(
-        "allocations: get {get_allocations}, 40-row query {allocations_40}, \
-         400-row query {allocations_400}"
+        "allocations: get {get_allocations}, latest {allocations_latest}, \
+         40-row query {allocations_40}, 400-row query {allocations_400}"
     );
     if cfg!(debug_assertions) {
         return;
     }
     assert_eq!(get_allocations, 0, "a point read shares the stored row");
-    // A deep copy of 40 rows × 14 columns makes over 1,000.
+    // A deep copy of 40 rows × 14 columns makes over 1,000, and a copy
+    // of each stripe's index bucket 16 more: what is left is the guards,
+    // the candidates, the matches, the result and the `Explain` (here and
+    // in the slow-query ring), whatever the row count.
     assert!(
-        allocations_40 < 150,
+        allocations_40 <= 8,
         "40-row query: {allocations_40} allocations"
     );
     assert!(
-        allocations_400 < 2 * allocations_40,
+        allocations_400 <= allocations_40,
         "400 rows: {allocations_400} allocations against {allocations_40} for 40"
+    );
+    // The same, with one cursor per stripe in place of the candidates.
+    assert!(
+        allocations_latest <= 10,
+        "latest: {allocations_latest} allocations"
     );
 }

@@ -7,7 +7,11 @@
 //! commit, and full queries raced against the writers. Afterwards the
 //! store is checked against a deterministic reference state: no lost
 //! rows, no duplicate ids, exact query results, and — for the durable
-//! arm — identical state after a WAL-replay restart.
+//! arm — identical state after a WAL-replay restart. The ordered index
+//! `key → rank` rides along: every insert maintains it under its stripe
+//! lock, `verify` reads each owner's latest row through it, and under the
+//! schedule shaker a reader watches one key's latest row while a writer
+//! moves it.
 //!
 //! The default tests are CI-sized smoke runs; `soak_full` is the long
 //! variant (`cargo test -- --ignored`).
@@ -32,17 +36,37 @@ fn schema() -> TableSchema {
         vec![
             ColumnDef::new("id", ValueType::Str),
             ColumnDef::new("owner", ValueType::Str).hash_indexed(),
+            // The owner again, grouped by the ordered index.
+            ColumnDef::new("key", ValueType::Str),
             ColumnDef::new("rank", ValueType::Int).btree_indexed(),
             ColumnDef::new("deprecated", ValueType::Bool).nullable(),
         ],
     )
+    .and_then(|s| s.ordered_by("key", "rank"))
     .unwrap()
+}
+
+/// Rank of the newest row of `owner` read off the ordered index, if the
+/// owner has a (live, unless `with_deprecated`) row.
+fn latest_rank(store: &MetadataStore, owner: usize, with_deprecated: bool) -> Option<i64> {
+    let mut q = Query::all()
+        .and(Constraint::eq("key", format!("owner-{owner}")))
+        .order_by("rank", true)
+        .limit(1);
+    if with_deprecated {
+        q = q.with_deprecated();
+    }
+    let (rows, explain) = store.query_explain_full(TABLE, &q).unwrap();
+    assert_eq!(explain.shape(), "index_top");
+    rows.first()
+        .map(|r| r.get("rank").and_then(|v| v.as_int()).unwrap())
 }
 
 fn record(owner: usize, n: usize) -> Record {
     Record::new()
         .set("id", format!("t{owner}-{n:05}"))
         .set("owner", format!("owner-{owner}"))
+        .set("key", format!("owner-{owner}"))
         .set("rank", n as i64)
 }
 
@@ -153,6 +177,12 @@ fn verify(store: &MetadataStore, expected: &[Expected], seed: u64) {
                 "seed {seed:#x}: t{owner}-{n:05} flag state wrong"
             );
         }
+        // The newest row, off the end of the ordered index.
+        assert_eq!(
+            latest_rank(store, owner, true),
+            exp.inserted.checked_sub(1).map(|n| n as i64),
+            "seed {seed:#x} owner {owner} latest"
+        );
         // Range query through the btree index agrees with the count.
         let half = (exp.inserted / 2) as i64;
         let ranged = store
@@ -218,6 +248,60 @@ fn soak_durable(threads: usize, ops: usize, seed: u64) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// One key's latest row, watched by a reader while a writer moves it: the
+/// writer appends ranks 0, 1, 2, ... and deprecates each row once two newer
+/// ones exist, so both the live latest and the latest counting deprecated
+/// rows only ever grow. The rendezvous in the middle makes the overlap
+/// certain: the writer does not pass it until the reader has looked.
+fn latest_never_moves_backwards(rows: usize) {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let store = MetadataStore::in_memory();
+    store.create_table(schema()).unwrap();
+    let (looked_tx, looked_rx) = std::sync::mpsc::sync_channel::<()>(0);
+    let done = AtomicBool::new(false);
+    let (store, done) = (&store, &done);
+    thread::scope(|s| {
+        s.spawn(move || {
+            for n in 0..rows {
+                store.insert(TABLE, record(0, n)).unwrap();
+                if n >= 2 {
+                    let old = format!("t0-{:05}", n - 2);
+                    store.set_flag(TABLE, &old, "deprecated", true).unwrap();
+                }
+                if n == rows / 2 {
+                    looked_rx.recv().unwrap();
+                }
+            }
+            done.store(true, Ordering::SeqCst);
+        });
+        s.spawn(move || {
+            let mut looked = Some(looked_tx);
+            let mut last = (None, None);
+            loop {
+                let finished = done.load(Ordering::SeqCst);
+                let now = (latest_rank(store, 0, false), latest_rank(store, 0, true));
+                assert!(
+                    now.0 >= last.0 && now.1 >= last.1,
+                    "latest moved backwards: {last:?} then {now:?}"
+                );
+                // Read second, and never behind the live one.
+                assert!(now.1 >= now.0, "{now:?}");
+                last = now;
+                if now.0.is_some() {
+                    if let Some(tx) = looked.take() {
+                        tx.send(()).unwrap();
+                    }
+                }
+                if finished {
+                    let newest = Some(rows as i64 - 1);
+                    assert_eq!(now, (newest, newest));
+                    break;
+                }
+            }
+        });
+    });
+}
+
 #[test]
 fn soak_smoke_in_memory() {
     soak_in_memory(8, 120, 0x50AC, StoreConfig::default());
@@ -253,6 +337,7 @@ fn soak_rank_checked_is_diagnostic_free() {
     let shaker = ScheduleShaker::install(0x10C4);
     soak_in_memory(4, 80, 0x50AC, StoreConfig::default());
     soak_durable(4, 40, 0xD0C5);
+    latest_never_moves_backwards(200);
     let report = gallery_sync::checker::report();
     assert!(
         report.is_clean(),

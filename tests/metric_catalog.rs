@@ -113,3 +113,40 @@ fn every_metric_family_is_documented_and_every_documented_family_exists() {
         "families documented in docs/metrics.md but absent from the source tree: {stale:?}"
     );
 }
+
+/// The `shape` label is a closed set, minted up front: the values a store
+/// exposes before its first query are exactly the ones docs/metrics.md
+/// lists for `gallery_store_query_total`.
+#[test]
+fn documented_query_shapes_are_the_minted_ones() {
+    use gallery::store::MetadataStore;
+    use gallery::telemetry::Telemetry;
+
+    let telemetry = Telemetry::new();
+    let _store = MetadataStore::in_memory().with_telemetry(std::sync::Arc::clone(&telemetry));
+    let series = format!("{}store_query_total{{shape=\"", "gallery_");
+    let minted: BTreeSet<String> = telemetry
+        .render_text()
+        .lines()
+        .filter_map(|line| line.strip_prefix(series.as_str()))
+        .filter_map(|rest| rest.split('"').next().map(str::to_owned))
+        .collect();
+
+    let docs = fs::read_to_string(repo_root().join("docs/metrics.md")).unwrap();
+    let row = docs
+        .lines()
+        .find(|l| l.starts_with("| `gallery_store_query_total`"))
+        .expect("docs/metrics.md documents the per-shape query counter");
+    // Every second piece is inside backticks: the family, `shape`, its
+    // values, then whatever the description quotes.
+    let documented: BTreeSet<String> = row
+        .split('`')
+        .skip(1)
+        .step_by(2)
+        .skip(2)
+        .take_while(|v| v.chars().all(|c| c.is_ascii_lowercase() || c == '_'))
+        .map(str::to_owned)
+        .collect();
+    assert_eq!(documented, minted);
+    assert!(minted.contains("index_top"), "{minted:?}");
+}
