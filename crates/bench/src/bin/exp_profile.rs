@@ -18,7 +18,10 @@
 //!    `tail_merge_rows`, never in wrong answers. The `index_top` row
 //!    ("the ten newest instances of one model class") must also scan
 //!    exactly what it returns: the fleet has no deprecated rows to walk
-//!    past, and an ordered index has no tail.
+//!    past, and an ordered index has no tail. A `semi_join` row ("which
+//!    model classes have an instance with mape ≥ 0.995") must keep the
+//!    same keys on both stores, scan no more rows than the index groups
+//!    it probed hold, and leave one slow-log entry, not one per key.
 //! 3. **Introspection is cheap enough to leave on.** The full
 //!    insert + query workload (which records per-shape metrics, stripe
 //!    wait histograms, and slow-query captures when enabled) is timed
@@ -160,7 +163,9 @@ fn ids(rows: &[Arc<Record>]) -> Vec<String> {
 /// oracle whose indexes are always current — and both stores must return
 /// the same rows.
 fn run_explain_oracle(rows: usize) -> Vec<(String, Explain, usize)> {
-    let tuned = seeded_store(StoreConfig::default(), rows, None);
+    // Its own bundle, so that the slow-query ring is on whatever the
+    // process-wide one is.
+    let tuned = seeded_store(StoreConfig::default(), rows, Some(Telemetry::new()));
     let eager = seeded_store(
         StoreConfig {
             lock_stripes: 1,
@@ -221,10 +226,56 @@ fn run_explain_oracle(rows: usize) -> Vec<(String, Explain, usize)> {
         ]);
         out.push((name.to_string(), explain, tuned_rows.len()));
     }
+    // The sixth shape is not planned from a `Query`: a semi-join over the
+    // ordered index, every class and one that has no instance.
+    let classes = MODEL_CLASSES.iter().chain(&["prophet"]);
+    let keys: Vec<Value> = classes.map(|&c| Value::from(c)).collect();
+    let keys: Vec<&Value> = keys.iter().collect();
+    let worst = Query::all().and(Constraint::ge("mape", 0.995));
+    let logged = tuned.slow_log().total();
+    let join = |store: &MetadataStore| {
+        let joined = store.semi_join("instances", "model_name", &keys, &worst);
+        joined.expect("semi-join")
+    };
+    let ((flags, explain), (eager_flags, _)) = (join(&tuned), join(&eager));
+    let logged = tuned.slow_log().total() - logged;
+    let kept = flags.iter().filter(|f| **f).count();
+    let gates = [
+        (
+            flags == eager_flags,
+            "keeps other keys than on the eager oracle",
+        ),
+        (explain.matched_rows == kept, "EXPLAIN matched != keys kept"),
+        (
+            explain.shape() == "semi_join",
+            "is not reported as semi_join",
+        ),
+        (logged == 1, "must leave exactly one slow-log entry"),
+        (
+            explain.rows_scanned <= explain.estimated_rows,
+            "scanned more rows than the groups it probed hold",
+        ),
+    ];
+    for (holds, failure) in gates {
+        if !holds {
+            eprintln!("GATE FAILED: `semi_join` {failure} ({logged} logged; {explain})");
+            std::process::exit(1);
+        }
+    }
+    table.add_row(vec![
+        "semi_join".to_string(),
+        explain.shape().to_string(),
+        kept.to_string(),
+        explain.matched_rows.to_string(),
+        explain.estimated_rows.to_string(),
+        explain.rows_scanned.to_string(),
+        explain.tail_merge_rows.to_string(),
+    ]);
+    out.push(("semi_join".to_string(), explain, kept));
     println!("{}", table.render());
     println!(
-        "✓ all 5 shapes: identical rows on tuned vs eager, EXPLAIN matched == returned, \
-         index_top scanned == returned\n"
+        "✓ all 6 shapes: identical answers on tuned vs eager, EXPLAIN matched == returned, \
+         index_top scanned == returned, semi_join one log entry and scanned <= probed\n"
     );
     out
 }

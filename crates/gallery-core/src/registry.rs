@@ -626,6 +626,12 @@ impl Gallery {
     /// table. Instance-side fields use the instances schema names
     /// (`project`, `model_name`, `city`, ...); metric-side constraints use
     /// the reserved fields `metricName`, `metricValue`, `metricScope`.
+    ///
+    /// With metric-side constraints an instance is kept when **any one** of
+    /// its metric observations — not only the newest of a name — satisfies
+    /// all of them at once: several `metricValue` constraints are a range
+    /// that one row has to fall in. `metricName` and `metricScope` may be
+    /// given once each. Results come in the instances' insertion order.
     pub fn model_query(&self, constraints: &[Constraint]) -> Result<Vec<ModelInstance>> {
         self.metrics.model_query.inc();
         let started = Instant::now();
@@ -644,75 +650,61 @@ impl Gallery {
     }
 
     fn model_query_inner(&self, constraints: &[Constraint]) -> Result<Vec<ModelInstance>> {
-        let mut instance_constraints = Vec::new();
-        let mut metric_name: Option<String> = None;
-        let mut metric_scope: Option<String> = None;
-        let mut metric_value_constraints: Vec<Constraint> = Vec::new();
+        let mut instance_side = Vec::new();
+        let mut metric_side = Vec::new();
+        // `metricName` / `metricScope`: equality on a string column of the
+        // metrics table. Given twice, neither value is the one meant.
+        let metric_eq = |column: &str, c: &Constraint, so_far: &[Constraint]| {
+            let field = &c.field;
+            let value = c.value.as_str();
+            let value =
+                value.ok_or_else(|| GalleryError::Invalid(format!("{field} must be a string")))?;
+            if so_far.iter().any(|m| m.field == column) {
+                let twice = format!("{field} given more than once");
+                return Err(GalleryError::Invalid(twice));
+            }
+            Ok(Constraint::eq(column, value))
+        };
+        let renamed = |field: &str, c: &Constraint| Constraint {
+            field: field.into(),
+            op: c.op,
+            value: c.value.clone(),
+        };
         for c in constraints {
             match c.field.as_str() {
-                "metricName" => {
-                    metric_name = Some(
-                        c.value
-                            .as_str()
-                            .ok_or_else(|| {
-                                GalleryError::Invalid("metricName must be a string".into())
-                            })?
-                            .to_owned(),
-                    )
-                }
-                "metricScope" => {
-                    metric_scope = Some(
-                        c.value
-                            .as_str()
-                            .ok_or_else(|| {
-                                GalleryError::Invalid("metricScope must be a string".into())
-                            })?
-                            .to_owned(),
-                    )
-                }
-                "metricValue" => metric_value_constraints.push(Constraint {
-                    field: "value".into(),
-                    op: c.op,
-                    value: c.value.clone(),
-                }),
+                "metricName" => metric_side.push(metric_eq("name", c, &metric_side)?),
+                "metricScope" => metric_side.push(metric_eq("scope", c, &metric_side)?),
+                "metricValue" => metric_side.push(renamed("value", c)),
                 // Accept the paper's camelCase aliases.
-                "projectName" => instance_constraints.push(Constraint {
-                    field: "project".into(),
-                    op: c.op,
-                    value: c.value.clone(),
-                }),
-                "modelName" => instance_constraints.push(Constraint {
-                    field: "model_name".into(),
-                    op: c.op,
-                    value: c.value.clone(),
-                }),
-                _ => instance_constraints.push(c.clone()),
+                "projectName" => instance_side.push(renamed("project", c)),
+                "modelName" => instance_side.push(renamed("model_name", c)),
+                _ => instance_side.push(c.clone()),
             }
         }
-        let instances = self.find_instances(&Query::new(instance_constraints))?;
-        if metric_name.is_none() && metric_value_constraints.is_empty() && metric_scope.is_none() {
-            return Ok(instances);
+        let rows = self
+            .dal
+            .query(tables::INSTANCES, &Query::new(instance_side))?;
+        if metric_side.is_empty() {
+            return rows.iter().map(|r| instance_from_record(r)).collect();
+        }
+        if rows.is_empty() {
+            return Ok(Vec::new());
         }
         // Join: keep instances with at least one metric row matching all
-        // metric-side constraints (latest observation per name wins).
-        let mut out = Vec::new();
-        for inst in instances {
-            let mut q = Query::all().and(Constraint::eq("instance_id", inst.id.as_str()));
-            if let Some(name) = &metric_name {
-                q = q.and(Constraint::eq("name", name.clone()));
-            }
-            if let Some(scope) = &metric_scope {
-                q = q.and(Constraint::eq("scope", scope.clone()));
-            }
-            for c in &metric_value_constraints {
-                q = q.and(c.clone());
-            }
-            let matches = self.dal.query(tables::METRICS, &q.limit(1))?;
-            if !matches.is_empty() {
-                out.push(inst);
-            }
-        }
-        Ok(out)
+        // metric-side constraints — any observation, not the latest of its
+        // name. One store call answers for all candidates.
+        let ids: Vec<&Value> = rows
+            .iter()
+            .map(|r| r.get("id").unwrap_or(&Value::Null))
+            .collect();
+        let keep = self.dal.semi_join(
+            tables::METRICS,
+            "instance_id",
+            &ids,
+            &Query::new(metric_side),
+        )?;
+        let kept = rows.iter().zip(keep).filter(|(_, keep)| *keep);
+        kept.map(|(r, _)| instance_from_record(r)).collect()
     }
 
     // ------------------------------------------------------------------
@@ -1139,6 +1131,129 @@ mod tests {
             .unwrap();
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].id, good.id);
+    }
+
+    /// Upload an instance of `model` and record `(name, scope, value)`
+    /// observations for it, oldest first.
+    fn observed(
+        g: &Gallery,
+        model: &ModelId,
+        observations: &[(&str, MetricScope, f64)],
+    ) -> InstanceId {
+        let inst = g
+            .upload_instance(model, InstanceSpec::new(), Bytes::from_static(b"w"))
+            .unwrap();
+        for &(name, scope, value) in observations {
+            g.insert_metric(&inst.id, MetricSpec::new(name, scope, value))
+                .unwrap();
+        }
+        inst.id
+    }
+
+    fn found(g: &Gallery, constraints: &[Constraint]) -> Vec<InstanceId> {
+        let instances = g.model_query(constraints).unwrap();
+        instances.into_iter().map(|i| i.id).collect()
+    }
+
+    #[test]
+    fn model_query_keeps_an_instance_for_any_matching_observation() {
+        use MetricScope::{Production, Validation};
+        let g = gallery();
+        let m = g.create_model(spec("demand")).unwrap().id;
+        // Newest bias above the threshold, an older one below it.
+        let regressed = observed(
+            &g,
+            &m,
+            &[("bias", Validation, 0.1), ("bias", Validation, 0.9)],
+        );
+        let other_metric = observed(
+            &g,
+            &m,
+            &[("mape", Production, 0.2), ("bias", Validation, 0.9)],
+        );
+        let middling = observed(&g, &m, &[("bias", Production, 0.3)]);
+        let unmeasured = observed(&g, &m, &[]);
+        let low_bias = [
+            Constraint::eq("metricName", "bias"),
+            Constraint::lt("metricValue", 0.25),
+        ];
+        assert_eq!(found(&g, &low_bias), std::slice::from_ref(&regressed));
+        // Metric-side fields filter without a `metricName` too.
+        assert_eq!(
+            found(&g, &[Constraint::lt("metricValue", 0.25)]),
+            [regressed.clone(), other_metric.clone()]
+        );
+        assert_eq!(
+            found(&g, &[Constraint::eq("metricScope", "production")]),
+            [other_metric.clone(), middling.clone()]
+        );
+        // A range holds on one row: 0.1 and 0.9 do not add up to 0.3.
+        let band = [
+            Constraint::gt("metricValue", 0.25),
+            Constraint::lt("metricValue", 0.5),
+        ];
+        assert_eq!(found(&g, &band), std::slice::from_ref(&middling));
+        // Without metric-side fields nothing is joined, nothing dropped.
+        let all = found(&g, &[Constraint::eq("projectName", "example-project")]);
+        assert_eq!(all, [regressed, other_metric, middling, unmeasured]);
+    }
+
+    #[test]
+    fn model_query_joins_in_one_store_call_and_none_without_candidates() {
+        let g = gallery();
+        let m = g.create_model(spec("demand")).unwrap().id;
+        for _ in 0..3 {
+            observed(&g, &m, &[("bias", MetricScope::Validation, 0.1)]);
+        }
+        let reads = || {
+            let stats = g.dal().metadata().table_stats(tables::METRICS).unwrap();
+            stats.index_queries + stats.full_scans + stats.pk_lookups
+        };
+        let low_bias = |project: &str| {
+            [
+                Constraint::eq("projectName", project),
+                Constraint::lt("metricValue", 0.25),
+            ]
+        };
+        let before = reads();
+        assert_eq!(found(&g, &low_bias("example-project")).len(), 3);
+        assert_eq!(reads(), before + 1);
+        assert!(found(&g, &low_bias("another-project")).is_empty());
+        assert_eq!(reads(), before + 1);
+    }
+
+    #[test]
+    fn model_query_rejects_a_metric_field_given_twice() {
+        let g = gallery();
+        for field in ["metricName", "metricScope"] {
+            let twice = [Constraint::eq(field, "a"), Constraint::eq(field, "b")];
+            match g.model_query(&twice) {
+                Err(GalleryError::Invalid(msg)) => assert!(msg.contains(field), "{msg}"),
+                other => panic!("{field} twice: {other:?}"),
+            }
+            let number = [Constraint::eq(field, 1i64)];
+            assert!(matches!(
+                g.model_query(&number),
+                Err(GalleryError::Invalid(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn model_query_fails_whole_when_the_join_read_fails() {
+        use gallery_store::fault::{sites, FaultPlan};
+        let faults = FaultPlan::none();
+        let meta = MetadataStore::in_memory().with_faults(faults.clone());
+        let dal = Dal::new(Arc::new(meta), Arc::new(MemoryBlobStore::new()));
+        let g = Gallery::open(Arc::new(dal), Arc::new(ManualClock::new(1_000))).unwrap();
+        let m = g.create_model(spec("demand")).unwrap().id;
+        observed(&g, &m, &[("bias", MetricScope::Validation, 0.1)]);
+        let low_bias = [Constraint::lt("metricValue", 0.25)];
+        assert_eq!(found(&g, &low_bias).len(), 1);
+        // The instance query (call 0) passes, the join's one read does not.
+        faults.fail_nth_call(sites::META_QUERY, 1);
+        assert!(g.model_query(&low_bias).is_err());
+        assert_eq!(found(&g, &low_bias).len(), 1);
     }
 
     #[test]

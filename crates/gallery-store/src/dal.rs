@@ -14,6 +14,7 @@ use crate::meta::MetadataStore;
 use crate::query::{Explain, Query};
 use crate::record::Record;
 use crate::schema::TableSchema;
+use crate::value::Value;
 use bytes::Bytes;
 use gallery_telemetry::{kinds, Counter, Gauge, Histogram, Telemetry};
 use std::collections::HashSet;
@@ -354,6 +355,23 @@ impl Dal {
         let result = self.meta.query_explain_full(table, query);
         self.metrics.query_ms.observe_since(start);
         result
+    }
+
+    /// [`MetadataStore::semi_join`], counted and timed as the one query it
+    /// is: which of `keys` have a row with `column == key` that `residual`
+    /// accepts, one flag per key.
+    pub fn semi_join(
+        &self,
+        table: &str,
+        column: &str,
+        keys: &[&Value],
+        residual: &Query,
+    ) -> Result<Vec<bool>> {
+        self.metrics.query_total.inc();
+        let start = Instant::now();
+        let result = self.meta.semi_join(table, column, keys, residual);
+        self.metrics.query_ms.observe_since(start);
+        Ok(result?.0)
     }
 
     pub fn set_flag(&self, table: &str, pk: &str, column: &str, value: bool) -> Result<()> {

@@ -26,6 +26,7 @@ use crate::record::Record;
 use crate::schema::TableSchema;
 use crate::simfs::{real_fs, FileSystem};
 use crate::table::{IndexDeltaCounters, StripeLockMetrics, Table, TableStats};
+use crate::value::Value;
 use crate::wal::{new_shared_oplog, Committer, SharedOplog, SyncPolicy, Wal, WalOp};
 use gallery_sync::locks::{OrderedMutex, OrderedRwLock};
 use gallery_sync::rank;
@@ -78,11 +79,18 @@ pub enum ShipApply {
     Gap { expected: u64 },
 }
 
-/// The five values [`AccessPath::shape`] can take. Per-shape metric
+/// The six values [`AccessPath::shape`] can take. Per-shape metric
 /// cardinality is bounded by this list — shapes are plan classes, never
 /// user data. A shape missing here would be planned and never counted
 /// (`every_access_path_shape_is_minted` keeps the list whole).
-const QUERY_SHAPES: [&str; 5] = ["pk", "index_eq", "index_range", "index_top", "full_scan"];
+const QUERY_SHAPES: [&str; 6] = [
+    "pk",
+    "index_eq",
+    "index_range",
+    "index_top",
+    "semi_join",
+    "full_scan",
+];
 
 /// Wait-time bucket bounds for stripe lock acquisition, in ms. Coarser
 /// than the default duration buckets: there are up to
@@ -790,6 +798,30 @@ impl MetadataStore {
                 trace_id,
             });
         }
+    }
+
+    /// [`Table::semi_join`] on `table`: which of `keys` have a row with
+    /// `column == key` that `residual` accepts. One fault check, one entry
+    /// in the per-shape metrics and the slow-query ring for the whole key
+    /// set — and none where there are no keys, for nothing is read.
+    pub fn semi_join(
+        &self,
+        table: &str,
+        column: &str,
+        keys: &[&Value],
+        residual: &Query,
+    ) -> Result<(Vec<bool>, Explain)> {
+        if self.faults.should_fail(sites::META_QUERY) {
+            return Err(StoreError::InjectedFault(sites::META_QUERY));
+        }
+        let t = self.table_arc(table)?;
+        let started = Instant::now();
+        let (hits, explain) = t.semi_join(column, keys, residual)?;
+        if !keys.is_empty() {
+            let total_ms = started.elapsed().as_secs_f64() * 1e3;
+            self.record_query(table, &explain, total_ms);
+        }
+        Ok((hits, explain))
     }
 
     /// The slow-query ring: plan, timings, and trace id per capture.
@@ -1522,6 +1554,52 @@ mod config_tests {
     }
 
     #[test]
+    fn semi_join_is_one_query_to_faults_metrics_and_slowlog() {
+        let telemetry = Telemetry::new();
+        let faults = FaultPlan::none();
+        let store = MetadataStore::in_memory()
+            .with_telemetry(Arc::clone(&telemetry))
+            .with_faults(faults.clone());
+        store.create_table(schema()).unwrap();
+        for i in 0..10 {
+            let name = if i % 2 == 0 { "rf" } else { "lr" };
+            let row = Record::new().set("id", format!("m{i}")).set("name", name);
+            store.insert("models", row).unwrap();
+        }
+        let keys = ["rf", "gbm", "lr"].map(Value::from);
+        let keys: Vec<&Value> = keys.iter().collect();
+        let residual = Query::all().and(Constraint::eq("id", "m3"));
+        let (hits, explain) = store.semi_join("models", "name", &keys, &residual).unwrap();
+        assert_eq!(hits, [false, false, true]);
+        assert_eq!(explain.shape(), "semi_join");
+        assert_eq!(explain.tail_merge_rows, 10);
+        let joins = || {
+            telemetry
+                .registry()
+                .sample_value("gallery_store_query_total", &[("shape", "semi_join")])
+        };
+        assert_eq!(joins(), Some(1.0));
+        assert_eq!(store.slow_log().total(), 1);
+        let text = store.slow_log().render_text();
+        assert!(text.contains("table=models shape=semi_join"), "{text}");
+        // No keys: nothing read, nothing logged.
+        let (hits, _) = store.semi_join("models", "name", &[], &residual).unwrap();
+        assert!(hits.is_empty());
+        assert_eq!((joins(), store.slow_log().total()), (Some(1.0), 1));
+        // It fails where a query fails, whole.
+        assert!(matches!(
+            store.semi_join("nope", "name", &keys, &residual),
+            Err(StoreError::NoSuchTable(_))
+        ));
+        faults.fail_always(sites::META_QUERY);
+        assert!(matches!(
+            store.semi_join("models", "name", &keys, &residual),
+            Err(StoreError::InjectedFault(sites::META_QUERY))
+        ));
+        assert_eq!(store.slow_log().total(), 1);
+    }
+
+    #[test]
     fn every_access_path_shape_is_minted() {
         use crate::query::AccessPath;
         let name = || "c".to_string();
@@ -1533,6 +1611,7 @@ mod config_tests {
                 column: name(),
                 order: name(),
             },
+            AccessPath::SemiJoin { column: name() },
             AccessPath::FullScan,
         ];
         let metrics = mint_metrics(&Telemetry::new(), &StoreConfig::default());
@@ -1544,6 +1623,7 @@ mod config_tests {
                 | AccessPath::IndexEq { .. }
                 | AccessPath::IndexRange { .. }
                 | AccessPath::IndexTop { .. }
+                | AccessPath::SemiJoin { .. }
                 | AccessPath::FullScan => {}
             }
             assert!(

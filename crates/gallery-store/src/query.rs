@@ -211,11 +211,16 @@ pub enum AccessPath {
     IndexTop { column: String, order: String },
     /// Direct primary-key lookup.
     PrimaryKey,
+    /// `Table::semi_join`: a list of keys, each probed in the index on the
+    /// named column until its first row that passes the residual
+    /// constraints. One of these describes the whole key set.
+    SemiJoin { column: String },
 }
 
 impl AccessPath {
     /// Bounded-cardinality shape label for per-shape metrics: one of
-    /// `pk`, `index_eq`, `index_range`, `index_top`, `full_scan`.
+    /// `pk`, `index_eq`, `index_range`, `index_top`, `semi_join`,
+    /// `full_scan`.
     pub fn shape(&self) -> &'static str {
         match self {
             AccessPath::FullScan => "full_scan",
@@ -223,6 +228,7 @@ impl AccessPath {
             AccessPath::IndexRange { .. } => "index_range",
             AccessPath::IndexTop { .. } => "index_top",
             AccessPath::PrimaryKey => "pk",
+            AccessPath::SemiJoin { .. } => "semi_join",
         }
     }
 }
@@ -230,26 +236,29 @@ impl AccessPath {
 /// EXPLAIN artifact for one executed query: the chosen access path, the
 /// planner's row estimate vs. what the scan actually touched, how much of
 /// the scan came from merging unindexed deferred-index tails, and the
-/// per-stage timings. Produced by `Table::execute_explain` and recorded
-/// into the slow-query ring.
+/// per-stage timings. Produced by `Table::execute_explain` and
+/// `Table::semi_join`, and recorded into the slow-query ring.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Explain {
     /// The plan the planner chose.
     pub path: AccessPath,
     /// Rows the planner expected the access path to yield as candidates
-    /// (`IndexTop`: the query's `limit`).
+    /// (`IndexTop`: the query's `limit`; `SemiJoin`: the sizes of the index
+    /// groups it probed, plus the tails when it walked them).
     pub estimated_rows: usize,
     /// Candidate rows the executor actually examined (before residual
     /// filtering). `IndexTop`: the rows it evaluated the predicate on —
-    /// those returned plus those skipped on the way.
+    /// those returned plus those skipped on the way; `SemiJoin` likewise,
+    /// each key's rows up to its first match.
     pub rows_scanned: usize,
     /// Rows that survived every constraint (before `limit`; `IndexTop`
-    /// stops at `limit`, so for it this is the rows returned).
+    /// stops at `limit`, so for it this is the rows returned; `SemiJoin`:
+    /// the keys kept).
     pub matched_rows: usize,
     /// Of `rows_scanned`, how many came from per-stripe unindexed tails
     /// merged on top of the index (deferred secondary-index maintenance).
     /// Always 0 for `PrimaryKey`, `FullScan`, `IndexTop`, and an `IndexEq`
-    /// served by an ordered index.
+    /// or `SemiJoin` served by an ordered index.
     pub tail_merge_rows: usize,
     /// Time spent choosing the plan, in milliseconds.
     pub plan_ms: f64,
@@ -279,6 +288,7 @@ impl Explain {
             AccessPath::IndexRange { column } => format!("IndexRange({column})"),
             AccessPath::IndexTop { column, order } => format!("IndexTop({column}, {order})"),
             AccessPath::PrimaryKey => "PrimaryKey".to_string(),
+            AccessPath::SemiJoin { column } => format!("SemiJoin({column})"),
         };
         format!(
             "path: {path} [{}]\n\
@@ -361,6 +371,10 @@ mod tests {
         };
         assert_eq!(top.shape(), "index_top");
         assert_eq!(AccessPath::FullScan.shape(), "full_scan");
+        let join = AccessPath::SemiJoin {
+            column: "instance_id".into(),
+        };
+        assert_eq!(join.shape(), "semi_join");
         let ex = Explain {
             path: AccessPath::IndexEq {
                 column: "city".into(),
@@ -386,6 +400,9 @@ mod tests {
             text.contains("IndexTop(model_id, created) [index_top]"),
             "{text}"
         );
+        let ex = Explain { path: join, ..ex };
+        let text = ex.to_string();
+        assert!(text.contains("SemiJoin(instance_id) [semi_join]"), "{text}");
     }
 
     #[test]

@@ -90,6 +90,19 @@ pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
+/// `literal` as its column's type, where it is one of the numbers that
+/// read differently as given: the wire has no timestamp value, so `created`
+/// bounds arrive as `Int`, which orders against `Timestamp` by variant
+/// rank and not by number; an `Int` against a `Float` hash index compares
+/// equal but hashes apart.
+fn coerce(literal: &Value, ty: ValueType) -> Option<Value> {
+    match (literal, ty) {
+        (Value::Int(t), ValueType::Timestamp) => Some(Value::Timestamp(*t)),
+        (Value::Int(x), ValueType::Float) => Some(Value::Float(*x as f64)),
+        _ => None,
+    }
+}
+
 /// A row's field for comparison in place, an absent field reading as `Null`.
 fn field_or_null<'r>(record: &'r Record, name: &str) -> &'r Value {
     record.get(name).unwrap_or(&Value::Null)
@@ -221,17 +234,28 @@ enum EqProbe<'q> {
 }
 
 impl Stripe {
+    /// This stripe's shard of the deferred index on `column`.
+    fn index(&self, column: &str) -> Result<&Index> {
+        self.indexes
+            .get(column)
+            .ok_or_else(|| StoreError::BadQuery(format!("no index on `{column}`")))
+    }
+
+    /// The slots no deferred index has seen yet.
+    fn tail(&self) -> Range<usize> {
+        self.indexed_upto..self.rows.len()
+    }
+
     /// What an equality lookup has to look at here: the rows the index
     /// holds for the value, and the slots that index has not seen yet —
     /// none when the index is an ordered one.
-    fn eq_candidates(&self, probe: &EqProbe<'_>) -> (&[RowId], Range<usize>) {
-        match *probe {
+    fn eq_candidates(&self, probe: &EqProbe<'_>) -> Result<(&[RowId], Range<usize>)> {
+        Ok(match *probe {
             EqProbe::Ordered { index, key } => (self.ordered[index].rows(key), 0..0),
-            EqProbe::Deferred { column, value } => (
-                self.indexes[column].lookup_eq(value),
-                self.indexed_upto..self.rows.len(),
-            ),
-        }
+            EqProbe::Deferred { column, value } => {
+                (self.index(column)?.lookup_eq(value), self.tail())
+            }
+        })
     }
 }
 
@@ -552,10 +576,10 @@ impl Table {
     /// Plan a query: prefer primary-key equality, then the end of an
     /// ordered index, then an indexed equality constraint, then an indexed
     /// range constraint, else a full scan.
-    pub fn plan(&self, query: &Query) -> AccessPath {
+    pub fn plan(&self, query: &Query) -> Result<AccessPath> {
         let guards: Vec<RwLockReadGuard<'_, Stripe>> =
             self.stripes.iter().map(|s| s.read()).collect();
-        self.plan_with(&guards, query).path
+        Ok(self.plan_with(&guards, query)?.path)
     }
 
     /// Whether `column` has a hash or btree (deferred) index.
@@ -617,7 +641,11 @@ impl Table {
     /// unindexed tails (an ordered index has none); a range scan has no
     /// value-distribution statistics, so it is bounded by the full row
     /// count, as is a full scan.
-    fn plan_with<'q>(&self, guards: &[RwLockReadGuard<'_, Stripe>], query: &'q Query) -> Plan<'q> {
+    fn plan_with<'q>(
+        &self,
+        guards: &[RwLockReadGuard<'_, Stripe>],
+        query: &'q Query,
+    ) -> Result<Plan<'q>> {
         let plan = |path, by, estimated_rows| Plan {
             path,
             by,
@@ -625,7 +653,7 @@ impl Table {
             top: None,
         };
         if let Some(c) = self.pk_eq(query) {
-            return plan(AccessPath::PrimaryKey, Some(c), 1);
+            return Ok(plan(AccessPath::PrimaryKey, Some(c), 1));
         }
         if let Some((c, top)) = self.top_of(query) {
             let def = &self.schema.ordered[top.index];
@@ -633,23 +661,21 @@ impl Table {
                 column: def.by.clone(),
                 order: def.order.clone(),
             };
-            return Plan {
+            return Ok(Plan {
                 top: Some(top),
                 ..plan(path, Some(c), top.limit)
-            };
+            });
         }
         // Indexed equality first; among several indexed eq constraints pick
         // the smallest candidate set.
         let mut best_eq: Option<(&Constraint, usize)> = None;
         for c in query.constraints.iter().filter(|c| c.op.index_eq_usable()) {
             if let Some(probe) = self.eq_probe(&c.field, &c.value) {
-                let len: usize = guards
-                    .iter()
-                    .map(|g| {
-                        let (ids, tail) = g.eq_candidates(&probe);
-                        ids.len() + tail.len()
-                    })
-                    .sum();
+                let mut len = 0;
+                for g in guards {
+                    let (ids, tail) = g.eq_candidates(&probe)?;
+                    len += ids.len() + tail.len();
+                }
                 if best_eq.map(|(_, b)| len < b).unwrap_or(true) {
                     best_eq = Some((c, len));
                 }
@@ -659,20 +685,24 @@ impl Table {
             let path = AccessPath::IndexEq {
                 column: c.field.clone(),
             };
-            return plan(path, Some(c), estimated_rows);
+            return Ok(plan(path, Some(c), estimated_rows));
         }
-        let by = query.constraints.iter().find(|c| {
-            c.op.index_range_usable()
-                && self.indexed(&c.field)
-                && guards[0].indexes[&c.field].supports_range()
-        });
+        // Every stripe holds the same kinds of index; any one of them tells.
+        let ranged = |column: &str| {
+            let shard = guards.first().and_then(|g| g.indexes.get(column));
+            shard.is_some_and(Index::supports_range)
+        };
+        let by = query
+            .constraints
+            .iter()
+            .find(|c| c.op.index_range_usable() && ranged(&c.field));
         let path = match by {
             Some(c) => AccessPath::IndexRange {
                 column: c.field.clone(),
             },
             None => AccessPath::FullScan,
         };
-        plan(path, by, guards.iter().map(|g| g.rows.len()).sum())
+        Ok(plan(path, by, guards.iter().map(|g| g.rows.len()).sum()))
     }
 
     /// Walk the group of `value` in ordered index `top.index` from one end
@@ -758,44 +788,40 @@ impl Table {
         (out, scanned)
     }
 
+    /// The constraints first: a row they reject — most rows a residual
+    /// sees — is not searched for a flag it rarely has.
     fn row_matches(&self, record: &Record, query: &Query) -> bool {
-        if !query.include_deprecated {
-            if let Some(Value::Bool(true)) = record.get("deprecated") {
-                return false;
-            }
-        }
         query
             .constraints
             .iter()
             .all(|c| c.op.eval(field_or_null(record, &c.field), &c.value))
+            && (query.include_deprecated
+                || !matches!(record.get("deprecated"), Some(Value::Bool(true))))
+    }
+
+    fn no_column(&self, column: &str) -> StoreError {
+        StoreError::NoSuchColumn {
+            table: self.schema.name.clone(),
+            column: column.to_owned(),
+        }
     }
 
     /// Check every column a query names and give each constraint literal
-    /// its column's type: the wire has no timestamp value, so `created`
-    /// bounds arrive as `Int`, which orders against `Timestamp` by variant
-    /// rank and not by number; an `Int` against a `Float` hash index
-    /// compares equal but hashes apart. Borrowed unless a literal changed.
+    /// its column's type ([`coerce`]). Borrowed unless a literal changed.
     fn typed<'q>(&self, query: &'q Query) -> Result<Cow<'q, Query>> {
-        let no_column = |column: &str| StoreError::NoSuchColumn {
-            table: self.schema.name.clone(),
-            column: column.to_owned(),
-        };
         let mut typed = Cow::Borrowed(query);
         for (i, c) in query.constraints.iter().enumerate() {
             let col = self
                 .schema
                 .column(&c.field)
-                .ok_or_else(|| no_column(&c.field))?;
-            let coerced = match (&c.value, col.ty) {
-                (Value::Int(t), ValueType::Timestamp) => Value::Timestamp(*t),
-                (Value::Int(x), ValueType::Float) => Value::Float(*x as f64),
-                _ => continue,
-            };
-            typed.to_mut().constraints[i].value = coerced;
+                .ok_or_else(|| self.no_column(&c.field))?;
+            if let Some(coerced) = coerce(&c.value, col.ty) {
+                typed.to_mut().constraints[i].value = coerced;
+            }
         }
         if let Some(ob) = &query.order_by {
             if self.schema.column(&ob.field).is_none() {
-                return Err(no_column(&ob.field));
+                return Err(self.no_column(&ob.field));
             }
         }
         Ok(typed)
@@ -837,7 +863,7 @@ impl Table {
             by,
             estimated_rows,
             top,
-        } = self.plan_with(&guards, query);
+        } = self.plan_with(&guards, query)?;
         let plan_ms = plan_started.elapsed().as_secs_f64() * 1e3;
         let scan_started = Instant::now();
         if let (Some(top), Some(c)) = (top, by) {
@@ -881,7 +907,7 @@ impl Table {
                     .ok_or_else(|| StoreError::BadQuery(format!("no index serves `{c}`")))?;
                 cands.reserve(estimated_rows);
                 for (si, g) in guards.iter().enumerate() {
-                    let (ids, tail) = g.eq_candidates(&probe);
+                    let (ids, tail) = g.eq_candidates(&probe)?;
                     cands.extend(ids.iter().map(|&id| unpack(id)));
                     tail_merge_rows += tail.len();
                     cands.extend(tail.map(|slot| (si, slot)));
@@ -892,17 +918,19 @@ impl Table {
                 let no_range = || StoreError::BadQuery(format!("no range scan serves `{c}`"));
                 let (lo, hi) = c.op.bounds(&c.value).ok_or_else(no_range)?;
                 for (si, g) in guards.iter().enumerate() {
-                    let ids = g.indexes[column]
-                        .lookup_range(lo, hi)
-                        .ok_or_else(no_range)?;
+                    let ids = g.index(column)?.lookup_range(lo, hi).ok_or_else(no_range)?;
                     cands.extend(ids.map(unpack));
-                    let tail = g.indexed_upto..g.rows.len();
+                    let tail = g.tail();
                     tail_merge_rows += tail.len();
                     cands.extend(tail.map(|slot| (si, slot)));
                 }
             }
             // Scanning every row is exact whatever the planner chose.
-            (AccessPath::FullScan | AccessPath::IndexTop { .. }, _) | (_, None) => {
+            (
+                AccessPath::FullScan | AccessPath::IndexTop { .. } | AccessPath::SemiJoin { .. },
+                _,
+            )
+            | (_, None) => {
                 self.stats.full_scans.fetch_add(1, Ordering::Relaxed);
                 for (si, g) in guards.iter().enumerate() {
                     for slot in 0..g.rows.len() {
@@ -973,6 +1001,114 @@ impl Table {
         };
         let rows = matches.iter().map(|row| Arc::clone(&row.record)).collect();
         Ok((rows, explain))
+    }
+
+    /// Semi-join: which of `keys` have at least one row with
+    /// `column == key` that `residual` accepts — one flag per key, in
+    /// `keys`' order, a repeated key answered each time — and one
+    /// [`Explain`] ([`AccessPath::SemiJoin`]) for the whole key set. The
+    /// flags are those of `Query { column == key, residual.., limit 1 }`
+    /// run per key, off one type check of the residual, one taking of the
+    /// stripe read locks and so one snapshot: each key probes the index on
+    /// `column` (there has to be one) and stops at its first match; the
+    /// tails a deferred index has not seen are walked once, for all the
+    /// keys still unanswered. `residual` carries constraints and
+    /// `include_deprecated`, nothing else. No keys: no lock taken.
+    pub fn semi_join(
+        &self,
+        column: &str,
+        keys: &[&Value],
+        residual: &Query,
+    ) -> Result<(Vec<bool>, Explain)> {
+        if residual.order_by.is_some() || residual.limit.is_some() {
+            return Err(StoreError::BadQuery(
+                "a semi-join residual takes no order_by and no limit".into(),
+            ));
+        }
+        let plan_started = Instant::now();
+        let residual = &*self.typed(residual)?;
+        let ty = self
+            .schema
+            .column(column)
+            .ok_or_else(|| self.no_column(column))?
+            .ty;
+        let keys: Vec<Cow<'_, Value>> = keys
+            .iter()
+            .map(|&k| coerce(k, ty).map_or(Cow::Borrowed(k), Cow::Owned))
+            .collect();
+        let mut hits = vec![false; keys.len()];
+        let mut explain = Explain {
+            path: AccessPath::SemiJoin {
+                column: column.to_owned(),
+            },
+            estimated_rows: 0,
+            rows_scanned: 0,
+            matched_rows: 0,
+            tail_merge_rows: 0,
+            plan_ms: 0.0,
+            scan_ms: 0.0,
+            sort_ms: 0.0,
+        };
+        if keys.is_empty() {
+            return Ok((hits, explain));
+        }
+        let guards: Vec<RwLockReadGuard<'_, Stripe>> =
+            self.stripes.iter().map(|s| s.read()).collect();
+        explain.plan_ms = plan_started.elapsed().as_secs_f64() * 1e3;
+        let scan_started = Instant::now();
+        self.stats.index_queries.fetch_add(1, Ordering::Relaxed);
+        for (key, hit) in keys.iter().zip(&mut hits) {
+            let probe = self.eq_probe(column, key).ok_or_else(|| {
+                StoreError::BadQuery(format!("no index serves a semi-join on `{column}`"))
+            })?;
+            'key: for g in &guards {
+                let (ids, _) = g.eq_candidates(&probe)?;
+                explain.estimated_rows += ids.len();
+                for &id in ids {
+                    let record = &g.rows[unpack(id).1].record;
+                    explain.rows_scanned += 1;
+                    // The equality too, on the few rows the residual
+                    // lets through: a group of an ordered index may hold
+                    // another value's rows.
+                    if self.row_matches(record, residual)
+                        && Op::Eq.eval(field_or_null(record, column), key)
+                    {
+                        *hit = true;
+                        break 'key;
+                    }
+                }
+            }
+        }
+        // An ordered index is current. A deferred one has not seen the
+        // stripes' tails: one walk over them answers every key still open
+        // (`Null` equals nothing, so it is never one of them).
+        let tails: usize = guards.iter().map(|g| g.tail().len()).sum();
+        if tails > 0 && self.schema.ordered_on(column).is_none() && hits.contains(&false) {
+            let unanswered = keys
+                .iter()
+                .zip(&hits)
+                .filter(|(k, hit)| !**hit && !k.is_null());
+            let mut open: HashMap<&Value, bool> = unanswered.map(|(k, _)| (&**k, false)).collect();
+            for g in &guards {
+                for row in &g.rows[g.tail()] {
+                    if let Some(found) = open.get_mut(field_or_null(&row.record, column)) {
+                        *found = *found || self.row_matches(&row.record, residual);
+                    }
+                }
+            }
+            for (key, hit) in keys.iter().zip(&mut hits) {
+                *hit = *hit || open.get(&**key) == Some(&true);
+            }
+            explain.tail_merge_rows = tails;
+            explain.estimated_rows += tails;
+            explain.rows_scanned += tails;
+        }
+        self.stats
+            .rows_examined
+            .fetch_add(explain.rows_scanned as u64, Ordering::Relaxed);
+        explain.matched_rows = hits.iter().filter(|hit| **hit).count();
+        explain.scan_ms = scan_started.elapsed().as_secs_f64() * 1e3;
+        Ok((hits, explain))
     }
 
     /// All rows (shared handles, not deep copies) in sequence
@@ -1771,13 +1907,13 @@ mod tests {
             .and(Constraint::ge("model", "rf"))
             .order_by("created", true)
             .limit(1);
-        assert_eq!(t.plan(&q), AccessPath::FullScan);
+        assert_eq!(t.plan(&q).unwrap(), AccessPath::FullScan);
         // The primary key still wins.
         let q = by_model
             .and(Constraint::eq("id", "i07"))
             .order_by("created", true)
             .limit(1);
-        assert_eq!(t.plan(&q), AccessPath::PrimaryKey);
+        assert_eq!(t.plan(&q).unwrap(), AccessPath::PrimaryKey);
     }
 
     #[test]
@@ -1809,6 +1945,139 @@ mod tests {
         assert_eq!(walked, sorted);
         let (walked, _) = t.execute(&q.order_by("mape", true).limit(6)).unwrap();
         assert_eq!(ids(&walked), ["i2", "i0", "i4", "i3", "i1", "i5"]);
+    }
+
+    /// 100 rows, `i00`…`i99`: models alternate `rf`/`lr`, cities cycle
+    /// `sf`/`nyc`/`la`, `created` = the row's number.
+    fn joined(t: &Table) {
+        for i in 0..100 {
+            let model = ["rf", "lr"][i % 2];
+            let city = ["sf", "nyc", "la"][i % 3];
+            t.insert(row(&format!("i{i:02}"), model, city, i as i64, 0.1))
+                .unwrap();
+        }
+    }
+
+    fn join_path(column: &str) -> AccessPath {
+        AccessPath::SemiJoin {
+            column: column.into(),
+        }
+    }
+
+    #[test]
+    fn semi_join_stops_each_key_at_its_first_match() {
+        let t = ordered_table(4, 1_000_000);
+        joined(&t);
+        let keys = ["rf", "gbm", "lr", "rf"].map(Value::from);
+        let keys: Vec<&Value> = keys.iter().collect();
+        let before = Query::all().and(Constraint::lt("created", 1i64));
+        let (hits, ex) = t.semi_join("model", &keys, &before).unwrap();
+        // `i00` is an `rf`; every `lr` row is read and rejected.
+        assert_eq!(hits, [true, false, false, true]);
+        assert_eq!(ex.path, join_path("model"));
+        assert_eq!(ex.matched_rows, 2);
+        assert_eq!(ex.tail_merge_rows, 0, "an ordered index has no tail");
+        assert!(ex.rows_scanned >= 50 + 2, "{ex}");
+        assert!(ex.rows_scanned <= ex.estimated_rows, "{ex}");
+        // Everything matches: one row read per key that has any.
+        let (hits, ex) = t.semi_join("model", &keys, &Query::all()).unwrap();
+        assert_eq!(hits, [true, false, true, true]);
+        assert_eq!((ex.rows_scanned, ex.matched_rows), (3, 3));
+        // A deprecated row answers only a residual that asks for them.
+        let only = Query::all().and(Constraint::eq("created", 7i64));
+        t.set_flag("i07", "deprecated", true).unwrap();
+        let (hits, _) = t.semi_join("model", &keys, &only).unwrap();
+        assert_eq!(hits, [false; 4]);
+        let (hits, _) = t
+            .semi_join("model", &keys, &only.with_deprecated())
+            .unwrap();
+        assert_eq!(hits, [false, false, true, false]);
+        let stats = t.stats();
+        assert_eq!((stats.index_queries, stats.full_scans), (4, 0));
+    }
+
+    #[test]
+    fn semi_join_walks_a_deferred_tail_once_for_all_keys() {
+        let t = Table::with_config(table().schema.clone(), 4, 1_000_000);
+        joined(&t);
+        let keys = [
+            Value::from("nyc"),
+            Value::from("sf"),
+            Value::Null,
+            Value::from("sea"),
+            Value::from("nyc"),
+        ];
+        let keys: Vec<&Value> = keys.iter().collect();
+        // `i04` is the one `nyc` row under 5; `sf` has `i00` and `i03`.
+        let early = Query::all().and(Constraint::lt("created", 5i64));
+        let (pending, ex) = t.semi_join("city", &keys, &early).unwrap();
+        assert_eq!(pending, [true, true, false, false, true]);
+        assert_eq!(ex.path, join_path("city"));
+        assert_eq!(
+            (ex.tail_merge_rows, ex.rows_scanned, ex.estimated_rows),
+            (100, 100, 100),
+            "nothing indexed yet: the tail, once"
+        );
+        t.flush_index_deltas();
+        let (flushed, ex) = t.semi_join("city", &keys, &early).unwrap();
+        assert_eq!(flushed, pending);
+        assert_eq!(ex.tail_merge_rows, 0);
+        // The buckets now, each up to its first match, stripe by stripe.
+        assert_eq!(ex.matched_rows, 3);
+        assert!((3..=ex.estimated_rows).contains(&ex.rows_scanned), "{ex}");
+        assert!(ex.estimated_rows <= 33 + 34 + 33, "{ex}");
+        // Int keys take the column's type, as a query's literals do.
+        let (hits, _) = t
+            .semi_join(
+                "created",
+                &[&Value::Int(7), &Value::Int(700)],
+                &Query::all(),
+            )
+            .unwrap();
+        assert_eq!(hits, [true, false]);
+    }
+
+    #[test]
+    fn semi_join_survives_groups_that_share_a_key() {
+        let mut t = ordered_table(4, 1024);
+        t.group_hasher.collide = true;
+        joined(&t);
+        let keys = [Value::from("lr"), Value::from("gbm")];
+        let keys: Vec<&Value> = keys.iter().collect();
+        let (hits, ex) = t.semi_join("model", &keys, &Query::all()).unwrap();
+        assert_eq!(hits, [true, false]);
+        assert!(ex.rows_scanned > 100, "gbm reads every row and keeps none");
+    }
+
+    #[test]
+    fn semi_join_rejects_what_it_cannot_serve_and_locks_nothing_for_no_keys() {
+        let t = table();
+        joined(&t);
+        let key = Value::from("rf");
+        let join = |column: &str, residual: &Query| t.semi_join(column, &[&key], residual);
+        let bogus = Query::all().and(Constraint::eq("bogus", 1i64));
+        assert!(matches!(
+            join("model", &bogus),
+            Err(StoreError::NoSuchColumn { column, .. }) if column == "bogus"
+        ));
+        assert!(matches!(
+            join("bogus", &Query::all()),
+            Err(StoreError::NoSuchColumn { .. })
+        ));
+        // The primary key has a map, not an index.
+        for (column, residual) in [
+            ("id", Query::all()),
+            ("model", Query::all().limit(1)),
+            ("model", Query::all().order_by("created", true)),
+        ] {
+            let err = join(column, &residual);
+            assert!(matches!(err, Err(StoreError::BadQuery(_))), "{err:?}");
+        }
+        // A writer holds a stripe: a join that took any lock would wait.
+        let _writer = t.lock_stripe("i00");
+        let (hits, ex) = t.semi_join("model", &[], &Query::all()).unwrap();
+        assert!(hits.is_empty());
+        assert_eq!((ex.rows_scanned, ex.path), (0, join_path("model")));
     }
 
     #[test]

@@ -36,7 +36,7 @@
 //! strong invariants: data may be *lost*, corruption must be *detected*,
 //! silent wrong answers are violations everywhere.
 
-use super::model::{ids_of, top_ids, RefModel};
+use super::model::{any_scoring, ids_of, top_ids, RefModel};
 use super::workload::{self, instance_schema, payload_for, top_query, Workload, TABLE};
 use crate::blob::localfs::LocalFsBlobStore;
 use crate::blob::BlobLocation;
@@ -615,6 +615,17 @@ fn check_recovery(
                     format!("{group} descending={descending}: {got:?}, rows say {expected:?}"),
                 ));
             }
+        }
+    }
+    let groups = [workload::GROUPS, [workload::NO_GROUP; 3]].concat();
+    for min_score in [f64::NEG_INFINITY, 0.5] {
+        let expected = any_scoring(live(), &groups, min_score);
+        let got = workload::semi_join(&dal, &groups, min_score);
+        if !matches!(&got, Ok(flags) if *flags == expected) {
+            report.violations.push(fail(
+                invariants::TOP_MATCHES_ROWS,
+                format!("semi-join at {min_score}: {got:?}, rows say {expected:?}"),
+            ));
         }
     }
 

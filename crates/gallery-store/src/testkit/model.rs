@@ -14,7 +14,7 @@
 
 use super::workload::{
     self, group_for, instance_schema, payload_for, score_for, top_query, Workload, WorkloadOp,
-    GROUPS, TABLE,
+    GROUPS, NO_GROUP, TABLE,
 };
 use crate::blob::memory::MemoryBlobStore;
 use crate::dal::Dal;
@@ -95,6 +95,7 @@ impl RefModel {
             WorkloadOp::Get { .. }
             | WorkloadOp::FetchBlob { .. }
             | WorkloadOp::Top { .. }
+            | WorkloadOp::SemiJoin { .. }
             | WorkloadOp::RepairOrphans => {}
         }
     }
@@ -108,6 +109,17 @@ impl RefModel {
             group,
             descending,
             limit,
+        )
+    }
+
+    /// Flags a [`WorkloadOp::SemiJoin`] must return: per group, whether a
+    /// live row of it has a score of `min_score` or more.
+    pub fn semi_join(&self, groups: &[&str], min_score: f64) -> Vec<bool> {
+        let live = self.rows.iter().filter(|(_, row)| !row.deprecated);
+        any_scoring(
+            live.map(|(id, row)| (id.as_str(), row.score_bits)),
+            groups,
+            min_score,
         )
     }
 
@@ -152,6 +164,21 @@ pub fn top_ids<'a>(
         .into_iter()
         .map(|(_, id, _)| id.to_owned())
         .collect()
+}
+
+/// Per group, whether one of `rows` — `(id, score bits)` — is in it with a
+/// score that `f64::total_cmp` puts at `min_score` or above. No score is
+/// above nothing.
+pub fn any_scoring<'a>(
+    rows: impl Iterator<Item = (&'a str, Option<u64>)>,
+    groups: &[&str],
+    min_score: f64,
+) -> Vec<bool> {
+    let scoring: Vec<&str> = rows
+        .filter(|(_, bits)| bits.is_some_and(|b| f64::from_bits(b).total_cmp(&min_score).is_ge()))
+        .map(|(id, _)| group_for(id))
+        .collect();
+    groups.iter().map(|g| scoring.contains(g)).collect()
 }
 
 /// Ids of queried rows, in result order.
@@ -246,6 +273,16 @@ pub fn diff_against_model(dal: &Dal, model: &RefModel, seed: u64) -> Vec<String>
             }
         }
     }
+    let groups = [GROUPS[0], NO_GROUP, GROUPS[1], GROUPS[2], GROUPS[0]];
+    for min_score in [f64::NEG_INFINITY, 0.5] {
+        let expected = model.semi_join(&groups, min_score);
+        match workload::semi_join(dal, &groups, min_score) {
+            Ok(flags) if flags == expected => {}
+            got => out.push(format!(
+                "semi-join at {min_score}: dal={got:?} model={expected:?}"
+            )),
+        }
+    }
     match dal.audit_consistency(&[TABLE]) {
         Ok(audit) => {
             if !audit.is_consistent() {
@@ -310,6 +347,20 @@ pub fn run_differential(seed: u64, len: usize) -> DiffReport {
                     .push(format!("op {i}: {op:?} failed: {e}")),
             }
         }
+        if let WorkloadOp::SemiJoin {
+            groups,
+            min_score_bits,
+        } = op
+        {
+            let min_score = f64::from_bits(*min_score_bits);
+            let expected = model.semi_join(groups, min_score);
+            match workload::semi_join(&dal, groups, min_score) {
+                Ok(flags) if flags == expected => {}
+                got => report
+                    .divergences
+                    .push(format!("op {i}: {op:?} dal={got:?} model={expected:?}")),
+            }
+        }
         if let Err(e) = workload::apply(&dal, seed, op) {
             report
                 .divergences
@@ -343,6 +394,10 @@ mod tests {
             // and read a group's top through the ordered index.
             let w = Workload::generate(seed, 120);
             assert!(w.ops.iter().any(|op| matches!(op, WorkloadOp::Top { .. })));
+            assert!(w
+                .ops
+                .iter()
+                .any(|op| matches!(op, WorkloadOp::SemiJoin { .. })));
             assert!(w
                 .ops
                 .iter()

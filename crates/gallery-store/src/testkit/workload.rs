@@ -22,7 +22,7 @@ use crate::error::StoreError;
 use crate::query::{Constraint, Query};
 use crate::record::Record;
 use crate::schema::{ColumnDef, TableSchema};
-use crate::value::ValueType;
+use crate::value::{Value, ValueType};
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -53,6 +53,9 @@ pub fn instance_schema() -> TableSchema {
 
 /// The groups instances fall into.
 pub const GROUPS: [&str; 3] = ["g0", "g1", "g2"];
+
+/// A group no instance falls into.
+pub const NO_GROUP: &str = "g9";
 
 /// Deterministic `group` of an instance: one of three, so a group holds
 /// rows with every kind of score (and mostly none — only
@@ -119,6 +122,13 @@ pub enum WorkloadOp {
         descending: bool,
         limit: usize,
     },
+    /// Semi-join read off the same index: which of `groups` — one of them
+    /// twice, one that no row is in — hold a live row scoring at least the
+    /// float with these bits.
+    SemiJoin {
+        groups: [&'static str; 4],
+        min_score_bits: u64,
+    },
     /// Orphan GC pass over [`TABLE`].
     RepairOrphans,
 }
@@ -133,7 +143,10 @@ impl WorkloadOp {
             | WorkloadOp::Deprecate { id }
             | WorkloadOp::Get { id }
             | WorkloadOp::FetchBlob { id } => Some(id),
-            WorkloadOp::PutMany { .. } | WorkloadOp::Top { .. } | WorkloadOp::RepairOrphans => None,
+            WorkloadOp::PutMany { .. }
+            | WorkloadOp::Top { .. }
+            | WorkloadOp::SemiJoin { .. }
+            | WorkloadOp::RepairOrphans => None,
         }
     }
 
@@ -205,9 +218,18 @@ impl Workload {
                     descending: roll % 2 == 0,
                     limit: [1, 3, 100][(roll / 2 % 3) as usize],
                 }
-            } else if roll < 94 {
+            } else if roll < 90 {
                 WorkloadOp::FetchBlob {
                     id: pick(&mut rng, &ids),
+                }
+            } else if roll < 94 {
+                // A third of what used to be blob fetches, and like them
+                // one draw and no write to any file: the crash points of a
+                // seed stay what they were.
+                let of_pick = group_for(&pick(&mut rng, &ids));
+                WorkloadOp::SemiJoin {
+                    groups: [of_pick, NO_GROUP, GROUPS[(roll % 3) as usize], of_pick],
+                    min_score_bits: [f64::NEG_INFINITY, 0.5][(roll % 2) as usize].to_bits(),
                 }
             } else {
                 WorkloadOp::RepairOrphans
@@ -228,6 +250,20 @@ pub fn top_query(group: &str, descending: bool, limit: usize) -> Query {
         .and(Constraint::eq("group", group))
         .order_by("score", descending)
         .limit(limit)
+}
+
+/// The residual a [`WorkloadOp::SemiJoin`] runs with: rows scoring
+/// `min_score` or more, as `Value` orders floats (`f64::total_cmp`). A row
+/// without a score passes none.
+pub fn min_score_residual(min_score: f64) -> Query {
+    Query::all().and(Constraint::ge("score", min_score))
+}
+
+/// Run a [`WorkloadOp::SemiJoin`]: one flag per group.
+pub fn semi_join(dal: &Dal, groups: &[&str], min_score: f64) -> crate::error::Result<Vec<bool>> {
+    let keys: Vec<Value> = groups.iter().map(|&g| Value::from(g)).collect();
+    let keys: Vec<&Value> = keys.iter().collect();
+    dal.semi_join(TABLE, "group", &keys, &min_score_residual(min_score))
 }
 
 /// Whether an error from [`apply`] means the *storage layer* failed (crash,
@@ -266,6 +302,10 @@ pub fn apply(dal: &Dal, seed: u64, op: &WorkloadOp) -> crate::error::Result<()> 
         } => dal
             .query(TABLE, &top_query(group, *descending, *limit))
             .map(|_| ()),
+        WorkloadOp::SemiJoin {
+            groups,
+            min_score_bits,
+        } => semi_join(dal, groups, f64::from_bits(*min_score_bits)).map(|_| ()),
         WorkloadOp::RepairOrphans => dal.repair_orphans(&[TABLE]).map(|_| ()),
     };
     match outcome {
@@ -321,6 +361,23 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), 6, "{seen:?}");
+    }
+
+    #[test]
+    fn workloads_include_semi_joins_with_both_floors() {
+        let w = Workload::generate(11, 400);
+        let mut floors = std::collections::BTreeSet::new();
+        for op in &w.ops {
+            if let WorkloadOp::SemiJoin {
+                groups,
+                min_score_bits,
+            } = op
+            {
+                assert_eq!((groups[0], groups[1]), (groups[3], NO_GROUP));
+                floors.insert(*min_score_bits);
+            }
+        }
+        assert_eq!(floors.len(), 2, "{floors:?}");
     }
 
     #[test]

@@ -11,10 +11,15 @@
 //! through a plan of its own (`IndexTop`), so its top-k reads go through
 //! the same three stores and, besides, against a reference computed from a
 //! full scan: filter, sort by `(score, commit order)`, cut.
+//!
+//! The semi-join reads both kinds of index — `group` through the ordered
+//! one, `tag` through the deferred one, whose tail it has to walk — and is
+//! held to the same three stores and to its definition: the flag of a key
+//! is whether `Query { column == key, residual.., limit 1 }` finds a row.
 
 use gallery_store::meta::StoreConfig;
 use gallery_store::{
-    ColumnDef, Constraint, MetadataStore, Op, Query, Record, TableSchema, ValueType,
+    ColumnDef, Constraint, MetadataStore, Op, Query, Record, TableSchema, Value, ValueType,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -213,6 +218,62 @@ fn queries() -> Vec<Query> {
     qs
 }
 
+/// Key lists for a semi-join: groups with rows, `g9` and `Null` without,
+/// a key twice, and no keys at all.
+fn key_lists() -> Vec<Vec<Value>> {
+    let g = |n: u8| Value::from(format!("g{n}"));
+    vec![
+        vec![],
+        vec![g(0), g(1), g(2), g(3), g(4)],
+        vec![g(9), g(3), Value::Null, g(3), g(0), g(9)],
+    ]
+}
+
+/// Residuals that keep nothing, everything, a band of scores, or exactly
+/// the row `r0000` — which a history may have deprecated, so each comes
+/// with and without deprecated rows.
+fn residuals() -> Vec<Query> {
+    let plain = [
+        Query::all().and(Constraint::lt("score", -1000i64)),
+        Query::all(),
+        Query::all()
+            .and(Constraint::ge("score", 0i64))
+            .and(Constraint::lt("score", 2i64)),
+        Query::all().and(Constraint::eq("id", "r0000")),
+    ];
+    let with_deprecated = plain.clone().map(Query::with_deprecated);
+    plain.into_iter().chain(with_deprecated).collect()
+}
+
+/// Every semi-join of the suite on `store`, each checked against one
+/// `limit 1` query per key on the same store; the flags, serialized.
+fn observe_joins(store: &MetadataStore) -> Vec<String> {
+    let mut out = Vec::new();
+    for column in ["group", "tag"] {
+        for keys in key_lists() {
+            let keys: Vec<&Value> = keys.iter().collect();
+            for residual in residuals() {
+                let (flags, explain) = store.semi_join("t", column, &keys, &residual).unwrap();
+                assert_eq!(explain.shape(), "semi_join");
+                assert_eq!(flags.iter().filter(|f| **f).count(), explain.matched_rows);
+                if column == "group" {
+                    assert_eq!(explain.tail_merge_rows, 0, "an ordered index has no tail");
+                }
+                let per_key: Vec<bool> = keys
+                    .iter()
+                    .map(|&key| {
+                        let q = residual.clone().and(Constraint::eq(column, key.clone()));
+                        !store.query("t", &q.limit(1)).unwrap().is_empty()
+                    })
+                    .collect();
+                assert_eq!(flags, per_key, "{column} {keys:?} {residual:?}");
+                out.push(serde_json::to_string(&flags).unwrap());
+            }
+        }
+    }
+    out
+}
+
 /// Serialize results so the comparison is byte-identical, not just
 /// structurally equal.
 fn observe(store: &MetadataStore) -> Vec<String> {
@@ -262,13 +323,18 @@ proptest! {
         apply(&eager, &steps);
 
         let pending = observe(&deferred);
+        let pending_joins = observe_joins(&deferred);
         prop_assert_eq!(observe_rows(&deferred), observe_rows(&eager),
             "deferred store disagrees with eager store");
+        prop_assert_eq!(&pending_joins, &observe_joins(&eager),
+            "deferred store's semi-joins disagree with the eager store's");
 
         let applied = deferred.flush_index_deltas();
         let flushed = observe(&deferred);
         prop_assert_eq!(&pending, &flushed,
             "flushing the index delta changed query results (applied {} rows)", applied);
+        prop_assert_eq!(&pending_joins, &observe_joins(&deferred),
+            "flushing the index delta changed semi-join flags");
 
         // The top-k reads against the full-scan reference, on each store.
         let all = eager.query("t", &Query::all().with_deprecated()).unwrap();
@@ -306,5 +372,6 @@ proptest! {
         apply(&eager, &steps);
 
         prop_assert_eq!(observe_rows(&auto), observe_rows(&eager));
+        prop_assert_eq!(observe_joins(&auto), observe_joins(&eager));
     }
 }

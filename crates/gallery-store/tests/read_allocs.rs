@@ -4,8 +4,9 @@
 //! Readers are handed the `Arc<Record>` a stripe already holds, so what a
 //! read allocates must not grow with rows × columns. A counting global
 //! allocator (this test is its own binary) counts the calling thread's
-//! allocations around a point read, two index queries and a "latest of
-//! this model" lookup on a flushed, instances-shaped table of 1,600 rows.
+//! allocations around a point read, two index queries, a "latest of this
+//! model" lookup and two semi-joins on a flushed, instances-shaped table
+//! of 1,600 rows.
 //!
 //! The lock-rank checker keeps books in debug builds, so the counts are
 //! asserted only in release builds (`cargo test --release`); a debug build
@@ -150,9 +151,31 @@ fn reads_do_not_allocate_per_row_and_column() {
     let (rows_latest, allocations_latest) = measured(&latest, top);
     assert_eq!(rows_latest, 1);
 
+    // Which of these models have an instance in project 1: a quarter do.
+    let in_project = Query::all().and(Constraint::eq("project", "project-1"));
+    let joined = |models: usize| {
+        let keys: Vec<Value> = (0..models)
+            .map(|m| Value::from(format!("model-{m:02}")))
+            .collect();
+        let keys: Vec<&Value> = keys.iter().collect();
+        let join = || {
+            store
+                .semi_join(TABLE, "model_id", &keys, &in_project)
+                .unwrap()
+        };
+        join();
+        let ((flags, explain), allocations) = allocations_in(join);
+        assert_eq!(explain.shape(), "semi_join");
+        assert_eq!(flags.len(), models);
+        assert_eq!(explain.matched_rows, models / 4);
+        allocations
+    };
+    let (join_allocations_4, join_allocations_40) = (joined(4), joined(40));
+
     println!(
         "allocations: get {get_allocations}, latest {allocations_latest}, \
-         40-row query {allocations_40}, 400-row query {allocations_400}"
+         40-row query {allocations_40}, 400-row query {allocations_400}, \
+         40-key semi-join {join_allocations_40}"
     );
     if cfg!(debug_assertions) {
         return;
@@ -175,4 +198,11 @@ fn reads_do_not_allocate_per_row_and_column() {
         allocations_latest <= 10,
         "latest: {allocations_latest} allocations"
     );
+    // The typed keys, the guards, the flags and the `Explain`: per call,
+    // not per key.
+    assert!(
+        join_allocations_40 <= 8,
+        "40-key semi-join: {join_allocations_40} allocations"
+    );
+    assert_eq!(join_allocations_40, join_allocations_4, "40 keys against 4");
 }

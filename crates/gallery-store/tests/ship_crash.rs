@@ -12,8 +12,8 @@
 
 use gallery_store::{ColumnDef, FileSystem};
 use gallery_store::{
-    MetadataStore, Record, ShipFrame, SimFaultPlan, SimFs, SyncPolicy, TableSchema, Value,
-    ValueType,
+    Constraint, MetadataStore, Query, Record, ShipFrame, SimFaultPlan, SimFs, SyncPolicy,
+    TableSchema, Value, ValueType,
 };
 use std::sync::Arc;
 
@@ -46,6 +46,7 @@ fn leader() -> MetadataStore {
                     ColumnDef::new("model_id", ValueType::Str),
                 ],
             )
+            .and_then(|s| s.ordered_by("model_id", "id"))
             .unwrap(),
         )
         .unwrap();
@@ -122,6 +123,18 @@ fn assert_converged(leader: &MetadataStore, follower: &MetadataStore) {
             );
         }
     }
+    // The ordered index the follower built from shipped frames answers a
+    // semi-join as the leader's does: `m9` has no instance, `m2` has `i2`.
+    let keys = ["m0", "m9", "m2", "m5", "m2"].map(Value::from);
+    let keys: Vec<&Value> = keys.iter().collect();
+    let join = |store: &MetadataStore, residual: &Query| {
+        let joined = store.semi_join("instances", "model_id", &keys, residual);
+        joined.unwrap().0
+    };
+    let (any, only_i2) = (Query::all(), Query::all().and(Constraint::eq("id", "i2")));
+    assert_eq!(join(leader, &any), [true, false, true, true, true]);
+    assert_eq!(join(follower, &any), join(leader, &any));
+    assert_eq!(join(follower, &only_i2), join(leader, &only_i2));
 }
 
 /// Re-applying the complete frame set from sequence 0 must be a no-op.

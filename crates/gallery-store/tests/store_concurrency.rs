@@ -11,7 +11,9 @@
 //! `key → rank` rides along: every insert maintains it under its stripe
 //! lock, `verify` reads each owner's latest row through it, and under the
 //! schedule shaker a reader watches one key's latest row while a writer
-//! moves it.
+//! moves it, and another semi-joins a set of keys — through the ordered
+//! index and through the deferred one on `owner`, whose stripes flush
+//! their tails mid-run — while a writer appends to them.
 //!
 //! The default tests are CI-sized smoke runs; `soak_full` is the long
 //! variant (`cargo test -- --ignored`).
@@ -19,7 +21,7 @@
 use gallery_store::error::StoreError;
 use gallery_store::{
     ColumnDef, Constraint, MetadataStore, Query, Record, StoreConfig, SyncPolicy, TableSchema,
-    ValueType,
+    Value, ValueType,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -302,6 +304,66 @@ fn latest_never_moves_backwards(rows: usize) {
     });
 }
 
+/// A semi-join beside a writer that only appends: rows of four owners
+/// arrive round-robin with growing ranks, and nothing is deprecated, so a
+/// key that once had a row ranked `floor` or higher has one for good —
+/// whether that row is still in a stripe's unindexed tail or has just
+/// been flushed out of it (`index_batch` 4: flushes all along). A flag
+/// that went from `true` to `false` would be a row lost between the index
+/// pass and the tail walk. The rendezvous makes the overlap certain.
+fn a_joined_key_stays_joined(rows: usize) {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let store = MetadataStore::in_memory_with_config(StoreConfig {
+        index_batch: 4,
+        ..StoreConfig::default()
+    });
+    store.create_table(schema()).unwrap();
+    let (looked_tx, looked_rx) = std::sync::mpsc::sync_channel::<()>(0);
+    let done = AtomicBool::new(false);
+    let (store, done) = (&store, &done);
+    let floor = (rows / 8) as i64;
+    thread::scope(|s| {
+        s.spawn(move || {
+            for n in 0..rows {
+                store.insert(TABLE, record(n % 4, n / 4)).unwrap();
+                if n == rows / 2 {
+                    looked_rx.recv().unwrap();
+                }
+            }
+            done.store(true, Ordering::SeqCst);
+        });
+        s.spawn(move || {
+            // Owner 9 has no rows; owner 1 is asked about twice.
+            let keys = [0, 1, 9, 2, 3, 1].map(|o| Value::from(format!("owner-{o}")));
+            let keys: Vec<&Value> = keys.iter().collect();
+            let residual = Query::all().and(Constraint::ge("rank", floor));
+            let mut looked = Some(looked_tx);
+            let mut last = [vec![false; keys.len()], vec![false; keys.len()]];
+            loop {
+                let finished = done.load(Ordering::SeqCst);
+                for (column, last) in ["key", "owner"].into_iter().zip(&mut last) {
+                    let (now, explain) = store.semi_join(TABLE, column, &keys, &residual).unwrap();
+                    assert_eq!(explain.shape(), "semi_join");
+                    let kept = last.iter().zip(&now).all(|(before, now)| *now || !*before);
+                    assert!(kept, "{column}: {last:?} then {now:?}");
+                    assert_eq!((now[1], now[2]), (now[5], false), "{column}: {now:?}");
+                    *last = now;
+                }
+                if last[0][0] {
+                    if let Some(tx) = looked.take() {
+                        tx.send(()).unwrap();
+                    }
+                }
+                if finished {
+                    let all = vec![true, true, false, true, true, true];
+                    assert_eq!(last, [all.clone(), all]);
+                    break;
+                }
+            }
+        });
+    });
+}
+
 #[test]
 fn soak_smoke_in_memory() {
     soak_in_memory(8, 120, 0x50AC, StoreConfig::default());
@@ -338,6 +400,7 @@ fn soak_rank_checked_is_diagnostic_free() {
     soak_in_memory(4, 80, 0x50AC, StoreConfig::default());
     soak_durable(4, 40, 0xD0C5);
     latest_never_moves_backwards(200);
+    a_joined_key_stays_joined(200);
     let report = gallery_sync::checker::report();
     assert!(
         report.is_clean(),

@@ -148,5 +148,7 @@ fn documented_query_shapes_are_the_minted_ones() {
         .map(str::to_owned)
         .collect();
     assert_eq!(documented, minted);
-    assert!(minted.contains("index_top"), "{minted:?}");
+    for shape in ["index_top", "semi_join"] {
+        assert!(minted.contains(shape), "{shape} not in {minted:?}");
+    }
 }

@@ -210,7 +210,7 @@ fn a_parent_log_replays_and_answers_latest_as_it_was_planned_then() {
         ]
     );
     // Without a limit the same indexes serve as IndexEq — with no tail,
-    // though nothing was flushed. So does the metric join's probe.
+    // though nothing was flushed. So does the metric join's one pass.
     let (_, plans) = plans_of(&fresh, |g| g.instances_of_model(&now.model).unwrap());
     assert_eq!(plans, ["instances IndexEq(model_id) tail=0"]);
     let join = [
@@ -222,8 +222,8 @@ fn a_parent_log_replays_and_answers_latest_as_it_was_planned_then() {
     assert_eq!(found.len(), 1);
     assert_eq!(
         plans[1..],
-        ["metrics IndexEq(instance_id) tail=0"; 2],
-        "one probe per live instance: {plans:?}"
+        ["metrics SemiJoin(instance_id) tail=0"],
+        "one semi-join for both live instances: {plans:?}"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
