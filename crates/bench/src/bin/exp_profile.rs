@@ -34,7 +34,8 @@ use gallery_bench::{arr, banner, obj, write_bench_json, TextTable};
 use gallery_core::ManualClock;
 use gallery_store::meta::StoreConfig;
 use gallery_store::{
-    ColumnDef, Constraint, Explain, MetadataStore, Op, Query, Record, TableSchema, Value, ValueType,
+    ColumnDef, Constraint, Explain, MetadataStore, Op, Query, Record, Row, TableSchema, Value,
+    ValueType,
 };
 use gallery_telemetry::{Profile, Telemetry};
 use serde::Content;
@@ -153,7 +154,7 @@ fn shaped_queries() -> Vec<(&'static str, Query)> {
     ]
 }
 
-fn ids(rows: &[Arc<Record>]) -> Vec<String> {
+fn ids(rows: &[Arc<Row>]) -> Vec<String> {
     rows.iter()
         .map(|r| r.get("id").unwrap().to_string())
         .collect()

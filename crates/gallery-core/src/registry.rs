@@ -16,8 +16,8 @@ use crate::lifecycle::Stage;
 use crate::metrics::{parse_metric_blob, MetricRecord, MetricScope, MetricSpec};
 use crate::model::{Model, ModelSpec};
 use crate::schemas::{
-    self, deployment_from_record, instance_from_record, metric_from_record, model_from_record,
-    tables, Deployment,
+    self, deployments_from_rows, instance_from_row, instances_from_rows, metric_from_row,
+    metrics_from_rows, model_from_row, models_from_rows, tables, Deployment,
 };
 use crate::version::{DisplayVersion, InstanceTrigger};
 use bytes::Bytes;
@@ -235,7 +235,7 @@ impl Gallery {
             .dal
             .get(tables::MODELS, id.as_str())?
             .ok_or_else(|| GalleryError::NoSuchModel(id.to_string()))?;
-        model_from_record(&record)
+        model_from_row(&record)
     }
 
     fn model_display_major(&self, id: &ModelId) -> Result<u32> {
@@ -252,7 +252,7 @@ impl Gallery {
     /// Search models by constraints over the `models` table columns.
     pub fn find_models(&self, query: &Query) -> Result<Vec<Model>> {
         let rows = self.dal.query(tables::MODELS, query)?;
-        rows.iter().map(|r| model_from_record(r)).collect()
+        models_from_rows(&rows)
     }
 
     /// Models that evolved *from* the given model (the derived `next`
@@ -402,7 +402,7 @@ impl Gallery {
             .dal
             .get(tables::INSTANCES, id.as_str())?
             .ok_or_else(|| GalleryError::NoSuchInstance(id.to_string()))?;
-        instance_from_record(&record)
+        instance_from_row(&record)
     }
 
     /// All instances of a model, oldest first.
@@ -413,7 +413,7 @@ impl Gallery {
                 .and(Constraint::eq("model_id", model_id.as_str()))
                 .order_by("created", false),
         )?;
-        rows.iter().map(|r| instance_from_record(r)).collect()
+        instances_from_rows(&rows)
     }
 
     /// Fig 4's traversal: "users can ... traverse the evolution of their
@@ -426,7 +426,7 @@ impl Gallery {
                 .and(Constraint::eq("base_version_id", base))
                 .order_by("created", false),
         )?;
-        rows.iter().map(|r| instance_from_record(r)).collect()
+        instances_from_rows(&rows)
     }
 
     /// Latest (most recently created) non-deprecated instance of a model.
@@ -438,7 +438,7 @@ impl Gallery {
                 .order_by("created", true)
                 .limit(1),
         )?;
-        rows.first().map(|r| instance_from_record(r)).transpose()
+        rows.first().map(|r| instance_from_row(r)).transpose()
     }
 
     /// Fetch the serving blob of an instance. Automatic versions carry no
@@ -514,7 +514,7 @@ impl Gallery {
     /// Search instances by constraints over the `instances` table columns.
     pub fn find_instances(&self, query: &Query) -> Result<Vec<ModelInstance>> {
         let rows = self.dal.query(tables::INSTANCES, query)?;
-        rows.iter().map(|r| instance_from_record(r)).collect()
+        instances_from_rows(&rows)
     }
 
     // ------------------------------------------------------------------
@@ -578,7 +578,7 @@ impl Gallery {
                 .and(Constraint::eq("instance_id", instance_id.as_str()))
                 .order_by("created", false),
         )?;
-        rows.iter().map(|r| metric_from_record(r)).collect()
+        metrics_from_rows(&rows)
     }
 
     /// Latest value of a named metric for an instance in a scope.
@@ -597,7 +597,7 @@ impl Gallery {
                 .order_by("created", true)
                 .limit(1),
         )?;
-        rows.first().map(|r| metric_from_record(r)).transpose()
+        rows.first().map(|r| metric_from_row(r)).transpose()
     }
 
     /// Latest stored value of a named metric for an instance across all
@@ -685,7 +685,7 @@ impl Gallery {
             .dal
             .query(tables::INSTANCES, &Query::new(instance_side))?;
         if metric_side.is_empty() {
-            return rows.iter().map(|r| instance_from_record(r)).collect();
+            return instances_from_rows(&rows);
         }
         if rows.is_empty() {
             return Ok(Vec::new());
@@ -693,10 +693,8 @@ impl Gallery {
         // Join: keep instances with at least one metric row matching all
         // metric-side constraints — any observation, not the latest of its
         // name. One store call answers for all candidates.
-        let ids: Vec<&Value> = rows
-            .iter()
-            .map(|r| r.get("id").unwrap_or(&Value::Null))
-            .collect();
+        let id = rows[0].schema().positions(["id"]);
+        let ids: Vec<&Value> = rows.iter().map(|r| r.values_at(&id)[0]).collect();
         let keep = self.dal.semi_join(
             tables::METRICS,
             "instance_id",
@@ -704,7 +702,7 @@ impl Gallery {
             &Query::new(metric_side),
         )?;
         let kept = rows.iter().zip(keep).filter(|(_, keep)| *keep);
-        kept.map(|(r, _)| instance_from_record(r)).collect()
+        instances_from_rows(kept.map(|(r, _)| r))
     }
 
     // ------------------------------------------------------------------
@@ -776,7 +774,7 @@ impl Gallery {
                 .and(Constraint::eq("model_id", model_id.as_str()))
                 .order_by("created", true),
         )?;
-        rows.iter().map(|r| deployment_from_record(r)).collect()
+        deployments_from_rows(&rows)
     }
 
     /// Roll the production pointer for (model, environment) back to the

@@ -14,7 +14,8 @@ use crate::metadata::{fields, Metadata};
 use crate::metrics::{MetricRecord, MetricScope};
 use crate::model::Model;
 use crate::version::{DisplayVersion, InstanceTrigger};
-use gallery_store::{BlobLocation, ColumnDef, Record, TableSchema, Value, ValueType};
+use gallery_store::{BlobLocation, ColumnDef, Record, Row, TableSchema, Value, ValueType};
+use std::sync::Arc;
 
 /// Table names.
 pub mod tables {
@@ -171,59 +172,106 @@ pub fn all_schemas() -> Vec<TableSchema> {
     ]
 }
 
-fn req<'r>(record: &'r Record, field: &str) -> Result<&'r str> {
-    record
-        .get(field)
-        .and_then(|v| v.as_str())
+/// Converts rows of one table: the columns a conversion reads are found
+/// in the first row's schema, once — every row of a table shares it — and
+/// each row is then read by position.
+fn from_rows<'r, T, const N: usize>(
+    rows: impl IntoIterator<Item = &'r Arc<Row>>,
+    columns: [&str; N],
+    convert: fn([&'r Value; N]) -> Result<T>,
+) -> Result<Vec<T>> {
+    let mut at = None;
+    rows.into_iter()
+        .map(|row| {
+            let at = at.get_or_insert_with(|| row.schema().positions(columns));
+            convert(row.values_at(at))
+        })
+        .collect()
+}
+
+/// [`from_rows`] for one row.
+fn from_row<'r, T, const N: usize>(
+    row: &'r Row,
+    columns: [&str; N],
+    convert: fn([&'r Value; N]) -> Result<T>,
+) -> Result<T> {
+    convert(row.values_at(&row.schema().positions(columns)))
+}
+
+fn req<'r>(value: &'r Value, field: &str) -> Result<&'r str> {
+    value
+        .as_str()
         .ok_or_else(|| GalleryError::Invalid(format!("record missing string field {field}")))
 }
 
-fn req_str(record: &Record, field: &str) -> Result<String> {
-    req(record, field).map(str::to_owned)
+fn req_str(value: &Value, field: &str) -> Result<String> {
+    req(value, field).map(str::to_owned)
 }
 
-/// A nullable string column, borrowed from the row.
-pub(crate) fn opt<'r>(record: &'r Record, field: &str) -> Option<&'r str> {
-    record.get(field).and_then(|v| v.as_str())
+/// A nullable string column of a row, borrowed from it.
+pub(crate) fn opt<'r>(row: &'r Row, field: &str) -> Option<&'r str> {
+    row.get(field).and_then(Value::as_str)
 }
 
-fn opt_str(record: &Record, field: &str) -> Option<String> {
-    opt(record, field).map(str::to_owned)
+fn opt_str(value: &Value) -> Option<String> {
+    value.as_str().map(str::to_owned)
 }
 
-fn req_ts(record: &Record, field: &str) -> Result<TimestampMs> {
-    record
-        .get(field)
-        .and_then(|v| v.as_int())
+fn req_ts(value: &Value, field: &str) -> Result<TimestampMs> {
+    value
+        .as_int()
         .ok_or_else(|| GalleryError::Invalid(format!("record missing timestamp field {field}")))
 }
 
-fn flag(record: &Record, field: &str) -> bool {
-    matches!(record.get(field), Some(Value::Bool(true)))
+fn flag(value: &Value) -> bool {
+    matches!(value, Value::Bool(true))
 }
 
-fn metadata_of(record: &Record) -> Metadata {
-    record
-        .get("metadata")
-        .and_then(|v| v.as_str())
+fn metadata_of(value: &Value) -> Metadata {
+    value
+        .as_str()
         .map(Metadata::from_stored)
         .unwrap_or_default()
 }
 
-/// Convert a `models` row into a [`Model`].
-pub fn model_from_record(record: &Record) -> Result<Model> {
+/// The `models` columns [`model_from_row`] reads, in the order it reads them.
+const MODEL: [&str; 10] = [
+    "id",
+    "base_version_id",
+    "project",
+    "name",
+    "owner",
+    "description",
+    "metadata",
+    "created",
+    "prev",
+    "deprecated",
+];
+
+fn model(values: [&Value; 10]) -> Result<Model> {
+    let [id, base, project, name, owner, description, metadata, created, prev, deprecated] = values;
     Ok(Model {
-        id: ModelId(req_str(record, "id")?),
-        base_version_id: BaseVersionId(req_str(record, "base_version_id")?),
-        project: req_str(record, "project")?,
-        name: req_str(record, "name")?,
-        owner: req_str(record, "owner")?,
-        description: opt_str(record, "description").unwrap_or_default(),
-        metadata: metadata_of(record),
-        created_at: req_ts(record, "created")?,
-        prev: opt_str(record, "prev").map(ModelId),
-        deprecated: flag(record, "deprecated"),
+        id: ModelId(req_str(id, "id")?),
+        base_version_id: BaseVersionId(req_str(base, "base_version_id")?),
+        project: req_str(project, "project")?,
+        name: req_str(name, "name")?,
+        owner: req_str(owner, "owner")?,
+        description: opt_str(description).unwrap_or_default(),
+        metadata: metadata_of(metadata),
+        created_at: req_ts(created, "created")?,
+        prev: opt_str(prev).map(ModelId),
+        deprecated: flag(deprecated),
     })
+}
+
+/// Convert a `models` row into a [`Model`].
+pub fn model_from_row(row: &Row) -> Result<Model> {
+    from_row(row, MODEL, model)
+}
+
+/// Convert the `models` rows of one result into [`Model`]s.
+pub fn models_from_rows<'r>(rows: impl IntoIterator<Item = &'r Arc<Row>>) -> Result<Vec<Model>> {
+    from_rows(rows, MODEL, model)
 }
 
 /// Convert a [`Model`] plus its display major into a `models` row.
@@ -244,20 +292,48 @@ pub fn model_to_record(model: &Model, display_major: u32) -> Record {
     r
 }
 
-/// Convert an `instances` row into a [`ModelInstance`].
-pub fn instance_from_record(record: &Record) -> Result<ModelInstance> {
+/// The `instances` columns [`instance_from_row`] reads, in the order it
+/// reads them.
+const INSTANCE: [&str; 10] = [
+    "id",
+    "model_id",
+    "base_version_id",
+    "display_version",
+    "blob_location",
+    "metadata",
+    "created",
+    "trigger",
+    "parent",
+    "deprecated",
+];
+
+fn instance(values: [&Value; 10]) -> Result<ModelInstance> {
+    let [id, model_id, base, version, blob, metadata, created, trigger, parent, deprecated] =
+        values;
     Ok(ModelInstance {
-        id: InstanceId(req_str(record, "id")?),
-        model_id: ModelId(req_str(record, "model_id")?),
-        base_version_id: BaseVersionId(req_str(record, "base_version_id")?),
-        display_version: DisplayVersion::parse(req(record, "display_version")?)?,
-        blob_location: opt_str(record, "blob_location").map(BlobLocation::new),
-        metadata: metadata_of(record),
-        created_at: req_ts(record, "created")?,
-        trigger: InstanceTrigger::decode(req(record, "trigger")?)?,
-        parent: opt_str(record, "parent").map(InstanceId),
-        deprecated: flag(record, "deprecated"),
+        id: InstanceId(req_str(id, "id")?),
+        model_id: ModelId(req_str(model_id, "model_id")?),
+        base_version_id: BaseVersionId(req_str(base, "base_version_id")?),
+        display_version: DisplayVersion::parse(req(version, "display_version")?)?,
+        blob_location: opt_str(blob).map(BlobLocation::new),
+        metadata: metadata_of(metadata),
+        created_at: req_ts(created, "created")?,
+        trigger: InstanceTrigger::decode(req(trigger, "trigger")?)?,
+        parent: opt_str(parent).map(InstanceId),
+        deprecated: flag(deprecated),
     })
+}
+
+/// Convert an `instances` row into a [`ModelInstance`].
+pub fn instance_from_row(row: &Row) -> Result<ModelInstance> {
+    from_row(row, INSTANCE, instance)
+}
+
+/// Convert the `instances` rows of one result into [`ModelInstance`]s.
+pub fn instances_from_rows<'r>(
+    rows: impl IntoIterator<Item = &'r Arc<Row>>,
+) -> Result<Vec<ModelInstance>> {
+    from_rows(rows, INSTANCE, instance)
 }
 
 /// Convert a [`ModelInstance`] into an `instances` row (blob_location is
@@ -291,20 +367,43 @@ pub fn instance_to_record(instance: &ModelInstance, project: &str) -> Record {
     r
 }
 
-/// Convert a `metrics` row into a [`MetricRecord`].
-pub fn metric_from_record(record: &Record) -> Result<MetricRecord> {
+/// The `metrics` columns [`metric_from_row`] reads, in the order it reads
+/// them.
+const METRIC: [&str; 7] = [
+    "id",
+    "instance_id",
+    "name",
+    "value",
+    "scope",
+    "metadata",
+    "created",
+];
+
+fn metric(values: [&Value; 7]) -> Result<MetricRecord> {
+    let [id, instance_id, name, value, scope, metadata, created] = values;
     Ok(MetricRecord {
-        id: MetricId(req_str(record, "id")?),
-        instance_id: InstanceId(req_str(record, "instance_id")?),
-        name: req_str(record, "name")?,
-        value: record
-            .get("value")
-            .and_then(|v| v.as_float())
+        id: MetricId(req_str(id, "id")?),
+        instance_id: InstanceId(req_str(instance_id, "instance_id")?),
+        name: req_str(name, "name")?,
+        value: value
+            .as_float()
             .ok_or_else(|| GalleryError::Invalid("metric missing value".into()))?,
-        scope: MetricScope::parse(req(record, "scope")?)?,
-        metadata: metadata_of(record),
-        created_at: req_ts(record, "created")?,
+        scope: MetricScope::parse(req(scope, "scope")?)?,
+        metadata: metadata_of(metadata),
+        created_at: req_ts(created, "created")?,
     })
+}
+
+/// Convert a `metrics` row into a [`MetricRecord`].
+pub fn metric_from_row(row: &Row) -> Result<MetricRecord> {
+    from_row(row, METRIC, metric)
+}
+
+/// Convert the `metrics` rows of one result into [`MetricRecord`]s.
+pub fn metrics_from_rows<'r>(
+    rows: impl IntoIterator<Item = &'r Arc<Row>>,
+) -> Result<Vec<MetricRecord>> {
+    from_rows(rows, METRIC, metric)
 }
 
 /// Convert a [`MetricRecord`] into a `metrics` row.
@@ -329,14 +428,24 @@ pub struct Deployment {
     pub created_at: TimestampMs,
 }
 
-pub fn deployment_from_record(record: &Record) -> Result<Deployment> {
+/// The `deployments` columns [`deployments_from_rows`] reads, in order.
+const DEPLOYMENT: [&str; 5] = ["id", "model_id", "instance_id", "environment", "created"];
+
+fn deployment(values: [&Value; 5]) -> Result<Deployment> {
+    let [id, model_id, instance_id, environment, created] = values;
     Ok(Deployment {
-        id: DeploymentId(req_str(record, "id")?),
-        model_id: ModelId(req_str(record, "model_id")?),
-        instance_id: InstanceId(req_str(record, "instance_id")?),
-        environment: req_str(record, "environment")?,
-        created_at: req_ts(record, "created")?,
+        id: DeploymentId(req_str(id, "id")?),
+        model_id: ModelId(req_str(model_id, "model_id")?),
+        instance_id: InstanceId(req_str(instance_id, "instance_id")?),
+        environment: req_str(environment, "environment")?,
+        created_at: req_ts(created, "created")?,
     })
+}
+
+pub fn deployments_from_rows<'r>(
+    rows: impl IntoIterator<Item = &'r Arc<Row>>,
+) -> Result<Vec<Deployment>> {
+    from_rows(rows, DEPLOYMENT, deployment)
 }
 
 pub fn deployment_to_record(d: &Deployment) -> Record {
@@ -351,6 +460,11 @@ pub fn deployment_to_record(d: &Deployment) -> Record {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `record` as the table `schema` declares stores it.
+    fn stored(schema: TableSchema, record: Record) -> Row {
+        Arc::new(schema).place(record).unwrap()
+    }
 
     #[test]
     fn all_schemas_build_and_are_distinct() {
@@ -374,10 +488,10 @@ mod tests {
             prev: Some(ModelId::from("m-0")),
             deprecated: false,
         };
-        let record = model_to_record(&model, 4);
-        let back = model_from_record(&record).unwrap();
+        let row = stored(models_schema(), model_to_record(&model, 4));
+        let back = model_from_row(&row).unwrap();
         assert_eq!(back, model);
-        assert_eq!(record.get("display_major"), Some(&Value::Int(4)));
+        assert_eq!(row.get("display_major"), Some(&Value::Int(4)));
     }
 
     #[test]
@@ -397,16 +511,16 @@ mod tests {
             parent: None,
             deprecated: false,
         };
-        let record = instance_to_record(&inst, "example-project");
-        let back = instance_from_record(&record).unwrap();
+        let row = stored(
+            instances_schema(),
+            instance_to_record(&inst, "example-project"),
+        );
+        let back = instance_from_row(&row).unwrap();
         assert_eq!(back, inst);
         // Search keys denormalized:
-        assert_eq!(record.get("city"), Some(&Value::from("New York City")));
-        assert_eq!(
-            record.get("model_name"),
-            Some(&Value::from("Random Forest"))
-        );
-        assert_eq!(record.get("project"), Some(&Value::from("example-project")));
+        assert_eq!(row.get("city"), Some(&Value::from("New York City")));
+        assert_eq!(row.get("model_name"), Some(&Value::from("Random Forest")));
+        assert_eq!(row.get("project"), Some(&Value::from("example-project")));
     }
 
     #[test]
@@ -420,8 +534,8 @@ mod tests {
             metadata: Metadata::new(),
             created_at: 7,
         };
-        let record = metric_to_record(&m);
-        assert_eq!(metric_from_record(&record).unwrap(), m);
+        let row = stored(metrics_schema(), metric_to_record(&m));
+        assert_eq!(metric_from_row(&row).unwrap(), m);
     }
 
     #[test]
@@ -433,13 +547,39 @@ mod tests {
             environment: "production".into(),
             created_at: 42,
         };
-        let record = deployment_to_record(&d);
-        assert_eq!(deployment_from_record(&record).unwrap(), d);
+        let row = Arc::new(stored(deployments_schema(), deployment_to_record(&d)));
+        assert_eq!(deployments_from_rows([&row]).unwrap(), [d]);
     }
 
     #[test]
     fn malformed_record_rejected() {
-        let r = Record::new().set("id", "m-1");
-        assert!(model_from_record(&r).is_err());
+        // A table with the key alone: every other column reads `Null`.
+        let bare = TableSchema::new("models", "id", vec![ColumnDef::new("id", ValueType::Str)]);
+        let row = stored(bare.unwrap(), Record::new().set("id", "m-1"));
+        assert!(model_from_row(&row).is_err());
+    }
+
+    #[test]
+    fn a_result_converts_by_positions_found_once() {
+        let schema = Arc::new(metrics_schema());
+        let rows: Vec<Arc<Row>> = (0..3)
+            .map(|i| {
+                let m = MetricRecord {
+                    id: MetricId::from(format!("mt-{i}").as_str()),
+                    instance_id: InstanceId::from("i-1"),
+                    name: "bias".into(),
+                    value: i as f64,
+                    scope: MetricScope::Validation,
+                    metadata: Metadata::new(),
+                    created_at: i,
+                };
+                Arc::new(schema.place(metric_to_record(&m)).unwrap())
+            })
+            .collect();
+        let metrics = metrics_from_rows(&rows).unwrap();
+        let one_by_one: Vec<MetricRecord> =
+            rows.iter().map(|r| metric_from_row(r).unwrap()).collect();
+        assert_eq!(metrics, one_by_one);
+        assert_eq!(metrics[2].value, 2.0);
     }
 }

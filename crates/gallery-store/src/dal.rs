@@ -12,7 +12,7 @@ use crate::blob::{BlobInfo, BlobLocation, ObjectStore};
 use crate::error::{Result, StoreError};
 use crate::meta::MetadataStore;
 use crate::query::{Explain, Query};
-use crate::record::Record;
+use crate::record::{Record, Row};
 use crate::schema::TableSchema;
 use crate::value::Value;
 use bytes::Bytes;
@@ -327,7 +327,7 @@ impl Dal {
         Ok(n)
     }
 
-    pub fn get(&self, table: &str, pk: &str) -> Result<Option<Arc<Record>>> {
+    pub fn get(&self, table: &str, pk: &str) -> Result<Option<Arc<Row>>> {
         self.metrics.get_total.inc();
         let start = Instant::now();
         let result = self.meta.get(table, pk);
@@ -335,7 +335,7 @@ impl Dal {
         result
     }
 
-    pub fn query(&self, table: &str, query: &Query) -> Result<Vec<Arc<Record>>> {
+    pub fn query(&self, table: &str, query: &Query) -> Result<Vec<Arc<Row>>> {
         self.metrics.query_total.inc();
         let start = Instant::now();
         let result = self.meta.query(table, query);
@@ -349,7 +349,7 @@ impl Dal {
         &self,
         table: &str,
         query: &Query,
-    ) -> Result<(Vec<Arc<Record>>, Explain)> {
+    ) -> Result<(Vec<Arc<Row>>, Explain)> {
         self.metrics.query_total.inc();
         let start = Instant::now();
         let result = self.meta.query_explain_full(table, query);

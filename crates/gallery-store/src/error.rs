@@ -11,6 +11,8 @@ pub enum StoreError {
     NoSuchTable(String),
     /// No column with this name in the table schema.
     NoSuchColumn { table: String, column: String },
+    /// A row gave this column more than one value.
+    DuplicateColumn { table: String, column: String },
     /// A record with this primary key already exists (records are immutable).
     DuplicateKey(String),
     /// No record with this primary key.
@@ -55,6 +57,9 @@ impl fmt::Display for StoreError {
             StoreError::NoSuchTable(t) => write!(f, "no such table: {t}"),
             StoreError::NoSuchColumn { table, column } => {
                 write!(f, "no such column {column} in table {table}")
+            }
+            StoreError::DuplicateColumn { table, column } => {
+                write!(f, "column {column} given twice in a row of table {table}")
             }
             StoreError::DuplicateKey(k) => write!(f, "duplicate primary key: {k}"),
             StoreError::NoSuchKey(k) => write!(f, "no such key: {k}"),

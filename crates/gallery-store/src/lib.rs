@@ -51,7 +51,7 @@ pub use fault::FaultPlan;
 pub use latency::{LatencyMeter, LatencyModel};
 pub use meta::{MetadataStore, ShipApply, SlowQueryEntry, SlowQueryLog, StoreConfig};
 pub use query::{AccessPath, Constraint, Explain, Op, OrderBy, Query};
-pub use record::Record;
+pub use record::{Record, Row};
 pub use schema::{ColumnDef, IndexKind, OrderedIndexDef, TableSchema};
 pub use ship::{ShipFrame, ShipReport};
 pub use simfs::{real_fs, FileSystem, FsFile, RealFs, SimFaultPlan, SimFs};

@@ -22,7 +22,7 @@
 use crate::error::{Result, StoreError};
 use crate::fault::{sites, FaultPlan};
 use crate::query::{Explain, Query};
-use crate::record::Record;
+use crate::record::{Record, Row};
 use crate::schema::TableSchema;
 use crate::simfs::{real_fs, FileSystem};
 use crate::table::{IndexDeltaCounters, StripeLockMetrics, Table, TableStats};
@@ -453,7 +453,7 @@ impl MetadataStore {
         self.cfg
     }
 
-    fn new_table(&self, schema: TableSchema) -> Arc<Table> {
+    fn new_table(&self, schema: Arc<TableSchema>) -> Arc<Table> {
         let table = Table::with_config(schema, self.cfg.lock_stripes, self.cfg.index_batch);
         let metrics = self.metrics.read();
         table.set_delta_counters(metrics.delta.clone());
@@ -511,20 +511,22 @@ impl MetadataStore {
                 if catalog.contains_key(&schema.name) {
                     return Err(StoreError::TableExists(schema.name.clone()));
                 }
-                catalog.insert(schema.name.clone(), self.new_table(schema.clone()));
+                catalog.insert(schema.name.clone(), self.new_table(Arc::clone(schema)));
                 Ok(())
             }
-            WalOp::Insert { table, record } => {
+            WalOp::Insert { table, row } => {
                 let t = catalog
                     .get(table)
                     .ok_or_else(|| StoreError::NoSuchTable(table.clone()))?;
-                t.schema().validate_row(record.fields())?;
-                let pk = t.pk_of(record.as_ref())?;
-                let mut token = t.lock_stripe(&pk);
-                if token.contains(&pk) {
-                    return Err(StoreError::DuplicateKey(pk));
+                // Replay decoded the row against this table's schema: it
+                // was placed, and checked, as it was read.
+                let row = t.adopt(Arc::clone(row))?;
+                let pk = t.key_of(&row);
+                let mut token = t.lock_stripe(pk);
+                if token.contains(pk) {
+                    return Err(StoreError::DuplicateKey(pk.to_owned()));
                 }
-                token.apply_insert(Arc::clone(record), seq);
+                token.apply_insert(Arc::clone(&row), seq);
                 Ok(())
             }
             WalOp::SetFlag {
@@ -582,7 +584,11 @@ impl MetadataStore {
         }
         let committed = match op {
             WalOp::CreateTable { schema } => self.create_table_inner(schema)?,
-            WalOp::Insert { table, record } => self.insert_inner(&table, record)?,
+            WalOp::Insert { table, row } => {
+                let t = self.table_arc(&table)?;
+                let row = t.adopt(row)?;
+                self.insert_row(&t, table, row)?
+            }
             WalOp::SetFlag {
                 table,
                 pk,
@@ -600,19 +606,19 @@ impl MetadataStore {
     /// Create a table.
     pub fn create_table(&self, schema: TableSchema) -> Result<()> {
         let _gate = self.gate.read();
-        self.create_table_inner(schema)?;
+        self.create_table_inner(Arc::new(schema))?;
         Ok(())
     }
 
-    fn create_table_inner(&self, schema: TableSchema) -> Result<u64> {
+    fn create_table_inner(&self, schema: Arc<TableSchema>) -> Result<u64> {
         // Hold the catalog write lock across the commit so the duplicate
         // check and the insert are atomic.
         let mut catalog = self.catalog.write();
         if catalog.contains_key(&schema.name) {
-            return Err(StoreError::TableExists(schema.name));
+            return Err(StoreError::TableExists(schema.name.clone()));
         }
         let seq = self.commit(WalOp::CreateTable {
-            schema: schema.clone(),
+            schema: Arc::clone(&schema),
         })?;
         catalog.insert(schema.name.clone(), self.new_table(schema));
         Ok(seq)
@@ -626,6 +632,13 @@ impl MetadataStore {
         self.catalog.read().keys().cloned().collect()
     }
 
+    /// The schema of `table`, shared with its rows; what a shipped frame's
+    /// insert is decoded against.
+    pub(crate) fn schema_of(&self, table: &str) -> Option<Arc<TableSchema>> {
+        let catalog = self.catalog.read();
+        catalog.get(table).map(|t| Arc::clone(t.schema()))
+    }
+
     /// Insert an immutable record. WAL-first so that an acknowledged insert
     /// survives restart. The row's stripe stays locked from the duplicate
     /// check through the commit and apply, so concurrent inserts to other
@@ -635,26 +648,27 @@ impl MetadataStore {
             return Err(StoreError::InjectedFault(sites::META_INSERT));
         }
         let _gate = self.gate.read();
-        self.insert_inner(table, Arc::new(record))?;
+        let t = self.table_arc(table)?;
+        // Validated and placed before logging, so the WAL never contains
+        // an op that fails on replay.
+        let row = Arc::new(t.schema().place(record)?);
+        self.insert_row(&t, table.to_owned(), row)?;
         Ok(())
     }
 
-    fn insert_inner(&self, table: &str, record: Arc<Record>) -> Result<u64> {
-        let t = self.table_arc(table)?;
-        // Validate against schema before logging so the WAL never contains
-        // an op that fails on replay.
-        t.schema().validate_row(record.fields())?;
-        let pk = t.pk_of(record.as_ref())?;
-        let mut token = t.lock_stripe(&pk);
-        if token.contains(&pk) {
-            return Err(StoreError::DuplicateKey(pk));
+    /// Commit and apply a row placed against `t`'s schema.
+    fn insert_row(&self, t: &Table, table: String, row: Arc<Row>) -> Result<u64> {
+        let pk = t.key_of(&row);
+        let mut token = t.lock_stripe(pk);
+        if token.contains(pk) {
+            return Err(StoreError::DuplicateKey(pk.to_owned()));
         }
         // The oplog entry and the table row share one allocation.
         let seq = self.commit(WalOp::Insert {
-            table: table.to_owned(),
-            record: Arc::clone(&record),
+            table,
+            row: Arc::clone(&row),
         })?;
-        token.apply_insert(record, seq);
+        token.apply_insert(Arc::clone(&row), seq);
         Ok(seq)
     }
 
@@ -676,43 +690,41 @@ impl MetadataStore {
         }
         let _gate = self.gate.read();
         let t = self.table_arc(table)?;
-        let mut pks = Vec::with_capacity(records.len());
-        for record in &records {
-            t.schema().validate_row(record.fields())?;
-            pks.push(t.pk_of(record)?);
-        }
+        let rows = records
+            .into_iter()
+            .map(|record| t.schema().place(record).map(Arc::new))
+            .collect::<Result<Vec<Arc<Row>>>>()?;
+        let pks: Vec<&str> = rows.iter().map(|row| t.key_of(row)).collect();
         let mut seen = HashSet::with_capacity(pks.len());
         for pk in &pks {
-            if !seen.insert(pk.as_str()) {
-                return Err(StoreError::DuplicateKey(pk.clone()));
+            if !seen.insert(*pk) {
+                return Err(StoreError::DuplicateKey((*pk).to_owned()));
             }
         }
         let mut token = t.lock_stripe_set(&pks);
         for pk in &pks {
             if token.contains(pk) {
-                return Err(StoreError::DuplicateKey(pk.clone()));
+                return Err(StoreError::DuplicateKey((*pk).to_owned()));
             }
         }
-        let records: Vec<Arc<Record>> = records.into_iter().map(Arc::new).collect();
-        let ops: Vec<WalOp> = records
+        let ops: Vec<WalOp> = rows
             .iter()
-            .map(|r| WalOp::Insert {
+            .map(|row| WalOp::Insert {
                 table: table.to_owned(),
-                record: Arc::clone(r),
+                row: Arc::clone(row),
             })
             .collect();
         let seqs = self.commit_many(ops)?;
-        let n = records.len();
-        for (record, seq) in records.into_iter().zip(seqs) {
-            token.apply_insert(record, seq);
+        for (row, seq) in rows.iter().zip(seqs) {
+            token.apply_insert(Arc::clone(row), seq);
         }
-        Ok(n)
+        Ok(rows.len())
     }
 
     /// Point lookup by primary key: the stored row itself, shared, not a
     /// copy. It is an immutable snapshot — a later `set_flag` copies the
     /// row on write and this handle keeps reading the old value.
-    pub fn get(&self, table: &str, pk: &str) -> Result<Option<Arc<Record>>> {
+    pub fn get(&self, table: &str, pk: &str) -> Result<Option<Arc<Row>>> {
         let t = self.table_arc(table)?;
         Ok(t.peek(pk))
     }
@@ -727,7 +739,7 @@ impl MetadataStore {
     fn set_flag_inner(&self, table: &str, pk: &str, column: &str, value: bool) -> Result<u64> {
         let t = self.table_arc(table)?;
         // Validate everything before logging.
-        t.check_flag_column(column)?;
+        let at = t.check_flag_column(column)?;
         let mut token = t.lock_stripe(pk);
         if !token.contains(pk) {
             return Err(StoreError::NoSuchKey(pk.to_owned()));
@@ -738,13 +750,13 @@ impl MetadataStore {
             column: column.to_owned(),
             value,
         })?;
-        token.apply_set_flag(pk, column, value);
+        token.apply_set_flag(pk, at, value);
         Ok(seq)
     }
 
     /// Execute a constraint query. Rows are shared immutable snapshots,
     /// as for [`MetadataStore::get`].
-    pub fn query(&self, table: &str, query: &Query) -> Result<Vec<Arc<Record>>> {
+    pub fn query(&self, table: &str, query: &Query) -> Result<Vec<Arc<Row>>> {
         Ok(self.query_explain_full(table, query)?.0)
     }
 
@@ -757,7 +769,7 @@ impl MetadataStore {
         &self,
         table: &str,
         query: &Query,
-    ) -> Result<(Vec<Arc<Record>>, Explain)> {
+    ) -> Result<(Vec<Arc<Row>>, Explain)> {
         if self.faults.should_fail(sites::META_QUERY) {
             return Err(StoreError::InjectedFault(sites::META_QUERY));
         }
@@ -911,13 +923,13 @@ impl MetadataStore {
         for name in table_names {
             let table = &catalog[name];
             compacted.append(&WalOp::CreateTable {
-                schema: table.schema().clone(),
+                schema: Arc::clone(table.schema()),
             })?;
             entries += 1;
-            for record in table.snapshot_seq_order() {
+            for row in table.snapshot_seq_order() {
                 compacted.append(&WalOp::Insert {
                     table: name.clone(),
-                    record,
+                    row,
                 })?;
                 entries += 1;
             }
@@ -1021,24 +1033,29 @@ mod tests {
     #[test]
     fn readers_keep_snapshots_across_set_flag() {
         let path = tmp("snapshots");
-        let deprecated = |r: &Record| r.get("deprecated") == Some(&Value::Bool(true));
+        let deprecated = |r: &Row| r.get("deprecated") == Some(&Value::Bool(true));
         let all = Query::all().with_deprecated();
         {
             let store = MetadataStore::durable(&path, SyncPolicy::Never).unwrap();
             store.create_table(schema()).unwrap();
-            store
-                .insert("models", Record::new().set("id", "m1").set("name", "rf"))
-                .unwrap();
+            let row = Record::new()
+                .set("id", "m1")
+                .set("name", "rf")
+                .set("deprecated", false);
+            store.insert("models", row).unwrap();
             let queried = store.query("models", &all).unwrap();
             let got = store.get("models", "m1").unwrap().unwrap();
+            let [at] = got.schema().positions(["deprecated"]);
             store.set_flag("models", "m1", "deprecated", true).unwrap();
-            // Rows handed out before the write are unchanged; so is the
-            // oplog's copy of the insert, which shared their allocation.
-            assert!(!deprecated(&queried[0]) && !deprecated(&got));
+            // Rows handed out before the write are unchanged, by name and
+            // by position; so is the oplog's copy of the insert, which
+            // shared their allocation.
+            assert_eq!(queried[0].get("deprecated"), Some(&Value::Bool(false)));
+            assert_eq!(got.values_at(&[at]), [&Value::Bool(false)]);
             let logged = store.ops_since(0, usize::MAX);
             assert!(logged.iter().any(|(_, op)| matches!(
                 op,
-                WalOp::Insert { record, .. } if **record == *got && !deprecated(record)
+                WalOp::Insert { row, .. } if Arc::ptr_eq(row, &got) && !deprecated(row)
             )));
             // A fresh read sees the flag.
             assert!(deprecated(&store.query("models", &all).unwrap()[0]));
@@ -1191,6 +1208,77 @@ mod tests {
         // Nothing from either rejected batch landed.
         assert_eq!(store.row_count("models").unwrap(), 1);
         assert_eq!(store.applied_seq(), 2);
+    }
+
+    #[test]
+    fn a_logged_row_that_repeats_a_column_replays_with_its_first_value() {
+        // Hand-built: what a writer logged before such rows were refused.
+        // Op, "models", three fields: id "m1", name "rf", then name "lr".
+        let payload = [
+            &[2, 6][..],
+            b"models",
+            &[3, 2],
+            b"id",
+            &[4, 2],
+            b"m1",
+            &[4],
+            b"name",
+            &[4, 2],
+            b"rf",
+            &[4],
+            b"name",
+            &[4, 2],
+            b"lr",
+        ]
+        .concat();
+        let path = tmp("repeated");
+        let mut wal = Wal::open(&path, SyncPolicy::Never).unwrap();
+        wal.append(&WalOp::CreateTable {
+            schema: Arc::new(schema()),
+        })
+        .unwrap();
+        drop(wal);
+        let len = payload.len() as u32;
+        let mut log = std::fs::read(&path).unwrap();
+        log.extend_from_slice(&len.to_le_bytes());
+        log.extend_from_slice(&(!len).to_le_bytes());
+        log.extend_from_slice(&crate::blob::checksum::crc32(&payload).to_le_bytes());
+        log.extend_from_slice(&payload);
+        std::fs::write(&path, &log).unwrap();
+        let store = MetadataStore::durable(&path, SyncPolicy::Never).unwrap();
+        let row = store.get("models", "m1").unwrap().unwrap();
+        assert_eq!(row.get("name"), Some(&Value::from("rf")));
+        assert_eq!(std::fs::read(&path).unwrap(), log, "nothing healed away");
+    }
+
+    #[test]
+    fn a_column_given_twice_is_refused_before_the_log_sees_it() {
+        fn refused<T>(result: Result<T>) -> bool {
+            matches!(result, Err(StoreError::DuplicateColumn { column, .. }) if column == "name")
+        }
+        let twice = |id: &str| -> Record {
+            let name = |n: &str| ("name", Value::from(n));
+            [("id", Value::from(id)), name("rf"), name("lr")]
+                .into_iter()
+                .collect()
+        };
+        let path = tmp("twice");
+        {
+            let store = MetadataStore::durable(&path, SyncPolicy::Never).unwrap();
+            store.create_table(schema()).unwrap();
+            let row = Record::new().set("id", "m0").set("name", "rf");
+            store.insert("models", row).unwrap();
+            let logged = (store.applied_seq(), store.wal_size_bytes());
+            assert!(refused(store.insert("models", twice("m1"))));
+            let fine = Record::new().set("id", "m2").set("name", "rf");
+            assert!(refused(
+                store.insert_many("models", vec![fine, twice("m3")])
+            ));
+            assert_eq!((store.applied_seq(), store.wal_size_bytes()), logged);
+            assert_eq!(store.row_count("models").unwrap(), 1);
+        }
+        let restored = MetadataStore::durable(&path, SyncPolicy::Never).unwrap();
+        assert_eq!(restored.row_count("models").unwrap(), 1);
     }
 
     #[test]

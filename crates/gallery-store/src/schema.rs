@@ -1,9 +1,11 @@
 //! Table schemas for the embedded metadata store.
 
 use crate::error::{Result, StoreError};
+use crate::record::{Record, Row};
 use crate::table::MUTABLE_FLAG_COLUMNS;
 use crate::value::{Value, ValueType};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Kind of secondary index maintained over a column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -177,39 +179,141 @@ impl TableSchema {
         self.columns.iter().position(|c| c.name == name)
     }
 
-    /// Validate a full row of values against this schema.
-    pub fn validate_row(&self, values: &[(String, Value)]) -> Result<()> {
-        for col in &self.columns {
-            match values.iter().find(|(n, _)| n == &col.name) {
-                None => {
-                    if !col.nullable {
-                        return Err(StoreError::MissingColumn(col.name.clone()));
-                    }
-                }
-                Some((_, v)) => {
-                    if v.is_null() {
-                        if !col.nullable {
-                            return Err(StoreError::MissingColumn(col.name.clone()));
-                        }
-                    } else if !v.conforms_to(col.ty) {
-                        return Err(StoreError::TypeMismatch {
-                            column: col.name.clone(),
-                            expected: col.ty.name(),
-                            got: v.type_name(),
-                        });
-                    }
-                }
-            }
+    /// Position of column `name`, looked for at `hint` first: names given
+    /// in schema order are found one comparison each.
+    fn position_from(&self, hint: usize, name: &str) -> Option<usize> {
+        match self.columns.get(hint) {
+            Some(c) if c.name == name => Some(hint),
+            _ => self.column_index(name),
         }
-        for (n, _) in values {
-            if self.column(n).is_none() {
-                return Err(StoreError::NoSuchColumn {
-                    table: self.name.clone(),
-                    column: n.clone(),
+    }
+
+    /// Positions of `names`, `None` for a name the table has no column
+    /// for: a reader of many rows looks its columns up once, here, and
+    /// then reads each row with [`Row::values_at`].
+    pub fn positions<const N: usize>(&self, names: [&str; N]) -> [Option<usize>; N] {
+        let mut next = 0;
+        names.map(|name| {
+            let at = self.position_from(next, name);
+            next = at.map_or(next, |at| at + 1);
+            at
+        })
+    }
+
+    /// Position of the primary-key column.
+    pub fn key_position(&self) -> Option<usize> {
+        self.column_index(&self.primary_key)
+    }
+
+    /// Validate `record` and place its values in schema order: the row a
+    /// table stores, built once, at insert. Fails with the first of: a
+    /// required column absent or `Null` (`MissingColumn`), a value of the
+    /// wrong type (`TypeMismatch`) — both in schema order — a name the
+    /// table has no column for (`NoSuchColumn`), a column given twice
+    /// (`DuplicateColumn`).
+    pub fn place(self: &Arc<Self>, record: Record) -> Result<Row> {
+        let mut placement = Placement::new(self);
+        for (name, value) in record.into_fields() {
+            placement.give(&name, value);
+        }
+        placement.finish(Repeated::Refuse)
+    }
+}
+
+/// What the validate-and-place pass does with a second value for a column.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Repeated {
+    /// Refuse the row ([`TableSchema::place`]).
+    Refuse,
+    /// Keep the first value. A log written before such rows were refused
+    /// may hold one, and its readers saw the first.
+    KeepFirst,
+}
+
+/// The validate-and-place pass: `(name, value)` pairs in, a [`Row`] out.
+/// Each name is resolved to its column as it arrives, with no copy of it
+/// kept; [`Placement::finish`] then checks every column's nullability and
+/// type in one walk, and the primary key with them.
+pub(crate) struct Placement<'s> {
+    schema: &'s Arc<TableSchema>,
+    values: Vec<Value>,
+    given: Vec<bool>,
+    /// Where the next name is looked for first: builders and logs mostly
+    /// give columns in schema order ([`TableSchema::position_from`]).
+    next: usize,
+    /// The first name the table has no column for, and the first column
+    /// given twice.
+    unknown: Option<String>,
+    repeated: Option<String>,
+}
+
+impl<'s> Placement<'s> {
+    pub(crate) fn new(schema: &'s Arc<TableSchema>) -> Self {
+        let n = schema.columns.len();
+        Placement {
+            schema,
+            values: vec![Value::Null; n],
+            given: vec![false; n],
+            next: 0,
+            unknown: None,
+            repeated: None,
+        }
+    }
+
+    pub(crate) fn give(&mut self, name: &str, value: Value) {
+        let Some(at) = self.schema.position_from(self.next, name) else {
+            self.unknown.get_or_insert_with(|| name.to_owned());
+            return;
+        };
+        self.next = at + 1;
+        if std::mem::replace(&mut self.given[at], true) {
+            self.repeated.get_or_insert_with(|| name.to_owned());
+        } else {
+            self.values[at] = value;
+        }
+    }
+
+    /// The row, or why there is none (see [`TableSchema::place`]).
+    pub(crate) fn finish(self, repeated: Repeated) -> Result<Row> {
+        let schema = self.schema;
+        for (col, v) in schema.columns.iter().zip(&self.values) {
+            if v.is_null() {
+                if !col.nullable {
+                    return Err(StoreError::MissingColumn(col.name.clone()));
+                }
+            } else if !v.conforms_to(col.ty) {
+                return Err(StoreError::TypeMismatch {
+                    column: col.name.clone(),
+                    expected: col.ty.name(),
+                    got: v.type_name(),
                 });
             }
         }
-        Ok(())
+        if let Some(column) = self.unknown {
+            let table = schema.name.clone();
+            return Err(StoreError::NoSuchColumn { table, column });
+        }
+        if let (Some(column), Repeated::Refuse) = (self.repeated, repeated) {
+            let table = schema.name.clone();
+            return Err(StoreError::DuplicateColumn { table, column });
+        }
+        // `TableSchema::new` makes the key a required `str` column, but a
+        // schema read back from a log is taken as it was declared there.
+        let key = schema.key_position().and_then(|k| self.values.get(k));
+        match key {
+            Some(Value::Str(_)) => {}
+            Some(Value::Null) | None => {
+                return Err(StoreError::MissingColumn(schema.primary_key.clone()))
+            }
+            Some(v) => {
+                return Err(StoreError::TypeMismatch {
+                    column: schema.primary_key.clone(),
+                    expected: "str",
+                    got: v.type_name(),
+                })
+            }
+        }
+        Ok(Row::new(Arc::clone(schema), self.values.into_boxed_slice()))
     }
 }
 
@@ -304,54 +408,102 @@ mod tests {
         assert!(flagged("owner", "deprecated").is_err());
     }
 
+    fn place(fields: Vec<(&'static str, Value)>) -> Result<Row> {
+        Arc::new(schema()).place(fields.into_iter().collect())
+    }
+
     #[test]
-    fn validate_row_catches_missing_required() {
-        let s = schema();
-        let row = vec![("id".to_string(), Value::from("m1"))];
+    fn place_catches_missing_required() {
+        let row = vec![("id", Value::from("m1"))];
+        assert!(matches!(place(row), Err(StoreError::MissingColumn(_))));
+    }
+
+    #[test]
+    fn place_catches_type_mismatch() {
+        let row = vec![
+            ("id", Value::from("m1")),
+            ("owner", Value::Int(3)),
+            ("created", Value::Timestamp(1)),
+        ];
+        assert!(matches!(place(row), Err(StoreError::TypeMismatch { .. })));
+    }
+
+    #[test]
+    fn place_catches_unknown_column() {
+        let row = vec![
+            ("id", Value::from("m1")),
+            ("owner", Value::from("o")),
+            ("created", Value::Timestamp(1)),
+            ("bogus", Value::Int(0)),
+        ];
+        assert!(matches!(place(row), Err(StoreError::NoSuchColumn { .. })));
+    }
+
+    #[test]
+    fn place_reports_column_faults_before_unknown_and_repeated_names() {
+        // Column faults first, in schema order; then an unknown name.
+        let row = vec![
+            ("bogus", Value::Int(0)),
+            ("id", Value::from("m1")),
+            ("id", Value::from("m2")),
+            ("owner", Value::Int(3)),
+            ("created", Value::Timestamp(1)),
+        ];
+        assert!(matches!(place(row), Err(StoreError::TypeMismatch { .. })));
+        let row = vec![
+            ("id", Value::from("m1")),
+            ("owner", Value::from("o")),
+            ("owner", Value::from("p")),
+            ("created", Value::Timestamp(1)),
+            ("bogus", Value::Int(0)),
+        ];
+        assert!(matches!(place(row), Err(StoreError::NoSuchColumn { .. })));
+    }
+
+    #[test]
+    fn a_repeated_column_keeps_its_first_value_where_a_log_is_replayed() {
+        let s = Arc::new(schema());
+        let mut placement = Placement::new(&s);
+        for (name, value) in [
+            ("created", Value::Timestamp(1)),
+            ("owner", Value::from("first")),
+            ("id", Value::from("m1")),
+            ("owner", Value::from("second")),
+        ] {
+            placement.give(name, value);
+        }
+        let row = placement.finish(Repeated::KeepFirst).unwrap();
+        assert_eq!(row.get("owner"), Some(&Value::from("first")));
+    }
+
+    #[test]
+    fn a_key_the_columns_do_not_declare_is_checked_at_placement() {
+        // Not through `TableSchema::new`: the way a log's schema arrives.
+        let s = Arc::new(TableSchema {
+            name: "t".into(),
+            primary_key: "id".into(),
+            columns: vec![ColumnDef::new("id", ValueType::Int).nullable()],
+            ordered: Vec::new(),
+        });
+        let record = |v: Value| Record::new().set("id", v);
         assert!(matches!(
-            s.validate_row(&row),
+            s.place(record(Value::Int(1))),
+            Err(StoreError::TypeMismatch { .. })
+        ));
+        assert!(matches!(
+            s.place(Record::new()),
             Err(StoreError::MissingColumn(_))
         ));
     }
 
     #[test]
-    fn validate_row_catches_type_mismatch() {
-        let s = schema();
-        let row = vec![
-            ("id".to_string(), Value::from("m1")),
-            ("owner".to_string(), Value::Int(3)),
-            ("created".to_string(), Value::Timestamp(1)),
-        ];
-        assert!(matches!(
-            s.validate_row(&row),
-            Err(StoreError::TypeMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn validate_row_catches_unknown_column() {
-        let s = schema();
-        let row = vec![
-            ("id".to_string(), Value::from("m1")),
-            ("owner".to_string(), Value::from("o")),
-            ("created".to_string(), Value::Timestamp(1)),
-            ("bogus".to_string(), Value::Int(0)),
-        ];
-        assert!(matches!(
-            s.validate_row(&row),
-            Err(StoreError::NoSuchColumn { .. })
-        ));
-    }
-
-    #[test]
     fn nullable_columns_may_be_absent_or_null() {
-        let s = schema();
         let row = vec![
-            ("id".to_string(), Value::from("m1")),
-            ("owner".to_string(), Value::from("o")),
-            ("created".to_string(), Value::Timestamp(1)),
-            ("note".to_string(), Value::Null),
+            ("id", Value::from("m1")),
+            ("owner", Value::from("o")),
+            ("created", Value::Timestamp(1)),
+            ("note", Value::Null),
         ];
-        assert!(s.validate_row(&row).is_ok());
+        assert!(place(row).is_ok());
     }
 }

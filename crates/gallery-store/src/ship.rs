@@ -9,7 +9,7 @@
 
 use crate::error::{Result, StoreError};
 use crate::meta::{MetadataStore, ShipApply};
-use crate::wal::{decode_op, encode_op, WalOp};
+use crate::wal::{decode_op, encode_op, Undecoded, WalOp};
 use bytes::Bytes;
 
 /// One shipped op: `(seq, op)` with the op in WAL payload form.
@@ -31,10 +31,15 @@ impl ShipFrame {
         }
     }
 
-    /// Decode the carried op. A frame that fails to decode is a protocol
-    /// bug or corruption, never applied.
-    pub fn op(&self) -> Result<WalOp> {
-        decode_op(&self.op).map_err(|why| StoreError::Io(format!("ship decode: {why}")))
+    /// Decode the carried op on `store`: an insert is placed against the
+    /// store's own table as it is read. A frame that fails to decode is a
+    /// protocol bug or corruption, never applied; an insert the table
+    /// refuses fails as inserting the row would.
+    fn op_on(&self, store: &MetadataStore) -> Result<WalOp> {
+        decode_op(&self.op, &|table| store.schema_of(table)).map_err(|e| match e {
+            Undecoded::Malformed(why) => StoreError::Io(format!("ship decode: {why}")),
+            Undecoded::Refused(e) => e,
+        })
     }
 }
 
@@ -71,7 +76,7 @@ impl MetadataStore {
     pub fn apply_ship(&self, frames: &[ShipFrame]) -> Result<ShipReport> {
         let mut report = ShipReport::default();
         for frame in frames {
-            match self.apply_shipped(frame.seq, frame.op()?)? {
+            match self.apply_shipped(frame.seq, frame.op_on(self)?)? {
                 ShipApply::Applied => report.applied += 1,
                 ShipApply::AlreadyApplied => report.skipped += 1,
                 ShipApply::Gap { expected } => {
@@ -89,7 +94,7 @@ mod tests {
     use super::*;
     use crate::record::Record;
     use crate::schema::{ColumnDef, TableSchema};
-    use crate::value::ValueType;
+    use crate::value::{Value, ValueType};
 
     fn schema() -> TableSchema {
         TableSchema::new(
@@ -119,22 +124,61 @@ mod tests {
 
     #[test]
     fn frames_roundtrip_the_wal_encoding() {
+        let follower = MetadataStore::in_memory();
+        follower.create_table(schema()).unwrap();
+        let row = Record::new().set("name", "rf").set("id", "m1");
         let op = WalOp::Insert {
             table: "models".into(),
-            record: std::sync::Arc::new(Record::new().set("id", "m1").set("name", "rf")),
+            row: std::sync::Arc::new(std::sync::Arc::new(schema()).place(row).unwrap()),
         };
         let frame = ShipFrame::new(42, &op);
-        let back = frame.op().unwrap();
-        match back {
-            WalOp::Insert { table, .. } => assert_eq!(table, "models"),
+        match frame.op_on(&follower).unwrap() {
+            WalOp::Insert { table, row } => {
+                assert_eq!(table, "models");
+                // Placed against the follower's own table.
+                let own = follower.schema_of("models").unwrap();
+                assert!(std::sync::Arc::ptr_eq(row.schema(), &own));
+                assert_eq!(row.get("name"), Some(&Value::from("rf")));
+            }
             other => panic!("unexpected op {other:?}"),
         }
-        assert!(ShipFrame {
+        // An insert into a table the follower lacks fails as inserting it
+        // would; bytes that are no op fail as such.
+        let bare = MetadataStore::in_memory();
+        assert!(matches!(
+            frame.op_on(&bare),
+            Err(StoreError::NoSuchTable(t)) if t == "models"
+        ));
+        let garbage = ShipFrame {
             seq: 1,
             op: Bytes::from_static(b"not an op"),
-        }
-        .op()
-        .is_err());
+        };
+        assert!(matches!(garbage.op_on(&follower), Err(StoreError::Io(_))));
+    }
+
+    #[test]
+    fn a_shipped_frame_that_repeats_a_column_applies_its_first_value() {
+        // Hand-built: what a leader wrote before such rows were refused.
+        // Op, "models", `fields` fields: id "m1", name "rf", then name "lr".
+        let insert = |fields: u8, last: &[u8]| {
+            let head = [&[2, 6][..], b"models", &[fields, 2], b"id", &[4, 2], b"m1"];
+            let name_rf = [&[4][..], b"name", &[4, 2], b"rf"];
+            [&head[..], &name_rf[..], &[last][..]].concat().concat()
+        };
+        let payload = insert(3, &[4, b'n', b'a', b'm', b'e', 4, 2, b'l', b'r']);
+        let follower = MetadataStore::in_memory();
+        follower.create_table(schema()).unwrap();
+        let frame = ShipFrame {
+            seq: 2,
+            op: Bytes::from(payload),
+        };
+        let report = follower.apply_ship(&[frame]).unwrap();
+        assert_eq!(report.applied, 1);
+        let row = follower.get("models", "m1").unwrap().unwrap();
+        assert_eq!(row.get("name"), Some(&Value::from("rf")));
+        // And it logs the row it holds: each column once.
+        let (_, reshipped) = follower.ship_since(1, 1);
+        assert_eq!(reshipped[0].op[..], insert(2, &[])[..]);
     }
 
     #[test]

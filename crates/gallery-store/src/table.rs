@@ -12,8 +12,17 @@
 //! duplicate-key races are impossible. Index and scan queries take all
 //! stripe read locks (in index order, the global lock order) for a
 //! consistent snapshot; a primary-key lookup takes only the owning
-//! stripe's. Readers receive the `Arc<Record>` the stripe holds — an
+//! stripe's. Readers receive the `Arc<Row>` the stripe holds — an
 //! immutable snapshot, since flag mutations copy-on-write.
+//!
+//! ## Rows by position
+//!
+//! A stored [`Row`] is its values in schema order; the column names are
+//! the schema's, once per table. A query names its columns, and
+//! [`Table::typed`] turns every name into a position once per query.
+//! From there nothing here looks a column up by name: predicates,
+//! `order_by`, index maintenance, the semi-join and `set_flag` read
+//! `row.at(position)`.
 //!
 //! ## Deferred secondary-index maintenance
 //!
@@ -37,9 +46,9 @@
 
 use crate::error::{Result, StoreError};
 use crate::index::{BTreeIndex, GroupHasher, HashIndex, Index, OrderedIndex, RowId};
-use crate::query::{AccessPath, Constraint, Explain, Op, Query};
-use crate::record::Record;
-use crate::schema::{IndexKind, TableSchema};
+use crate::query::{AccessPath, Explain, Op, Query};
+use crate::record::{Record, Row};
+use crate::schema::{ColumnDef, IndexKind, Placement, Repeated, TableSchema};
 use crate::value::{Value, ValueType};
 use gallery_sync::locks::{
     OrderedRwLock, OrderedRwLockReadGuard as RwLockReadGuard,
@@ -101,11 +110,6 @@ fn coerce(literal: &Value, ty: ValueType) -> Option<Value> {
         (Value::Int(x), ValueType::Float) => Some(Value::Float(*x as f64)),
         _ => None,
     }
-}
-
-/// A row's field for comparison in place, an absent field reading as `Null`.
-fn field_or_null<'r>(record: &'r Record, name: &str) -> &'r Value {
-    record.get(name).unwrap_or(&Value::Null)
 }
 
 /// Counters describing how queries were executed; used by benchmarks and
@@ -186,23 +190,21 @@ impl std::fmt::Debug for StripeLockMetrics {
 /// One row plus its global commit sequence. Sequence order is insertion
 /// order across the whole store, so queries merge stripes by `seq`.
 ///
-/// The record is behind an `Arc` shared with the store's oplog entry for
-/// the same insert and with every reader that was handed the row — one
+/// The row is behind an `Arc` shared with the store's oplog entry for the
+/// same insert and with every reader that was handed the row — one
 /// allocation serves all. Flag mutations go through `Arc::make_mut`,
 /// which copies only if the oplog or a reader still holds another
 /// reference, so logged history and returned rows stay immutable.
 #[derive(Debug)]
 struct StoredRow {
     seq: u64,
-    record: Arc<Record>,
+    row: Arc<Row>,
 }
 
-/// `order_by`'s total order on `field`: by value, then by commit sequence.
-/// Descending is the exact reverse.
-fn order_cmp(a: &StoredRow, b: &StoredRow, field: &str) -> RowOrder {
-    field_or_null(&a.record, field)
-        .total_cmp(field_or_null(&b.record, field))
-        .then(a.seq.cmp(&b.seq))
+/// `order_by`'s total order on column `at`: by value, then by commit
+/// sequence. Descending is the exact reverse.
+fn order_cmp(a: &StoredRow, b: &StoredRow, at: usize) -> RowOrder {
+    a.row.at(at).total_cmp(b.row.at(at)).then(a.seq.cmp(&b.seq))
 }
 
 /// One lock stripe: a row arena, the primary-key map for rows hashed
@@ -214,10 +216,10 @@ struct Stripe {
     /// pk -> slot in `rows`. Always current (never deferred): duplicate
     /// detection and point lookups must be exact at all times.
     pk_map: HashMap<String, usize>,
-    /// column name -> this stripe's shard of the secondary index. Row ids
-    /// are packed `(stripe, slot)`.
-    indexes: HashMap<String, Index>,
-    /// This stripe's shard of every ordered index, in `schema.ordered`
+    /// This stripe's shard of every deferred index, with its column's
+    /// position, in schema order. Row ids are packed `(stripe, slot)`.
+    indexes: Vec<(usize, Index)>,
+    /// This stripe's shard of every ordered index, in `Table::ordered`
     /// order. Always current: an insert updates it before it returns.
     ordered: Vec<OrderedIndex>,
     /// Slots below this boundary are reflected in `indexes`; slots at or
@@ -230,15 +232,17 @@ struct Stripe {
 /// for all stripes, or through the column's deferred index.
 enum EqProbe<'q> {
     Ordered { index: usize, key: u64 },
-    Deferred { column: &'q str, value: &'q Value },
+    Deferred { at: usize, value: &'q Value },
 }
 
 impl Stripe {
-    /// This stripe's shard of the deferred index on `column`.
-    fn index(&self, column: &str) -> Result<&Index> {
+    /// This stripe's shard of the deferred index on column `at`.
+    fn index(&self, at: usize) -> Result<&Index> {
         self.indexes
-            .get(column)
-            .ok_or_else(|| StoreError::BadQuery(format!("no index on `{column}`")))
+            .iter()
+            .find(|(column, _)| *column == at)
+            .map(|(_, index)| index)
+            .ok_or_else(|| StoreError::BadQuery(format!("no index on column {at}")))
     }
 
     /// The slots no deferred index has seen yet.
@@ -252,18 +256,35 @@ impl Stripe {
     fn eq_candidates(&self, probe: &EqProbe<'_>) -> Result<(&[RowId], Range<usize>)> {
         Ok(match *probe {
             EqProbe::Ordered { index, key } => (self.ordered[index].rows(key), 0..0),
-            EqProbe::Deferred { column, value } => {
-                (self.index(column)?.lookup_eq(value), self.tail())
-            }
+            EqProbe::Deferred { at, value } => (self.index(at)?.lookup_eq(value), self.tail()),
         })
     }
 }
 
-/// An `IndexTop` plan's parameters: which ordered index, which end to
-/// start from, and when to stop.
+/// One constraint as a table evaluates it: its column's position, the
+/// operator, and the literal as the column's type ([`coerce`]).
+struct Pred<'q> {
+    at: usize,
+    op: Op,
+    value: Cow<'q, Value>,
+}
+
+/// A query as a table runs it, every column it names a position: built
+/// once per query by [`Table::typed`].
+struct Typed<'q> {
+    preds: Vec<Pred<'q>>,
+    /// `order_by`'s column, and whether descending.
+    order: Option<(usize, bool)>,
+    limit: Option<usize>,
+    include_deprecated: bool,
+}
+
+/// An `IndexTop` plan's parameters: which ordered index, the position of
+/// its order column, which end to start from, and when to stop.
 #[derive(Clone, Copy)]
 struct Top {
     index: usize,
+    order: usize,
     descending: bool,
     limit: usize,
 }
@@ -273,14 +294,22 @@ struct Top {
 /// an `IndexTop` path makes.
 struct Plan<'q> {
     path: AccessPath,
-    by: Option<&'q Constraint>,
+    by: Option<&'q Pred<'q>>,
     estimated_rows: usize,
     top: Option<Top>,
 }
 
 #[derive(Debug)]
 pub struct Table {
-    schema: TableSchema,
+    /// Shared with every row the table holds: where column names live.
+    schema: Arc<TableSchema>,
+    /// Position of the primary key, and of the `deprecated` flag (if the
+    /// table has one), which queries skip rows by.
+    key: Option<usize>,
+    deprecated: Option<usize>,
+    /// Every ordered index as (grouping column, order column) positions,
+    /// in `schema.ordered` order.
+    ordered: Vec<(usize, usize)>,
     /// Keys the groups of every ordered index, in every stripe.
     group_hasher: GroupHasher,
     /// Pending-delta threshold that triggers an index flush.
@@ -297,41 +326,52 @@ pub struct Table {
 }
 
 impl Table {
-    pub fn new(schema: TableSchema) -> Self {
+    pub fn new(schema: impl Into<Arc<TableSchema>>) -> Self {
         Self::with_config(schema, 16, 1024)
     }
 
     /// `lock_stripes` is clamped to `1..=MAX_LOCK_STRIPES`; `index_batch`
     /// of 1 means eager (classic) index maintenance.
-    pub fn with_config(schema: TableSchema, lock_stripes: usize, index_batch: usize) -> Self {
+    pub fn with_config(
+        schema: impl Into<Arc<TableSchema>>,
+        lock_stripes: usize,
+        index_batch: usize,
+    ) -> Self {
+        let schema = schema.into();
         let n = lock_stripes.clamp(1, MAX_LOCK_STRIPES);
+        // `ordered_by` checked both columns exist; a schema built by hand
+        // that names others keeps no index for them.
+        let ordered: Vec<(usize, usize)> = schema
+            .ordered
+            .iter()
+            .filter_map(|o| Some((schema.column_index(&o.by)?, schema.column_index(&o.order)?)))
+            .collect();
         let stripes = (0..n)
             .map(|i| {
-                let mut indexes = HashMap::new();
-                for col in &schema.columns {
-                    match col.index {
-                        Some(IndexKind::Hash) => {
-                            indexes.insert(col.name.clone(), Index::Hash(HashIndex::new()));
-                        }
-                        Some(IndexKind::BTree) => {
-                            indexes.insert(col.name.clone(), Index::BTree(BTreeIndex::new()));
-                        }
-                        None => {}
-                    }
-                }
+                let indexes = schema.columns.iter().enumerate();
+                let indexes = indexes.filter_map(|(at, col)| {
+                    let index = match col.index? {
+                        IndexKind::Hash => Index::Hash(HashIndex::new()),
+                        IndexKind::BTree => Index::BTree(BTreeIndex::new()),
+                    };
+                    Some((at, index))
+                });
                 OrderedRwLock::new(
                     rank::stripe(i),
                     Stripe {
                         rows: Vec::new(),
                         pk_map: HashMap::new(),
-                        indexes,
-                        ordered: schema.ordered.iter().map(|_| OrderedIndex::new()).collect(),
+                        indexes: indexes.collect(),
+                        ordered: ordered.iter().map(|_| OrderedIndex::new()).collect(),
                         indexed_upto: 0,
                     },
                 )
             })
             .collect();
         Table {
+            key: schema.key_position(),
+            deprecated: schema.column_index("deprecated"),
+            ordered,
             schema,
             group_hasher: GroupHasher::default(),
             index_batch: index_batch.max(1),
@@ -356,7 +396,7 @@ impl Table {
         *self.lock_metrics.write() = Some(metrics);
     }
 
-    pub fn schema(&self) -> &TableSchema {
+    pub fn schema(&self) -> &Arc<TableSchema> {
         &self.schema
     }
 
@@ -376,16 +416,26 @@ impl Table {
         self.stats.snapshot()
     }
 
-    pub(crate) fn pk_of(&self, record: &Record) -> Result<String> {
-        match record.get(&self.schema.primary_key) {
-            Some(Value::Str(s)) => Ok(s.clone()),
-            Some(v) => Err(StoreError::TypeMismatch {
-                column: self.schema.primary_key.clone(),
-                expected: "str",
-                got: v.type_name(),
-            }),
-            None => Err(StoreError::MissingColumn(self.schema.primary_key.clone())),
+    /// The primary key of a row placed in this table (placement checked
+    /// that it is a string).
+    pub fn key_of<'r>(&self, row: &'r Row) -> &'r str {
+        let key = self.key.map(|k| row.at(k));
+        key.and_then(Value::as_str).unwrap_or_default()
+    }
+
+    /// `row` as this table stores it. A row placed against this table's
+    /// schema — a local insert, or a frame decoded against it — is taken
+    /// as it is; one from another copy of the schema (an op read off
+    /// another store's log) is placed again, by name, and checked again.
+    pub(crate) fn adopt(&self, row: Arc<Row>) -> Result<Arc<Row>> {
+        if Arc::ptr_eq(row.schema(), &self.schema) {
+            return Ok(row);
         }
+        let mut placement = Placement::new(&self.schema);
+        for (name, value) in row.fields() {
+            placement.give(name, value.clone());
+        }
+        placement.finish(Repeated::Refuse).map(Arc::new)
     }
 
     /// Which stripe a primary key hashes to.
@@ -430,8 +480,8 @@ impl Table {
 
     /// Lock every stripe owning any of `pks`, in index order (the global
     /// lock order), for a multi-row insert.
-    pub fn lock_stripe_set(&self, pks: &[String]) -> StripeSetToken<'_> {
-        let mut idxs: Vec<usize> = pks.iter().map(|pk| self.stripe_of(pk)).collect();
+    pub fn lock_stripe_set<K: AsRef<str>>(&self, pks: &[K]) -> StripeSetToken<'_> {
+        let mut idxs: Vec<usize> = pks.iter().map(|pk| self.stripe_of(pk.as_ref())).collect();
         idxs.sort_unstable();
         idxs.dedup();
         let guards = idxs
@@ -450,34 +500,35 @@ impl Table {
         }
     }
 
-    /// Insert an immutable record (standalone-table path: validates,
-    /// checks duplicates, and self-assigns a sequence). Duplicate primary
-    /// keys are rejected — updates must create new versions (new keys).
+    /// Insert an immutable record (standalone-table path: validates and
+    /// places it, checks duplicates, and self-assigns a sequence).
+    /// Duplicate primary keys are rejected — updates must create new
+    /// versions (new keys).
     pub fn insert(&self, record: Record) -> Result<RowId> {
-        self.schema.validate_row(record.fields())?;
-        let pk = self.pk_of(&record)?;
-        let mut token = self.lock_stripe(&pk);
-        if token.contains(&pk) {
-            return Err(StoreError::DuplicateKey(pk));
+        let row = Arc::new(self.schema.place(record)?);
+        let pk = self.key_of(&row);
+        let mut token = self.lock_stripe(pk);
+        if token.contains(pk) {
+            return Err(StoreError::DuplicateKey(pk.to_owned()));
         }
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        Ok(token.apply_insert(Arc::new(record), seq))
+        Ok(token.apply_insert(Arc::clone(&row), seq))
     }
 
     /// Point lookup by primary key. The returned row is a shared,
     /// immutable snapshot (see [`Table::execute_explain`]).
-    pub fn get(&self, pk: &str) -> Option<Arc<Record>> {
+    pub fn get(&self, pk: &str) -> Option<Arc<Row>> {
         self.stats.pk_lookups.fetch_add(1, Ordering::Relaxed);
         self.peek(pk)
     }
 
     /// Non-stat-mutating lookup (for internal use and read-only callers).
-    pub fn peek(&self, pk: &str) -> Option<Arc<Record>> {
+    pub fn peek(&self, pk: &str) -> Option<Arc<Row>> {
         let stripe = self.stripes[self.stripe_of(pk)].read();
         stripe
             .pk_map
             .get(pk)
-            .map(|&slot| Arc::clone(&stripe.rows[slot].record))
+            .map(|&slot| Arc::clone(&stripe.rows[slot].row))
     }
 
     pub fn contains(&self, pk: &str) -> bool {
@@ -488,30 +539,24 @@ impl Table {
     /// Set one of the explicitly mutable flag columns (e.g. `deprecated`).
     /// All other columns are immutable; attempting to touch them is an error.
     pub fn set_flag(&self, pk: &str, column: &str, value: bool) -> Result<()> {
-        self.check_flag_column(column)?;
+        let at = self.check_flag_column(column)?;
         let mut token = self.lock_stripe(pk);
         if !token.contains(pk) {
             return Err(StoreError::NoSuchKey(pk.to_owned()));
         }
-        token.apply_set_flag(pk, column, value);
+        token.apply_set_flag(pk, at, value);
         Ok(())
     }
 
     /// Validate that `column` may be mutated in place (exists and is a
-    /// flag column) *before* anything is committed.
-    pub(crate) fn check_flag_column(&self, column: &str) -> Result<()> {
+    /// flag column) *before* anything is committed; returns its position.
+    pub(crate) fn check_flag_column(&self, column: &str) -> Result<usize> {
         if !MUTABLE_FLAG_COLUMNS.contains(&column) {
             return Err(StoreError::BadQuery(format!(
                 "column {column} is immutable; only flag columns {MUTABLE_FLAG_COLUMNS:?} may be set in place"
             )));
         }
-        if self.schema.column(column).is_none() {
-            return Err(StoreError::NoSuchColumn {
-                table: self.schema.name.clone(),
-                column: column.to_owned(),
-            });
-        }
-        Ok(())
+        Ok(self.column(column)?.0)
     }
 
     /// Force-apply every stripe's pending index delta; returns the number
@@ -552,10 +597,10 @@ impl Table {
             indexed_upto,
             ..
         } = s;
-        for (col, index) in indexes.iter_mut() {
-            index.insert_many(rows[from..to].iter().enumerate().filter_map(|(i, row)| {
-                let v = row.record.get(col).filter(|v| !v.is_null())?;
-                Some((v.clone(), pack(stripe_idx, from + i)))
+        for (at, index) in indexes.iter_mut() {
+            index.insert_many(rows[from..to].iter().enumerate().filter_map(|(i, stored)| {
+                let v = stored.row.at(*at);
+                (!v.is_null()).then(|| (v.clone(), pack(stripe_idx, from + i)))
             }));
         }
         *indexed_upto = to;
@@ -577,61 +622,70 @@ impl Table {
     /// ordered index, then an indexed equality constraint, then an indexed
     /// range constraint, else a full scan.
     pub fn plan(&self, query: &Query) -> Result<AccessPath> {
+        let query = self.typed(query)?;
         let guards: Vec<RwLockReadGuard<'_, Stripe>> =
             self.stripes.iter().map(|s| s.read()).collect();
-        Ok(self.plan_with(&guards, query)?.path)
+        Ok(self.plan_with(&guards, &query)?.path)
     }
 
-    /// Whether `column` has a hash or btree (deferred) index.
-    fn indexed(&self, column: &str) -> bool {
-        self.schema
-            .column(column)
-            .map(|c| c.index.is_some())
-            .unwrap_or(false)
+    /// The name of the column at `at`.
+    fn name_of(&self, at: usize) -> &str {
+        self.schema.columns.get(at).map_or("", |c| c.name.as_str())
+    }
+
+    /// `p` as the constraint it was written as, for an error message.
+    fn describe(&self, p: &Pred<'_>) -> String {
+        format!("{} {} {}", self.name_of(p.at), p.op, p.value)
+    }
+
+    /// The index of ordered index grouping by column `at`, if any.
+    fn ordered_on(&self, at: usize) -> Option<usize> {
+        self.ordered.iter().position(|(by, _)| *by == at)
     }
 
     /// The index that answers `column == value`, if the column has one.
-    fn eq_probe<'q>(&self, column: &'q str, value: &'q Value) -> Option<EqProbe<'q>> {
-        match self.schema.ordered_on(column) {
+    fn eq_probe<'q>(&self, at: usize, value: &'q Value) -> Option<EqProbe<'q>> {
+        match self.ordered_on(at) {
             Some(index) => Some(EqProbe::Ordered {
                 index,
                 key: self.group_hasher.key(value),
             }),
-            None => self
-                .indexed(column)
-                .then_some(EqProbe::Deferred { column, value }),
+            None => {
+                let indexed = self
+                    .schema
+                    .columns
+                    .get(at)
+                    .is_some_and(|c| c.index.is_some());
+                indexed.then_some(EqProbe::Deferred { at, value })
+            }
         }
     }
 
     /// The walk that answers `query` off one end of an ordered index, if
     /// it has the shape: equality on the index's grouping column,
     /// `order_by` its order column, and a `limit`.
-    fn top_of<'q>(&self, query: &'q Query) -> Option<(&'q Constraint, Top)> {
-        let (ob, limit) = (query.order_by.as_ref()?, query.limit?);
-        let ordered = self.schema.ordered.iter().enumerate();
+    fn top_of<'t>(&self, query: &'t Typed<'_>) -> Option<(&'t Pred<'t>, Top)> {
+        let ((order, descending), limit) = (query.order?, query.limit?);
+        let ordered = self.ordered.iter().enumerate();
         ordered
-            .filter(|(_, o)| o.order == ob.field)
-            .find_map(|(index, o)| {
-                let c = query
-                    .constraints
-                    .iter()
-                    .find(|c| c.op == Op::Eq && c.field == o.by)?;
+            .filter(|(_, (_, o))| *o == order)
+            .find_map(|(index, &(by, _))| {
+                let p = query.preds.iter().find(|p| p.op == Op::Eq && p.at == by)?;
                 let top = Top {
                     index,
-                    descending: ob.descending,
+                    order,
+                    descending,
                     limit,
                 };
-                Some((c, top))
+                Some((p, top))
             })
     }
 
     /// The equality constraint on the primary key, if the query has one:
     /// it decides the plan without looking at any stripe.
-    fn pk_eq<'q>(&self, query: &'q Query) -> Option<&'q Constraint> {
-        query
-            .constraints
-            .iter()
-            .find(|c| c.field == self.schema.primary_key && c.op == Op::Eq)
+    fn pk_eq<'t>(&self, query: &'t Typed<'_>) -> Option<&'t Pred<'t>> {
+        let key = self.key?;
+        query.preds.iter().find(|p| p.at == key && p.op == Op::Eq)
     }
 
     /// [`Table::plan`] over stripes the caller already holds (none are
@@ -641,64 +695,63 @@ impl Table {
     /// unindexed tails (an ordered index has none); a range scan has no
     /// value-distribution statistics, so it is bounded by the full row
     /// count, as is a full scan.
-    fn plan_with<'q>(
+    fn plan_with<'t>(
         &self,
         guards: &[RwLockReadGuard<'_, Stripe>],
-        query: &'q Query,
-    ) -> Result<Plan<'q>> {
+        query: &'t Typed<'_>,
+    ) -> Result<Plan<'t>> {
         let plan = |path, by, estimated_rows| Plan {
             path,
             by,
             estimated_rows,
             top: None,
         };
-        if let Some(c) = self.pk_eq(query) {
-            return Ok(plan(AccessPath::PrimaryKey, Some(c), 1));
+        if let Some(p) = self.pk_eq(query) {
+            return Ok(plan(AccessPath::PrimaryKey, Some(p), 1));
         }
-        if let Some((c, top)) = self.top_of(query) {
-            let def = &self.schema.ordered[top.index];
+        if let Some((p, top)) = self.top_of(query) {
             let path = AccessPath::IndexTop {
-                column: def.by.clone(),
-                order: def.order.clone(),
+                column: self.name_of(p.at).to_owned(),
+                order: self.name_of(top.order).to_owned(),
             };
             return Ok(Plan {
                 top: Some(top),
-                ..plan(path, Some(c), top.limit)
+                ..plan(path, Some(p), top.limit)
             });
         }
         // Indexed equality first; among several indexed eq constraints pick
         // the smallest candidate set.
-        let mut best_eq: Option<(&Constraint, usize)> = None;
-        for c in query.constraints.iter().filter(|c| c.op.index_eq_usable()) {
-            if let Some(probe) = self.eq_probe(&c.field, &c.value) {
+        let mut best_eq: Option<(&Pred<'_>, usize)> = None;
+        for p in query.preds.iter().filter(|p| p.op.index_eq_usable()) {
+            if let Some(probe) = self.eq_probe(p.at, &p.value) {
                 let mut len = 0;
                 for g in guards {
                     let (ids, tail) = g.eq_candidates(&probe)?;
                     len += ids.len() + tail.len();
                 }
                 if best_eq.map(|(_, b)| len < b).unwrap_or(true) {
-                    best_eq = Some((c, len));
+                    best_eq = Some((p, len));
                 }
             }
         }
-        if let Some((c, estimated_rows)) = best_eq {
+        if let Some((p, estimated_rows)) = best_eq {
             let path = AccessPath::IndexEq {
-                column: c.field.clone(),
+                column: self.name_of(p.at).to_owned(),
             };
-            return Ok(plan(path, Some(c), estimated_rows));
+            return Ok(plan(path, Some(p), estimated_rows));
         }
         // Every stripe holds the same kinds of index; any one of them tells.
-        let ranged = |column: &str| {
-            let shard = guards.first().and_then(|g| g.indexes.get(column));
+        let ranged = |at: usize| {
+            let shard = guards.first().and_then(|g| g.index(at).ok());
             shard.is_some_and(Index::supports_range)
         };
         let by = query
-            .constraints
+            .preds
             .iter()
-            .find(|c| c.op.index_range_usable() && ranged(&c.field));
+            .find(|p| p.op.index_range_usable() && ranged(p.at));
         let path = match by {
-            Some(c) => AccessPath::IndexRange {
-                column: c.field.clone(),
+            Some(p) => AccessPath::IndexRange {
+                column: self.name_of(p.at).to_owned(),
             },
             None => AccessPath::FullScan,
         };
@@ -715,8 +768,8 @@ impl Table {
         guards: &[RwLockReadGuard<'_, Stripe>],
         top: Top,
         value: &Value,
-        query: &Query,
-    ) -> (Vec<Arc<Record>>, usize) {
+        query: &Typed<'_>,
+    ) -> (Vec<Arc<Row>>, usize) {
         /// One stripe's position: the slot it would yield next, that row's
         /// order prefix, and the ids still behind it.
         struct Cursor<'g> {
@@ -725,7 +778,6 @@ impl Table {
             rest: &'g [RowId],
             rows: &'g [StoredRow],
         }
-        let order = &self.schema.ordered[top.index].order;
         let key = self.group_hasher.key(value);
         let step = |rest: &mut &[RowId]| {
             let (&id, left) = if top.descending {
@@ -755,7 +807,7 @@ impl Table {
             let ord = a
                 .prefix
                 .cmp(&b.prefix)
-                .then_with(|| order_cmp(&a.rows[a.slot], &b.rows[b.slot], order));
+                .then_with(|| order_cmp(&a.rows[a.slot], &b.rows[b.slot], top.order));
             if top.descending {
                 ord
             } else {
@@ -770,15 +822,15 @@ impl Table {
                 break;
             };
             let c = &mut cursors[next];
-            let record = &c.rows[c.slot].record;
+            let row = &c.rows[c.slot].row;
             scanned += 1;
-            if self.row_matches(record, query) {
-                out.push(Arc::clone(record));
+            if self.row_matches(row, query) {
+                out.push(Arc::clone(row));
             }
             match step(&mut c.rest) {
                 Some(slot) => {
                     c.slot = slot;
-                    c.prefix = field_or_null(&c.rows[slot].record, order).order_prefix();
+                    c.prefix = c.rows[slot].row.at(top.order).order_prefix();
                 }
                 None => {
                     cursors.swap_remove(next);
@@ -789,14 +841,16 @@ impl Table {
     }
 
     /// The constraints first: a row they reject — most rows a residual
-    /// sees — is not searched for a flag it rarely has.
-    fn row_matches(&self, record: &Record, query: &Query) -> bool {
+    /// sees — is not looked at for a flag it rarely has.
+    fn row_matches(&self, row: &Row, query: &Typed<'_>) -> bool {
         query
-            .constraints
+            .preds
             .iter()
-            .all(|c| c.op.eval(field_or_null(record, &c.field), &c.value))
+            .all(|p| p.op.eval(row.at(p.at), &p.value))
             && (query.include_deprecated
-                || !matches!(record.get("deprecated"), Some(Value::Bool(true))))
+                || !self
+                    .deprecated
+                    .is_some_and(|d| matches!(row.at(d), Value::Bool(true))))
     }
 
     fn no_column(&self, column: &str) -> StoreError {
@@ -806,31 +860,45 @@ impl Table {
         }
     }
 
-    /// Check every column a query names and give each constraint literal
-    /// its column's type ([`coerce`]). Borrowed unless a literal changed.
-    fn typed<'q>(&self, query: &'q Query) -> Result<Cow<'q, Query>> {
-        let mut typed = Cow::Borrowed(query);
-        for (i, c) in query.constraints.iter().enumerate() {
-            let col = self
-                .schema
-                .column(&c.field)
-                .ok_or_else(|| self.no_column(&c.field))?;
-            if let Some(coerced) = coerce(&c.value, col.ty) {
-                typed.to_mut().constraints[i].value = coerced;
-            }
+    /// Column `name`'s position and declaration.
+    fn column(&self, name: &str) -> Result<(usize, &ColumnDef)> {
+        let mut columns = self.schema.columns.iter().enumerate();
+        columns
+            .find(|(_, c)| c.name == name)
+            .ok_or_else(|| self.no_column(name))
+    }
+
+    /// Resolve every column a query names to its position and give each
+    /// constraint literal its column's type ([`coerce`]) — the one place
+    /// a query's column names are looked up. A literal is borrowed unless
+    /// its type changed.
+    fn typed<'q>(&self, query: &'q Query) -> Result<Typed<'q>> {
+        let mut preds = Vec::with_capacity(query.constraints.len());
+        for c in &query.constraints {
+            let (at, col) = self.column(&c.field)?;
+            let value = coerce(&c.value, col.ty).map_or(Cow::Borrowed(&c.value), Cow::Owned);
+            preds.push(Pred {
+                at,
+                op: c.op,
+                value,
+            });
         }
-        if let Some(ob) = &query.order_by {
-            if self.schema.column(&ob.field).is_none() {
-                return Err(self.no_column(&ob.field));
-            }
-        }
-        Ok(typed)
+        let order = match &query.order_by {
+            Some(ob) => Some((self.column(&ob.field)?.0, ob.descending)),
+            None => None,
+        };
+        Ok(Typed {
+            preds,
+            order,
+            limit: query.limit,
+            include_deprecated: query.include_deprecated,
+        })
     }
 
     /// Execute a query, returning matching rows and the access path the
     /// planner chose. Thin wrapper over [`Table::execute_explain`] for
     /// callers that only care about rows and plan shape.
-    pub fn execute(&self, query: &Query) -> Result<(Vec<Arc<Record>>, AccessPath)> {
+    pub fn execute(&self, query: &Query) -> Result<(Vec<Arc<Row>>, AccessPath)> {
         let (rows, explain) = self.execute_explain(query)?;
         Ok((rows, explain.path))
     }
@@ -845,14 +913,14 @@ impl Table {
     /// The result is built under the guards and returned after they drop,
     /// in `order_by`'s `(value, sequence)` order, or merged in sequence
     /// (= insertion) order without one.
-    pub fn execute_explain(&self, query: &Query) -> Result<(Vec<Arc<Record>>, Explain)> {
-        let query = &*self.typed(query)?;
+    pub fn execute_explain(&self, query: &Query) -> Result<(Vec<Arc<Row>>, Explain)> {
+        let query = &self.typed(query)?;
         let plan_started = Instant::now();
         let guards: Vec<RwLockReadGuard<'_, Stripe>> = match self.pk_eq(query) {
             // Only the stripe the key hashes to; a key that is not a
             // string matches nothing and needs none.
-            Some(c) => {
-                let pk = c.value.as_str();
+            Some(p) => {
+                let pk = p.value.as_str();
                 let owner = pk.map(|pk| self.stripes[self.stripe_of(pk)].read());
                 owner.into_iter().collect()
             }
@@ -866,9 +934,9 @@ impl Table {
         } = self.plan_with(&guards, query)?;
         let plan_ms = plan_started.elapsed().as_secs_f64() * 1e3;
         let scan_started = Instant::now();
-        if let (Some(top), Some(c)) = (top, by) {
+        if let (Some(top), Some(p)) = (top, by) {
             self.stats.index_queries.fetch_add(1, Ordering::Relaxed);
-            let (rows, rows_scanned) = self.index_top(&guards, top, &c.value, query);
+            let (rows, rows_scanned) = self.index_top(&guards, top, &p.value, query);
             self.stats
                 .rows_examined
                 .fetch_add(rows_scanned as u64, Ordering::Relaxed);
@@ -892,19 +960,19 @@ impl Table {
         let mut cands: Vec<(usize, usize)> = Vec::new();
         let mut tail_merge_rows = 0;
         match (&path, by) {
-            (AccessPath::PrimaryKey, Some(c)) => {
+            (AccessPath::PrimaryKey, Some(p)) => {
                 self.stats.pk_lookups.fetch_add(1, Ordering::Relaxed);
-                if let (Some(g), Some(pk)) = (guards.first(), c.value.as_str()) {
+                if let (Some(g), Some(pk)) = (guards.first(), p.value.as_str()) {
                     if let Some(&slot) = g.pk_map.get(pk) {
                         cands.push((0, slot));
                     }
                 }
             }
-            (AccessPath::IndexEq { column }, Some(c)) => {
+            (AccessPath::IndexEq { .. }, Some(p)) => {
                 self.stats.index_queries.fetch_add(1, Ordering::Relaxed);
-                let probe = self
-                    .eq_probe(column, &c.value)
-                    .ok_or_else(|| StoreError::BadQuery(format!("no index serves `{c}`")))?;
+                let probe = self.eq_probe(p.at, &p.value).ok_or_else(|| {
+                    StoreError::BadQuery(format!("no index serves `{}`", self.describe(p)))
+                })?;
                 cands.reserve(estimated_rows);
                 for (si, g) in guards.iter().enumerate() {
                     let (ids, tail) = g.eq_candidates(&probe)?;
@@ -913,12 +981,13 @@ impl Table {
                     cands.extend(tail.map(|slot| (si, slot)));
                 }
             }
-            (AccessPath::IndexRange { column }, Some(c)) => {
+            (AccessPath::IndexRange { .. }, Some(p)) => {
                 self.stats.index_queries.fetch_add(1, Ordering::Relaxed);
-                let no_range = || StoreError::BadQuery(format!("no range scan serves `{c}`"));
-                let (lo, hi) = c.op.bounds(&c.value).ok_or_else(no_range)?;
+                let no_range =
+                    || StoreError::BadQuery(format!("no range scan serves `{}`", self.describe(p)));
+                let (lo, hi) = p.op.bounds(&p.value).ok_or_else(no_range)?;
                 for (si, g) in guards.iter().enumerate() {
-                    let ids = g.index(column)?.lookup_range(lo, hi).ok_or_else(no_range)?;
+                    let ids = g.index(p.at)?.lookup_range(lo, hi).ok_or_else(no_range)?;
                     cands.extend(ids.map(unpack));
                     let tail = g.tail();
                     tail_merge_rows += tail.len();
@@ -955,17 +1024,17 @@ impl Table {
         let mut matches: Vec<&StoredRow> = cands
             .into_iter()
             .map(|(gi, slot)| &guards[gi].rows[slot])
-            .filter(|row| self.row_matches(&row.record, query))
+            .filter(|stored| self.row_matches(&stored.row, query))
             .collect();
         let matched_rows = matches.len();
         let scan_ms = scan_started.elapsed().as_secs_f64() * 1e3;
         let sort_started = Instant::now();
 
-        match &query.order_by {
-            Some(ob) => {
+        match query.order {
+            Some((at, descending)) => {
                 let cmp = |a: &&StoredRow, b: &&StoredRow| {
-                    let ord = order_cmp(a, b, &ob.field);
-                    if ob.descending {
+                    let ord = order_cmp(a, b, at);
+                    if descending {
                         ord.reverse()
                     } else {
                         ord
@@ -983,7 +1052,7 @@ impl Table {
                 matches.sort_unstable_by(cmp);
             }
             // Sequence order = insertion order, across stripes.
-            None => matches.sort_unstable_by_key(|row| row.seq),
+            None => matches.sort_unstable_by_key(|stored| stored.seq),
         }
         if let Some(limit) = query.limit {
             matches.truncate(limit);
@@ -999,7 +1068,10 @@ impl Table {
             scan_ms,
             sort_ms,
         };
-        let rows = matches.iter().map(|row| Arc::clone(&row.record)).collect();
+        let rows = matches
+            .iter()
+            .map(|stored| Arc::clone(&stored.row))
+            .collect();
         Ok((rows, explain))
     }
 
@@ -1026,15 +1098,11 @@ impl Table {
             ));
         }
         let plan_started = Instant::now();
-        let residual = &*self.typed(residual)?;
-        let ty = self
-            .schema
-            .column(column)
-            .ok_or_else(|| self.no_column(column))?
-            .ty;
+        let residual = &self.typed(residual)?;
+        let (at, col) = self.column(column)?;
         let keys: Vec<Cow<'_, Value>> = keys
             .iter()
-            .map(|&k| coerce(k, ty).map_or(Cow::Borrowed(k), Cow::Owned))
+            .map(|&k| coerce(k, col.ty).map_or(Cow::Borrowed(k), Cow::Owned))
             .collect();
         let mut hits = vec![false; keys.len()];
         let mut explain = Explain {
@@ -1058,21 +1126,19 @@ impl Table {
         let scan_started = Instant::now();
         self.stats.index_queries.fetch_add(1, Ordering::Relaxed);
         for (key, hit) in keys.iter().zip(&mut hits) {
-            let probe = self.eq_probe(column, key).ok_or_else(|| {
+            let probe = self.eq_probe(at, key).ok_or_else(|| {
                 StoreError::BadQuery(format!("no index serves a semi-join on `{column}`"))
             })?;
             'key: for g in &guards {
                 let (ids, _) = g.eq_candidates(&probe)?;
                 explain.estimated_rows += ids.len();
                 for &id in ids {
-                    let record = &g.rows[unpack(id).1].record;
+                    let row = &g.rows[unpack(id).1].row;
                     explain.rows_scanned += 1;
                     // The equality too, on the few rows the residual
                     // lets through: a group of an ordered index may hold
                     // another value's rows.
-                    if self.row_matches(record, residual)
-                        && Op::Eq.eval(field_or_null(record, column), key)
-                    {
+                    if self.row_matches(row, residual) && Op::Eq.eval(row.at(at), key) {
                         *hit = true;
                         break 'key;
                     }
@@ -1083,16 +1149,16 @@ impl Table {
         // stripes' tails: one walk over them answers every key still open
         // (`Null` equals nothing, so it is never one of them).
         let tails: usize = guards.iter().map(|g| g.tail().len()).sum();
-        if tails > 0 && self.schema.ordered_on(column).is_none() && hits.contains(&false) {
+        if tails > 0 && self.ordered_on(at).is_none() && hits.contains(&false) {
             let unanswered = keys
                 .iter()
                 .zip(&hits)
                 .filter(|(k, hit)| !**hit && !k.is_null());
             let mut open: HashMap<&Value, bool> = unanswered.map(|(k, _)| (&**k, false)).collect();
             for g in &guards {
-                for row in &g.rows[g.tail()] {
-                    if let Some(found) = open.get_mut(field_or_null(&row.record, column)) {
-                        *found = *found || self.row_matches(&row.record, residual);
+                for stored in &g.rows[g.tail()] {
+                    if let Some(found) = open.get_mut(stored.row.at(at)) {
+                        *found = *found || self.row_matches(&stored.row, residual);
                     }
                 }
             }
@@ -1114,17 +1180,17 @@ impl Table {
     /// All rows (shared handles, not deep copies) in sequence
     /// (= insertion) order. Compaction uses this to rewrite the WAL as a
     /// replayable op sequence.
-    pub fn snapshot_seq_order(&self) -> Vec<Arc<Record>> {
-        let mut rows: Vec<(u64, Arc<Record>)> = Vec::with_capacity(self.len());
+    pub fn snapshot_seq_order(&self) -> Vec<Arc<Row>> {
+        let mut rows: Vec<(u64, Arc<Row>)> = Vec::with_capacity(self.len());
         for stripe in &self.stripes {
             let s = stripe.read();
-            rows.extend(s.rows.iter().map(|r| (r.seq, Arc::clone(&r.record))));
+            rows.extend(s.rows.iter().map(|r| (r.seq, Arc::clone(&r.row))));
         }
         rows.sort_unstable_by_key(|(seq, _)| *seq);
         rows.into_iter().map(|(_, r)| r).collect()
     }
 
-    /// Approximate memory footprint of all rows.
+    /// Approximate memory footprint of all rows ([`Row::approx_size`]).
     pub fn approx_size(&self) -> usize {
         self.stripes
             .iter()
@@ -1132,7 +1198,7 @@ impl Table {
                 s.read()
                     .rows
                     .iter()
-                    .map(|r| r.record.approx_size())
+                    .map(|r| r.row.approx_size())
                     .sum::<usize>()
             })
             .sum()
@@ -1161,18 +1227,18 @@ impl StripeToken<'_> {
         self.guard.pk_map.contains_key(pk)
     }
 
-    /// Apply a validated, committed insert at sequence `seq`. The caller
-    /// has already checked schema validity and key uniqueness under this
-    /// token.
-    pub fn apply_insert(&mut self, record: Arc<Record>, seq: u64) -> RowId {
-        apply_insert_inner(self.table, self.stripe, &mut self.guard, record, seq)
+    /// Apply a committed insert at sequence `seq`. The caller placed the
+    /// row against this table's schema and checked key uniqueness under
+    /// this token.
+    pub fn apply_insert(&mut self, row: Arc<Row>, seq: u64) -> RowId {
+        apply_insert_inner(self.table, self.stripe, &mut self.guard, row, seq)
     }
 
-    /// Apply a validated, committed flag mutation. The caller has already
-    /// checked (under this token) that `pk` exists and `column` is a
-    /// mutable flag column, so this cannot fail.
-    pub fn apply_set_flag(&mut self, pk: &str, column: &str, value: bool) {
-        apply_set_flag_inner(self.stripe, &mut self.guard, pk, column, value);
+    /// Apply a validated, committed flag mutation of the column at `at`.
+    /// The caller has already checked (under this token) that `pk` exists
+    /// and that the column is a mutable flag column, so this cannot fail.
+    pub fn apply_set_flag(&mut self, pk: &str, at: usize, value: bool) {
+        apply_set_flag_inner(self.stripe, &mut self.guard, pk, at, value);
     }
 }
 
@@ -1200,17 +1266,12 @@ impl StripeSetToken<'_> {
         self.guard_of(si).pk_map.contains_key(pk)
     }
 
-    /// Apply one validated, committed insert from the batch.
-    pub fn apply_insert(&mut self, record: Arc<Record>, seq: u64) -> RowId {
-        let pk = record
-            .get(&self.table.schema.primary_key)
-            .and_then(Value::as_str)
-            .expect("validated pk")
-            .to_owned();
-        let si = self.table.stripe_of(&pk);
+    /// Apply one placed, committed insert from the batch.
+    pub fn apply_insert(&mut self, row: Arc<Row>, seq: u64) -> RowId {
         let table = self.table;
+        let si = table.stripe_of(table.key_of(&row));
         let stripe = self.stripe_mut(si);
-        apply_insert_inner(table, si, stripe, record, seq)
+        apply_insert_inner(table, si, stripe, row, seq)
     }
 
     fn guard_of(&self, stripe: usize) -> &Stripe {
@@ -1234,25 +1295,25 @@ fn apply_insert_inner(
     table: &Table,
     stripe_idx: usize,
     s: &mut Stripe,
-    record: Arc<Record>,
+    row: Arc<Row>,
     seq: u64,
 ) -> RowId {
-    let pk = record
-        .get(&table.schema.primary_key)
-        .and_then(Value::as_str)
-        .expect("validated pk")
-        .to_owned();
+    debug_assert!(
+        Arc::ptr_eq(row.schema(), &table.schema),
+        "a row placed against another schema"
+    );
     let slot = s.rows.len();
-    s.pk_map.insert(pk, slot);
-    s.rows.push(StoredRow { seq, record });
+    s.pk_map.insert(table.key_of(&row).to_owned(), slot);
+    s.rows.push(StoredRow { seq, row });
     let Stripe { rows, ordered, .. } = &mut *s;
     let new = &rows[slot];
-    for (def, index) in table.schema.ordered.iter().zip(ordered) {
-        if let Some(v) = new.record.get(&def.by).filter(|v| !v.is_null()) {
-            let prefix = field_or_null(&new.record, &def.order).order_prefix();
+    for (&(by, order), index) in table.ordered.iter().zip(ordered) {
+        let v = new.row.at(by);
+        if !v.is_null() {
+            let prefix = new.row.at(order).order_prefix();
             let key = table.group_hasher.key(v);
             index.insert(key, pack(stripe_idx, slot), prefix, |r| {
-                order_cmp(&rows[unpack(r).1], new, &def.order)
+                order_cmp(&rows[unpack(r).1], new, order)
             });
         }
     }
@@ -1264,23 +1325,30 @@ fn apply_insert_inner(
     pack(stripe_idx, slot)
 }
 
-fn apply_set_flag_inner(stripe_idx: usize, s: &mut Stripe, pk: &str, column: &str, value: bool) {
-    let slot = s.pk_map[pk];
+fn apply_set_flag_inner(stripe_idx: usize, s: &mut Stripe, pk: &str, at: usize, value: bool) {
+    let Stripe {
+        rows,
+        pk_map,
+        indexes,
+        indexed_upto,
+        ..
+    } = s;
+    let slot = pk_map[pk];
     // Rows above the watermark are not in the index yet; their (new)
     // value is picked up when the pending delta flushes.
-    if slot < s.indexed_upto {
-        if let Some(index) = s.indexes.get_mut(column) {
-            if let Some(old) = s.rows[slot].record.get(column).filter(|v| !v.is_null()) {
+    if slot < *indexed_upto {
+        if let Some((_, index)) = indexes.iter_mut().find(|(column, _)| *column == at) {
+            let old = rows[slot].row.at(at);
+            if !old.is_null() {
                 index.remove(old, pack(stripe_idx, slot));
             }
             index.insert(Value::Bool(value), pack(stripe_idx, slot));
         }
     }
-    // Copy-on-write: clones the record only if the oplog or a reader
-    // still shares the allocation, so neither the logged insert op nor a
-    // row already handed out ever sees the mutation.
-    let rec = Arc::make_mut(&mut s.rows[slot].record);
-    *rec = std::mem::take(rec).set(column, value);
+    // Copy-on-write: clones the row only if the oplog or a reader still
+    // shares the allocation, so neither the logged insert op nor a row
+    // already handed out ever sees the mutation.
+    Arc::make_mut(&mut rows[slot].row).set_at(at, Value::Bool(value));
 }
 
 #[cfg(test)]
@@ -1316,6 +1384,27 @@ mod tests {
             .set("city", city)
             .set("created", Value::Timestamp(created))
             .set("mape", mape)
+    }
+
+    /// `record` as `t` stores it, for the stripe tokens.
+    fn placed(t: &Table, record: Record) -> Arc<Row> {
+        Arc::new(t.schema().place(record).unwrap())
+    }
+
+    #[test]
+    fn a_column_given_twice_is_refused_before_anything_is_stored() {
+        let t = table();
+        let twice: Record = row("i1", "rf", "sf", 1, 0.1)
+            .into_fields()
+            .into_iter()
+            .chain([("city".into(), Value::from("nyc"))])
+            .collect();
+        assert!(matches!(
+            t.insert(twice),
+            Err(StoreError::DuplicateColumn { column, .. }) if column == "city"
+        ));
+        assert_eq!((t.len(), t.get("i1")), (0, None));
+        assert_eq!(t.stats().inserts, 0);
     }
 
     #[test]
@@ -1579,17 +1668,22 @@ mod tests {
     #[test]
     fn returned_rows_are_snapshots_across_set_flag() {
         let t = table();
-        t.insert(row("i1", "rf", "sf", 1, 0.1)).unwrap();
+        t.insert(row("i1", "rf", "sf", 1, 0.1).set("deprecated", false))
+            .unwrap();
         let q = Query::all().and(Constraint::eq("model", "rf"));
         let (queried, _) = t.execute(&q).unwrap();
         let got = t.get("i1").unwrap();
+        let [at] = t.schema().positions(["deprecated"]);
         t.set_flag("i1", "deprecated", true).unwrap();
-        // Rows handed out before the write still read the old value...
-        assert_eq!(queried[0].get("deprecated"), None);
-        assert_eq!(got.get("deprecated"), None);
+        // Rows handed out before the write still read the old value, by
+        // name and by position...
+        let not_yet = Some(&Value::Bool(false));
+        assert_eq!(queried[0].get("deprecated"), not_yet);
+        assert_eq!(got.values_at(&[at]), [&Value::Bool(false)]);
         // ...and a fresh read sees the new one.
         let fresh = t.get("i1").unwrap();
         assert_eq!(fresh.get("deprecated"), Some(&Value::Bool(true)));
+        assert!(!Arc::ptr_eq(&fresh, &got), "the write copied the row");
         assert!(t.execute(&q).unwrap().0.is_empty());
         assert_eq!(t.execute(&q.with_deprecated()).unwrap().0, vec![fresh]);
     }
@@ -1742,13 +1836,13 @@ mod tests {
     /// `table()` with the hash index on `model` replaced by the ordered
     /// index `model → created`.
     fn ordered_table(lock_stripes: usize, index_batch: usize) -> Table {
-        let mut schema = table().schema.clone();
+        let mut schema = (*table().schema).clone();
         schema.columns[1].index = None;
         let schema = schema.ordered_by("model", "created").unwrap();
         Table::with_config(schema, lock_stripes, index_batch)
     }
 
-    fn ids(rows: &[Arc<Record>]) -> Vec<&str> {
+    fn ids(rows: &[Arc<Row>]) -> Vec<&str> {
         rows.iter()
             .map(|r| r.get("id").unwrap().as_str().unwrap())
             .collect()
@@ -1918,7 +2012,7 @@ mod tests {
 
     #[test]
     fn ordered_index_places_late_and_null_rows() {
-        let mut schema = table().schema.clone();
+        let mut schema = (*table().schema).clone();
         schema.columns[1].index = None;
         // Order by the nullable column; created times arrive out of order.
         let schema = schema.ordered_by("model", "mape").unwrap();
@@ -2100,7 +2194,8 @@ mod tests {
         let stripes_locked = {
             let mut token = t.lock_stripe_set(&pks);
             for (i, pk) in pks.iter().enumerate() {
-                token.apply_insert(Arc::new(row(pk, "rf", "sf", i as i64, 0.1)), 100 + i as u64);
+                let placed = placed(&t, row(pk, "rf", "sf", i as i64, 0.1));
+                token.apply_insert(placed, 100 + i as u64);
             }
             token.guards.len() as u64
         };
@@ -2120,7 +2215,8 @@ mod tests {
             let mut token = t.lock_stripe_set(&pks);
             for (i, pk) in pks.iter().enumerate() {
                 assert!(!token.contains(pk));
-                token.apply_insert(Arc::new(row(pk, "rf", "sf", i as i64, 0.1)), i as u64 + 1);
+                let placed = placed(&t, row(pk, "rf", "sf", i as i64, 0.1));
+                token.apply_insert(placed, i as u64 + 1);
             }
         }
         assert_eq!(t.len(), 10);

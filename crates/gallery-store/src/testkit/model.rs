@@ -20,7 +20,7 @@ use crate::blob::memory::MemoryBlobStore;
 use crate::dal::Dal;
 use crate::meta::MetadataStore;
 use crate::query::Query;
-use crate::record::Record;
+use crate::record::Row;
 use crate::value::Value;
 use gallery_telemetry::Telemetry;
 use std::collections::BTreeMap;
@@ -39,7 +39,7 @@ pub struct RefRow {
 
 impl RefRow {
     /// Whether a stored row carries exactly this row's score.
-    pub fn score_matches(&self, row: &Record) -> bool {
+    pub fn score_matches(&self, row: &Row) -> bool {
         let stored = match row.get("score") {
             Some(Value::Float(x)) => Some(x.to_bits()),
             _ => None,
@@ -182,7 +182,7 @@ pub fn any_scoring<'a>(
 }
 
 /// Ids of queried rows, in result order.
-pub fn ids_of(rows: &[Arc<Record>]) -> Vec<String> {
+pub fn ids_of(rows: &[Arc<Row>]) -> Vec<String> {
     rows.iter()
         .filter_map(|r| r.get("id").and_then(|v| v.as_str()).map(str::to_owned))
         .collect()

@@ -24,8 +24,8 @@
 
 use crate::blob::checksum::crc32;
 use crate::error::{Result, StoreError};
-use crate::record::Record;
-use crate::schema::{ColumnDef, IndexKind, TableSchema};
+use crate::record::Row;
+use crate::schema::{ColumnDef, IndexKind, Placement, Repeated, TableSchema};
 use crate::simfs::{real_fs, FileSystem, FsFile};
 use crate::value::{Value, ValueType};
 use gallery_sync::locks::{OrderedCondvar, OrderedMutex, OrderedMutexGuard};
@@ -43,7 +43,8 @@ use std::time::Instant;
 #[derive(Debug, Clone, Serialize)]
 pub enum WalOp {
     CreateTable {
-        schema: TableSchema,
+        /// Shared with the table and every row placed in it.
+        schema: Arc<TableSchema>,
     },
     Insert {
         table: String,
@@ -51,7 +52,7 @@ pub enum WalOp {
         /// clone of the same allocation instead of a deep copy, halving
         /// the write path's memory traffic. Flag writes copy-on-write
         /// (`Arc::make_mut`) so logged history is never mutated.
-        record: Arc<Record>,
+        row: Arc<Row>,
     },
     SetFlag {
         table: String,
@@ -139,6 +140,12 @@ fn put_value(out: &mut Vec<u8>, v: &Value) {
 /// uvarint-length-prefixed names and one tag byte per value. These bytes
 /// are the payload of a WAL frame and of a shipped frame alike. Encoding
 /// cannot fail — whatever the tables accept, the log accepts.
+///
+/// An insert is its row's present columns as `(name, value)` pairs, in
+/// schema order, the names taken from the schema: the pairs a row built
+/// by name was always logged as, so frames keep their size and logs
+/// written before rows were positional replay as they always did
+/// (DESIGN.md §7, "Row layout").
 pub(crate) fn encode_op(op: &WalOp, out: &mut Vec<u8>) {
     match op {
         WalOp::CreateTable { schema } => {
@@ -169,11 +176,11 @@ pub(crate) fn encode_op(op: &WalOp, out: &mut Vec<u8>) {
                 }
             }
         }
-        WalOp::Insert { table, record } => {
+        WalOp::Insert { table, row } => {
             out.push(OP_INSERT);
             put_bytes(out, table.as_bytes());
-            put_uvarint(out, record.len() as u64);
-            for (name, value) in record.fields() {
+            put_uvarint(out, row.fields().count() as u64);
+            for (name, value) in row.fields() {
                 put_bytes(out, name.as_bytes());
                 put_value(out, value);
             }
@@ -252,10 +259,12 @@ impl<'a> Cursor<'a> {
         self.take(usize::try_from(n).map_err(|_| "length overflows usize")?)
     }
 
+    fn str(&mut self) -> Decoded<&'a str> {
+        std::str::from_utf8(self.bytes()?).map_err(|_| "string is not utf-8")
+    }
+
     fn string(&mut self) -> Decoded<String> {
-        std::str::from_utf8(self.bytes()?)
-            .map(str::to_owned)
-            .map_err(|_| "string is not utf-8")
+        self.str().map(str::to_owned)
     }
 
     /// An item count, and how many items to reserve room for: never more
@@ -294,9 +303,39 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// Why a payload is not an op.
+#[derive(Debug)]
+pub(crate) enum Undecoded {
+    /// The bytes do not decode: damage, or a frame torn mid-write.
+    Malformed(&'static str),
+    /// A well-formed insert the table refuses, with the error inserting
+    /// the row directly would get (`NoSuchTable`, `NoSuchColumn`, ...).
+    Refused(StoreError),
+}
+
+impl From<&'static str> for Undecoded {
+    fn from(why: &'static str) -> Self {
+        Undecoded::Malformed(why)
+    }
+}
+
+/// The schema an insert into a table is decoded against, if the table
+/// exists: the store's own table for a shipped frame, the log's earlier
+/// `CreateTable` on replay.
+pub(crate) type SchemaOf<'s> = &'s dyn Fn(&str) -> Option<Arc<TableSchema>>;
+
 /// Decode one op payload (inverse of [`encode_op`]). The payload must be
 /// consumed exactly: trailing bytes are as much an error as missing ones.
-pub(crate) fn decode_op(payload: &[u8]) -> Decoded<WalOp> {
+///
+/// An insert's columns are resolved against `schema_of(table)` as they
+/// are read and placed by position — no name is copied — through the
+/// same validate-and-place pass a local insert takes. A column the frame
+/// names twice keeps its first value, which is what a reader of the log
+/// saw when it was written.
+pub(crate) fn decode_op(
+    payload: &[u8],
+    schema_of: SchemaOf<'_>,
+) -> std::result::Result<WalOp, Undecoded> {
     let mut c = Cursor(payload);
     let op = match c.u8()? {
         OP_CREATE_TABLE => {
@@ -314,7 +353,7 @@ pub(crate) fn decode_op(payload: &[u8]) -> Decoded<WalOp> {
                         INDEX_NONE => None,
                         INDEX_HASH => Some(IndexKind::Hash),
                         INDEX_BTREE => Some(IndexKind::BTree),
-                        _ => return Err("unknown index tag"),
+                        _ => return Err("unknown index tag".into()),
                     },
                 });
             }
@@ -328,7 +367,7 @@ pub(crate) fn decode_op(payload: &[u8]) -> Decoded<WalOp> {
                 // A declaration is at least two empty names' length bytes.
                 let (n, _) = c.count(2)?;
                 if n == 0 {
-                    return Err("empty ordered-index section");
+                    return Err("empty ordered-index section".into());
                 }
                 // Through the checked builder: a recovered or following
                 // store plans from these, so they must name real columns.
@@ -338,19 +377,36 @@ pub(crate) fn decode_op(payload: &[u8]) -> Decoded<WalOp> {
                         .map_err(|_| "ordered index the columns do not allow")?;
                 }
             }
-            WalOp::CreateTable { schema }
+            WalOp::CreateTable {
+                schema: Arc::new(schema),
+            }
         }
         OP_INSERT => {
             let table = c.string()?;
-            // A field is at least an empty name's length byte + a value tag.
-            let (n, reserve) = c.count(2)?;
-            let mut fields = Vec::with_capacity(reserve);
+            let schema = schema_of(&table);
+            let mut placement = schema.as_ref().map(Placement::new);
+            // Each field is at least an empty name's length byte + a value
+            // tag: a hostile count fails where the bytes run out.
+            let (n, _) = c.count(2)?;
             for _ in 0..n {
-                fields.push((c.string()?, c.value()?));
+                let (name, value) = (c.str()?, c.value()?);
+                if let Some(placement) = &mut placement {
+                    placement.give(name, value);
+                }
             }
+            // Every byte is accounted for before the table has its say: a
+            // frame that is not an op is malformed, whatever it names.
+            if !c.0.is_empty() {
+                return Err(Undecoded::Malformed("bytes left over after the op"));
+            }
+            let row = match placement {
+                Some(placement) => placement.finish(Repeated::KeepFirst),
+                None => Err(StoreError::NoSuchTable(table.clone())),
+            };
+            let row = row.map_err(Undecoded::Refused)?;
             WalOp::Insert {
                 table,
-                record: Arc::new(fields.into_iter().collect()),
+                row: Arc::new(row),
             }
         }
         OP_SET_FLAG => WalOp::SetFlag {
@@ -359,10 +415,10 @@ pub(crate) fn decode_op(payload: &[u8]) -> Decoded<WalOp> {
             column: c.string()?,
             value: c.bool()?,
         },
-        _ => return Err("unknown op tag"),
+        _ => return Err(Undecoded::Malformed("unknown op tag")),
     };
     if !c.0.is_empty() {
-        return Err("bytes left over after the op");
+        return Err(Undecoded::Malformed("bytes left over after the op"));
     }
     Ok(op)
 }
@@ -704,8 +760,14 @@ impl Wal {
     /// **Corrupt**: a length that disagrees with its complement, or a bad
     /// CRC / undecodable payload with more bytes after it — damage to
     /// history, which truncation would silently discard.
+    ///
+    /// Inserts are decoded against the schemas the log's own `CreateTable`
+    /// frames declared before them. A whole, verified insert its table
+    /// refuses fails the replay with the table's error, wherever it is:
+    /// it is history, not a torn write.
     fn replay_bytes(data: &[u8]) -> Result<ReplayReport> {
         let mut ops = Vec::new();
+        let mut schemas: HashMap<String, Arc<TableSchema>> = HashMap::new();
         let mut offset = 0usize;
         let mut torn = false;
         while offset < data.len() {
@@ -724,21 +786,25 @@ impl Wal {
                 }
             };
             let decoded = if crc32(payload) == crc {
-                decode_op(payload)
+                decode_op(payload, &|table| schemas.get(table).cloned())
             } else {
-                Err("crc mismatch")
+                Err(Undecoded::Malformed("crc mismatch"))
             };
             let end = FRAME_HEADER + payload.len();
             match decoded {
                 Ok(op) => {
+                    if let WalOp::CreateTable { schema } = &op {
+                        schemas.insert(schema.name.clone(), Arc::clone(schema));
+                    }
                     ops.push(op);
                     offset += end;
                 }
+                Err(Undecoded::Refused(e)) => return Err(e),
                 Err(_) if end == rest.len() => {
                     torn = true;
                     break;
                 }
-                Err(why) => return Err(corrupt(why)),
+                Err(Undecoded::Malformed(why)) => return Err(corrupt(why)),
             }
         }
         let torn_tail = torn.then(|| TornTail {
@@ -987,9 +1053,8 @@ impl Committer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ship::ShipFrame;
+    use crate::record::Record;
     use crate::simfs::SimFs;
-    use bytes::Bytes;
 
     fn tmpdir(name: &str) -> PathBuf {
         let dir =
@@ -999,15 +1064,33 @@ mod tests {
         dir
     }
 
+    /// `t(id, score, n)`: a key, and two nullable columns.
+    fn t_schema() -> Arc<TableSchema> {
+        let columns = vec![
+            ColumnDef::new("id", ValueType::Str),
+            ColumnDef::new("score", ValueType::Float).nullable(),
+            ColumnDef::new("n", ValueType::Int).nullable(),
+        ];
+        Arc::new(TableSchema::new("t", "id", columns).unwrap())
+    }
+
+    /// An insert into `t`.
+    fn insert_into_t(record: Record) -> WalOp {
+        WalOp::Insert {
+            table: "t".into(),
+            row: Arc::new(t_schema().place(record).unwrap()),
+        }
+    }
+
+    /// What a shipped frame is decoded against on a store with no tables.
+    fn no_tables(_: &str) -> Option<Arc<TableSchema>> {
+        None
+    }
+
     fn sample_ops() -> Vec<WalOp> {
-        let schema =
-            TableSchema::new("t", "id", vec![ColumnDef::new("id", ValueType::Str)]).unwrap();
         vec![
-            WalOp::CreateTable { schema },
-            WalOp::Insert {
-                table: "t".into(),
-                record: Arc::new(Record::new().set("id", "x")),
-            },
+            WalOp::CreateTable { schema: t_schema() },
+            insert_into_t(Record::new().set("id", "x")),
             WalOp::SetFlag {
                 table: "t".into(),
                 pk: "x".into(),
@@ -1242,19 +1325,25 @@ mod tests {
         assert_eq!(ops.len(), 2);
     }
 
+    /// A committer over a log that starts with `t`'s `CreateTable`
+    /// (written before the telemetry is attached, and outside the oplog).
     fn test_committer(dir: &Path) -> (Committer, Arc<Telemetry>) {
         let telemetry = Telemetry::new();
-        let wal = Wal::open(dir.join("wal.log"), SyncPolicy::Always)
-            .unwrap()
-            .with_telemetry(&telemetry);
+        let mut wal = Wal::open(dir.join("wal.log"), SyncPolicy::Always).unwrap();
+        wal.append(&sample_ops()[0]).unwrap();
+        let wal = wal.with_telemetry(&telemetry);
         (Committer::new(wal, new_shared_oplog()), telemetry)
     }
 
+    /// The committed inserts of a `test_committer` log.
+    fn replayed_inserts(dir: &Path) -> Vec<WalOp> {
+        let mut ops = Wal::replay(dir.join("wal.log")).unwrap();
+        assert!(matches!(ops.remove(0), WalOp::CreateTable { .. }));
+        ops
+    }
+
     fn insert_op(i: usize) -> WalOp {
-        WalOp::Insert {
-            table: "t".into(),
-            record: Arc::new(Record::new().set("id", format!("row-{i}"))),
-        }
+        insert_into_t(Record::new().set("id", format!("row-{i}")))
     }
 
     #[test]
@@ -1278,12 +1367,12 @@ mod tests {
         );
         assert_eq!(r.counter("gallery_wal_flushes_total", &[]).get(), 1);
         // Oplog order == WAL order.
-        let replayed = Wal::replay(dir.join("wal.log")).unwrap();
+        let replayed = replayed_inserts(&dir);
         assert_eq!(replayed.len(), 10);
         let oplog = committer.oplog.lock();
         for (i, op) in oplog.iter().enumerate() {
             match (op.as_ref(), &replayed[i]) {
-                (WalOp::Insert { record: a, .. }, WalOp::Insert { record: b, .. }) => {
+                (WalOp::Insert { row: a, .. }, WalOp::Insert { row: b, .. }) => {
                     assert_eq!(a, b)
                 }
                 other => panic!("unexpected op pair {other:?}"),
@@ -1307,7 +1396,7 @@ mod tests {
             3
         );
         assert_eq!(r.counter("gallery_wal_flushes_total", &[]).get(), 3);
-        assert_eq!(Wal::replay(dir.join("wal.log")).unwrap().len(), 600);
+        assert_eq!(replayed_inserts(&dir).len(), 600);
     }
 
     #[test]
@@ -1372,7 +1461,7 @@ mod tests {
         let total = (threads * per_thread) as u64;
         assert_eq!(all_seqs, (1..=total).collect::<Vec<u64>>());
         // Durable and ordered: replay sees every op, in oplog order.
-        let replayed = Wal::replay(dir.join("wal.log")).unwrap();
+        let replayed = replayed_inserts(&dir);
         assert_eq!(replayed.len(), total as usize);
         // Group commit must have coalesced at least some of the 400
         // concurrent fsync-policy commits into shared flushes.
@@ -1400,27 +1489,23 @@ mod tests {
                 std::thread::spawn(move || {
                     start.wait();
                     let score = if t == 3 { f64::NAN } else { t as f64 };
-                    c.commit(WalOp::Insert {
-                        table: "t".into(),
-                        record: Arc::new(
-                            Record::new()
-                                .set("id", format!("row-{t}"))
-                                .set("score", score),
-                        ),
-                    })
+                    let row = Record::new()
+                        .set("id", format!("row-{t}"))
+                        .set("score", score);
+                    c.commit(insert_into_t(row))
                 })
             })
             .collect();
         for h in handles {
             h.join().unwrap().unwrap();
         }
-        let replayed = Wal::replay(dir.join("wal.log")).unwrap();
+        let replayed = replayed_inserts(&dir);
         assert_eq!(replayed.len(), 6);
         let nans = replayed
             .iter()
             .filter(|op| match op {
-                WalOp::Insert { record, .. } => {
-                    matches!(record.get("score"), Some(Value::Float(x)) if x.is_nan())
+                WalOp::Insert { row, .. } => {
+                    matches!(row.get("score"), Some(Value::Float(x)) if x.is_nan())
                 }
                 _ => false,
             })
@@ -1500,16 +1585,11 @@ mod tests {
                                 schema = with;
                             }
                         }
-                        WalOp::CreateTable { schema }
+                        WalOp::CreateTable {
+                            schema: Arc::new(schema),
+                        }
                     }),
-                (
-                    "[a-z]{0,8}",
-                    proptest::collection::vec(("[a-z_]{0,8}", arb_value()), 0..10)
-                )
-                    .prop_map(|(table, fields)| WalOp::Insert {
-                        table,
-                        record: Arc::new(fields.into_iter().collect()),
-                    }),
+                arb_insert(),
                 ("[a-z]{0,8}", "[a-z0-9-]{0,12}", "[a-z]{0,8}", any::<bool>()).prop_map(
                     |(table, pk, column, value)| WalOp::SetFlag {
                         table,
@@ -1522,16 +1602,58 @@ mod tests {
             .boxed()
         }
 
+        /// An insert into a table of its own: a key, then a column per
+        /// generated value, typed as the value and nullable where it is
+        /// `Null` (so absent from the row) or where the draw says so.
+        fn arb_insert() -> BoxedStrategy<WalOp> {
+            (
+                "[a-z]{0,8}",
+                "[a-z0-9-]{0,12}",
+                proptest::collection::vec(("[a-z_]{1,8}", arb_value(), any::<bool>()), 0..10),
+            )
+                .prop_map(|(table, pk, fields)| {
+                    let mut columns = vec![ColumnDef::new("id", ValueType::Str)];
+                    let mut record = Record::new().set("id", pk);
+                    for (name, value, nullable) in fields {
+                        if columns.iter().any(|c| c.name == name) {
+                            continue;
+                        }
+                        let mut column = ColumnDef::new(
+                            name.clone(),
+                            value.value_type().unwrap_or(ValueType::Str),
+                        );
+                        column.nullable = nullable || value.is_null();
+                        columns.push(column);
+                        record = record.set(name, value);
+                    }
+                    let schema = Arc::new(TableSchema::new(table.clone(), "id", columns).unwrap());
+                    WalOp::Insert {
+                        table,
+                        row: Arc::new(schema.place(record).unwrap()),
+                    }
+                })
+                .boxed()
+        }
+
+        /// `op` as a log holds it: an insert after its table's creation.
+        fn logged(op: WalOp) -> Vec<WalOp> {
+            match &op {
+                WalOp::Insert { row, .. } => vec![
+                    WalOp::CreateTable {
+                        schema: Arc::clone(row.schema()),
+                    },
+                    op,
+                ],
+                _ => vec![op],
+            }
+        }
+
         /// Replay and shipped-frame decoding, the two places untrusted op
         /// bytes enter. Returning at all is the property (no panic, no
         /// allocation sized by a hostile count); the outcome is clean, a
         /// torn tail, or `WalCorrupt`.
         fn decode_everywhere(bytes: &[u8]) -> Result<ReplayReport> {
-            let _ = ShipFrame {
-                seq: 1,
-                op: Bytes::copy_from_slice(bytes),
-            }
-            .op();
+            let _ = decode_op(bytes, &no_tables);
             let fs = SimFs::new();
             let path = Path::new("/wal.log");
             fs.create(path).unwrap().write_all(bytes).unwrap();
@@ -1558,7 +1680,14 @@ mod tests {
             #[test]
             fn ops_round_trip_bit_for_bit(op in arb_op()) {
                 let bytes = encoded(&op);
-                let back = decode_op(&bytes).unwrap();
+                // An insert decodes against its table's schema.
+                let schema = match &op {
+                    WalOp::Insert { row, .. } => Some(Arc::clone(row.schema())),
+                    _ => None,
+                };
+                let schema_of = |_: &str| schema.clone();
+                let decode = |bytes: &[u8]| decode_op(bytes, &schema_of);
+                let back = decode(&bytes).unwrap();
                 // `Value`'s `==` is numeric across Int/Float, and NaN prints
                 // the same whatever its payload: the re-encoding pins bits
                 // and variants, the Debug form the structure around them.
@@ -1567,8 +1696,8 @@ mod tests {
                 // Exact consumption: a byte more or a byte less is an error.
                 let mut longer = bytes.clone();
                 longer.push(0);
-                prop_assert!(decode_op(&longer).is_err());
-                prop_assert!(decode_op(&bytes[..bytes.len() - 1]).is_err());
+                prop_assert!(decode(&longer).is_err());
+                prop_assert!(decode(&bytes[..bytes.len() - 1]).is_err());
             }
 
             #[test]
@@ -1581,6 +1710,7 @@ mod tests {
             ) {
                 let _ = decode_everywhere(&garbage);
 
+                let ops: Vec<WalOp> = ops.into_iter().flat_map(logged).collect();
                 let log = log_of(&ops);
                 prop_assert_eq!(decode_everywhere(&log).unwrap().ops.len(), ops.len());
                 // Every truncation is a clean prefix or a torn tail, never
@@ -1605,6 +1735,99 @@ mod tests {
                     Err(e) => prop_assert!(matches!(e, StoreError::WalCorrupt(_))),
                 }
             }
+
+            #[test]
+            fn a_stored_row_logs_the_pairs_its_builder_did(
+                picks in proptest::collection::vec(any::<prop::sample::Index>(), 8..9),
+                present in proptest::collection::vec(any::<bool>(), 8..9),
+                bits in any::<u64>(),
+                text in "[a-zé]{0,12}",
+            ) {
+                let schema = metrics_like();
+                let by_column = [
+                    Value::from(format!("m-{text}")),
+                    Value::from("i-1"),
+                    Value::from(text),
+                    Value::Float(f64::from_bits(bits)),
+                    Value::from("validation"),
+                    Value::from("{}"),
+                    Value::Timestamp(bits as i64),
+                    Value::Bool(bits % 2 == 0),
+                ];
+                // The builder sets its columns in a shuffled order, and the
+                // nullable ones only where `present` says so.
+                let mut order: Vec<usize> = (0..8).collect();
+                for (i, pick) in picks.iter().enumerate() {
+                    order.swap(i, i + pick.index(8 - i));
+                }
+                let given = order.iter().filter(|&&i| !schema.columns[i].nullable || present[i]);
+                let record = given.fold(Record::new(), |r, &i| {
+                    r.set(schema.columns[i].name.clone(), by_column[i].clone())
+                });
+                let parent = parent_encoding("metrics", &record);
+                let row = Arc::new(schema.place(record).unwrap());
+                let bytes = encoded(&WalOp::Insert { table: "metrics".into(), row: Arc::clone(&row) });
+                // The same pairs, in schema order: the same length.
+                prop_assert_eq!(bytes.len(), parent.len());
+                let (mut now, mut then) = (pairs_of(&bytes), pairs_of(&parent));
+                now.sort();
+                then.sort();
+                prop_assert_eq!(now, then);
+                // And they decode to the row they came from.
+                let back = decode_op(&bytes, &|_| Some(Arc::clone(&schema))).unwrap();
+                let WalOp::Insert { row: back, .. } = back else {
+                    panic!("not an insert: {back:?}");
+                };
+                prop_assert!(Arc::ptr_eq(back.schema(), &schema));
+                prop_assert_eq!(&back, &row);
+                prop_assert_eq!(encoded(&WalOp::Insert { table: "metrics".into(), row: back }), bytes);
+            }
+        }
+
+        /// `metrics`' columns, and a nullable flag.
+        fn metrics_like() -> Arc<TableSchema> {
+            let str_col = |name: &str| ColumnDef::new(name, ValueType::Str);
+            let columns = vec![
+                str_col("id"),
+                str_col("instance_id"),
+                str_col("name"),
+                ColumnDef::new("value", ValueType::Float),
+                str_col("scope"),
+                str_col("metadata").nullable(),
+                ColumnDef::new("created", ValueType::Timestamp),
+                ColumnDef::new("deprecated", ValueType::Bool).nullable(),
+            ];
+            Arc::new(TableSchema::new("metrics", "id", columns).unwrap())
+        }
+
+        /// How an insert built by name was logged before rows were stored
+        /// by position: the builder's pairs, in the builder's order.
+        fn parent_encoding(table: &str, record: &Record) -> Vec<u8> {
+            let mut out = vec![OP_INSERT];
+            put_bytes(&mut out, table.as_bytes());
+            put_uvarint(&mut out, record.len() as u64);
+            for (name, value) in record.fields() {
+                put_bytes(&mut out, name.as_bytes());
+                put_value(&mut out, value);
+            }
+            out
+        }
+
+        /// An insert payload's `(name, value bytes)` pairs, as logged.
+        fn pairs_of(payload: &[u8]) -> Vec<(String, Vec<u8>)> {
+            let mut c = Cursor(payload);
+            assert_eq!(c.u8(), Ok(OP_INSERT));
+            c.string().unwrap();
+            let n = c.uvarint().unwrap();
+            let pairs = (0..n).map(|_| {
+                let name = c.string().unwrap();
+                let mut value = Vec::new();
+                put_value(&mut value, &c.value().unwrap());
+                (name, value)
+            });
+            let pairs = pairs.collect();
+            assert!(c.0.is_empty());
+            pairs
         }
 
         /// `t(id, g, s)` with the ordered index `g → s`.
@@ -1612,8 +1835,13 @@ mod tests {
             let columns = ["id", "g", "s"].map(|c| ColumnDef::new(c, ValueType::Str));
             let schema = TableSchema::new("t", "id", columns.to_vec()).unwrap();
             WalOp::CreateTable {
-                schema: schema.ordered_by("g", "s").unwrap(),
+                schema: Arc::new(schema.ordered_by("g", "s").unwrap()),
             }
+        }
+
+        /// `payload` decoded on a store whose one table is `t_schema()`'s.
+        fn decode_t(payload: &[u8]) -> std::result::Result<WalOp, Undecoded> {
+            decode_op(payload, &|table| (table == "t").then(t_schema))
         }
 
         /// What the commit before ordered indexes wrote for `t(id, g, s)`.
@@ -1626,7 +1854,7 @@ mod tests {
 
         #[test]
         fn a_parent_create_table_decodes_and_the_ordered_section_trails_it() {
-            let WalOp::CreateTable { schema } = decode_op(&PARENT_CREATE).unwrap() else {
+            let WalOp::CreateTable { schema } = decode_t(&PARENT_CREATE).unwrap() else {
                 panic!("not a CreateTable");
             };
             assert!(schema.ordered.is_empty());
@@ -1637,7 +1865,7 @@ mod tests {
             let with = encoded(&ordered_create());
             assert_eq!(with[..23], PARENT_CREATE);
             assert_eq!(with[23..], [1, 1, b'g', 1, b's']);
-            let WalOp::CreateTable { schema } = decode_op(&with).unwrap() else {
+            let WalOp::CreateTable { schema } = decode_t(&with).unwrap() else {
                 panic!("not a CreateTable");
             };
             assert_eq!(schema.ordered_on("g"), Some(0));
@@ -1645,7 +1873,7 @@ mod tests {
 
             // A section is never empty, holds what it announces, and names
             // a pair of columns the schema allows.
-            let section = |bytes: &[u8]| decode_op(&[&PARENT_CREATE[..], bytes].concat());
+            let section = |bytes: &[u8]| decode_t(&[&PARENT_CREATE[..], bytes].concat());
             assert!(section(&[1, 1, b's', 1, b'g']).is_ok());
             for hostile in [
                 &[0][..],                                 // announced, empty
@@ -1662,17 +1890,14 @@ mod tests {
             let mut indexed = PARENT_CREATE.to_vec();
             indexed[17] = INDEX_HASH;
             indexed.extend_from_slice(&[1, 1, b'g', 1, b's']);
-            assert!(decode_op(&indexed).is_err());
+            assert!(decode_t(&indexed).is_err());
         }
 
         #[test]
         fn inflated_counts_and_lengths_fail_without_allocating_for_them() {
             // uvarint(2^62): eight continuation bytes, then 0x40.
             const HUGE: [u8; 9] = [0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40];
-            let insert = WalOp::Insert {
-                table: "t".into(),
-                record: Arc::new(Record::new().set("id", "x").set("n", 1i64)),
-            };
+            let insert = insert_into_t(Record::new().set("id", "x").set("n", 1i64));
             let create = sample_ops().remove(0);
             let ordered = ordered_create();
             // (op, offset of a one-byte count or length in its payload)
@@ -1688,11 +1913,11 @@ mod tests {
                 (&ordered, 26), // order column's name length
             ] {
                 let payload = encoded(op);
-                assert!(decode_op(&payload).is_ok());
+                assert!(decode_t(&payload).is_ok());
                 let mut inflated = payload[..at].to_vec();
                 inflated.extend_from_slice(&HUGE);
                 inflated.extend_from_slice(&payload[at + 1..]);
-                assert!(decode_op(&inflated).is_err(), "offset {at} of {op:?}");
+                assert!(decode_t(&inflated).is_err(), "offset {at} of {op:?}");
                 // The same payload in a frame whose CRC vouches for it: the
                 // decoder is the last line, and it holds.
                 let mut frame = (inflated.len() as u32).to_le_bytes().to_vec();

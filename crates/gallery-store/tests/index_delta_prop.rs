@@ -19,7 +19,7 @@
 
 use gallery_store::meta::StoreConfig;
 use gallery_store::{
-    ColumnDef, Constraint, MetadataStore, Op, Query, Record, TableSchema, Value, ValueType,
+    ColumnDef, Constraint, MetadataStore, Op, Query, Record, Row, TableSchema, Value, ValueType,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -128,9 +128,9 @@ impl Top {
     }
 
     /// What the read must return, from every row in commit order.
-    fn reference(self, all: &[Arc<Record>]) -> Vec<Arc<Record>> {
+    fn reference(self, all: &[Arc<Row>]) -> Vec<Arc<Row>> {
         let group = format!("g{}", self.group);
-        let mut rows: Vec<(i64, usize, &Arc<Record>)> = all
+        let mut rows: Vec<(i64, usize, &Arc<Row>)> = all
             .iter()
             .enumerate()
             .filter(|(_, r)| r.get("group").and_then(|v| v.as_str()) == Some(&group))

@@ -1,7 +1,7 @@
 //! Allocation guard for the read path (ROADMAP item 2: "allocations per
 //! PK read = 0 beyond the result").
 //!
-//! Readers are handed the `Arc<Record>` a stripe already holds, so what a
+//! Readers are handed the `Arc<Row>` a stripe already holds, so what a
 //! read allocates must not grow with rows × columns. A counting global
 //! allocator (this test is its own binary) counts the calling thread's
 //! allocations around a point read, two index queries, a "latest of this

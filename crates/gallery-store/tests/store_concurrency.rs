@@ -70,6 +70,7 @@ fn record(owner: usize, n: usize) -> Record {
         .set("owner", format!("owner-{owner}"))
         .set("key", format!("owner-{owner}"))
         .set("rank", n as i64)
+        .set("deprecated", false)
 }
 
 /// What one thread is expected to have done, reconstructed determinist-
@@ -109,12 +110,15 @@ fn drive(store: &MetadataStore, owner: usize, ops: usize, seed: u64) -> Expected
             let victim = rng.gen_range(0..next as u64) as usize;
             let id = format!("t{owner}-{victim:05}");
             // A row held across the write is a snapshot: it keeps the
-            // flag it was read with while the stripe moves on.
+            // flag it was read with, by name and by position, while the
+            // stripe copies the row and moves on.
             let held = store.get(TABLE, &id).unwrap().unwrap();
+            let at = held.schema().positions(["deprecated"]);
             store.set_flag(TABLE, &id, "deprecated", true).unwrap();
+            let was = Value::Bool(exp.deprecated.contains(&victim));
             assert_eq!(
-                held.get("deprecated").is_some(),
-                exp.deprecated.contains(&victim),
+                (held.get("deprecated"), held.values_at(&at)),
+                (Some(&was), [&was]),
                 "thread {owner}: held row {id} changed under set_flag"
             );
             exp.deprecated.insert(victim);

@@ -170,6 +170,35 @@ fn cli_wal_dump_prints_the_binary_log_and_changes_nothing() {
     );
     assert!(dump.lines().all(|l| l.starts_with("{\"")), "{dump}");
     assert!(dump.lines().last().unwrap().contains("Insert"), "{dump}");
+    // The model's row: every column it was given, once, in the table's
+    // order; the nullable columns it was not given, not at all.
+    let model = dump
+        .lines()
+        .find(|l| l.starts_with("{\"Insert\":{\"table\":\"models\""))
+        .unwrap();
+    let given = [
+        "id",
+        "base_version_id",
+        "project",
+        "name",
+        "owner",
+        "description",
+        "metadata",
+        "created",
+        "display_major",
+    ];
+    let at: Vec<usize> = given
+        .iter()
+        .map(|column| {
+            let key = format!("\"{column}\":{{");
+            assert_eq!(model.matches(&key).count(), 1, "{column}: {model}");
+            model.find(&key).unwrap()
+        })
+        .collect();
+    assert!(at.windows(2).all(|w| w[0] < w[1]), "{model}");
+    for absent in ["prev", "deprecated", "Null"] {
+        assert!(!model.contains(absent), "{absent}: {model}");
+    }
 
     // A crash artifact: the first 20 bytes of a frame, appended. The dump
     // reports it and — unlike opening the store — leaves it where it is.

@@ -9,18 +9,23 @@
 //! the five "latest" lookups of the registry must run as they did then —
 //! `IndexEq` and a sort — and answer what `IndexTop` answers on a store
 //! created now.
+//!
+//! `fixtures/parent_wal_rows.txt` is every row of that log as the commit
+//! before positional rows read it back after replay: per row, its table
+//! and the columns it holds as `name=value`, sorted by name.
 
 use gallery::core::{
     Gallery, InstanceId, InstanceSpec, MetricScope, MetricSpec, ModelId, ModelSpec, Stage,
     SystemClock,
 };
 use gallery::store::blob::memory::MemoryBlobStore;
-use gallery::store::{Constraint, Dal, MetadataStore, SyncPolicy, WalOp};
+use gallery::store::{Constraint, Dal, MetadataStore, Query, SyncPolicy, WalOp};
 use std::path::PathBuf;
 use std::process::Command;
 use std::sync::Arc;
 
 const PARENT_WAL: &[u8] = include_bytes!("fixtures/parent_wal.log");
+const PARENT_ROWS: &str = include_str!("fixtures/parent_wal_rows.txt");
 const MODEL: &str = "220995e0-db55-46d6-9f1e-e4f38acf626a";
 const OLDEST: &str = "81069fbf-168b-4f3b-997d-1ec9ce7c7fa4";
 /// The newest instance that is not deprecated; carries the metrics, the
@@ -225,6 +230,36 @@ fn a_parent_log_replays_and_answers_latest_as_it_was_planned_then() {
         ["metrics SemiJoin(instance_id) tail=0"],
         "one semi-join for both live instances: {plans:?}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_parent_log_replays_into_rows_that_read_as_they_did_then() {
+    let dir = data_dir("rows");
+    std::fs::write(dir.join("wal.log"), PARENT_WAL).unwrap();
+    let meta = MetadataStore::durable(dir.join("wal.log"), SyncPolicy::Always).unwrap();
+    let mut tables = meta.table_names();
+    tables.sort();
+    let (mut by_position, mut by_name) = (String::new(), String::new());
+    for table in &tables {
+        for row in meta.query(table, &Query::all().with_deprecated()).unwrap() {
+            let columns = row.schema().columns.iter().enumerate();
+            let mut at: Vec<String> = columns
+                .filter(|(i, _)| !row.at(*i).is_null())
+                .map(|(i, c)| format!("{}={:?}", c.name, row.at(i)))
+                .collect();
+            let names = row.schema().columns.iter().map(|c| c.name.as_str());
+            let mut named: Vec<String> = names
+                .filter_map(|name| Some(format!("{name}={:?}", row.get(name)?)))
+                .collect();
+            at.sort();
+            named.sort();
+            by_position += &format!("{table} {}\n", at.join(" "));
+            by_name += &format!("{table} {}\n", named.join(" "));
+        }
+    }
+    assert_eq!(by_position, PARENT_ROWS);
+    assert_eq!(by_name, PARENT_ROWS);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
