@@ -7,10 +7,12 @@
 //!
 //! 1. **Clean floor.** The real tree must be silent: a multi-threaded
 //!    store soak (concurrent inserts + shaped queries against the WAL
-//!    write path) and a kill-a-node cluster failover drill both run with
-//!    rank checking enabled, and the resulting lock report must carry
-//!    zero `GLnnnn` diagnostics. A detector that cries wolf on the
-//!    committed tree is worse than no detector.
+//!    write path, an ordered index's latest-of-X read among them) and a
+//!    kill-a-node cluster failover drill both run with rank checking
+//!    enabled, and the resulting lock report must carry zero `GLnnnn`
+//!    diagnostics, with `OrderedIndex` among the ranks its graph reaches.
+//!    A detector that cries wolf on the committed tree is worse than no
+//!    detector.
 //!
 //! 2. **Mutation detection.** A bank of seeded mutation operators models
 //!    the concurrency mistakes the rank table exists to prevent — stripe
@@ -83,8 +85,11 @@ fn schema(table: &str) -> TableSchema {
             ColumnDef::new("city", ValueType::Str).hash_indexed(),
             ColumnDef::new("mape", ValueType::Float).btree_indexed(),
             ColumnDef::new("payload", ValueType::Str),
+            ColumnDef::new("model_id", ValueType::Str),
+            ColumnDef::new("created", ValueType::Timestamp),
         ],
     )
+    .and_then(|s| s.ordered_by("model_id", "created"))
     .expect("static schema")
 }
 
@@ -98,6 +103,8 @@ fn record_for(t: usize, i: usize, payload: &str) -> Record {
         .set("city", format!("city_{:03}", i % 64))
         .set("mape", Value::Float((i % 1000) as f64 / 1000.0))
         .set("payload", payload)
+        .set("model_id", format!("model_{:02}", i % 16))
+        .set("created", Value::Timestamp(i as i64))
 }
 
 /// The store soak: `threads` workers each insert `rows` records into a
@@ -126,6 +133,11 @@ fn store_soak(store: &Arc<MetadataStore>, table: &str, threads: usize, rows: usi
                         &Query::all().and(Constraint::eq("city", "city_007")),
                     )
                     .expect("query");
+                let latest = Query::all()
+                    .and(Constraint::eq("model_id", "model_07"))
+                    .order_by("created", true)
+                    .limit(1);
+                store.query(&table, &latest).expect("latest");
             })
         })
         .collect();
@@ -160,6 +172,12 @@ fn run_clean_floor(threads: usize, rows: usize, drill_writes: usize) -> (u64, us
         report.is_clean(),
         "clean tree must produce zero lock diagnostics:\n{}",
         report.render_text()
+    );
+    // Taken under a stripe by every insert and by every latest-of-X read.
+    let ordered = rank::ORDERED_INDEX.label();
+    assert!(
+        report.edges.iter().any(|e| e.to == ordered),
+        "the clean floor never acquired {ordered} under another lock"
     );
     println!(
         "✓ clean floor: {} acquisitions, {} edges, zero diagnostics \

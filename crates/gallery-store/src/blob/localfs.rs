@@ -163,18 +163,21 @@ impl ObjectStore for LocalFsBlobStore {
             }
             Err(e) => return Err(e.into()),
         };
-        if raw.len() < 16 || &raw[..4] != MAGIC {
-            return Err(StoreError::ChecksumMismatch {
-                location: location.to_string(),
-            });
-        }
-        let crc = u32::from_le_bytes(raw[4..8].try_into().expect("4 bytes"));
-        let len = u64::from_le_bytes(raw[8..16].try_into().expect("8 bytes")) as usize;
-        let data = &raw[16..];
-        if data.len() != len || crc32(data) != crc {
-            return Err(StoreError::ChecksumMismatch {
-                location: location.to_string(),
-            });
+        let mismatch = || StoreError::ChecksumMismatch {
+            location: location.to_string(),
+        };
+        // Magic, CRC-32 and payload length, then the payload.
+        let Some((&[m0, m1, m2, m3, c0, c1, c2, c3, len @ ..], data)) =
+            raw.split_first_chunk::<16>()
+        else {
+            return Err(mismatch());
+        };
+        let (crc, len) = (
+            u32::from_le_bytes([c0, c1, c2, c3]),
+            u64::from_le_bytes(len),
+        );
+        if [m0, m1, m2, m3] != *MAGIC || data.len() as u64 != len || crc32(data) != crc {
+            return Err(mismatch());
         }
         // The verified payload is handed out as a view of the buffer the
         // file was read into, not copied out of it.

@@ -81,16 +81,13 @@ pub struct DegradedRead {
 /// Store-level fault sites fire before any mutation, so a retried write
 /// never double-applies.
 fn with_retry<T>(max_attempts: u32, mut f: impl FnMut() -> Result<T>) -> Result<T> {
-    let attempts = max_attempts.max(1);
-    let mut last = None;
-    for _ in 0..attempts {
+    let mut left = max_attempts.max(1);
+    loop {
         match f() {
-            Ok(v) => return Ok(v),
-            Err(e) if e.is_transient() => last = Some(e),
-            Err(e) => return Err(e),
+            Err(e) if e.is_transient() && left > 1 => left -= 1,
+            outcome => return outcome,
         }
     }
-    Err(last.expect("at least one attempt"))
 }
 
 /// Pre-minted telemetry handles for the DAL hot paths. Registered once at

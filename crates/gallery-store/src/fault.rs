@@ -147,29 +147,22 @@ impl FaultPlan {
     /// Record a call at `site`; returns `true` if the call should fail.
     pub fn should_fail(&self, site: &str) -> bool {
         let mut inner = self.inner.lock();
-        let Some(state) = inner.sites.get(site).map(|s| s.mode) else {
+        let FaultPlanInner { sites, rng } = &mut *inner;
+        let Some(state) = sites.get_mut(site) else {
             return false;
         };
-        let Some(mode) = state else { return false };
-        let fail = {
-            let roll = match mode {
-                Mode::Probability(p) => Some(inner.rng.gen_bool(p)),
-                _ => None,
-            };
-            let state = inner.sites.get_mut(site).expect("checked above");
-            let n = state.calls;
-            state.calls += 1;
-            let fail = match mode {
-                Mode::Probability(_) => roll.unwrap(),
-                Mode::NthCall(target) => n == target,
-                Mode::FirstN(count) => n < count,
-                Mode::Always => true,
-            };
-            if fail {
-                state.fired += 1;
-            }
-            fail
+        let Some(mode) = state.mode else { return false };
+        let n = state.calls;
+        state.calls += 1;
+        let fail = match mode {
+            Mode::Probability(p) => rng.gen_bool(p),
+            Mode::NthCall(target) => n == target,
+            Mode::FirstN(count) => n < count,
+            Mode::Always => true,
         };
+        if fail {
+            state.fired += 1;
+        }
         fail
     }
 

@@ -17,8 +17,7 @@
 //! every insert and has no tail.
 
 use crate::value::Value;
-use std::cmp::Ordering;
-use std::collections::hash_map::{Entry, RandomState};
+use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::BuildHasher;
 use std::ops::Bound;
@@ -179,52 +178,56 @@ impl Index {
     }
 }
 
-/// One group of an [`OrderedIndex`]: its rows, ascending, and the order
-/// prefixes ([`Value::order_prefix`]) of the first and the last of them —
-/// so that finding which stripe holds the newest row of a group, and
-/// appending a newer one, read no row at all.
-#[derive(Debug)]
-pub struct Group {
-    rows: Vec<RowId>,
-    first: i64,
-    last: i64,
+/// One row of an [`OrderedIndex`] group, with its place in `order_by`'s
+/// total order on the order column: `Null` first, then the value, then
+/// the commit sequence. The place is exact on its own — no row is read to
+/// compare two entries — which is why an order column must be one whose
+/// [`Value::order_prefix`] is the whole value (not `str`, not `bytes`).
+#[derive(Debug, Clone, Copy)]
+pub struct Entry {
+    present: bool,
+    order: i64,
+    seq: u64,
+    pub row: RowId,
 }
 
-impl Group {
-    pub fn rows(&self) -> &[RowId] {
-        &self.rows
+impl Entry {
+    /// The entry of row `row`, committed at `seq`, whose order column holds
+    /// `order`.
+    pub fn new(order: &Value, seq: u64, row: RowId) -> Self {
+        Entry {
+            present: !order.is_null(),
+            order: order.order_prefix(),
+            seq,
+            row,
+        }
     }
 
-    /// Order prefix of the row at the end a walk starts from.
-    pub fn end_prefix(&self, descending: bool) -> i64 {
-        if descending {
-            self.last
-        } else {
-            self.first
-        }
+    fn key(&self) -> (bool, i64, u64) {
+        (self.present, self.order, self.seq)
     }
 }
 
 /// Rows grouped by one column's value, each group sorted by another
 /// column's value and then by commit sequence (see
-/// [`crate::schema::OrderedIndexDef`]). A group holds row ids and two
-/// prefixes: the table that owns the rows supplies the comparison.
+/// [`crate::schema::OrderedIndexDef`]). One per declared index per table:
+/// a group holds the table's rows of its value whatever stripe they live
+/// in, each as an [`Entry`] that carries its own sort key.
 ///
 /// Groups are keyed by a 64-bit keyed hash of their value
-/// ([`GroupHasher`]), not by a copy of it: an insert allocates no key, a
-/// probe compares no string, and a query hashes its value once for all
-/// stripes. Two values whose hashes collide would share a group; that is
-/// allowed, because the executor evaluates every constraint — the equality
-/// this index serves included — on every row it visits, so a shared group
-/// costs rows read and rejected, never a wrong answer.
+/// ([`GroupHasher`]), not by a copy of it: an insert allocates no key and
+/// a probe compares no string. Two values whose hashes collide would share
+/// a group; that is allowed, because the executor evaluates every
+/// constraint — the equality this index serves included — on every row it
+/// visits, so a shared group costs rows read and rejected, never a wrong
+/// answer.
 #[derive(Debug, Default)]
 pub struct OrderedIndex {
-    groups: HashMap<u64, Group>,
+    groups: HashMap<u64, Vec<Entry>>,
 }
 
-/// Hashes group values to [`OrderedIndex`] keys; one per table, so that
-/// every stripe's shard of an index agrees on a value's key. Randomly
-/// keyed, like the maps of the other indexes.
+/// Hashes group values to [`OrderedIndex`] keys; one per table, shared by
+/// its ordered indexes. Randomly keyed, like the maps of the other indexes.
 #[derive(Debug, Default)]
 pub struct GroupHasher {
     state: RandomState,
@@ -249,56 +252,23 @@ impl OrderedIndex {
         Self::default()
     }
 
-    pub fn group(&self, key: u64) -> Option<&Group> {
-        self.groups.get(&key)
+    /// The group `key`, ascending.
+    pub fn group(&self, key: u64) -> &[Entry] {
+        self.groups.get(&key).map_or(&[], Vec::as_slice)
     }
 
-    /// The rows of the group `key`, ascending.
-    pub fn rows(&self, key: u64) -> &[RowId] {
-        self.group(key).map_or(&[], Group::rows)
-    }
-
-    /// Add `row`, whose order value has the prefix `prefix`, to the group
-    /// `key`. `to_new(r)` orders the row already in the group as `r`
-    /// against the new one; it is asked only where prefixes do not decide.
-    /// Rows mostly arrive in order (`created` only grows), which makes this
-    /// a probe and a push; a late row is placed by binary search.
-    pub fn insert(
-        &mut self,
-        key: u64,
-        row: RowId,
-        prefix: i64,
-        to_new: impl Fn(RowId) -> Ordering,
-    ) {
-        let group = match self.groups.entry(key) {
-            Entry::Vacant(slot) => {
-                slot.insert(Group {
-                    rows: vec![row],
-                    first: prefix,
-                    last: prefix,
-                });
-                return;
+    /// Add `entry` to the group `key`. Entries mostly arrive in order
+    /// (`created` only grows, and commits are applied about in sequence),
+    /// which makes this a probe and a push; a late one is placed by binary
+    /// search over the entries' keys.
+    pub fn insert(&mut self, key: u64, entry: Entry) {
+        let group = self.groups.entry(key).or_default();
+        match group.last() {
+            Some(last) if last.key() > entry.key() => {
+                let at = group.partition_point(|e| e.key() < entry.key());
+                group.insert(at, entry);
             }
-            Entry::Occupied(slot) => slot.into_mut(),
-        };
-        let newest = match prefix.cmp(&group.last) {
-            Ordering::Equal => group
-                .rows
-                .last()
-                .is_none_or(|&r| to_new(r) != Ordering::Greater),
-            decided => decided == Ordering::Greater,
-        };
-        if newest {
-            group.rows.push(row);
-            group.last = prefix;
-            return;
-        }
-        let at = group
-            .rows
-            .partition_point(|&r| to_new(r) != Ordering::Greater);
-        group.rows.insert(at, row);
-        if at == 0 {
-            group.first = prefix;
+            _ => group.push(entry),
         }
     }
 }
@@ -375,35 +345,58 @@ mod tests {
     /// The group the tests below fill.
     const G: u64 = 7;
 
-    /// Row `r` carries the key `keys[r]`; the row id breaks ties, as the
-    /// commit sequence does in a table.
-    fn ordered_of(keys: &[i64]) -> OrderedIndex {
+    /// Row `r` has the order value `values[r]` and commits at `seqs[r]`.
+    fn ordered_of(values: &[Value], seqs: &[u64]) -> OrderedIndex {
         let mut ix = OrderedIndex::new();
-        for (row, key) in keys.iter().enumerate() {
-            let to_new = |r: RowId| (keys[r as usize], r).cmp(&(*key, row as RowId));
-            // A prefix that ties often, as eight bytes of a string would.
-            ix.insert(G, row as RowId, key / 2, to_new);
+        for (row, (value, seq)) in values.iter().zip(seqs).enumerate() {
+            ix.insert(G, Entry::new(value, *seq, row as RowId));
         }
         ix
     }
 
-    #[test]
-    fn ordered_index_pushes_in_order_arrivals() {
-        let ix = ordered_of(&[1, 2, 2, 5]);
-        assert_eq!(ix.rows(G), &[0, 1, 2, 3]);
-        assert!(ix.rows(G + 1).is_empty());
-        let group = ix.group(G).unwrap();
-        assert_eq!((group.end_prefix(false), group.end_prefix(true)), (0, 2));
+    fn rows(ix: &OrderedIndex, key: u64) -> Vec<RowId> {
+        ix.group(key).iter().map(|e| e.row).collect()
     }
 
     #[test]
-    fn ordered_index_places_late_rows_by_key_then_arrival() {
-        // Row 3 (key 2) arrives after row 2 (key 9): it goes behind the
-        // earlier key-2 row, in front of the 9. Row 4 goes to the front.
-        let ix = ordered_of(&[1, 2, 9, 2, 0]);
-        assert_eq!(ix.rows(G), &[4, 0, 1, 3, 2]);
-        let group = ix.group(G).unwrap();
-        assert_eq!((group.end_prefix(false), group.end_prefix(true)), (0, 4));
+    fn ordered_index_pushes_in_order_arrivals() {
+        let values = [1, 2, 2, 5].map(Value::Int);
+        let ix = ordered_of(&values, &[1, 2, 3, 4]);
+        assert_eq!(rows(&ix, G), [0, 1, 2, 3]);
+        assert!(ix.group(G + 1).is_empty());
+    }
+
+    #[test]
+    fn ordered_index_places_late_rows_by_value_then_sequence() {
+        // Row 3 (value 2) arrives after row 2 (value 9): it goes behind the
+        // earlier value-2 row, in front of the 9. Row 4 goes to the front.
+        let values = [1, 2, 9, 2, 0].map(Value::Int);
+        let ix = ordered_of(&values, &[1, 2, 3, 4, 5]);
+        assert_eq!(rows(&ix, G), [4, 0, 1, 3, 2]);
+        // Applies that reach the group out of sequence order: row 1
+        // committed first, so it goes first among equal values.
+        let ix = ordered_of(&[Value::Int(3), Value::Int(3)], &[8, 7]);
+        assert_eq!(rows(&ix, G), [1, 0]);
+    }
+
+    #[test]
+    fn ordered_index_sorts_null_first_and_floats_by_total_order() {
+        // `Null`'s prefix is the most negative NaN's: the entry tells them
+        // apart, as the sort path does.
+        let nan = f64::from_bits(u64::MAX);
+        assert_eq!(Value::Float(nan).order_prefix(), Value::Null.order_prefix());
+        let values = [
+            Value::Float(nan),
+            Value::Float(0.0),
+            Value::Null,
+            Value::Float(-0.0),
+            Value::Float(f64::NEG_INFINITY),
+        ];
+        let ix = ordered_of(&values, &[1, 2, 3, 4, 5]);
+        assert_eq!(rows(&ix, G), [2, 0, 4, 3, 1]);
+        let mut sorted: Vec<RowId> = (0..5).collect();
+        sorted.sort_by(|&a, &b| values[a as usize].total_cmp(&values[b as usize]));
+        assert_eq!(rows(&ix, G), sorted);
     }
 
     #[test]
@@ -413,10 +406,10 @@ mod tests {
         assert_eq!(a, hasher.key(&Value::from("a")));
         assert_ne!(a, b);
         let mut ix = OrderedIndex::new();
-        ix.insert(a, 0, 7, |_| unreachable!("first of its group"));
-        ix.insert(b, 1, 7, |_| unreachable!("first of its group"));
-        ix.insert(a, 2, 8, |_| unreachable!("the prefix decides"));
-        assert_eq!(ix.rows(a), &[0, 2]);
-        assert_eq!(ix.rows(b), &[1]);
+        ix.insert(a, Entry::new(&Value::Int(7), 1, 0));
+        ix.insert(b, Entry::new(&Value::Int(7), 2, 1));
+        ix.insert(a, Entry::new(&Value::Int(8), 3, 2));
+        assert_eq!(rows(&ix, a), [0, 2]);
+        assert_eq!(rows(&ix, b), [1]);
     }
 }

@@ -25,6 +25,8 @@
 //! process-global bundle; `with_telemetry` builders swap in an isolated
 //! one.
 
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
+
 pub mod blob;
 pub mod dal;
 pub mod error;
@@ -38,6 +40,9 @@ pub mod schema;
 pub mod ship;
 pub mod simfs;
 pub mod table;
+// Test support: crash matrices, schedule perturbation and workloads that
+// only tests and experiments drive.
+#[allow(clippy::disallowed_methods)]
 pub mod testkit;
 pub mod value;
 pub mod wal;

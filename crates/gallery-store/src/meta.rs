@@ -703,7 +703,7 @@ impl MetadataStore {
         }
         let mut token = t.lock_stripe_set(&pks);
         for pk in &pks {
-            if token.contains(pk) {
+            if token.contains(pk)? {
                 return Err(StoreError::DuplicateKey((*pk).to_owned()));
             }
         }
@@ -716,7 +716,7 @@ impl MetadataStore {
             .collect();
         let seqs = self.commit_many(ops)?;
         for (row, seq) in rows.iter().zip(seqs) {
-            token.apply_insert(Arc::clone(row), seq);
+            token.apply_insert(Arc::clone(row), seq)?;
         }
         Ok(rows.len())
     }

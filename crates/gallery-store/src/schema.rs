@@ -56,7 +56,8 @@ impl ColumnDef {
 /// each group kept in `(order value, commit sequence)` order. It serves
 /// `by == v` lookups and, walked from either end, `by == v ORDER BY order
 /// LIMIT k` — the "latest of X" shape. Unlike a column's [`IndexKind`]
-/// index it is maintained at insert, never deferred.
+/// index it is maintained at insert, never deferred, and held once per
+/// table rather than per stripe.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OrderedIndexDef {
     pub by: String,
@@ -130,7 +131,12 @@ impl TableSchema {
 
     /// Declare an ordered index `by → order`. Both columns must exist and
     /// be immutable; `by` carries no other index (this one answers its
-    /// equality lookups) and groups at most one ordered index.
+    /// equality lookups) and groups at most one ordered index. `order` is
+    /// not a `str` or `bytes` column: an entry's place in its group is its
+    /// [`Value::order_prefix`] and commit sequence alone, so that a writer
+    /// can place its row among other stripes' rows without reading them,
+    /// and eight bytes decide the order of those types' values only
+    /// sometimes.
     pub fn ordered_by(mut self, by: impl Into<String>, order: impl Into<String>) -> Result<Self> {
         let def = OrderedIndexDef {
             by: by.into(),
@@ -155,6 +161,13 @@ impl TableSchema {
         }
         if def.by == def.order {
             return Err(bad("groups and orders by the same column"));
+        }
+        if let Some(ty @ (ValueType::Str | ValueType::Bytes)) =
+            self.column(&def.order).map(|c| c.ty)
+        {
+            return Err(bad(&format!(
+                "a {ty} order column has no exact eight-byte sort key"
+            )));
         }
         if self.column(&def.by).is_some_and(|c| c.index.is_some()) {
             return Err(bad("the grouping column already has an index"));
@@ -383,7 +396,7 @@ mod tests {
         assert_eq!(s.ordered_on("owner"), Some(0));
         assert_eq!(s.ordered_on("created"), None);
         // One per grouping column, and not beside another index on it.
-        assert!(s.clone().ordered_by("owner", "note").is_err());
+        assert!(s.clone().ordered_by("owner", "created").is_err());
         assert!(schema().ordered_by("id", "created").is_err());
         assert!(schema().ordered_by("owner", "owner").is_err());
         assert!(matches!(
@@ -406,6 +419,42 @@ mod tests {
         };
         assert!(flagged("deprecated", "owner").is_err());
         assert!(flagged("owner", "deprecated").is_err());
+    }
+
+    #[test]
+    fn an_order_column_must_have_an_exact_eight_byte_key() {
+        let with = |ty: ValueType| {
+            TableSchema::new(
+                "t",
+                "id",
+                vec![
+                    ColumnDef::new("id", ValueType::Str),
+                    ColumnDef::new("owner", ValueType::Str),
+                    ColumnDef::new("rank", ty).nullable(),
+                ],
+            )
+            .unwrap()
+            .ordered_by("owner", "rank")
+        };
+        // Two strings that share eight bytes would need their rows read to
+        // be told apart; bytes the same.
+        for ty in [ValueType::Str, ValueType::Bytes] {
+            let err = with(ty).unwrap_err();
+            assert!(
+                matches!(&err, StoreError::BadQuery(m) if m.contains(ty.name())),
+                "{err:?}"
+            );
+        }
+        for ty in [
+            ValueType::Bool,
+            ValueType::Int,
+            ValueType::Float,
+            ValueType::Timestamp,
+        ] {
+            assert_eq!(with(ty).unwrap().ordered_on("owner"), Some(0), "{ty}");
+        }
+        // A string column may group; it may not order.
+        assert!(schema().ordered_by("owner", "note").is_err());
     }
 
     fn place(fields: Vec<(&'static str, Value)>) -> Result<Row> {

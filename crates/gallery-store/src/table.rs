@@ -5,11 +5,12 @@
 //!
 //! Rows are partitioned into N stripes by the FNV-1a hash of their primary
 //! key — the same hash family the cluster layer uses for shard routing —
-//! and every stripe sits behind its own `RwLock`. Writers touching
-//! different stripes proceed in parallel; a writer holds exactly its
-//! stripe's write lock across validate → duplicate-check → WAL commit →
-//! in-memory apply, so per-stripe apply order always equals WAL order and
-//! duplicate-key races are impossible. Index and scan queries take all
+//! and every stripe sits behind its own `RwLock`. A stripe holds its rows,
+//! their primary-key map and its shard of every deferred index. Writers
+//! touching different stripes proceed in parallel; a writer holds exactly
+//! its stripe's write lock across validate → duplicate-check → WAL commit
+//! → in-memory apply, so per-stripe apply order always equals WAL order
+//! and duplicate-key races are impossible. Index and scan queries take all
 //! stripe read locks (in index order, the global lock order) for a
 //! consistent snapshot; a primary-key lookup takes only the owning
 //! stripe's. Readers receive the `Arc<Row>` the stripe holds — an
@@ -38,14 +39,21 @@
 //! ## Ordered indexes
 //!
 //! An ordered index (`TableSchema::ordered_by`) is the exception: it is
-//! updated by the insert itself, under the stripe write lock the insert
-//! already holds, so a plan it serves has no tail to merge. That is what
-//! lets `by == v ORDER BY order LIMIT k` ([`AccessPath::IndexTop`]) read
-//! the k rows it returns and stop, instead of sorting the group plus
-//! every stripe's tail.
+//! updated by the insert itself, so a plan it serves has no tail to merge.
+//! That is what lets `by == v ORDER BY order LIMIT k`
+//! ([`AccessPath::IndexTop`]) read the k rows it returns and stop, instead
+//! of sorting the group plus every stripe's tail. It is not striped: the
+//! table holds one per declaration, behind a lock of its own
+//! (`rank::ORDERED_INDEX`), and a group holds its value's rows from every
+//! stripe, each entry carrying its exact `(order value, commit sequence)`
+//! key. So a latest-of-X lookup, and each key of a semi-join, probes one
+//! group. An insert adds its entry after pushing the row, under the stripe
+//! write lock it already holds and never across its commit; a reader takes
+//! the index's lock after every stripe read lock, and so sees exactly the
+//! rows those stripes hold.
 
 use crate::error::{Result, StoreError};
-use crate::index::{BTreeIndex, GroupHasher, HashIndex, Index, OrderedIndex, RowId};
+use crate::index::{BTreeIndex, Entry, GroupHasher, HashIndex, Index, OrderedIndex, RowId};
 use crate::query::{AccessPath, Explain, Op, Query};
 use crate::record::{Record, Row};
 use crate::schema::{ColumnDef, IndexKind, Placement, Repeated, TableSchema};
@@ -202,13 +210,14 @@ struct StoredRow {
 }
 
 /// `order_by`'s total order on column `at`: by value, then by commit
-/// sequence. Descending is the exact reverse.
+/// sequence. Descending is the exact reverse. An ordered index keeps its
+/// groups in the same order ([`Entry`]).
 fn order_cmp(a: &StoredRow, b: &StoredRow, at: usize) -> RowOrder {
     a.row.at(at).total_cmp(b.row.at(at)).then(a.seq.cmp(&b.seq))
 }
 
 /// One lock stripe: a row arena, the primary-key map for rows hashed
-/// here, this stripe's shard of every secondary index, and the deferred
+/// here, this stripe's shard of every deferred index, and the deferred
 /// index watermark.
 #[derive(Debug)]
 struct Stripe {
@@ -219,17 +228,24 @@ struct Stripe {
     /// This stripe's shard of every deferred index, with its column's
     /// position, in schema order. Row ids are packed `(stripe, slot)`.
     indexes: Vec<(usize, Index)>,
-    /// This stripe's shard of every ordered index, in `Table::ordered`
-    /// order. Always current: an insert updates it before it returns.
-    ordered: Vec<OrderedIndex>,
     /// Slots below this boundary are reflected in `indexes`; slots at or
     /// above it are the pending index delta (scanned by queries).
     indexed_upto: usize,
 }
 
-/// How a `column == value` lookup reads a stripe (see
-/// [`Table::eq_probe`]): through an ordered index, the value hashed once
-/// for all stripes, or through the column's deferred index.
+/// One declared ordered index: the positions of its grouping and order
+/// columns, and the index itself, table-wide. Always current: an insert
+/// adds its entry before it returns.
+#[derive(Debug)]
+struct Ordered {
+    by: usize,
+    order: usize,
+    index: OrderedRwLock<OrderedIndex>,
+}
+
+/// How a `column == value` lookup reads the table (see
+/// [`Table::eq_probe`]): through an ordered index, one group, or through
+/// the column's deferred index, stripe by stripe.
 enum EqProbe<'q> {
     Ordered { index: usize, key: u64 },
     Deferred { at: usize, value: &'q Value },
@@ -248,16 +264,6 @@ impl Stripe {
     /// The slots no deferred index has seen yet.
     fn tail(&self) -> Range<usize> {
         self.indexed_upto..self.rows.len()
-    }
-
-    /// What an equality lookup has to look at here: the rows the index
-    /// holds for the value, and the slots that index has not seen yet —
-    /// none when the index is an ordered one.
-    fn eq_candidates(&self, probe: &EqProbe<'_>) -> Result<(&[RowId], Range<usize>)> {
-        Ok(match *probe {
-            EqProbe::Ordered { index, key } => (self.ordered[index].rows(key), 0..0),
-            EqProbe::Deferred { at, value } => (self.index(at)?.lookup_eq(value), self.tail()),
-        })
     }
 }
 
@@ -279,12 +285,11 @@ struct Typed<'q> {
     include_deprecated: bool,
 }
 
-/// An `IndexTop` plan's parameters: which ordered index, the position of
-/// its order column, which end to start from, and when to stop.
+/// An `IndexTop` plan's parameters: which ordered index, which end to
+/// start from, and when to stop.
 #[derive(Clone, Copy)]
 struct Top {
     index: usize,
-    order: usize,
     descending: bool,
     limit: usize,
 }
@@ -307,10 +312,9 @@ pub struct Table {
     /// table has one), which queries skip rows by.
     key: Option<usize>,
     deprecated: Option<usize>,
-    /// Every ordered index as (grouping column, order column) positions,
-    /// in `schema.ordered` order.
-    ordered: Vec<(usize, usize)>,
-    /// Keys the groups of every ordered index, in every stripe.
+    /// Every ordered index, in `schema.ordered` order.
+    ordered: Vec<Ordered>,
+    /// Keys the groups of every ordered index.
     group_hasher: GroupHasher,
     /// Pending-delta threshold that triggers an index flush.
     index_batch: usize,
@@ -341,10 +345,16 @@ impl Table {
         let n = lock_stripes.clamp(1, MAX_LOCK_STRIPES);
         // `ordered_by` checked both columns exist; a schema built by hand
         // that names others keeps no index for them.
-        let ordered: Vec<(usize, usize)> = schema
+        let ordered: Vec<Ordered> = schema
             .ordered
             .iter()
-            .filter_map(|o| Some((schema.column_index(&o.by)?, schema.column_index(&o.order)?)))
+            .filter_map(|o| {
+                Some(Ordered {
+                    by: schema.column_index(&o.by)?,
+                    order: schema.column_index(&o.order)?,
+                    index: OrderedRwLock::new(rank::ORDERED_INDEX, OrderedIndex::new()),
+                })
+            })
             .collect();
         let stripes = (0..n)
             .map(|i| {
@@ -362,7 +372,6 @@ impl Table {
                         rows: Vec::new(),
                         pk_map: HashMap::new(),
                         indexes: indexes.collect(),
-                        ordered: ordered.iter().map(|_| OrderedIndex::new()).collect(),
                         indexed_upto: 0,
                     },
                 )
@@ -640,7 +649,7 @@ impl Table {
 
     /// The index of ordered index grouping by column `at`, if any.
     fn ordered_on(&self, at: usize) -> Option<usize> {
-        self.ordered.iter().position(|(by, _)| *by == at)
+        self.ordered.iter().position(|o| o.by == at)
     }
 
     /// The index that answers `column == value`, if the column has one.
@@ -650,15 +659,16 @@ impl Table {
                 index,
                 key: self.group_hasher.key(value),
             }),
-            None => {
-                let indexed = self
-                    .schema
-                    .columns
-                    .get(at)
-                    .is_some_and(|c| c.index.is_some());
-                indexed.then_some(EqProbe::Deferred { at, value })
-            }
+            None => self
+                .deferred_on(at)
+                .then_some(EqProbe::Deferred { at, value }),
         }
+    }
+
+    /// Does column `at` carry a deferred index?
+    fn deferred_on(&self, at: usize) -> bool {
+        let column = self.schema.columns.get(at);
+        column.is_some_and(|c| c.index.is_some())
     }
 
     /// The walk that answers `query` off one end of an ordered index, if
@@ -668,12 +678,14 @@ impl Table {
         let ((order, descending), limit) = (query.order?, query.limit?);
         let ordered = self.ordered.iter().enumerate();
         ordered
-            .filter(|(_, (_, o))| *o == order)
-            .find_map(|(index, &(by, _))| {
-                let p = query.preds.iter().find(|p| p.op == Op::Eq && p.at == by)?;
+            .filter(|(_, o)| o.order == order)
+            .find_map(|(index, o)| {
+                let p = query
+                    .preds
+                    .iter()
+                    .find(|p| p.op == Op::Eq && p.at == o.by)?;
                 let top = Top {
                     index,
-                    order,
                     descending,
                     limit,
                 };
@@ -691,10 +703,10 @@ impl Table {
     /// [`Table::plan`] over stripes the caller already holds (none are
     /// needed, or read, when the plan is `PrimaryKey`). The
     /// candidate estimate: PrimaryKey resolves at most one row; IndexTop
-    /// means to stop at `limit`; IndexEq counts the bucket plus the
-    /// unindexed tails (an ordered index has none); a range scan has no
-    /// value-distribution statistics, so it is bounded by the full row
-    /// count, as is a full scan.
+    /// means to stop at `limit`; IndexEq counts the ordered index's group,
+    /// or the deferred index's buckets plus the unindexed tails; a range
+    /// scan has no value-distribution statistics, so it is bounded by the
+    /// full row count, as is a full scan.
     fn plan_with<'t>(
         &self,
         guards: &[RwLockReadGuard<'_, Stripe>],
@@ -712,7 +724,7 @@ impl Table {
         if let Some((p, top)) = self.top_of(query) {
             let path = AccessPath::IndexTop {
                 column: self.name_of(p.at).to_owned(),
-                order: self.name_of(top.order).to_owned(),
+                order: self.name_of(self.ordered[top.index].order).to_owned(),
             };
             return Ok(Plan {
                 top: Some(top),
@@ -723,15 +735,21 @@ impl Table {
         // the smallest candidate set.
         let mut best_eq: Option<(&Pred<'_>, usize)> = None;
         for p in query.preds.iter().filter(|p| p.op.index_eq_usable()) {
-            if let Some(probe) = self.eq_probe(p.at, &p.value) {
-                let mut len = 0;
-                for g in guards {
-                    let (ids, tail) = g.eq_candidates(&probe)?;
-                    len += ids.len() + tail.len();
+            let len = match self.eq_probe(p.at, &p.value) {
+                Some(EqProbe::Ordered { index, key }) => {
+                    self.ordered[index].index.read().group(key).len()
                 }
-                if best_eq.map(|(_, b)| len < b).unwrap_or(true) {
-                    best_eq = Some((p, len));
+                Some(EqProbe::Deferred { at, value }) => {
+                    let mut len = 0;
+                    for g in guards {
+                        len += g.index(at)?.lookup_eq(value).len() + g.tail().len();
+                    }
+                    len
                 }
+                None => continue,
+            };
+            if best_eq.map(|(_, b)| len < b).unwrap_or(true) {
+                best_eq = Some((p, len));
             }
         }
         if let Some((p, estimated_rows)) = best_eq {
@@ -758,11 +776,11 @@ impl Table {
         Ok(plan(path, by, guards.iter().map(|g| g.rows.len()).sum()))
     }
 
-    /// Walk the group of `value` in ordered index `top.index` from one end
-    /// across all stripes — each stripe's group is sorted, so this is a
-    /// merge of their ends — evaluating `query` on every row visited, until
-    /// `top.limit` rows matched. Returns them in result order, and how many
-    /// rows were visited.
+    /// Walk the group of `value` in ordered index `top.index` from one end,
+    /// evaluating `query` on every row visited, until `top.limit` rows
+    /// matched. Returns them in result order, and how many rows were
+    /// visited. The group's entries come from every stripe, and `guards`
+    /// holds every stripe.
     fn index_top(
         &self,
         guards: &[RwLockReadGuard<'_, Stripe>],
@@ -770,71 +788,22 @@ impl Table {
         value: &Value,
         query: &Typed<'_>,
     ) -> (Vec<Arc<Row>>, usize) {
-        /// One stripe's position: the slot it would yield next, that row's
-        /// order prefix, and the ids still behind it.
-        struct Cursor<'g> {
-            slot: usize,
-            prefix: i64,
-            rest: &'g [RowId],
-            rows: &'g [StoredRow],
-        }
-        let key = self.group_hasher.key(value);
-        let step = |rest: &mut &[RowId]| {
-            let (&id, left) = if top.descending {
-                rest.split_last()?
-            } else {
-                rest.split_first()?
-            };
-            *rest = left;
-            Some(unpack(id).1)
-        };
-        // The ends come with their prefixes: no row is read to find where
-        // the walk starts.
-        let mut cursors: Vec<Cursor<'_>> = Vec::with_capacity(guards.len());
-        cursors.extend(guards.iter().filter_map(|g| {
-            let group = g.ordered[top.index].group(key)?;
-            let mut rest = group.rows();
-            Some(Cursor {
-                slot: step(&mut rest)?,
-                prefix: group.end_prefix(top.descending),
-                rest,
-                rows: &g.rows,
-            })
-        }));
-        // Which of two cursors the walk takes first. Rows are read only
-        // where the prefixes tie.
-        let ahead = |a: &Cursor<'_>, b: &Cursor<'_>| {
-            let ord = a
-                .prefix
-                .cmp(&b.prefix)
-                .then_with(|| order_cmp(&a.rows[a.slot], &b.rows[b.slot], top.order));
-            if top.descending {
-                ord
-            } else {
-                ord.reverse()
-            }
-        };
+        let index = self.ordered[top.index].index.read();
+        let mut rest = index.group(self.group_hasher.key(value)).iter();
         let mut out = Vec::new();
         let mut scanned = 0;
         while out.len() < top.limit {
-            let Some(next) = (0..cursors.len()).max_by(|&a, &b| ahead(&cursors[a], &cursors[b]))
-            else {
-                break;
+            let next = if top.descending {
+                rest.next_back()
+            } else {
+                rest.next()
             };
-            let c = &mut cursors[next];
-            let row = &c.rows[c.slot].row;
+            let Some(entry) = next else { break };
+            let (stripe, slot) = unpack(entry.row);
+            let row = &guards[stripe].rows[slot].row;
             scanned += 1;
             if self.row_matches(row, query) {
                 out.push(Arc::clone(row));
-            }
-            match step(&mut c.rest) {
-                Some(slot) => {
-                    c.slot = slot;
-                    c.prefix = c.rows[slot].row.at(top.order).order_prefix();
-                }
-                None => {
-                    cursors.swap_remove(next);
-                }
             }
         }
         (out, scanned)
@@ -909,7 +878,8 @@ impl Table {
     /// copies: each is an immutable snapshot, because `set_flag` copies a
     /// row on write while anyone else holds it. A primary-key plan takes
     /// the read lock of the owning stripe only; index and scan plans take
-    /// every stripe read lock (in index order) for a consistent snapshot.
+    /// every stripe read lock (in index order) for a consistent snapshot,
+    /// and then the lock of the ordered index they read, if they read one.
     /// The result is built under the guards and returned after they drop,
     /// in `order_by`'s `(value, sequence)` order, or merged in sequence
     /// (= insertion) order without one.
@@ -974,11 +944,20 @@ impl Table {
                     StoreError::BadQuery(format!("no index serves `{}`", self.describe(p)))
                 })?;
                 cands.reserve(estimated_rows);
-                for (si, g) in guards.iter().enumerate() {
-                    let (ids, tail) = g.eq_candidates(&probe)?;
-                    cands.extend(ids.iter().map(|&id| unpack(id)));
-                    tail_merge_rows += tail.len();
-                    cands.extend(tail.map(|slot| (si, slot)));
+                match probe {
+                    EqProbe::Ordered { index, key } => {
+                        let index = self.ordered[index].index.read();
+                        cands.extend(index.group(key).iter().map(|e| unpack(e.row)));
+                    }
+                    EqProbe::Deferred { at, value } => {
+                        for (si, g) in guards.iter().enumerate() {
+                            let ids = g.index(at)?.lookup_eq(value);
+                            cands.extend(ids.iter().map(|&id| unpack(id)));
+                            let tail = g.tail();
+                            tail_merge_rows += tail.len();
+                            cands.extend(tail.map(|slot| (si, slot)));
+                        }
+                    }
                 }
             }
             (AccessPath::IndexRange { .. }, Some(p)) => {
@@ -1082,10 +1061,12 @@ impl Table {
     /// flags are those of `Query { column == key, residual.., limit 1 }`
     /// run per key, off one type check of the residual, one taking of the
     /// stripe read locks and so one snapshot: each key probes the index on
-    /// `column` (there has to be one) and stops at its first match; the
-    /// tails a deferred index has not seen are walked once, for all the
-    /// keys still unanswered. `residual` carries constraints and
-    /// `include_deprecated`, nothing else. No keys: no lock taken.
+    /// `column` (there has to be one) — one group of an ordered index,
+    /// oldest row first, or a deferred index stripe by stripe — and stops
+    /// at its first match; the tails a deferred index has not seen are
+    /// walked once, for all the keys still unanswered. `residual` carries
+    /// constraints and `include_deprecated`, nothing else. No keys: no
+    /// lock taken.
     pub fn semi_join(
         &self,
         column: &str,
@@ -1100,6 +1081,12 @@ impl Table {
         let plan_started = Instant::now();
         let residual = &self.typed(residual)?;
         let (at, col) = self.column(column)?;
+        let ordered = self.ordered_on(at);
+        if ordered.is_none() && !self.deferred_on(at) {
+            return Err(StoreError::BadQuery(format!(
+                "no index serves a semi-join on `{column}`"
+            )));
+        }
         let keys: Vec<Cow<'_, Value>> = keys
             .iter()
             .map(|&k| coerce(k, col.ty).map_or(Cow::Borrowed(k), Cow::Owned))
@@ -1125,31 +1112,39 @@ impl Table {
         explain.plan_ms = plan_started.elapsed().as_secs_f64() * 1e3;
         let scan_started = Instant::now();
         self.stats.index_queries.fetch_add(1, Ordering::Relaxed);
+        // After the stripes, as every reader of an ordered index.
+        let ordered = ordered.map(|index| self.ordered[index].index.read());
+        let mut scanned = 0;
+        // The equality too, on the few rows the residual lets through: a
+        // group of an ordered index may hold another value's rows.
+        let mut matches = |id: RowId, key: &Value| {
+            let (stripe, slot) = unpack(id);
+            let row = &guards[stripe].rows[slot].row;
+            scanned += 1;
+            self.row_matches(row, residual) && Op::Eq.eval(row.at(at), key)
+        };
         for (key, hit) in keys.iter().zip(&mut hits) {
-            let probe = self.eq_probe(at, key).ok_or_else(|| {
-                StoreError::BadQuery(format!("no index serves a semi-join on `{column}`"))
-            })?;
-            'key: for g in &guards {
-                let (ids, _) = g.eq_candidates(&probe)?;
+            if let Some(index) = &ordered {
+                let group = index.group(self.group_hasher.key(key));
+                explain.estimated_rows += group.len();
+                *hit = group.iter().any(|e| matches(e.row, key));
+                continue;
+            }
+            for g in &guards {
+                let ids = g.index(at)?.lookup_eq(key);
                 explain.estimated_rows += ids.len();
-                for &id in ids {
-                    let row = &g.rows[unpack(id).1].row;
-                    explain.rows_scanned += 1;
-                    // The equality too, on the few rows the residual
-                    // lets through: a group of an ordered index may hold
-                    // another value's rows.
-                    if self.row_matches(row, residual) && Op::Eq.eval(row.at(at), key) {
-                        *hit = true;
-                        break 'key;
-                    }
+                if ids.iter().any(|&id| matches(id, key)) {
+                    *hit = true;
+                    break;
                 }
             }
         }
+        explain.rows_scanned = scanned;
         // An ordered index is current. A deferred one has not seen the
         // stripes' tails: one walk over them answers every key still open
         // (`Null` equals nothing, so it is never one of them).
         let tails: usize = guards.iter().map(|g| g.tail().len()).sum();
-        if tails > 0 && self.ordered_on(at).is_none() && hits.contains(&false) {
+        if tails > 0 && ordered.is_none() && hits.contains(&false) {
             let unanswered = keys
                 .iter()
                 .zip(&hits)
@@ -1261,33 +1256,26 @@ impl Drop for StripeSetToken<'_> {
 }
 
 impl StripeSetToken<'_> {
-    pub fn contains(&self, pk: &str) -> bool {
-        let si = self.table.stripe_of(pk);
-        self.guard_of(si).pk_map.contains_key(pk)
+    /// Whether the table holds `pk`, which has to be one of the keys the
+    /// set was locked for.
+    pub fn contains(&self, pk: &str) -> Result<bool> {
+        let i = self.position(pk)?;
+        Ok(self.guards[i].1.pk_map.contains_key(pk))
     }
 
     /// Apply one placed, committed insert from the batch.
-    pub fn apply_insert(&mut self, row: Arc<Row>, seq: u64) -> RowId {
+    pub fn apply_insert(&mut self, row: Arc<Row>, seq: u64) -> Result<RowId> {
         let table = self.table;
-        let si = table.stripe_of(table.key_of(&row));
-        let stripe = self.stripe_mut(si);
-        apply_insert_inner(table, si, stripe, row, seq)
+        let i = self.position(table.key_of(&row))?;
+        let (si, stripe) = &mut self.guards[i];
+        Ok(apply_insert_inner(table, *si, stripe, row, seq))
     }
 
-    fn guard_of(&self, stripe: usize) -> &Stripe {
-        let i = self
-            .guards
-            .binary_search_by_key(&stripe, |(s, _)| *s)
-            .expect("stripe not locked by this token");
-        &self.guards[i].1
-    }
-
-    fn stripe_mut(&mut self, stripe: usize) -> &mut Stripe {
-        let i = self
-            .guards
-            .binary_search_by_key(&stripe, |(s, _)| *s)
-            .expect("stripe not locked by this token");
-        &mut self.guards[i].1
+    /// Where in `guards` the stripe of `pk` is.
+    fn position(&self, pk: &str) -> Result<usize> {
+        let stripe = self.table.stripe_of(pk);
+        let found = self.guards.binary_search_by_key(&stripe, |(s, _)| *s);
+        found.map_err(|_| StoreError::BadQuery(format!("the stripe of {pk} is not locked")))
     }
 }
 
@@ -1303,18 +1291,18 @@ fn apply_insert_inner(
         "a row placed against another schema"
     );
     let slot = s.rows.len();
+    let id = pack(stripe_idx, slot);
     s.pk_map.insert(table.key_of(&row).to_owned(), slot);
     s.rows.push(StoredRow { seq, row });
-    let Stripe { rows, ordered, .. } = &mut *s;
-    let new = &rows[slot];
-    for (&(by, order), index) in table.ordered.iter().zip(ordered) {
-        let v = new.row.at(by);
+    // The row first, then its entries, each under its index's lock alone
+    // (the stripe's write lock excludes every reader of the index: they
+    // take it after all the stripes' read locks).
+    let row = &s.rows[slot].row;
+    for o in &table.ordered {
+        let v = row.at(o.by);
         if !v.is_null() {
-            let prefix = new.row.at(order).order_prefix();
-            let key = table.group_hasher.key(v);
-            index.insert(key, pack(stripe_idx, slot), prefix, |r| {
-                order_cmp(&rows[unpack(r).1], new, order)
-            });
+            let entry = Entry::new(row.at(o.order), seq, id);
+            o.index.write().insert(table.group_hasher.key(v), entry);
         }
     }
     table.row_count.fetch_add(1, Ordering::Relaxed);
@@ -1322,7 +1310,7 @@ fn apply_insert_inner(
     if !s.indexes.is_empty() && s.rows.len() - s.indexed_upto >= table.index_batch {
         table.flush_stripe(stripe_idx, s);
     }
-    pack(stripe_idx, slot)
+    id
 }
 
 fn apply_set_flag_inner(stripe_idx: usize, s: &mut Stripe, pk: &str, at: usize, value: bool) {
@@ -2195,7 +2183,7 @@ mod tests {
             let mut token = t.lock_stripe_set(&pks);
             for (i, pk) in pks.iter().enumerate() {
                 let placed = placed(&t, row(pk, "rf", "sf", i as i64, 0.1));
-                token.apply_insert(placed, 100 + i as u64);
+                token.apply_insert(placed, 100 + i as u64).unwrap();
             }
             token.guards.len() as u64
         };
@@ -2214,10 +2202,21 @@ mod tests {
         {
             let mut token = t.lock_stripe_set(&pks);
             for (i, pk) in pks.iter().enumerate() {
-                assert!(!token.contains(pk));
+                assert!(!token.contains(pk).unwrap());
                 let placed = placed(&t, row(pk, "rf", "sf", i as i64, 0.1));
-                token.apply_insert(placed, i as u64 + 1);
+                token.apply_insert(placed, i as u64 + 1).unwrap();
             }
+            // A key the set was not locked for is refused, not looked up.
+            let outside = (0..)
+                .map(|i| format!("x{i}"))
+                .find(|pk| !token.guards.iter().any(|(s, _)| *s == t.stripe_of(pk)))
+                .unwrap();
+            assert!(matches!(
+                token.contains(&outside),
+                Err(StoreError::BadQuery(_))
+            ));
+            let row = placed(&t, row(&outside, "rf", "sf", 0, 0.1));
+            assert!(token.apply_insert(row, 99).is_err());
         }
         assert_eq!(t.len(), 10);
         for pk in &pks {

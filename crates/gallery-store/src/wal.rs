@@ -1830,10 +1830,16 @@ mod tests {
             pairs
         }
 
-        /// `t(id, g, s)` with the ordered index `g → s`.
+        /// `t(id, g, s)` with the ordered index `g → s`. `s` is an `int`:
+        /// an ordered index refuses a `str` order column, whose eight-byte
+        /// sort key does not decide the order of its values.
         fn ordered_create() -> WalOp {
-            let columns = ["id", "g", "s"].map(|c| ColumnDef::new(c, ValueType::Str));
-            let schema = TableSchema::new("t", "id", columns.to_vec()).unwrap();
+            let columns = vec![
+                ColumnDef::new("id", ValueType::Str),
+                ColumnDef::new("g", ValueType::Str),
+                ColumnDef::new("s", ValueType::Int),
+            ];
+            let schema = TableSchema::new("t", "id", columns).unwrap();
             WalOp::CreateTable {
                 schema: Arc::new(schema.ordered_by("g", "s").unwrap()),
             }
@@ -1848,8 +1854,8 @@ mod tests {
         const PARENT_CREATE: [u8; 23] = [
             1, 1, b't', 2, b'i', b'd', 3, // op, "t", "id", three columns:
             2, b'i', b'd', 4, 0, 0, // "id" str, not nullable, no index
-            1, b'g', 4, 0, 0, // "g"
-            1, b's', 4, 0, 0, // "s"
+            1, b'g', 4, 0, 0, // "g" str
+            1, b's', 2, 0, 0, // "s" int
         ];
 
         #[test]
@@ -1874,7 +1880,7 @@ mod tests {
             // A section is never empty, holds what it announces, and names
             // a pair of columns the schema allows.
             let section = |bytes: &[u8]| decode_t(&[&PARENT_CREATE[..], bytes].concat());
-            assert!(section(&[1, 1, b's', 1, b'g']).is_ok());
+            assert!(section(&[1, 2, b'i', b'd', 1, b's']).is_ok());
             for hostile in [
                 &[0][..],                                 // announced, empty
                 &[2, 1, b'g', 1, b's'],                   // one short
@@ -1882,6 +1888,7 @@ mod tests {
                 &[1, 1, b'g', 1, b's', 0],                // a byte over
                 &[1, 1, b'g', 1, b'x'],                   // no such column
                 &[1, 1, b'g', 1, b'g'],                   // ordered by itself
+                &[1, 1, b's', 1, b'g'],                   // ordered by a str
                 &[2, 1, b'g', 1, b's', 1, b'g', 1, b'i'], // `g` grouped twice
             ] {
                 assert!(section(hostile).is_err(), "{hostile:?}");
@@ -1891,6 +1898,31 @@ mod tests {
             indexed[17] = INDEX_HASH;
             indexed.extend_from_slice(&[1, 1, b'g', 1, b's']);
             assert!(decode_t(&indexed).is_err());
+        }
+
+        #[test]
+        fn a_logged_str_order_column_is_malformed_not_a_panic() {
+            // `t(id, g, s)` with `s` a str, ordered `g → s`: what a log
+            // written before such a declaration was refused may hold.
+            let mut create = PARENT_CREATE.to_vec();
+            create[20] = TAG_STR;
+            create.extend_from_slice(&[1, 1, b'g', 1, b's']);
+            assert!(matches!(
+                decode_t(&create),
+                Err(Undecoded::Malformed(
+                    "ordered index the columns do not allow"
+                ))
+            ));
+            // In a log, with a frame after it: corruption, not a table.
+            let mut log = (create.len() as u32).to_le_bytes().to_vec();
+            log.extend_from_slice(&(!(create.len() as u32)).to_le_bytes());
+            log.extend_from_slice(&crc32(&create).to_le_bytes());
+            log.extend_from_slice(&create);
+            log.extend_from_slice(&log_of(&sample_ops()[..1]));
+            assert!(matches!(
+                decode_everywhere(&log),
+                Err(StoreError::WalCorrupt(_))
+            ));
         }
 
         #[test]

@@ -3,6 +3,10 @@
 //! orphan-repair path under injected delete faults. Everything is seeded —
 //! a failure message carries the seed needed to reproduce it exactly.
 
+// Integration tests unwrap freely; the disallowed-methods ban only
+// guards non-test code.
+#![allow(clippy::disallowed_methods)]
+
 use bytes::Bytes;
 use gallery_store::blob::memory::MemoryBlobStore;
 use gallery_store::fault::{sites, FaultPlan};

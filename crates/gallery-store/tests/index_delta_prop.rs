@@ -16,6 +16,16 @@
 //! one, `tag` through the deferred one, whose tail it has to walk — and is
 //! held to the same three stores and to its definition: the flag of a key
 //! is whether `Query { column == key, residual.., limit 1 }` finds a row.
+//!
+//! Striping is unobservable too: a store of one stripe and one of sixteen
+//! (the default) give the same reads, and both give the full-scan
+//! reference for the ordered index's top-k, equality and semi-join reads.
+//! `score` is nullable, so a group holds rows without an order value,
+//! which sort first.
+
+// Integration tests unwrap freely; the disallowed-methods ban only
+// guards non-test code.
+#![allow(clippy::disallowed_methods)]
 
 use gallery_store::meta::StoreConfig;
 use gallery_store::{
@@ -34,7 +44,9 @@ fn schema() -> TableSchema {
             // under a (deferred) hash index.
             ColumnDef::new("group", ValueType::Str),
             ColumnDef::new("tag", ValueType::Str).hash_indexed(),
-            ColumnDef::new("score", ValueType::Int).btree_indexed(),
+            ColumnDef::new("score", ValueType::Int)
+                .nullable()
+                .btree_indexed(),
             ColumnDef::new("deprecated", ValueType::Bool).nullable(),
         ],
     )
@@ -42,29 +54,36 @@ fn schema() -> TableSchema {
     .unwrap()
 }
 
-fn record(n: usize, group: u8, score: i64) -> Record {
-    Record::new()
+fn record(n: usize, group: u8, score: Option<i64>) -> Record {
+    let record = Record::new()
         .set("id", format!("r{n:04}"))
         .set("group", format!("g{group}"))
-        .set("tag", format!("g{group}"))
-        .set("score", score)
+        .set("tag", format!("g{group}"));
+    match score {
+        Some(score) => record.set("score", score),
+        None => record,
+    }
 }
 
 /// One step of a generated history.
 #[derive(Debug, Clone)]
 enum Step {
     /// Insert row `n` (ids are dense, so `n` = current row count).
-    Insert { group: u8, score: i64 },
+    Insert { group: u8, score: Option<i64> },
     /// Batch-insert rows through `insert_many` (lands as one commit).
-    InsertMany { rows: Vec<(u8, i64)> },
+    InsertMany { rows: Vec<(u8, Option<i64>)> },
     /// Flip `deprecated` on row `pick % count`, if any rows exist.
     Deprecate { pick: usize },
 }
 
-/// Scores spread over a range, or crowded onto three values so that most
-/// of a group ties.
-fn score_strategy() -> impl Strategy<Value = i64> {
-    prop_oneof![-50i64..50, 0i64..3]
+/// Scores spread over a range, crowded onto three values so that most of
+/// a group ties, or absent.
+fn score_strategy() -> impl Strategy<Value = Option<i64>> {
+    prop_oneof![
+        (-50i64..50).prop_map(Some),
+        (0i64..3).prop_map(Some),
+        Just(None)
+    ]
 }
 
 fn step_strategy() -> impl Strategy<Value = Step> {
@@ -127,17 +146,20 @@ impl Top {
         }
     }
 
-    /// What the read must return, from every row in commit order.
+    /// What the read must return, from every row in commit order. A row
+    /// without a score sorts first (`None < Some`), as `Null` does.
     fn reference(self, all: &[Arc<Row>]) -> Vec<Arc<Row>> {
-        let group = format!("g{}", self.group);
-        let mut rows: Vec<(i64, usize, &Arc<Row>)> = all
+        let in_group = Query::all().and(Constraint::eq("group", format!("g{}", self.group)));
+        let in_group = if self.with_deprecated {
+            in_group.with_deprecated()
+        } else {
+            in_group
+        };
+        let mut rows: Vec<(Option<i64>, usize, &Arc<Row>)> = all
             .iter()
             .enumerate()
-            .filter(|(_, r)| r.get("group").and_then(|v| v.as_str()) == Some(&group))
-            .filter(|(_, r)| {
-                self.with_deprecated || r.get("deprecated").and_then(|v| v.as_bool()) != Some(true)
-            })
-            .map(|(seq, r)| (r.get("score").and_then(|v| v.as_int()).unwrap(), seq, r))
+            .filter(|(_, r)| accepts(&in_group, r))
+            .map(|(seq, r)| (r.get("score").and_then(|v| v.as_int()), seq, r))
             .collect();
         rows.sort_by_key(|(score, seq, _)| (*score, *seq));
         if self.descending {
@@ -218,6 +240,18 @@ fn queries() -> Vec<Query> {
     qs
 }
 
+/// Whether `query`'s constraints and deprecated filter accept `row`,
+/// evaluated on the row itself: the full-scan reference.
+fn accepts(query: &Query, row: &Row) -> bool {
+    let deprecated = row.get("deprecated").and_then(|v| v.as_bool()) == Some(true);
+    let field = |name: &str| row.get(name).cloned().unwrap_or(Value::Null);
+    (query.include_deprecated || !deprecated)
+        && query
+            .constraints
+            .iter()
+            .all(|c| c.op.eval(&field(&c.field), &c.value))
+}
+
 /// Key lists for a semi-join: groups with rows, `g9` and `Null` without,
 /// a key twice, and no keys at all.
 fn key_lists() -> Vec<Vec<Value>> {
@@ -272,6 +306,44 @@ fn observe_joins(store: &MetadataStore) -> Vec<String> {
         }
     }
     out
+}
+
+/// The ordered index's reads on `store` against the full-scan reference
+/// over `all` (every row, in commit order): every top-k read, every
+/// equality on the grouping column, every semi-join on it.
+fn check_ordered_reads(store: &MetadataStore, all: &[Arc<Row>]) -> Result<(), TestCaseError> {
+    for top in tops() {
+        let (rows, explain) = store.query_explain_full("t", &top.query()).unwrap();
+        prop_assert_eq!(explain.shape(), "index_top");
+        prop_assert_eq!(&rows, &top.reference(all), "{:?}", top);
+        prop_assert_eq!(explain.tail_merge_rows, 0);
+        prop_assert!(explain.rows_scanned >= rows.len());
+    }
+    for g in 0..5u8 {
+        let q = Query::all().and(Constraint::eq("group", format!("g{g}")));
+        for q in [q.clone(), q.with_deprecated()] {
+            let (rows, explain) = store.query_explain_full("t", &q).unwrap();
+            prop_assert_eq!(explain.shape(), "index_eq");
+            let expected: Vec<Arc<Row>> = all.iter().filter(|r| accepts(&q, r)).cloned().collect();
+            prop_assert_eq!(rows, expected, "{:?}", q);
+        }
+    }
+    for keys in key_lists() {
+        let keys: Vec<&Value> = keys.iter().collect();
+        for residual in residuals() {
+            let (flags, _) = store.semi_join("t", "group", &keys, &residual).unwrap();
+            let expected: Vec<bool> = keys
+                .iter()
+                .map(|&key| {
+                    let on =
+                        |r: &&Arc<Row>| Op::Eq.eval(r.get("group").unwrap_or(&Value::Null), key);
+                    all.iter().filter(on).any(|r| accepts(&residual, r))
+                })
+                .collect();
+            prop_assert_eq!(flags, expected, "{:?} {:?}", keys, residual);
+        }
+    }
+    Ok(())
 }
 
 /// Serialize results so the comparison is byte-identical, not just
@@ -336,17 +408,33 @@ proptest! {
         prop_assert_eq!(&pending_joins, &observe_joins(&deferred),
             "flushing the index delta changed semi-join flags");
 
-        // The top-k reads against the full-scan reference, on each store.
+        // The ordered index's reads against the full-scan reference.
         let all = eager.query("t", &Query::all().with_deprecated()).unwrap();
-        for top in tops() {
-            let expected = top.reference(&all);
-            for (name, store) in [("flushed", &deferred), ("eager", &eager)] {
-                let (rows, explain) = store.query_explain_full("t", &top.query()).unwrap();
-                prop_assert_eq!(explain.shape(), "index_top");
-                prop_assert_eq!(&rows, &expected, "{:?} on the {} store", top, name);
-                prop_assert_eq!(explain.tail_merge_rows, 0);
-                prop_assert!(explain.rows_scanned >= rows.len());
-            }
+        check_ordered_reads(&deferred, &all)?;
+        check_ordered_reads(&eager, &all)?;
+    }
+
+    /// One stripe or sixteen: the same plans, rows and flags, byte for
+    /// byte, and the full-scan reference from each. With sixteen, a group
+    /// of the ordered index holds rows of many stripes.
+    #[test]
+    fn striping_is_unobservable(steps in proptest::collection::vec(step_strategy(), 1..40)) {
+        let stores = [1, 16].map(|lock_stripes| {
+            let store = MetadataStore::in_memory_with_config(StoreConfig {
+                lock_stripes,
+                ..StoreConfig::default()
+            });
+            store.create_table(schema()).unwrap();
+            apply(&store, &steps);
+            store
+        });
+        let [one, sixteen] = &stores;
+        prop_assert_eq!(observe(one), observe(sixteen));
+        prop_assert_eq!(observe_joins(one), observe_joins(sixteen));
+        let all = one.query("t", &Query::all().with_deprecated()).unwrap();
+        prop_assert_eq!(&all, &sixteen.query("t", &Query::all().with_deprecated()).unwrap());
+        for store in &stores {
+            check_ordered_reads(store, &all)?;
         }
     }
 

@@ -3,6 +3,10 @@
 //! -- --ignored --nocapture` prints per-decade rates for each layer so a
 //! throughput collapse can be attributed.
 
+// Integration tests unwrap freely; the disallowed-methods ban only
+// guards non-test code.
+#![allow(clippy::disallowed_methods)]
+
 use gallery_store::meta::StoreConfig;
 use gallery_store::table::Table;
 use gallery_store::{ColumnDef, MetadataStore, Record, TableSchema, Value, ValueType};

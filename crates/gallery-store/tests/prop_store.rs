@@ -3,6 +3,10 @@
 //! exactly, the DAL's blob-first invariant must hold under arbitrary fault
 //! schedules, and degraded reads must never silently serve wrong bytes.
 
+// Integration tests unwrap freely; the disallowed-methods ban only
+// guards non-test code.
+#![allow(clippy::disallowed_methods)]
+
 use bytes::Bytes;
 use gallery_store::blob::cache::CachedBlobStore;
 use gallery_store::blob::memory::MemoryBlobStore;

@@ -12,6 +12,10 @@
 //! asserted only in release builds (`cargo test --release`); a debug build
 //! merely runs the reads.
 
+// Integration tests unwrap freely; the disallowed-methods ban only
+// guards non-test code.
+#![allow(clippy::disallowed_methods)]
+
 use gallery_store::{
     AccessPath, ColumnDef, Constraint, MetadataStore, Query, Record, TableSchema, Value, ValueType,
 };
@@ -193,9 +197,11 @@ fn reads_do_not_allocate_per_row_and_column() {
         allocations_400 <= allocations_40,
         "400 rows: {allocations_400} allocations against {allocations_40} for 40"
     );
-    // The same, with one cursor per stripe in place of the candidates.
+    // The same, with one walk down one group in place of the candidates:
+    // 8, where a cursor per stripe (the commit before the ordered index
+    // was one per table) made 9.
     assert!(
-        allocations_latest <= 10,
+        allocations_latest <= 8,
         "latest: {allocations_latest} allocations"
     );
     // The typed keys, the guards, the flags and the `Explain`: per call,

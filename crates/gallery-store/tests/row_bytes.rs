@@ -15,6 +15,10 @@
 //! bound is asserted only in release builds (`cargo test --release`); a
 //! debug build merely runs the inserts.
 
+// Integration tests unwrap freely; the disallowed-methods ban only
+// guards non-test code.
+#![allow(clippy::disallowed_methods)]
+
 use gallery_store::{ColumnDef, MetadataStore, Record, TableSchema, Value, ValueType};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering};

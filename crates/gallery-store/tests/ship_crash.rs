@@ -10,6 +10,10 @@
 //! - replay is idempotent — re-applying the full frame set from scratch
 //!   applies nothing and changes nothing.
 
+// Integration tests unwrap freely; the disallowed-methods ban only
+// guards non-test code.
+#![allow(clippy::disallowed_methods)]
+
 use gallery_store::{ColumnDef, FileSystem};
 use gallery_store::{
     Constraint, MetadataStore, Query, Record, ShipFrame, SimFaultPlan, SimFs, SyncPolicy,
@@ -44,9 +48,12 @@ fn leader() -> MetadataStore {
                 vec![
                     ColumnDef::new("id", ValueType::Str),
                     ColumnDef::new("model_id", ValueType::Str),
+                    ColumnDef::new("created", ValueType::Timestamp),
                 ],
             )
-            .and_then(|s| s.ordered_by("model_id", "id"))
+            // Ordered by a timestamp, not by `id`: an ordered index refuses
+            // a `str` order column, whose eight-byte sort key is not exact.
+            .and_then(|s| s.ordered_by("model_id", "created"))
             .unwrap(),
         )
         .unwrap();
@@ -65,7 +72,8 @@ fn leader() -> MetadataStore {
                 "instances",
                 Record::new()
                     .set("id", format!("i{i}"))
-                    .set("model_id", format!("m{i}")),
+                    .set("model_id", format!("m{i}"))
+                    .set("created", Value::Timestamp(i)),
             )
             .unwrap();
     }

@@ -13,12 +13,20 @@
 //! schedule shaker a reader watches one key's latest row while a writer
 //! moves it, and another semi-joins a set of keys — through the ordered
 //! index and through the deferred one on `owner`, whose stripes flush
-//! their tails mid-run — while a writer appends to them.
+//! their tails mid-run — while a writer appends to them. A third watches
+//! one key that two writers on different stripes append to at once: the
+//! ordered index is one per table, so their applies reach one group, and
+//! in any order.
 //!
 //! The default tests are CI-sized smoke runs; `soak_full` is the long
 //! variant (`cargo test -- --ignored`).
 
+// Integration tests unwrap freely; the disallowed-methods ban only
+// guards non-test code.
+#![allow(clippy::disallowed_methods)]
+
 use gallery_store::error::StoreError;
+use gallery_store::table::Table;
 use gallery_store::{
     ColumnDef, Constraint, MetadataStore, Query, Record, StoreConfig, SyncPolicy, TableSchema,
     Value, ValueType,
@@ -368,6 +376,103 @@ fn a_joined_key_stays_joined(rows: usize) {
     });
 }
 
+/// Two writers append to one key, each from ids that hash to a stripe of
+/// its own (of the default sixteen), taking ranks from one counter: a
+/// writer may apply its rank after the other applied a higher one, so
+/// entries reach the key's group out of sequence order. A reader watches
+/// the key's latest rank and semi-joins the key meanwhile: the latest never
+/// moves backwards, the key once joined stays joined, and at the end the
+/// latest is the highest rank and the whole group, walked from its top,
+/// is every rank in order. The rendezvous makes the overlap certain.
+fn two_writers_one_group(rows_per_writer: usize) {
+    use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
+    let store = MetadataStore::in_memory();
+    store.create_table(schema()).unwrap();
+    let striping = Table::new(schema());
+    let ids: Vec<Vec<String>> = (0..2)
+        .map(|w| {
+            let candidates = (0..).map(|n| format!("w{w}-{n:06}"));
+            let own = candidates.filter(|id| striping.stripe_of(id) == w);
+            own.take(rows_per_writer).collect()
+        })
+        .collect();
+    let (looked_tx, looked_rx) = std::sync::mpsc::sync_channel::<()>(0);
+    let (next, finished) = (AtomicI64::new(0), AtomicUsize::new(0));
+    let start = std::sync::Barrier::new(2);
+    let (store, next, finished, start) = (&store, &next, &finished, &start);
+    let floor = rows_per_writer as i64 / 2;
+    thread::scope(|s| {
+        let mut looked_rx = Some(looked_rx);
+        for ids in &ids {
+            let looked_rx = looked_rx.take();
+            s.spawn(move || {
+                start.wait();
+                for (n, id) in ids.iter().enumerate() {
+                    let rank = next.fetch_add(1, Ordering::SeqCst);
+                    // Between taking a rank and applying it: the other
+                    // writer may take the next and apply it first.
+                    thread::yield_now();
+                    let record = Record::new()
+                        .set("id", id.as_str())
+                        .set("owner", "owner-0")
+                        .set("key", "owner-0")
+                        .set("rank", rank)
+                        .set("deprecated", false);
+                    store.insert(TABLE, record).unwrap();
+                    if n == ids.len() / 2 {
+                        if let Some(rx) = &looked_rx {
+                            rx.recv().unwrap();
+                        }
+                    }
+                }
+                finished.fetch_add(1, Ordering::SeqCst);
+            });
+        }
+        s.spawn(move || {
+            let key = Value::from("owner-0");
+            let residual = Query::all().and(Constraint::ge("rank", floor));
+            let mut looked = Some(looked_tx);
+            let (mut last, mut joined) = (None, false);
+            loop {
+                let done = finished.load(Ordering::SeqCst) == 2;
+                let now = latest_rank(store, 0, true);
+                assert!(now >= last, "latest moved backwards: {last:?} then {now:?}");
+                last = now;
+                let (flags, _) = store.semi_join(TABLE, "key", &[&key], &residual).unwrap();
+                assert!(flags[0] || !joined, "a joined key left the join");
+                joined = flags[0];
+                if now.is_some() {
+                    if let Some(tx) = looked.take() {
+                        tx.send(()).unwrap();
+                    }
+                }
+                if done {
+                    assert_eq!(now, Some(2 * rows_per_writer as i64 - 1));
+                    assert!(joined);
+                    break;
+                }
+            }
+        });
+    });
+    let every = Query::all()
+        .and(Constraint::eq("key", "owner-0"))
+        .order_by("rank", true)
+        .limit(2 * rows_per_writer);
+    let (rows, explain) = store.query_explain_full(TABLE, &every).unwrap();
+    assert_eq!(explain.shape(), "index_top");
+    let ranks: Vec<i64> = rows
+        .iter()
+        .map(|r| r.get("rank").and_then(|v| v.as_int()).unwrap())
+        .collect();
+    let expected: Vec<i64> = (0..2 * rows_per_writer as i64).rev().collect();
+    assert_eq!(ranks, expected);
+}
+
+#[test]
+fn two_writers_append_to_one_group() {
+    two_writers_one_group(300);
+}
+
 #[test]
 fn soak_smoke_in_memory() {
     soak_in_memory(8, 120, 0x50AC, StoreConfig::default());
@@ -405,6 +510,7 @@ fn soak_rank_checked_is_diagnostic_free() {
     soak_durable(4, 40, 0xD0C5);
     latest_never_moves_backwards(200);
     a_joined_key_stays_joined(200);
+    two_writers_one_group(150);
     let report = gallery_sync::checker::report();
     assert!(
         report.is_clean(),

@@ -2,6 +2,10 @@
 //! bundle wired through DAL, cache, and WAL must expose every path in
 //! `render_text()` and carry degraded-read / eviction / flush events.
 
+// Integration tests unwrap freely; the disallowed-methods ban only
+// guards non-test code.
+#![allow(clippy::disallowed_methods)]
+
 use bytes::Bytes;
 use gallery_store::blob::cache::CachedBlobStore;
 use gallery_store::blob::memory::MemoryBlobStore;

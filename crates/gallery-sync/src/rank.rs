@@ -104,6 +104,7 @@ const GATE_LEVEL: u32 = 100;
 const SHIP_LEVEL: u32 = 110;
 const CATALOG_LEVEL: u32 = 120;
 pub(crate) const STRIPE_LEVEL: u32 = 200;
+const ORDERED_INDEX_LEVEL: u32 = 260;
 const COMMIT_QUEUE_LEVEL: u32 = 300;
 const WAL_LEVEL: u32 = 310;
 const OPLOG_LEVEL: u32 = 320;
@@ -118,6 +119,11 @@ pub const CATALOG: Rank = Rank::new(CATALOG_LEVEL, "Catalog");
 pub const fn stripe(index: usize) -> Rank {
     Rank::indexed(STRIPE_LEVEL, index as u32, "Stripe")
 }
+/// One ordered index of a table. Taken after the table's stripes — by a
+/// writer inside the apply its stripe write lock covers, by a reader
+/// after every stripe read lock — and never across a commit, nor for two
+/// tables (or two indexes) at once.
+pub const ORDERED_INDEX: Rank = Rank::new(ORDERED_INDEX_LEVEL, "OrderedIndex");
 /// The group-commit queue (leader/follower protocol).
 pub const COMMIT_QUEUE: Rank = Rank::new(COMMIT_QUEUE_LEVEL, "CommitQueue");
 /// The WAL file itself (append + fsync).
@@ -155,7 +161,7 @@ pub const WORKER_HANDLE: Rank = Rank::new(950, "WorkerHandle");
 pub const MAX_STRIPE_INDEX: u32 = 63;
 
 /// Every declared non-family rank, in acquisition order. The stripe
-/// family sits between [`CATALOG`] and [`COMMIT_QUEUE`].
+/// family sits between [`CATALOG`] and [`ORDERED_INDEX`].
 pub const DECLARED: &[Rank] = &[
     SHARD_MAP,
     LEADER_SEQ,
@@ -169,6 +175,7 @@ pub const DECLARED: &[Rank] = &[
     GATE,
     SHIP_LOCK,
     CATALOG,
+    ORDERED_INDEX,
     COMMIT_QUEUE,
     WAL,
     OPLOG,
@@ -199,8 +206,8 @@ pub fn is_declared(rank: &Rank) -> bool {
 /// "source text" of a lock-rank finding.
 pub fn order_line() -> String {
     "ShardMap < LeaderSeq < Progress < NodeReplicas < ReplicaRole < Idempotency < Breaker \
-     < BlobCache < BlobStore < Gate < ShipLock < Catalog < Stripe(i) < CommitQueue < Wal \
-     < Oplog < leaf observers"
+     < BlobCache < BlobStore < Gate < ShipLock < Catalog < Stripe(i) < OrderedIndex \
+     < CommitQueue < Wal < Oplog < leaf observers"
         .to_string()
 }
 
@@ -221,10 +228,11 @@ mod tests {
     }
 
     #[test]
-    fn stripes_order_by_index_between_catalog_and_queue() {
+    fn stripes_order_by_index_between_catalog_and_ordered_index() {
         assert!(CATALOG.key() < stripe(0).key());
         assert!(stripe(0).key() < stripe(1).key());
-        assert!(stripe(MAX_STRIPE_INDEX as usize).key() < COMMIT_QUEUE.key());
+        assert!(stripe(MAX_STRIPE_INDEX as usize).key() < ORDERED_INDEX.key());
+        assert!(ORDERED_INDEX.key() < COMMIT_QUEUE.key());
     }
 
     #[test]
@@ -240,7 +248,14 @@ mod tests {
         for ok in [GATE, SHIP_LOCK, CATALOG, stripe(5), WAL] {
             assert!(ok.allowed_across_wal_fsync(), "{ok}");
         }
-        for bad in [SHARD_MAP, IDEMPOTENCY, COMMIT_QUEUE, OPLOG, META_METRICS] {
+        for bad in [
+            SHARD_MAP,
+            IDEMPOTENCY,
+            ORDERED_INDEX,
+            COMMIT_QUEUE,
+            OPLOG,
+            META_METRICS,
+        ] {
             assert!(!bad.allowed_across_wal_fsync(), "{bad}");
         }
     }
@@ -249,6 +264,6 @@ mod tests {
     fn labels_show_family_indices() {
         assert_eq!(stripe(7).label(), "Stripe[7]");
         assert_eq!(CATALOG.label(), "Catalog");
-        assert_eq!(order_line().split('<').count(), 17);
+        assert_eq!(order_line().split('<').count(), 18);
     }
 }
