@@ -9,19 +9,17 @@
 //!    by self time, with exactly the self-time arithmetic the clock
 //!    dictates. Determinism is asserted by folding twice.
 //! 2. **EXPLAIN tells the truth.** The same seeded fleet is loaded into
-//!    the tuned store (sharded locks, deferred indexes) and an *eager*
-//!    oracle (`lock_stripes: 1, index_batch: 1` — indexes always
-//!    current). Every query shape (index_eq, index_range, index_top,
-//!    full_scan, pk) must return the same rows in the same order on both
-//!    stores, and the [`Explain`] `matched` count must equal the rows
-//!    actually returned — the deferred-index tail merge is visible in
-//!    `tail_merge_rows`, never in wrong answers. The `index_top` row
-//!    ("the ten newest instances of one model class") must also scan
-//!    exactly what it returns: the fleet has no deprecated rows to walk
-//!    past, and an ordered index has no tail. A `semi_join` row ("which
-//!    model classes have an instance with mape ≥ 0.995") must keep the
-//!    same keys on both stores, scan no more rows than the index groups
-//!    it probed hold, and leave one slow-log entry, not one per key.
+//!    the tuned store (sixteen lock stripes) and a single-stripe oracle
+//!    (`lock_stripes: 1`). Every query shape (index_eq, index_range,
+//!    index_top, full_scan, pk) must return the same rows in the same
+//!    order on both stores, and the [`Explain`] `matched` count must equal
+//!    the rows actually returned. The `index_top` row ("the ten newest
+//!    instances of one model class") must also scan exactly what it
+//!    returns: the fleet has no deprecated rows to walk past. A
+//!    `semi_join` row ("which model classes have an instance with
+//!    mape ≥ 0.995") must keep the same keys on both stores, scan no more
+//!    rows than the index groups it probed hold, and leave one slow-log
+//!    entry, not one per key.
 //! 3. **Introspection is cheap enough to leave on.** The full
 //!    insert + query workload (which records per-shape metrics, stripe
 //!    wait histograms, and slow-query captures when enabled) is timed
@@ -160,41 +158,37 @@ fn ids(rows: &[Arc<Row>]) -> Vec<String> {
         .collect()
 }
 
-/// Gate 2: the tuned store's EXPLAIN row counts must agree with an eager
-/// oracle whose indexes are always current — and both stores must return
-/// the same rows.
+/// Gate 2: the tuned store's EXPLAIN row counts must agree with the rows
+/// it returns, and it must return what a single-stripe oracle returns.
 fn run_explain_oracle(rows: usize) -> Vec<(String, Explain, usize)> {
     // Its own bundle, so that the slow-query ring is on whatever the
     // process-wide one is.
     let tuned = seeded_store(StoreConfig::default(), rows, Some(Telemetry::new()));
-    let eager = seeded_store(
+    let oracle = seeded_store(
         StoreConfig {
             lock_stripes: 1,
-            index_batch: 1,
             ..StoreConfig::default()
         },
         rows,
         None,
     );
 
-    let mut table = TextTable::new(&[
-        "query", "path", "returned", "matched", "est", "scanned", "tail",
-    ]);
+    let mut table = TextTable::new(&["query", "path", "returned", "matched", "est", "scanned"]);
     let mut out = Vec::new();
     for (name, query) in shaped_queries() {
         let (tuned_rows, explain) = tuned.query_explain_full("instances", &query).unwrap();
-        let (eager_rows, eager_explain) = eager.query_explain_full("instances", &query).unwrap();
-        if ids(&tuned_rows) != ids(&eager_rows) {
+        let (oracle_rows, oracle_explain) = oracle.query_explain_full("instances", &query).unwrap();
+        if ids(&tuned_rows) != ids(&oracle_rows) {
             eprintln!(
-                "GATE FAILED: `{name}` returned {} rows on the tuned store but {} on the eager oracle",
+                "GATE FAILED: `{name}` returned {} rows on the tuned store but {} on the oracle",
                 tuned_rows.len(),
-                eager_rows.len()
+                oracle_rows.len()
             );
             std::process::exit(1);
         }
         for (store, e, n) in [
             ("tuned", &explain, tuned_rows.len()),
-            ("eager", &eager_explain, eager_rows.len()),
+            ("oracle", &oracle_explain, oracle_rows.len()),
         ] {
             if e.matched_rows != n {
                 eprintln!(
@@ -223,7 +217,6 @@ fn run_explain_oracle(rows: usize) -> Vec<(String, Explain, usize)> {
             explain.matched_rows.to_string(),
             explain.estimated_rows.to_string(),
             explain.rows_scanned.to_string(),
-            explain.tail_merge_rows.to_string(),
         ]);
         out.push((name.to_string(), explain, tuned_rows.len()));
     }
@@ -238,14 +231,11 @@ fn run_explain_oracle(rows: usize) -> Vec<(String, Explain, usize)> {
         let joined = store.semi_join("instances", "model_name", &keys, &worst);
         joined.expect("semi-join")
     };
-    let ((flags, explain), (eager_flags, _)) = (join(&tuned), join(&eager));
+    let ((flags, explain), (oracle_flags, _)) = (join(&tuned), join(&oracle));
     let logged = tuned.slow_log().total() - logged;
     let kept = flags.iter().filter(|f| **f).count();
     let gates = [
-        (
-            flags == eager_flags,
-            "keeps other keys than on the eager oracle",
-        ),
+        (flags == oracle_flags, "keeps other keys than on the oracle"),
         (explain.matched_rows == kept, "EXPLAIN matched != keys kept"),
         (
             explain.shape() == "semi_join",
@@ -270,12 +260,11 @@ fn run_explain_oracle(rows: usize) -> Vec<(String, Explain, usize)> {
         explain.matched_rows.to_string(),
         explain.estimated_rows.to_string(),
         explain.rows_scanned.to_string(),
-        explain.tail_merge_rows.to_string(),
     ]);
     out.push(("semi_join".to_string(), explain, kept));
     println!("{}", table.render());
     println!(
-        "✓ all 6 shapes: identical answers on tuned vs eager, EXPLAIN matched == returned, \
+        "✓ all 6 shapes: identical answers on tuned vs oracle, EXPLAIN matched == returned, \
          index_top scanned == returned, semi_join one log entry and scanned <= probed\n"
     );
     out
@@ -378,7 +367,7 @@ fn main() {
     println!("part 1: span-folding profiler on a manual clock");
     let (hot_stack, hot_self_ms, frames) = run_hot_spot();
 
-    println!("part 2: EXPLAIN vs eager oracle ({oracle_rows} seeded rows)");
+    println!("part 2: EXPLAIN vs single-stripe oracle ({oracle_rows} seeded rows)");
     let explains = run_explain_oracle(oracle_rows);
 
     println!("part 3: always-on overhead ({workload_rows} rows per iteration)");
@@ -394,7 +383,6 @@ fn main() {
                 ("matched", Content::U64(e.matched_rows as u64)),
                 ("estimated", Content::U64(e.estimated_rows as u64)),
                 ("scanned", Content::U64(e.rows_scanned as u64)),
-                ("tail_merge", Content::U64(e.tail_merge_rows as u64)),
             ])
         })
         .collect();

@@ -6,15 +6,13 @@
 //! decade is filled in fixed-size scheduled batches, each batch is timed
 //! individually, and the decade's rate is the median per-batch rate —
 //! immune to the "one wall-clock total" fallacy where early cheap inserts
-//! hide a late-decade collapse. Three arms run side by side:
+//! hide a late-decade collapse. Two arms run side by side:
 //!
 //! - `floor`  — the same records pushed into a plain `Vec`: the
 //!   environment's allocation/page-touch ceiling, run first so its
-//!   recycled pages warm the allocator for the store arms;
-//! - `tuned`  — the default [`StoreConfig`]: sharded locks, deferred
-//!   secondary-index maintenance, group commit;
-//! - `eager`  — `lock_stripes = 1`, `index_batch = 1`: the pre-overhaul
-//!   write path (one store-wide lock, per-insert index updates).
+//!   recycled pages warm the allocator for the store arm;
+//! - `tuned`  — the default [`StoreConfig`]: sharded locks, secondary
+//!   indexes current at insert, group commit.
 //!
 //! The paper-shape gate: the tuned arm's 10^6-decade insert rate must be
 //! at least half its 10^5-decade rate (flat-to-within-2x through the
@@ -24,9 +22,8 @@
 //! The process exits non-zero if the gate fails, and the sweep is
 //! recorded in `BENCH_exp_scale_1m.json` for CI artifacts.
 //!
-//! Smoke mode (`--smoke`, CI) runs the tuned arm to 10^6 and the eager
-//! arm to 10^5; `--full` runs both arms to 10^6 plus the query-latency
-//! suite at every decade.
+//! Both arms run to 10^6; smoke mode (`--smoke`, CI) leaves out the
+//! query-latency suite a default run adds at every decade.
 
 use gallery_bench::{arr, banner, obj, write_bench_json, TextTable};
 use gallery_store::meta::StoreConfig;
@@ -230,10 +227,8 @@ fn run_arm(
     }
     let stats = store.table_stats("instances").unwrap();
     println!(
-        "  {name}: {} inserts, {} delta flushes ({} rows), ~{:.1} MiB resident",
+        "  {name}: {} inserts, ~{:.1} MiB resident",
         stats.inserts,
-        stats.index_delta_flushes,
-        stats.index_delta_applied,
         store.approx_size() as f64 / (1024.0 * 1024.0)
     );
     results
@@ -249,17 +244,12 @@ fn rate_at(results: &[DecadeResult], rows: usize) -> Option<f64> {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let full = args.iter().any(|a| a == "--full");
     banner(
         "E9: metadata store at fleet scale",
         "§4 'managing more than 1 million model instances' — steady-state insert rate per decade",
     );
 
-    // Smoke still drives the tuned arm to 1e6 (the whole point of the
-    // gate); the eager baseline arm is capped at 1e5 to keep CI fast
-    // unless --full asks for the head-to-head million.
-    let tuned_max = 1_000_000;
-    let eager_max = if full { 1_000_000 } else { 100_000 };
+    let max_rows = 1_000_000;
 
     let mut query_table = TextTable::new(&[
         "instances",
@@ -271,24 +261,12 @@ fn main() {
     let run_queries = !smoke;
 
     println!("arm `floor` (plain Vec push — environment ceiling + allocator warm-up):");
-    let floor = run_floor(tuned_max);
-    println!("arm `tuned` (sharded locks, deferred indexes, group commit):");
+    let floor = run_floor(max_rows);
+    println!("arm `tuned` (sharded locks, indexes current at insert, group commit):");
     let tuned = run_arm(
         "tuned",
         StoreConfig::default(),
-        tuned_max,
-        run_queries,
-        &mut query_table,
-    );
-    println!("arm `eager` (single lock, per-insert index maintenance):");
-    let eager = run_arm(
-        "eager",
-        StoreConfig {
-            lock_stripes: 1,
-            index_batch: 1,
-            ..StoreConfig::default()
-        },
-        eager_max,
+        max_rows,
         run_queries,
         &mut query_table,
     );
@@ -296,7 +274,7 @@ fn main() {
     let mut sweep_table =
         TextTable::new(&["arm", "rows", "median rows/s", "min rows/s", "batches"]);
     let mut arms_json = Vec::new();
-    for (name, results) in [("floor", &floor), ("tuned", &tuned), ("eager", &eager)] {
+    for (name, results) in [("floor", &floor), ("tuned", &tuned)] {
         for r in results.iter() {
             sweep_table.add_row(vec![
                 name.to_string(),
@@ -334,7 +312,7 @@ fn main() {
     }
     println!("{}", sweep_table.render());
     if run_queries {
-        println!("query latency (tuned arm first, then eager):");
+        println!("query latency (tuned arm):");
         println!("{}", query_table.render());
     }
 

@@ -90,7 +90,8 @@ pub fn instances_schema() -> TableSchema {
 }
 
 /// Schema of the `metrics` table; `instance_id → created` serves the
-/// latest-metric lookups of the rule engine.
+/// latest-metric lookups of the rule engine. It is the table's only
+/// index: every read of `metrics` keys on `instance_id`.
 pub fn metrics_schema() -> TableSchema {
     TableSchema::new(
         tables::METRICS,
@@ -98,11 +99,11 @@ pub fn metrics_schema() -> TableSchema {
         vec![
             ColumnDef::new("id", ValueType::Str),
             ColumnDef::new("instance_id", ValueType::Str),
-            ColumnDef::new("name", ValueType::Str).hash_indexed(),
-            ColumnDef::new("value", ValueType::Float).btree_indexed(),
-            ColumnDef::new("scope", ValueType::Str).hash_indexed(),
+            ColumnDef::new("name", ValueType::Str),
+            ColumnDef::new("value", ValueType::Float),
+            ColumnDef::new("scope", ValueType::Str),
             ColumnDef::new("metadata", ValueType::Str).nullable(),
-            ColumnDef::new("created", ValueType::Timestamp).btree_indexed(),
+            ColumnDef::new("created", ValueType::Timestamp),
         ],
     )
     .and_then(|s| s.ordered_by("instance_id", "created"))

@@ -6,15 +6,8 @@
 //! or `metricValue < 0.25`, and ordered indexes — the composite
 //! `(model_id, created)` key — for "the newest row of X".
 //!
-//! Hash and btree indexes are maintained *deferred*:
-//! [`crate::table::Table`] accumulates newly inserted rows as an un-indexed
-//! tail per stripe and applies them here in one pass
-//! ([`Index::insert_many`]) once the tail crosses the configured batch
-//! size. Their lookups therefore under-approximate — they may miss tail
-//! rows, never return stale ones for inserts — and the table merges the
-//! un-indexed tail back into every access path they drive, so query
-//! results stay exact at all times. An [`OrderedIndex`] is current after
-//! every insert and has no tail.
+//! Every index is current after every insert: [`crate::table::Table`]
+//! adds a row's entries before the insert returns.
 
 use crate::value::Value;
 use std::collections::hash_map::RandomState;
@@ -154,27 +147,6 @@ impl Index {
 
     pub fn supports_range(&self) -> bool {
         matches!(self, Index::BTree(_))
-    }
-
-    /// Apply a batch of pending entries in one pass — the flush half of
-    /// deferred index maintenance. Equivalent to `insert` per entry but
-    /// hashes/rebalances against a warm map in a tight loop.
-    pub fn insert_many<I>(&mut self, entries: I)
-    where
-        I: IntoIterator<Item = (Value, RowId)>,
-    {
-        match self {
-            Index::Hash(ix) => {
-                for (value, row) in entries {
-                    ix.insert(value, row);
-                }
-            }
-            Index::BTree(ix) => {
-                for (value, row) in entries {
-                    ix.insert(value, row);
-                }
-            }
-        }
     }
 }
 

@@ -25,7 +25,7 @@ use crate::query::{Explain, Query};
 use crate::record::{Record, Row};
 use crate::schema::TableSchema;
 use crate::simfs::{real_fs, FileSystem};
-use crate::table::{IndexDeltaCounters, StripeLockMetrics, Table, TableStats};
+use crate::table::{StripeLockMetrics, Table, TableStats};
 use crate::value::Value;
 use crate::wal::{new_shared_oplog, Committer, SharedOplog, SyncPolicy, Wal, WalOp};
 use gallery_sync::locks::{OrderedMutex, OrderedRwLock};
@@ -44,9 +44,6 @@ pub struct StoreConfig {
     /// [`crate::table::MAX_LOCK_STRIPES`]). 1 reproduces the old
     /// store-wide single lock.
     pub lock_stripes: usize,
-    /// Rows a stripe accumulates before applying its pending secondary
-    /// index delta. 1 reproduces eager (per-insert) index maintenance.
-    pub index_batch: usize,
     /// Queries at least this slow (total executor milliseconds) are
     /// captured into the slow-query ring. 0 captures *every* query,
     /// turning the ring into a recent-query log — the default, so
@@ -60,7 +57,6 @@ impl Default for StoreConfig {
     fn default() -> Self {
         StoreConfig {
             lock_stripes: 16,
-            index_batch: 1024,
             slow_query_ms: 0,
             slow_query_capacity: SlowQueryLog::DEFAULT_CAPACITY,
         }
@@ -101,7 +97,6 @@ const STRIPE_WAIT_BUCKETS_MS: [f64; 6] = [0.001, 0.01, 0.1, 1.0, 10.0, 100.0];
 /// Store-level metric handles (`gallery_meta_*`, `gallery_store_*`),
 /// re-minted whenever the telemetry sink changes.
 struct MetaMetrics {
-    delta: IndexDeltaCounters,
     /// Per-stripe lock contention handles; the `stripe` label is the
     /// stripe index, so cardinality is capped at the configured (clamped)
     /// stripe count.
@@ -148,10 +143,6 @@ fn mint_metrics(telemetry: &Telemetry, cfg: &StoreConfig) -> MetaMetrics {
             .collect(),
     };
     MetaMetrics {
-        delta: IndexDeltaCounters {
-            flushes: r.counter("gallery_meta_index_delta_flushes_total", &[]),
-            applied: r.counter("gallery_meta_index_delta_applied_total", &[]),
-        },
         stripe_locks,
         query_shapes: QUERY_SHAPES
             .iter()
@@ -441,7 +432,6 @@ impl MetadataStore {
         }
         let metrics = mint_metrics(&telemetry, &self.cfg);
         for table in self.catalog.read().values() {
-            table.set_delta_counters(metrics.delta.clone());
             table.set_lock_metrics(metrics.stripe_locks.clone());
         }
         *self.metrics.write() = metrics;
@@ -454,10 +444,8 @@ impl MetadataStore {
     }
 
     fn new_table(&self, schema: Arc<TableSchema>) -> Arc<Table> {
-        let table = Table::with_config(schema, self.cfg.lock_stripes, self.cfg.index_batch);
-        let metrics = self.metrics.read();
-        table.set_delta_counters(metrics.delta.clone());
-        table.set_lock_metrics(metrics.stripe_locks.clone());
+        let table = Table::with_config(schema, self.cfg.lock_stripes);
+        table.set_lock_metrics(self.metrics.read().stripe_locks.clone());
         Arc::new(table)
     }
 
@@ -761,10 +749,10 @@ impl MetadataStore {
     }
 
     /// Execute a query and return the full [`Explain`] artifact: chosen
-    /// path, estimated vs. actual rows scanned, deferred-index tail-merge
-    /// size, and per-stage timings. Every query — whichever entry point it
-    /// arrived through — funnels here, so the per-shape metrics and the
-    /// slow-query ring see all of them.
+    /// path, estimated vs. actual rows scanned, and per-stage timings.
+    /// Every query — whichever entry point it arrived through — funnels
+    /// here, so the per-shape metrics and the slow-query ring see all of
+    /// them.
     pub fn query_explain_full(
         &self,
         table: &str,
@@ -849,13 +837,11 @@ impl MetadataStore {
         Ok(self.table_arc(table)?.stats())
     }
 
-    /// Force-apply every table's pending secondary-index delta; returns
-    /// rows applied. Queries never need this (read-side merge keeps them
-    /// exact); tests and benchmarks use it to compare deferred vs flushed
-    /// index states.
+    /// Does nothing and returns 0: every index is current at insert, so
+    /// there is no pending index work to apply. Kept because the load
+    /// benchmark (`loadbench/`) still calls it.
     pub fn flush_index_deltas(&self) -> usize {
-        let tables: Vec<Arc<Table>> = self.catalog.read().values().cloned().collect();
-        tables.iter().map(|t| t.flush_index_deltas()).sum()
+        0
     }
 
     /// Approximate resident bytes across all tables.
@@ -1561,16 +1547,13 @@ mod config_tests {
     }
 
     #[test]
-    fn eager_config_reproduces_old_write_path() {
-        // lock_stripes=1 + index_batch=1 = the pre-overhaul store: one
-        // lock, eager indexes. Behaviour must be identical.
-        let eager = MetadataStore::in_memory_with_config(StoreConfig {
+    fn one_lock_stripe_answers_as_sixteen_do() {
+        let one = MetadataStore::in_memory_with_config(StoreConfig {
             lock_stripes: 1,
-            index_batch: 1,
             ..StoreConfig::default()
         });
-        let tuned = MetadataStore::in_memory();
-        for store in [&eager, &tuned] {
+        let striped = MetadataStore::in_memory();
+        for store in [&one, &striped] {
             store.create_table(schema()).unwrap();
             for i in 0..100 {
                 store
@@ -1585,11 +1568,11 @@ mod config_tests {
         }
         let q = Query::all().and(Constraint::eq("name", "rf"));
         assert_eq!(
-            eager.query("models", &q).unwrap(),
-            tuned.query("models", &q).unwrap()
+            one.query("models", &q).unwrap(),
+            striped.query("models", &q).unwrap()
         );
-        // Eager config has no pending deltas; tuned config may.
-        assert_eq!(eager.flush_index_deltas(), 0);
+        // Every index is current at insert: nothing is left to apply.
+        assert_eq!(striped.flush_index_deltas(), 0);
     }
 
     #[test]
@@ -1611,10 +1594,9 @@ mod config_tests {
         let (rows, explain) = store.query_explain_full("models", &q).unwrap();
         assert_eq!(rows.len(), 5);
         assert_eq!(explain.shape(), "index_eq");
-        assert!(explain.rows_scanned >= rows.len());
-        // Default index_batch (1024) > 10: every row is still an unindexed
-        // tail entry, and the executor must report merging it.
-        assert_eq!(explain.tail_merge_rows, 10);
+        // The index is current at insert: it reads just the bucket.
+        assert_eq!(explain.rows_scanned, rows.len());
+        assert_eq!(explain.tail_merge_rows, 0);
 
         let r = telemetry.registry();
         assert_eq!(
@@ -1634,7 +1616,7 @@ mod config_tests {
         assert!(entries[0].total_ms >= 0.0);
         let text = store.slow_log().render_text();
         assert!(text.contains("table=models shape=index_eq"), "{text}");
-        assert!(text.contains("tail_merge=10"), "{text}");
+        assert!(text.contains("scanned=5 matched=5\n"), "{text}");
         assert_eq!(
             r.sample_value("gallery_store_slow_queries_total", &[]),
             Some(1.0)
@@ -1660,7 +1642,7 @@ mod config_tests {
         let (hits, explain) = store.semi_join("models", "name", &keys, &residual).unwrap();
         assert_eq!(hits, [false, false, true]);
         assert_eq!(explain.shape(), "semi_join");
-        assert_eq!(explain.tail_merge_rows, 10);
+        assert_eq!(explain.tail_merge_rows, 0);
         let joins = || {
             telemetry
                 .registry()
@@ -1799,28 +1781,5 @@ mod config_tests {
         assert!(r
             .find_histogram("gallery_store_stripe_lock_wait_ms", &[("stripe", "4")])
             .is_none());
-    }
-
-    #[test]
-    fn deferred_deltas_flush_on_demand() {
-        let store = MetadataStore::in_memory();
-        store.create_table(schema()).unwrap();
-        for i in 0..10 {
-            store
-                .insert(
-                    "models",
-                    Record::new().set("id", format!("m{i}")).set("name", "rf"),
-                )
-                .unwrap();
-        }
-        // Default index_batch (1024) > 10: everything is still pending.
-        let q = Query::all().and(Constraint::eq("name", "rf"));
-        let before = store.query("models", &q).unwrap();
-        assert_eq!(store.flush_index_deltas(), 10);
-        let after = store.query("models", &q).unwrap();
-        assert_eq!(before, after);
-        assert_eq!(after.len(), 10);
-        let stats = store.table_stats("models").unwrap();
-        assert_eq!(stats.index_delta_applied, 10);
     }
 }

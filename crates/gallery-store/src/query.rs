@@ -234,8 +234,7 @@ impl AccessPath {
 }
 
 /// EXPLAIN artifact for one executed query: the chosen access path, the
-/// planner's row estimate vs. what the scan actually touched, how much of
-/// the scan came from merging unindexed deferred-index tails, and the
+/// planner's row estimate vs. what the scan actually touched, and the
 /// per-stage timings. Produced by `Table::execute_explain` and
 /// `Table::semi_join`, and recorded into the slow-query ring.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -244,7 +243,7 @@ pub struct Explain {
     pub path: AccessPath,
     /// Rows the planner expected the access path to yield as candidates
     /// (`IndexTop`: the query's `limit`; `SemiJoin`: the sizes of the index
-    /// groups it probed, plus the tails when it walked them).
+    /// groups it probed).
     pub estimated_rows: usize,
     /// Candidate rows the executor actually examined (before residual
     /// filtering). `IndexTop`: the rows it evaluated the predicate on —
@@ -255,10 +254,9 @@ pub struct Explain {
     /// stops at `limit`, so for it this is the rows returned; `SemiJoin`:
     /// the keys kept).
     pub matched_rows: usize,
-    /// Of `rows_scanned`, how many came from per-stripe unindexed tails
-    /// merged on top of the index (deferred secondary-index maintenance).
-    /// Always 0 for `PrimaryKey`, `FullScan`, `IndexTop`, and an `IndexEq`
-    /// or `SemiJoin` served by an ordered index.
+    /// Always 0: every index is current at insert, so no plan merges
+    /// unindexed rows. Kept, and not rendered, because the load benchmark
+    /// (`loadbench/`) still reads it.
     pub tail_merge_rows: usize,
     /// Time spent choosing the plan, in milliseconds.
     pub plan_ms: f64,
@@ -292,13 +290,12 @@ impl Explain {
         };
         format!(
             "path: {path} [{}]\n\
-             rows: estimated={} scanned={} matched={} tail_merge={}\n\
+             rows: estimated={} scanned={} matched={}\n\
              timings_ms: plan={:.3} scan={:.3} sort={:.3} total={:.3}",
             self.shape(),
             self.estimated_rows,
             self.rows_scanned,
             self.matched_rows,
-            self.tail_merge_rows,
             self.plan_ms,
             self.scan_ms,
             self.sort_ms,
@@ -382,7 +379,7 @@ mod tests {
             estimated_rows: 12,
             rows_scanned: 10,
             matched_rows: 7,
-            tail_merge_rows: 2,
+            tail_merge_rows: 0,
             plan_ms: 0.5,
             scan_ms: 1.5,
             sort_ms: 0.25,
@@ -391,8 +388,10 @@ mod tests {
         assert!((ex.total_ms() - 2.25).abs() < 1e-9);
         let text = ex.render();
         assert!(text.contains("IndexEq(city)"), "{text}");
-        assert!(text.contains("estimated=12 scanned=10"), "{text}");
-        assert!(text.contains("tail_merge=2"), "{text}");
+        assert!(
+            text.contains("estimated=12 scanned=10 matched=7\n"),
+            "{text}"
+        );
         assert_eq!(format!("{ex}"), text);
         let ex = Explain { path: top, ..ex };
         let text = ex.to_string();

@@ -56,8 +56,7 @@ impl ColumnDef {
 /// each group kept in `(order value, commit sequence)` order. It serves
 /// `by == v` lookups and, walked from either end, `by == v ORDER BY order
 /// LIMIT k` — the "latest of X" shape. Unlike a column's [`IndexKind`]
-/// index it is maintained at insert, never deferred, and held once per
-/// table rather than per stripe.
+/// index it is held once per table rather than per stripe.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OrderedIndexDef {
     pub by: String,

@@ -6,7 +6,7 @@
 //! Rows are partitioned into N stripes by the FNV-1a hash of their primary
 //! key — the same hash family the cluster layer uses for shard routing —
 //! and every stripe sits behind its own `RwLock`. A stripe holds its rows,
-//! their primary-key map and its shard of every deferred index. Writers
+//! their primary-key map and its shard of every hash and btree index. Writers
 //! touching different stripes proceed in parallel; a writer holds exactly
 //! its stripe's write lock across validate → duplicate-check → WAL commit
 //! → in-memory apply, so per-stripe apply order always equals WAL order
@@ -25,32 +25,28 @@
 //! `order_by`, index maintenance, the semi-join and `set_flag` read
 //! `row.at(position)`.
 //!
-//! ## Deferred secondary-index maintenance
+//! ## Secondary indexes
 //!
-//! Inserts append the row and update the primary-key map immediately, but
-//! hash and btree index entries are *deferred*: each stripe tracks
-//! `indexed_upto`, the slot boundary below which indexes are current.
-//! Once the unindexed tail reaches `index_batch` rows the whole delta is
-//! applied in one column-major pass. Queries stay exact because the
-//! candidate set is the index result *plus every unindexed tail slot* —
-//! the two ranges are disjoint by construction, and the executor re-checks
-//! every constraint against every candidate row anyway.
+//! Every index is current when an insert returns, as a MySQL secondary
+//! index is when its insert commits. A hash or btree index is sharded by
+//! stripe: the insert adds the row's non-null value to its stripe's shard
+//! after pushing the row, under the stripe write lock it already holds, so
+//! a reader holding the stripe's read lock sees exactly the rows the
+//! stripe holds, in its index as in its arena.
 //!
 //! ## Ordered indexes
 //!
-//! An ordered index (`TableSchema::ordered_by`) is the exception: it is
-//! updated by the insert itself, so a plan it serves has no tail to merge.
-//! That is what lets `by == v ORDER BY order LIMIT k`
+//! An ordered index (`TableSchema::ordered_by`) keeps each group sorted,
+//! which is what lets `by == v ORDER BY order LIMIT k`
 //! ([`AccessPath::IndexTop`]) read the k rows it returns and stop, instead
-//! of sorting the group plus every stripe's tail. It is not striped: the
-//! table holds one per declaration, behind a lock of its own
-//! (`rank::ORDERED_INDEX`), and a group holds its value's rows from every
-//! stripe, each entry carrying its exact `(order value, commit sequence)`
-//! key. So a latest-of-X lookup, and each key of a semi-join, probes one
-//! group. An insert adds its entry after pushing the row, under the stripe
-//! write lock it already holds and never across its commit; a reader takes
-//! the index's lock after every stripe read lock, and so sees exactly the
-//! rows those stripes hold.
+//! of sorting the group. It is not striped: the table holds one per
+//! declaration, behind a lock of its own (`rank::ORDERED_INDEX`), and a
+//! group holds its value's rows from every stripe, each entry carrying its
+//! exact `(order value, commit sequence)` key. So a latest-of-X lookup,
+//! and each key of a semi-join, probes one group. An insert adds its entry
+//! after pushing the row, under the stripe write lock it already holds and
+//! never across its commit; a reader takes the index's lock after every
+//! stripe read lock, and so sees exactly the rows those stripes hold.
 
 use crate::error::{Result, StoreError};
 use crate::index::{BTreeIndex, Entry, GroupHasher, HashIndex, Index, OrderedIndex, RowId};
@@ -67,7 +63,6 @@ use gallery_telemetry::{Counter, Histogram};
 use std::borrow::Cow;
 use std::cmp::Ordering as RowOrder;
 use std::collections::HashMap;
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -129,10 +124,6 @@ pub struct TableStats {
     pub index_queries: u64,
     pub full_scans: u64,
     pub rows_examined: u64,
-    /// Times a stripe's pending index delta was applied.
-    pub index_delta_flushes: u64,
-    /// Rows whose deferred index entries have been applied.
-    pub index_delta_applied: u64,
 }
 
 #[derive(Debug, Default)]
@@ -142,8 +133,6 @@ struct AtomicStats {
     index_queries: AtomicU64,
     full_scans: AtomicU64,
     rows_examined: AtomicU64,
-    index_delta_flushes: AtomicU64,
-    index_delta_applied: AtomicU64,
 }
 
 impl AtomicStats {
@@ -154,23 +143,7 @@ impl AtomicStats {
             index_queries: self.index_queries.load(Ordering::Relaxed),
             full_scans: self.full_scans.load(Ordering::Relaxed),
             rows_examined: self.rows_examined.load(Ordering::Relaxed),
-            index_delta_flushes: self.index_delta_flushes.load(Ordering::Relaxed),
-            index_delta_applied: self.index_delta_applied.load(Ordering::Relaxed),
         }
-    }
-}
-
-/// Telemetry handles for deferred-index flushes, shared by every table of
-/// a store (`gallery_meta_index_delta_*`).
-#[derive(Clone)]
-pub struct IndexDeltaCounters {
-    pub flushes: Arc<Counter>,
-    pub applied: Arc<Counter>,
-}
-
-impl std::fmt::Debug for IndexDeltaCounters {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("IndexDeltaCounters").finish()
     }
 }
 
@@ -217,20 +190,16 @@ fn order_cmp(a: &StoredRow, b: &StoredRow, at: usize) -> RowOrder {
 }
 
 /// One lock stripe: a row arena, the primary-key map for rows hashed
-/// here, this stripe's shard of every deferred index, and the deferred
-/// index watermark.
+/// here, and this stripe's shard of every hash and btree index.
 #[derive(Debug)]
 struct Stripe {
     rows: Vec<StoredRow>,
-    /// pk -> slot in `rows`. Always current (never deferred): duplicate
-    /// detection and point lookups must be exact at all times.
+    /// pk -> slot in `rows`.
     pk_map: HashMap<String, usize>,
-    /// This stripe's shard of every deferred index, with its column's
-    /// position, in schema order. Row ids are packed `(stripe, slot)`.
+    /// This stripe's shard of every hash and btree index, with its
+    /// column's position, in schema order. Row ids are packed
+    /// `(stripe, slot)`.
     indexes: Vec<(usize, Index)>,
-    /// Slots below this boundary are reflected in `indexes`; slots at or
-    /// above it are the pending index delta (scanned by queries).
-    indexed_upto: usize,
 }
 
 /// One declared ordered index: the positions of its grouping and order
@@ -245,25 +214,20 @@ struct Ordered {
 
 /// How a `column == value` lookup reads the table (see
 /// [`Table::eq_probe`]): through an ordered index, one group, or through
-/// the column's deferred index, stripe by stripe.
+/// the column's hash or btree index, stripe by stripe.
 enum EqProbe<'q> {
     Ordered { index: usize, key: u64 },
-    Deferred { at: usize, value: &'q Value },
+    Striped { at: usize, value: &'q Value },
 }
 
 impl Stripe {
-    /// This stripe's shard of the deferred index on column `at`.
+    /// This stripe's shard of the index on column `at`.
     fn index(&self, at: usize) -> Result<&Index> {
         self.indexes
             .iter()
             .find(|(column, _)| *column == at)
             .map(|(_, index)| index)
             .ok_or_else(|| StoreError::BadQuery(format!("no index on column {at}")))
-    }
-
-    /// The slots no deferred index has seen yet.
-    fn tail(&self) -> Range<usize> {
-        self.indexed_upto..self.rows.len()
     }
 }
 
@@ -316,8 +280,6 @@ pub struct Table {
     ordered: Vec<Ordered>,
     /// Keys the groups of every ordered index.
     group_hasher: GroupHasher,
-    /// Pending-delta threshold that triggers an index flush.
-    index_batch: usize,
     stripes: Vec<OrderedRwLock<Stripe>>,
     stats: AtomicStats,
     row_count: AtomicUsize,
@@ -325,22 +287,16 @@ pub struct Table {
     /// mounted in a [`crate::meta::MetadataStore`] get their sequence from
     /// the store's commit log.
     next_seq: AtomicU64,
-    delta_counters: OrderedRwLock<Option<IndexDeltaCounters>>,
     lock_metrics: OrderedRwLock<Option<StripeLockMetrics>>,
 }
 
 impl Table {
     pub fn new(schema: impl Into<Arc<TableSchema>>) -> Self {
-        Self::with_config(schema, 16, 1024)
+        Self::with_config(schema, 16)
     }
 
-    /// `lock_stripes` is clamped to `1..=MAX_LOCK_STRIPES`; `index_batch`
-    /// of 1 means eager (classic) index maintenance.
-    pub fn with_config(
-        schema: impl Into<Arc<TableSchema>>,
-        lock_stripes: usize,
-        index_batch: usize,
-    ) -> Self {
+    /// `lock_stripes` is clamped to `1..=MAX_LOCK_STRIPES`.
+    pub fn with_config(schema: impl Into<Arc<TableSchema>>, lock_stripes: usize) -> Self {
         let schema = schema.into();
         let n = lock_stripes.clamp(1, MAX_LOCK_STRIPES);
         // `ordered_by` checked both columns exist; a schema built by hand
@@ -372,7 +328,6 @@ impl Table {
                         rows: Vec::new(),
                         pk_map: HashMap::new(),
                         indexes: indexes.collect(),
-                        indexed_upto: 0,
                     },
                 )
             })
@@ -383,19 +338,12 @@ impl Table {
             ordered,
             schema,
             group_hasher: GroupHasher::default(),
-            index_batch: index_batch.max(1),
             stripes,
             stats: AtomicStats::default(),
             row_count: AtomicUsize::new(0),
             next_seq: AtomicU64::new(0),
-            delta_counters: OrderedRwLock::new(rank::INDEX_DELTAS, None),
             lock_metrics: OrderedRwLock::new(rank::STRIPE_METRICS, None),
         }
-    }
-
-    /// Attach (or replace) the shared deferred-index telemetry counters.
-    pub fn set_delta_counters(&self, counters: IndexDeltaCounters) {
-        *self.delta_counters.write() = Some(counters);
     }
 
     /// Attach (or replace) the per-stripe lock-contention handles. Handle
@@ -568,65 +516,6 @@ impl Table {
         Ok(self.column(column)?.0)
     }
 
-    /// Force-apply every stripe's pending index delta; returns the number
-    /// of rows whose deltas were applied. Queries never need this (they
-    /// merge the pending tail), but tests and benchmarks use it to compare
-    /// deferred vs flushed states.
-    pub fn flush_index_deltas(&self) -> usize {
-        let mut applied = 0;
-        for (i, stripe) in self.stripes.iter().enumerate() {
-            let mut s = stripe.write();
-            applied += self.flush_stripe(i, &mut s);
-        }
-        applied
-    }
-
-    /// Rows currently sitting in pending index deltas across all stripes.
-    pub fn pending_index_delta(&self) -> usize {
-        self.stripes
-            .iter()
-            .map(|s| {
-                let s = s.read();
-                s.rows.len() - s.indexed_upto
-            })
-            .sum()
-    }
-
-    /// Apply `stripe`'s pending delta in one column-major pass. Caller
-    /// holds the stripe write lock.
-    fn flush_stripe(&self, stripe_idx: usize, s: &mut Stripe) -> usize {
-        let from = s.indexed_upto;
-        let to = s.rows.len();
-        if from == to {
-            return 0;
-        }
-        let Stripe {
-            rows,
-            indexes,
-            indexed_upto,
-            ..
-        } = s;
-        for (at, index) in indexes.iter_mut() {
-            index.insert_many(rows[from..to].iter().enumerate().filter_map(|(i, stored)| {
-                let v = stored.row.at(*at);
-                (!v.is_null()).then(|| (v.clone(), pack(stripe_idx, from + i)))
-            }));
-        }
-        *indexed_upto = to;
-        let applied = to - from;
-        self.stats
-            .index_delta_flushes
-            .fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .index_delta_applied
-            .fetch_add(applied as u64, Ordering::Relaxed);
-        if let Some(c) = &*self.delta_counters.read() {
-            c.flushes.inc();
-            c.applied.add(applied as u64);
-        }
-        applied
-    }
-
     /// Plan a query: prefer primary-key equality, then the end of an
     /// ordered index, then an indexed equality constraint, then an indexed
     /// range constraint, else a full scan.
@@ -660,13 +549,13 @@ impl Table {
                 key: self.group_hasher.key(value),
             }),
             None => self
-                .deferred_on(at)
-                .then_some(EqProbe::Deferred { at, value }),
+                .striped_on(at)
+                .then_some(EqProbe::Striped { at, value }),
         }
     }
 
-    /// Does column `at` carry a deferred index?
-    fn deferred_on(&self, at: usize) -> bool {
+    /// Does column `at` carry a hash or btree index?
+    fn striped_on(&self, at: usize) -> bool {
         let column = self.schema.columns.get(at);
         column.is_some_and(|c| c.index.is_some())
     }
@@ -704,7 +593,7 @@ impl Table {
     /// needed, or read, when the plan is `PrimaryKey`). The
     /// candidate estimate: PrimaryKey resolves at most one row; IndexTop
     /// means to stop at `limit`; IndexEq counts the ordered index's group,
-    /// or the deferred index's buckets plus the unindexed tails; a range
+    /// or the buckets of the column's index in every stripe; a range
     /// scan has no value-distribution statistics, so it is bounded by the
     /// full row count, as is a full scan.
     fn plan_with<'t>(
@@ -739,10 +628,10 @@ impl Table {
                 Some(EqProbe::Ordered { index, key }) => {
                     self.ordered[index].index.read().group(key).len()
                 }
-                Some(EqProbe::Deferred { at, value }) => {
+                Some(EqProbe::Striped { at, value }) => {
                     let mut len = 0;
                     for g in guards {
-                        len += g.index(at)?.lookup_eq(value).len() + g.tail().len();
+                        len += g.index(at)?.lookup_eq(value).len();
                     }
                     len
                 }
@@ -873,10 +762,10 @@ impl Table {
     }
 
     /// Execute a query, returning matching rows and the full [`Explain`]
-    /// artifact (plan, estimated vs. actual rows, tail-merge size,
-    /// per-stage timings). Rows are the `Arc`s the stripes hold, not
-    /// copies: each is an immutable snapshot, because `set_flag` copies a
-    /// row on write while anyone else holds it. A primary-key plan takes
+    /// artifact (plan, estimated vs. actual rows, per-stage timings). Rows
+    /// are the `Arc`s the stripes hold, not copies: each is an immutable
+    /// snapshot, because `set_flag` copies a row on write while anyone else
+    /// holds it. A primary-key plan takes
     /// the read lock of the owning stripe only; index and scan plans take
     /// every stripe read lock (in index order) for a consistent snapshot,
     /// and then the lock of the ordered index they read, if they read one.
@@ -924,11 +813,8 @@ impl Table {
         }
         // Candidates as (position in `guards`, slot) — the position is the
         // stripe number on every path but PrimaryKey, which holds one
-        // guard. Paths served by a deferred index add every stripe's
-        // unindexed tail so pending deltas never hide rows;
-        // `tail_merge_rows` counts those.
+        // guard.
         let mut cands: Vec<(usize, usize)> = Vec::new();
-        let mut tail_merge_rows = 0;
         match (&path, by) {
             (AccessPath::PrimaryKey, Some(p)) => {
                 self.stats.pk_lookups.fetch_add(1, Ordering::Relaxed);
@@ -949,13 +835,10 @@ impl Table {
                         let index = self.ordered[index].index.read();
                         cands.extend(index.group(key).iter().map(|e| unpack(e.row)));
                     }
-                    EqProbe::Deferred { at, value } => {
-                        for (si, g) in guards.iter().enumerate() {
+                    EqProbe::Striped { at, value } => {
+                        for g in &guards {
                             let ids = g.index(at)?.lookup_eq(value);
                             cands.extend(ids.iter().map(|&id| unpack(id)));
-                            let tail = g.tail();
-                            tail_merge_rows += tail.len();
-                            cands.extend(tail.map(|slot| (si, slot)));
                         }
                     }
                 }
@@ -965,12 +848,9 @@ impl Table {
                 let no_range =
                     || StoreError::BadQuery(format!("no range scan serves `{}`", self.describe(p)));
                 let (lo, hi) = p.op.bounds(&p.value).ok_or_else(no_range)?;
-                for (si, g) in guards.iter().enumerate() {
+                for g in &guards {
                     let ids = g.index(p.at)?.lookup_range(lo, hi).ok_or_else(no_range)?;
                     cands.extend(ids.map(unpack));
-                    let tail = g.tail();
-                    tail_merge_rows += tail.len();
-                    cands.extend(tail.map(|slot| (si, slot)));
                 }
             }
             // Scanning every row is exact whatever the planner chose.
@@ -987,7 +867,7 @@ impl Table {
                 }
             }
         }
-        // A row enters a column's index once, and only on leaving the tail.
+        // A row enters a column's index once.
         debug_assert!(
             {
                 let mut seen = std::collections::HashSet::new();
@@ -1042,7 +922,7 @@ impl Table {
             estimated_rows,
             rows_scanned,
             matched_rows,
-            tail_merge_rows,
+            tail_merge_rows: 0,
             plan_ms,
             scan_ms,
             sort_ms,
@@ -1062,11 +942,9 @@ impl Table {
     /// run per key, off one type check of the residual, one taking of the
     /// stripe read locks and so one snapshot: each key probes the index on
     /// `column` (there has to be one) — one group of an ordered index,
-    /// oldest row first, or a deferred index stripe by stripe — and stops
-    /// at its first match; the tails a deferred index has not seen are
-    /// walked once, for all the keys still unanswered. `residual` carries
-    /// constraints and `include_deprecated`, nothing else. No keys: no
-    /// lock taken.
+    /// oldest row first, or a hash or btree index stripe by stripe — and
+    /// stops at its first match. `residual` carries constraints and
+    /// `include_deprecated`, nothing else. No keys: no lock taken.
     pub fn semi_join(
         &self,
         column: &str,
@@ -1082,7 +960,7 @@ impl Table {
         let residual = &self.typed(residual)?;
         let (at, col) = self.column(column)?;
         let ordered = self.ordered_on(at);
-        if ordered.is_none() && !self.deferred_on(at) {
+        if ordered.is_none() && !self.striped_on(at) {
             return Err(StoreError::BadQuery(format!(
                 "no index serves a semi-join on `{column}`"
             )));
@@ -1140,30 +1018,6 @@ impl Table {
             }
         }
         explain.rows_scanned = scanned;
-        // An ordered index is current. A deferred one has not seen the
-        // stripes' tails: one walk over them answers every key still open
-        // (`Null` equals nothing, so it is never one of them).
-        let tails: usize = guards.iter().map(|g| g.tail().len()).sum();
-        if tails > 0 && ordered.is_none() && hits.contains(&false) {
-            let unanswered = keys
-                .iter()
-                .zip(&hits)
-                .filter(|(k, hit)| !**hit && !k.is_null());
-            let mut open: HashMap<&Value, bool> = unanswered.map(|(k, _)| (&**k, false)).collect();
-            for g in &guards {
-                for stored in &g.rows[g.tail()] {
-                    if let Some(found) = open.get_mut(stored.row.at(at)) {
-                        *found = *found || self.row_matches(&stored.row, residual);
-                    }
-                }
-            }
-            for (key, hit) in keys.iter().zip(&mut hits) {
-                *hit = *hit || open.get(&**key) == Some(&true);
-            }
-            explain.tail_merge_rows = tails;
-            explain.estimated_rows += tails;
-            explain.rows_scanned += tails;
-        }
         self.stats
             .rows_examined
             .fetch_add(explain.rows_scanned as u64, Ordering::Relaxed);
@@ -1294,10 +1148,17 @@ fn apply_insert_inner(
     let id = pack(stripe_idx, slot);
     s.pk_map.insert(table.key_of(&row).to_owned(), slot);
     s.rows.push(StoredRow { seq, row });
-    // The row first, then its entries, each under its index's lock alone
-    // (the stripe's write lock excludes every reader of the index: they
-    // take it after all the stripes' read locks).
+    // The row first, then its entries: the stripe's own indexes under the
+    // stripe's write lock, each ordered index under its lock alone (the
+    // stripe's write lock excludes every reader of the index: they take it
+    // after all the stripes' read locks).
     let row = &s.rows[slot].row;
+    for (at, index) in &mut s.indexes {
+        let v = row.at(*at);
+        if !v.is_null() {
+            index.insert(v.clone(), id);
+        }
+    }
     for o in &table.ordered {
         let v = row.at(o.by);
         if !v.is_null() {
@@ -1307,9 +1168,6 @@ fn apply_insert_inner(
     }
     table.row_count.fetch_add(1, Ordering::Relaxed);
     table.stats.inserts.fetch_add(1, Ordering::Relaxed);
-    if !s.indexes.is_empty() && s.rows.len() - s.indexed_upto >= table.index_batch {
-        table.flush_stripe(stripe_idx, s);
-    }
     id
 }
 
@@ -1318,20 +1176,14 @@ fn apply_set_flag_inner(stripe_idx: usize, s: &mut Stripe, pk: &str, at: usize, 
         rows,
         pk_map,
         indexes,
-        indexed_upto,
-        ..
     } = s;
     let slot = pk_map[pk];
-    // Rows above the watermark are not in the index yet; their (new)
-    // value is picked up when the pending delta flushes.
-    if slot < *indexed_upto {
-        if let Some((_, index)) = indexes.iter_mut().find(|(column, _)| *column == at) {
-            let old = rows[slot].row.at(at);
-            if !old.is_null() {
-                index.remove(old, pack(stripe_idx, slot));
-            }
-            index.insert(Value::Bool(value), pack(stripe_idx, slot));
+    if let Some((_, index)) = indexes.iter_mut().find(|(column, _)| *column == at) {
+        let (old, id) = (rows[slot].row.at(at), pack(stripe_idx, slot));
+        if !old.is_null() {
+            index.remove(old, id);
         }
+        index.insert(Value::Bool(value), id);
     }
     // Copy-on-write: clones the row only if the oplog or a reader still
     // shares the allocation, so neither the logged insert op nor a row
@@ -1586,42 +1438,7 @@ mod tests {
     }
 
     #[test]
-    fn deferred_index_delta_is_query_transparent() {
-        let schema = table().schema.clone();
-        // Huge batch threshold: nothing flushes on its own.
-        let t = Table::with_config(schema, 4, 1_000_000);
-        for i in 0..100 {
-            t.insert(row(
-                &format!("i{i}"),
-                if i % 2 == 0 { "rf" } else { "lr" },
-                "sf",
-                i,
-                0.01 * i as f64,
-            ))
-            .unwrap();
-        }
-        assert_eq!(t.pending_index_delta(), 100);
-        let q_eq = Query::all().and(Constraint::eq("model", "rf"));
-        let q_range = Query::all().and(Constraint::lt("mape", 0.25));
-        let (eq_before, path) = t.execute(&q_eq).unwrap();
-        assert!(matches!(path, AccessPath::IndexEq { .. }));
-        let (range_before, _) = t.execute(&q_range).unwrap();
-        // Force the flush: results must be identical.
-        assert_eq!(t.flush_index_deltas(), 100);
-        assert_eq!(t.pending_index_delta(), 0);
-        let (eq_after, _) = t.execute(&q_eq).unwrap();
-        let (range_after, _) = t.execute(&q_range).unwrap();
-        assert_eq!(eq_before, eq_after);
-        assert_eq!(range_before, range_after);
-        assert_eq!(eq_after.len(), 50);
-        assert_eq!(range_after.len(), 25);
-        let s = t.stats();
-        assert!(s.index_delta_flushes >= 1);
-        assert_eq!(s.index_delta_applied, 100);
-    }
-
-    #[test]
-    fn set_flag_on_unindexed_tail_row_stays_exact() {
+    fn a_flag_write_keeps_an_index_on_the_flag_exact() {
         let schema = TableSchema::new(
             "m",
             "id",
@@ -1633,24 +1450,36 @@ mod tests {
             ],
         )
         .unwrap();
-        let t = Table::with_config(schema, 2, 1_000_000);
+        let t = Table::with_config(schema, 2);
         t.insert(Record::new().set("id", "a")).unwrap();
-        t.insert(Record::new().set("id", "b")).unwrap();
-        // Flag flips before the delta ever flushed.
+        t.insert(Record::new().set("id", "b").set("deprecated", false))
+            .unwrap();
+        let flagged = |value: bool| -> Vec<String> {
+            let q = Query::all()
+                .and(Constraint::eq("deprecated", value))
+                .with_deprecated();
+            let (rows, path) = t.execute(&q).unwrap();
+            let by_flag = AccessPath::IndexEq {
+                column: "deprecated".into(),
+            };
+            assert_eq!(path, by_flag);
+            ids(&rows).into_iter().map(str::to_owned).collect()
+        };
+        // `a` has no flag yet, so no entry.
+        assert_eq!((flagged(true), flagged(false)), (vec![], vec!["b".into()]));
+        // From no flag, from `false`, and back: each write moves the entry.
         t.set_flag("a", "deprecated", true).unwrap();
-        let q = Query::all()
-            .and(Constraint::eq("deprecated", true))
-            .with_deprecated();
-        let (before, _) = t.execute(&q).unwrap();
-        t.flush_index_deltas();
-        let (after, _) = t.execute(&q).unwrap();
-        assert_eq!(before, after);
-        assert_eq!(after.len(), 1);
-        assert_eq!(after[0].get("id"), Some(&Value::from("a")));
-        // And a flip *after* the flush updates the index in place.
+        assert_eq!(flagged(true), ["a"]);
         t.set_flag("b", "deprecated", true).unwrap();
-        let (both, _) = t.execute(&q).unwrap();
-        assert_eq!(both.len(), 2);
+        assert_eq!(
+            (flagged(true), flagged(false)),
+            (vec!["a".into(), "b".into()], vec![])
+        );
+        t.set_flag("a", "deprecated", false).unwrap();
+        assert_eq!(
+            (flagged(true), flagged(false)),
+            (vec!["b".into()], vec!["a".into()])
+        );
     }
 
     #[test]
@@ -1749,10 +1578,8 @@ mod tests {
     }
 
     #[test]
-    fn execute_explain_reports_estimates_and_tails() {
-        let schema = table().schema.clone();
-        // Huge batch threshold: every row sits in an unindexed tail.
-        let t = Table::with_config(schema, 4, 1_000_000);
+    fn execute_explain_reports_estimates() {
+        let t = Table::with_config(table().schema.clone(), 4);
         for i in 0..100 {
             t.insert(row(
                 &format!("i{i}"),
@@ -1771,20 +1598,13 @@ mod tests {
                 column: "model".into()
             }
         );
-        assert_eq!(ex.tail_merge_rows, 100, "all rows pending -> all merged");
-        assert_eq!(ex.rows_scanned, 100);
-        assert_eq!(ex.estimated_rows, 100, "bucket 0 + tails 100");
-        assert_eq!(ex.matched_rows, 50);
-        assert_eq!(rows.len(), 50);
-        assert!(ex.plan_ms >= 0.0 && ex.scan_ms >= 0.0 && ex.sort_ms >= 0.0);
-
-        // After the flush the index serves exactly the bucket.
-        t.flush_index_deltas();
-        let (_, ex) = t.execute_explain(&q_eq).unwrap();
+        // Current at insert: the index serves exactly the bucket.
         assert_eq!(ex.tail_merge_rows, 0);
         assert_eq!(ex.rows_scanned, 50);
         assert_eq!(ex.estimated_rows, 50);
         assert_eq!(ex.matched_rows, 50);
+        assert_eq!(rows.len(), 50);
+        assert!(ex.plan_ms >= 0.0 && ex.scan_ms >= 0.0 && ex.sort_ms >= 0.0);
 
         let (_, ex) = t
             .execute_explain(&Query::all().and(Constraint::eq("id", "i7")))
@@ -1819,15 +1639,16 @@ mod tests {
         );
         assert_eq!(ex.rows_scanned, 25);
         assert_eq!(ex.matched_rows, 25);
+        assert_eq!(ex.tail_merge_rows, 0);
     }
 
     /// `table()` with the hash index on `model` replaced by the ordered
     /// index `model → created`.
-    fn ordered_table(lock_stripes: usize, index_batch: usize) -> Table {
+    fn ordered_table(lock_stripes: usize) -> Table {
         let mut schema = (*table().schema).clone();
         schema.columns[1].index = None;
         let schema = schema.ordered_by("model", "created").unwrap();
-        Table::with_config(schema, lock_stripes, index_batch)
+        Table::with_config(schema, lock_stripes)
     }
 
     fn ids(rows: &[Arc<Row>]) -> Vec<&str> {
@@ -1847,7 +1668,7 @@ mod tests {
     fn order_by_breaks_ties_by_commit_sequence() {
         // Same `created` everywhere: commit order is all that tells rows
         // apart. Through the sort path (no ordered index) and IndexTop.
-        for t in [table(), ordered_table(16, 1024)] {
+        for t in [table(), ordered_table(16)] {
             for i in 0..9 {
                 t.insert(row(&format!("i{i}"), "rf", "sf", 7, 0.1)).unwrap();
             }
@@ -1871,8 +1692,7 @@ mod tests {
 
     #[test]
     fn index_top_reads_what_it_returns() {
-        // Deferred indexes never flush here: IndexTop must not care.
-        let t = ordered_table(4, 1_000_000);
+        let t = ordered_table(4);
         for i in 0..100 {
             let model = if i % 2 == 0 { "rf" } else { "lr" };
             t.insert(row(&format!("i{i:02}"), model, "sf", i, 0.1))
@@ -1935,7 +1755,7 @@ mod tests {
 
     #[test]
     fn groups_that_share_a_key_cost_rows_read_not_wrong_answers() {
-        let mut t = ordered_table(4, 1024);
+        let mut t = ordered_table(4);
         t.group_hasher.collide = true;
         for i in 0..40 {
             let model = ["rf", "lr", "gbm", "svm"][i % 4];
@@ -1960,7 +1780,7 @@ mod tests {
 
     #[test]
     fn index_top_needs_equality_order_and_limit() {
-        let t = ordered_table(4, 1_000_000);
+        let t = ordered_table(4);
         for i in 0..20 {
             t.insert(row(&format!("i{i:02}"), "rf", "sf", i, 0.01 * i as f64))
                 .unwrap();
@@ -1969,8 +1789,7 @@ mod tests {
         let eq_path = AccessPath::IndexEq {
             column: "model".into(),
         };
-        // No limit, no order, or another order: the same index, as IndexEq —
-        // current, so nothing is merged from a tail although nothing flushed.
+        // No limit, no order, or another order: the same index, as IndexEq.
         for q in [
             by_model.clone(),
             by_model.clone().order_by("created", true),
@@ -1983,7 +1802,6 @@ mod tests {
             assert_eq!(ex.tail_merge_rows, 0);
             assert_eq!(rows.len(), q.limit.unwrap_or(20));
         }
-        assert_eq!(t.pending_index_delta(), 20);
         // A range on the grouping column is not an equality.
         let q = Query::all()
             .and(Constraint::ge("model", "rf"))
@@ -2004,7 +1822,7 @@ mod tests {
         schema.columns[1].index = None;
         // Order by the nullable column; created times arrive out of order.
         let schema = schema.ordered_by("model", "mape").unwrap();
-        let t = Table::with_config(schema, 4, 1024);
+        let t = Table::with_config(schema, 4);
         for (i, mape) in [0.5, 0.1, 0.9, 0.1, 0.3].into_iter().enumerate() {
             t.insert(row(&format!("i{i}"), "rf", "sf", i as i64, mape))
                 .unwrap();
@@ -2048,7 +1866,7 @@ mod tests {
 
     #[test]
     fn semi_join_stops_each_key_at_its_first_match() {
-        let t = ordered_table(4, 1_000_000);
+        let t = ordered_table(4);
         joined(&t);
         let keys = ["rf", "gbm", "lr", "rf"].map(Value::from);
         let keys: Vec<&Value> = keys.iter().collect();
@@ -2058,7 +1876,7 @@ mod tests {
         assert_eq!(hits, [true, false, false, true]);
         assert_eq!(ex.path, join_path("model"));
         assert_eq!(ex.matched_rows, 2);
-        assert_eq!(ex.tail_merge_rows, 0, "an ordered index has no tail");
+        assert_eq!(ex.tail_merge_rows, 0);
         assert!(ex.rows_scanned >= 50 + 2, "{ex}");
         assert!(ex.rows_scanned <= ex.estimated_rows, "{ex}");
         // Everything matches: one row read per key that has any.
@@ -2079,8 +1897,8 @@ mod tests {
     }
 
     #[test]
-    fn semi_join_walks_a_deferred_tail_once_for_all_keys() {
-        let t = Table::with_config(table().schema.clone(), 4, 1_000_000);
+    fn semi_join_probes_a_hash_index_stripe_by_stripe() {
+        let t = Table::with_config(table().schema.clone(), 4);
         joined(&t);
         let keys = [
             Value::from("nyc"),
@@ -2092,19 +1910,11 @@ mod tests {
         let keys: Vec<&Value> = keys.iter().collect();
         // `i04` is the one `nyc` row under 5; `sf` has `i00` and `i03`.
         let early = Query::all().and(Constraint::lt("created", 5i64));
-        let (pending, ex) = t.semi_join("city", &keys, &early).unwrap();
-        assert_eq!(pending, [true, true, false, false, true]);
+        let (hits, ex) = t.semi_join("city", &keys, &early).unwrap();
+        assert_eq!(hits, [true, true, false, false, true]);
         assert_eq!(ex.path, join_path("city"));
-        assert_eq!(
-            (ex.tail_merge_rows, ex.rows_scanned, ex.estimated_rows),
-            (100, 100, 100),
-            "nothing indexed yet: the tail, once"
-        );
-        t.flush_index_deltas();
-        let (flushed, ex) = t.semi_join("city", &keys, &early).unwrap();
-        assert_eq!(flushed, pending);
         assert_eq!(ex.tail_merge_rows, 0);
-        // The buckets now, each up to its first match, stripe by stripe.
+        // The buckets, each up to its first match, stripe by stripe.
         assert_eq!(ex.matched_rows, 3);
         assert!((3..=ex.estimated_rows).contains(&ex.rows_scanned), "{ex}");
         assert!(ex.estimated_rows <= 33 + 34 + 33, "{ex}");
@@ -2121,7 +1931,7 @@ mod tests {
 
     #[test]
     fn semi_join_survives_groups_that_share_a_key() {
-        let mut t = ordered_table(4, 1024);
+        let mut t = ordered_table(4);
         t.group_hasher.collide = true;
         joined(&t);
         let keys = [Value::from("lr"), Value::from("gbm")];
@@ -2164,7 +1974,7 @@ mod tests {
 
     #[test]
     fn stripe_lock_metrics_record_waits_and_holds() {
-        let t = Table::with_config(table().schema.clone(), 4, 1024);
+        let t = Table::with_config(table().schema.clone(), 4);
         let metrics = StripeLockMetrics {
             wait_ms: (0..4)
                 .map(|_| Histogram::standalone(vec![1.0, 10.0]))

@@ -66,8 +66,8 @@ fn profile_layers() {
     decades("vec-keep", |i| kept.push(record_for(i)));
     drop(kept);
 
-    println!("-- layer 3: table only (striped, deferred indexes) --");
-    let table = Table::with_config(schema(), 16, 1024);
+    println!("-- layer 3: table only (striped, indexes current at insert) --");
+    let table = Table::with_config(schema(), 16);
     decades("table", |i| {
         table.insert(record_for(i)).unwrap();
     });

@@ -12,8 +12,8 @@
 //! lock, `verify` reads each owner's latest row through it, and under the
 //! schedule shaker a reader watches one key's latest row while a writer
 //! moves it, and another semi-joins a set of keys — through the ordered
-//! index and through the deferred one on `owner`, whose stripes flush
-//! their tails mid-run — while a writer appends to them. A third watches
+//! index and through the hash index on `owner` — while a writer appends
+//! to them. A third watches
 //! one key that two writers on different stripes append to at once: the
 //! ordered index is one per table, so their applies reach one group, and
 //! in any order.
@@ -28,8 +28,7 @@
 use gallery_store::error::StoreError;
 use gallery_store::table::Table;
 use gallery_store::{
-    ColumnDef, Constraint, MetadataStore, Query, Record, StoreConfig, SyncPolicy, TableSchema,
-    Value, ValueType,
+    ColumnDef, Constraint, MetadataStore, Query, Record, SyncPolicy, TableSchema, Value, ValueType,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -172,8 +171,7 @@ fn verify(store: &MetadataStore, expected: &[Expected], seed: u64) {
     }
     assert_eq!(seen.len(), total);
     for (owner, exp) in expected.iter().enumerate() {
-        // Per-owner query exactness through the hash index (+ any pending
-        // index delta).
+        // Per-owner query exactness through the hash index.
         let q = Query::all()
             .and(Constraint::eq("owner", format!("owner-{owner}")))
             .with_deprecated();
@@ -216,8 +214,8 @@ fn verify(store: &MetadataStore, expected: &[Expected], seed: u64) {
     }
 }
 
-fn soak_in_memory(threads: usize, ops: usize, seed: u64, cfg: StoreConfig) {
-    let store = Arc::new(MetadataStore::in_memory_with_config(cfg));
+fn soak_in_memory(threads: usize, ops: usize, seed: u64) {
+    let store = Arc::new(MetadataStore::in_memory());
     store.create_table(schema()).unwrap();
     let expected: Vec<Expected> = thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
@@ -228,9 +226,6 @@ fn soak_in_memory(threads: usize, ops: usize, seed: u64, cfg: StoreConfig) {
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
-    verify(&store, &expected, seed);
-    // Deferred index deltas flushed: results must not change.
-    store.flush_index_deltas();
     verify(&store, &expected, seed);
 }
 
@@ -318,17 +313,12 @@ fn latest_never_moves_backwards(rows: usize) {
 
 /// A semi-join beside a writer that only appends: rows of four owners
 /// arrive round-robin with growing ranks, and nothing is deprecated, so a
-/// key that once had a row ranked `floor` or higher has one for good —
-/// whether that row is still in a stripe's unindexed tail or has just
-/// been flushed out of it (`index_batch` 4: flushes all along). A flag
-/// that went from `true` to `false` would be a row lost between the index
-/// pass and the tail walk. The rendezvous makes the overlap certain.
+/// key that once had a row ranked `floor` or higher has one for good. A
+/// flag that went from `true` to `false` would be a row its index lost.
+/// The rendezvous makes the overlap certain.
 fn a_joined_key_stays_joined(rows: usize) {
     use std::sync::atomic::{AtomicBool, Ordering};
-    let store = MetadataStore::in_memory_with_config(StoreConfig {
-        index_batch: 4,
-        ..StoreConfig::default()
-    });
+    let store = MetadataStore::in_memory();
     store.create_table(schema()).unwrap();
     let (looked_tx, looked_rx) = std::sync::mpsc::sync_channel::<()>(0);
     let done = AtomicBool::new(false);
@@ -475,22 +465,7 @@ fn two_writers_append_to_one_group() {
 
 #[test]
 fn soak_smoke_in_memory() {
-    soak_in_memory(8, 120, 0x50AC, StoreConfig::default());
-}
-
-#[test]
-fn soak_smoke_single_stripe_eager_index() {
-    // The degenerate config (old write path) must behave identically.
-    soak_in_memory(
-        8,
-        120,
-        0x50AC,
-        StoreConfig {
-            lock_stripes: 1,
-            index_batch: 1,
-            ..StoreConfig::default()
-        },
-    );
+    soak_in_memory(8, 120, 0x50AC);
 }
 
 #[test]
@@ -506,7 +481,7 @@ fn soak_smoke_durable_group_commit() {
 fn soak_rank_checked_is_diagnostic_free() {
     use gallery_store::testkit::schedule::ScheduleShaker;
     let shaker = ScheduleShaker::install(0x10C4);
-    soak_in_memory(4, 80, 0x50AC, StoreConfig::default());
+    soak_in_memory(4, 80, 0x50AC);
     soak_durable(4, 40, 0xD0C5);
     latest_never_moves_backwards(200);
     a_joined_key_stays_joined(200);
@@ -525,7 +500,7 @@ fn soak_rank_checked_is_diagnostic_free() {
 #[ignore = "long soak; run with --ignored"]
 fn soak_full() {
     for seed in [0x50AC_u64, 0xFEED, 0xBEEF] {
-        soak_in_memory(16, 1500, seed, StoreConfig::default());
+        soak_in_memory(16, 1500, seed);
     }
     soak_durable(16, 500, 0xD0C5);
 }

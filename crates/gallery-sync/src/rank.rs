@@ -139,8 +139,6 @@ pub const META_METRICS: Rank = Rank::new(900, "MetaMetrics");
 pub const SLOW_LOG: Rank = Rank::new(905, "SlowLog");
 /// Per-table stripe-lock wait/hold metrics.
 pub const STRIPE_METRICS: Rank = Rank::new(910, "StripeMetrics");
-/// Deferred-index delta counters.
-pub const INDEX_DELTAS: Rank = Rank::new(915, "IndexDeltas");
 /// Group-commit batch statistics.
 pub const COMMITTER_STATS: Rank = Rank::new(920, "CommitterStats");
 /// Simulated-latency meter state.
@@ -182,7 +180,6 @@ pub const DECLARED: &[Rank] = &[
     META_METRICS,
     SLOW_LOG,
     STRIPE_METRICS,
-    INDEX_DELTAS,
     COMMITTER_STATS,
     LATENCY_METER,
     SIM_FS,

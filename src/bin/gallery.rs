@@ -69,8 +69,8 @@
 //!
 //! `explain` plans and runs one store-level query against TABLE (e.g.
 //! `models`, `instances`) and prints the [`Explain`] artifact: chosen
-//! access path, estimated vs. actual rows scanned, deferred-index
-//! tail-merge size, and per-stage timings. `slowlog` prints the store's
+//! access path, estimated vs. actual rows scanned, and per-stage
+//! timings. `slowlog` prints the store's
 //! bounded slow-query ring (docs/observability.md, "Profiling & query
 //! introspection"); `profile` folds the tracer's finished spans into a
 //! self/total-time profile — `--collapsed` emits collapsed-stack lines

@@ -152,17 +152,20 @@ fn a_parent_log_replays_and_answers_latest_as_it_was_planned_then() {
             "deployed",
         ]
     );
-    // Nothing was flushed since replay: every row is still in a tail.
+    // Every index the log declares is current after replay, so among the
+    // equalities it can serve the planner takes the smallest bucket: three
+    // of the live instance's four metrics are `bias`, and two of the three
+    // deployments are to `production`.
     assert_eq!(
         plans,
         [
-            "instances IndexEq(model_id) tail=3",
-            "metrics IndexEq(instance_id) tail=4",
-            "metrics IndexEq(instance_id) tail=4",
-            "deployments IndexEq(model_id) tail=3",
-            "deployments IndexEq(model_id) tail=3",
-            "deployments IndexEq(model_id) tail=3",
-            "lifecycle_events IndexEq(instance_id) tail=2",
+            "instances IndexEq(model_id) tail=0",
+            "metrics IndexEq(name) tail=0",
+            "metrics IndexEq(name) tail=0",
+            "deployments IndexEq(environment) tail=0",
+            "deployments IndexEq(environment) tail=0",
+            "deployments IndexEq(environment) tail=0",
+            "lifecycle_events IndexEq(instance_id) tail=0",
         ]
     );
 
@@ -214,8 +217,8 @@ fn a_parent_log_replays_and_answers_latest_as_it_was_planned_then() {
             "lifecycle_events IndexTop(instance_id, created) tail=0",
         ]
     );
-    // Without a limit the same indexes serve as IndexEq — with no tail,
-    // though nothing was flushed. So does the metric join's one pass.
+    // Without a limit the same indexes serve as IndexEq. So does the
+    // metric join's one pass.
     let (_, plans) = plans_of(&fresh, |g| g.instances_of_model(&now.model).unwrap());
     assert_eq!(plans, ["instances IndexEq(model_id) tail=0"]);
     let join = [
