@@ -66,7 +66,8 @@ fn bench_full_call(c: &mut Criterion) {
             move || GalleryServer::new(Arc::clone(&gallery))
         },
         2,
-    );
+    )
+    .unwrap();
     let client = GalleryClient::new(cluster.connect());
     let model = client
         .create_model("bench", "wire", "rf", "o", "", "{}")

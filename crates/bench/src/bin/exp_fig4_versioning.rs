@@ -59,7 +59,12 @@ fn main() {
         "created (ms)",
     ]);
     for base in ["demand_conversion", "supply_cancellation"] {
-        for inst in g.instances_of_base_version(base).unwrap() {
+        for inst in g
+            .instances_of_base_version(base)
+            .unwrap()
+            .to_instances()
+            .unwrap()
+        {
             table.add_row(vec![
                 base.to_string(),
                 inst.id.to_string(),
@@ -71,7 +76,11 @@ fn main() {
     println!("{}", table.render());
 
     // Checks mirroring the figure's properties.
-    let sc = g.instances_of_base_version("supply_cancellation").unwrap();
+    let sc = g
+        .instances_of_base_version("supply_cancellation")
+        .unwrap()
+        .to_instances()
+        .unwrap();
     assert_eq!(sc.len(), 4, "four iterations");
     assert!(
         sc.windows(2).all(|w| w[0].created_at < w[1].created_at),

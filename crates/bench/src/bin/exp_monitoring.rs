@@ -370,7 +370,7 @@ fn workload(telemetry: &Arc<Telemetry>, alerts: Option<(&mut ModelMonitor, &Aler
         }
     }
     for _ in 0..30 {
-        gallery.model_query(&[]).unwrap();
+        gallery.model_query(&[]).unwrap().to_instances().unwrap();
     }
 }
 

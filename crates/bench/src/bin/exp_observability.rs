@@ -166,7 +166,7 @@ fn run_metric_surface() {
     gallery
         .upload_instance(&down.id, InstanceSpec::new(), Bytes::from(vec![8u8; 48]))
         .unwrap();
-    gallery.model_query(&[]).unwrap();
+    gallery.model_query(&[]).unwrap().to_instances().unwrap();
 
     // Rule engine on the same bundle.
     let (actions, _log) = ActionRegistry::with_defaults();
@@ -259,7 +259,7 @@ fn workload(telemetry: &Arc<Telemetry>) {
         gallery.get_model(&model.id).unwrap();
     }
     for _ in 0..30 {
-        gallery.model_query(&[]).unwrap();
+        gallery.model_query(&[]).unwrap().to_instances().unwrap();
     }
 }
 

@@ -66,7 +66,7 @@ pub use model::{Model, ModelSpec};
 pub use monitor::{ModelMonitor, MonitorConfig, MonitorSnapshot, ScoringEvent};
 pub use registry::Gallery;
 pub use reproduce::{ReproductionMatch, ReproductionPlan};
-pub use schemas::Deployment;
+pub use schemas::{Deployment, InstanceFields, InstanceRows};
 pub use semver::{ChangeKind, SemVer, SemVerFleet};
 pub use shard::{shard_of, IdPolicy};
 pub use version::{DisplayVersion, InstanceTrigger};

@@ -17,7 +17,7 @@ use crate::metrics::{parse_metric_blob, MetricRecord, MetricScope, MetricSpec};
 use crate::model::{Model, ModelSpec};
 use crate::schemas::{
     self, deployments_from_rows, instance_from_row, instances_from_rows, metric_from_row,
-    metrics_from_rows, model_from_row, models_from_rows, tables, Deployment,
+    metrics_from_rows, model_from_row, models_from_rows, tables, Deployment, InstanceRows,
 };
 use crate::version::{DisplayVersion, InstanceTrigger};
 use bytes::Bytes;
@@ -419,14 +419,14 @@ impl Gallery {
     /// Fig 4's traversal: "users can ... traverse the evolution of their
     /// model by following all instances linked to a given base version id",
     /// sorted by time.
-    pub fn instances_of_base_version(&self, base: &str) -> Result<Vec<ModelInstance>> {
+    pub fn instances_of_base_version(&self, base: &str) -> Result<InstanceRows> {
         let rows = self.dal.query(
             tables::INSTANCES,
             &Query::all()
                 .and(Constraint::eq("base_version_id", base))
                 .order_by("created", false),
         )?;
-        instances_from_rows(&rows)
+        Ok(InstanceRows::new(rows))
     }
 
     /// Latest (most recently created) non-deprecated instance of a model.
@@ -631,8 +631,9 @@ impl Gallery {
     /// its metric observations — not only the newest of a name — satisfies
     /// all of them at once: several `metricValue` constraints are a range
     /// that one row has to fall in. `metricName` and `metricScope` may be
-    /// given once each. Results come in the instances' insertion order.
-    pub fn model_query(&self, constraints: &[Constraint]) -> Result<Vec<ModelInstance>> {
+    /// given once each. Results come in the instances' insertion order, as
+    /// the stored rows: a malformed row is found when they are read.
+    pub fn model_query(&self, constraints: &[Constraint]) -> Result<InstanceRows> {
         self.metrics.model_query.inc();
         let started = Instant::now();
         let mut span = self
@@ -649,7 +650,7 @@ impl Gallery {
         result
     }
 
-    fn model_query_inner(&self, constraints: &[Constraint]) -> Result<Vec<ModelInstance>> {
+    fn model_query_inner(&self, constraints: &[Constraint]) -> Result<InstanceRows> {
         let mut instance_side = Vec::new();
         let mut metric_side = Vec::new();
         // `metricName` / `metricScope`: equality on a string column of the
@@ -684,11 +685,8 @@ impl Gallery {
         let rows = self
             .dal
             .query(tables::INSTANCES, &Query::new(instance_side))?;
-        if metric_side.is_empty() {
-            return instances_from_rows(&rows);
-        }
-        if rows.is_empty() {
-            return Ok(Vec::new());
+        if metric_side.is_empty() || rows.is_empty() {
+            return Ok(InstanceRows::new(rows));
         }
         // Join: keep instances with at least one metric row matching all
         // metric-side constraints — any observation, not the latest of its
@@ -701,8 +699,8 @@ impl Gallery {
             &ids,
             &Query::new(metric_side),
         )?;
-        let kept = rows.iter().zip(keep).filter(|(_, keep)| *keep);
-        instances_from_rows(kept.map(|(r, _)| r))
+        let kept = rows.into_iter().zip(keep).filter(|(_, keep)| *keep);
+        Ok(InstanceRows::new(kept.map(|(r, _)| r).collect()))
     }
 
     // ------------------------------------------------------------------
@@ -1005,7 +1003,11 @@ mod tests {
                 .unwrap();
             ids.push(inst.id);
         }
-        let instances = g.instances_of_base_version("supply_cancellation").unwrap();
+        let instances = g
+            .instances_of_base_version("supply_cancellation")
+            .unwrap()
+            .to_instances()
+            .unwrap();
         assert_eq!(instances.len(), 4);
         let got: Vec<_> = instances.iter().map(|i| i.id.clone()).collect();
         assert_eq!(got, ids);
@@ -1126,6 +1128,8 @@ mod tests {
                 Constraint::eq("metricName", "bias"),
                 Constraint::lt("metricValue", 0.25),
             ])
+            .unwrap()
+            .to_instances()
             .unwrap();
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].id, good.id);
@@ -1149,7 +1153,7 @@ mod tests {
     }
 
     fn found(g: &Gallery, constraints: &[Constraint]) -> Vec<InstanceId> {
-        let instances = g.model_query(constraints).unwrap();
+        let instances = g.model_query(constraints).unwrap().to_instances().unwrap();
         instances.into_iter().map(|i| i.id).collect()
     }
 

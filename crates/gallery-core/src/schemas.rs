@@ -173,21 +173,27 @@ pub fn all_schemas() -> Vec<TableSchema> {
     ]
 }
 
-/// Converts rows of one table: the columns a conversion reads are found
+/// The values of `columns` in each row of one table: the columns are found
 /// in the first row's schema, once — every row of a table shares it — and
 /// each row is then read by position.
+fn by_position<'r, const N: usize>(
+    rows: impl IntoIterator<Item = &'r Arc<Row>>,
+    columns: [&'static str; N],
+) -> impl Iterator<Item = [&'r Value; N]> {
+    let mut at = None;
+    rows.into_iter().map(move |row| {
+        let at = at.get_or_insert_with(|| row.schema().positions(columns));
+        row.values_at(at)
+    })
+}
+
+/// Converts rows of one table, reading them [`by_position`].
 fn from_rows<'r, T, const N: usize>(
     rows: impl IntoIterator<Item = &'r Arc<Row>>,
-    columns: [&str; N],
+    columns: [&'static str; N],
     convert: fn([&'r Value; N]) -> Result<T>,
 ) -> Result<Vec<T>> {
-    let mut at = None;
-    rows.into_iter()
-        .map(|row| {
-            let at = at.get_or_insert_with(|| row.schema().positions(columns));
-            convert(row.values_at(at))
-        })
-        .collect()
+    by_position(rows, columns).map(convert).collect()
 }
 
 /// [`from_rows`] for one row.
@@ -308,21 +314,96 @@ const INSTANCE: [&str; 10] = [
     "deprecated",
 ];
 
-fn instance(values: [&Value; 10]) -> Result<ModelInstance> {
+/// One `instances` row's reply columns, borrowed from the row. Reading
+/// them checks the row as converting it to a [`ModelInstance`] does, with
+/// the same errors: that conversion starts here.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct InstanceFields<'r> {
+    pub id: &'r str,
+    pub model_id: &'r str,
+    pub base_version_id: &'r str,
+    pub display_version: DisplayVersion,
+    pub blob_location: Option<&'r str>,
+    /// The stored metadata JSON; absent reads as the empty map.
+    pub metadata: Option<&'r str>,
+    pub created_at: TimestampMs,
+    /// The stored trigger text, checked to decode.
+    pub trigger: &'r str,
+    pub parent: Option<&'r str>,
+    pub deprecated: bool,
+}
+
+fn instance_fields(values: [&Value; 10]) -> Result<InstanceFields<'_>> {
     let [id, model_id, base, version, blob, metadata, created, trigger, parent, deprecated] =
         values;
-    Ok(ModelInstance {
-        id: InstanceId(req_str(id, "id")?),
-        model_id: ModelId(req_str(model_id, "model_id")?),
-        base_version_id: BaseVersionId(req_str(base, "base_version_id")?),
-        display_version: DisplayVersion::parse(req(version, "display_version")?)?,
-        blob_location: opt_str(blob).map(BlobLocation::new),
-        metadata: metadata_of(metadata),
-        created_at: req_ts(created, "created")?,
-        trigger: InstanceTrigger::decode(req(trigger, "trigger")?)?,
-        parent: opt_str(parent).map(InstanceId),
+    // Checked in this order, so a row with several faults names the first.
+    let id = req(id, "id")?;
+    let model_id = req(model_id, "model_id")?;
+    let base_version_id = req(base, "base_version_id")?;
+    let display_version = DisplayVersion::parse(req(version, "display_version")?)?;
+    let created_at = req_ts(created, "created")?;
+    let trigger = req(trigger, "trigger")?;
+    InstanceTrigger::check(trigger)?;
+    Ok(InstanceFields {
+        id,
+        model_id,
+        base_version_id,
+        display_version,
+        blob_location: blob.as_str(),
+        metadata: metadata.as_str(),
+        created_at,
+        trigger,
+        parent: parent.as_str(),
         deprecated: flag(deprecated),
     })
+}
+
+fn instance(values: [&Value; 10]) -> Result<ModelInstance> {
+    let f = instance_fields(values)?;
+    Ok(ModelInstance {
+        id: InstanceId(f.id.to_owned()),
+        model_id: ModelId(f.model_id.to_owned()),
+        base_version_id: BaseVersionId(f.base_version_id.to_owned()),
+        display_version: f.display_version,
+        blob_location: f.blob_location.map(BlobLocation::new),
+        metadata: f.metadata.map(Metadata::from_stored).unwrap_or_default(),
+        created_at: f.created_at,
+        trigger: InstanceTrigger::decode(f.trigger)?,
+        parent: f.parent.map(|p| InstanceId(p.to_owned())),
+        deprecated: f.deprecated,
+    })
+}
+
+/// The `instances` rows of one result, in result order, as the store holds
+/// them. A reply is written from [`InstanceRows::fields`] without building
+/// a [`ModelInstance`] per row; in-process callers convert once, with
+/// [`InstanceRows::to_instances`].
+#[derive(Debug, Clone, Default)]
+pub struct InstanceRows(Vec<Arc<Row>>);
+
+impl InstanceRows {
+    pub(crate) fn new(rows: Vec<Arc<Row>>) -> Self {
+        InstanceRows(rows)
+    }
+
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Convert every row into a [`ModelInstance`]; the first malformed row
+    /// fails the whole result.
+    pub fn to_instances(&self) -> Result<Vec<ModelInstance>> {
+        instances_from_rows(&self.0)
+    }
+
+    /// Each row's reply columns, borrowed, in result order.
+    pub fn fields(&self) -> impl Iterator<Item = Result<InstanceFields<'_>>> {
+        by_position(&self.0, INSTANCE).map(instance_fields)
+    }
 }
 
 /// Convert an `instances` row into a [`ModelInstance`].
@@ -522,6 +603,52 @@ mod tests {
         assert_eq!(row.get("city"), Some(&Value::from("New York City")));
         assert_eq!(row.get("model_name"), Some(&Value::from("Random Forest")));
         assert_eq!(row.get("project"), Some(&Value::from("example-project")));
+    }
+
+    #[test]
+    fn instance_fields_borrow_each_row_and_check_it_as_conversion_does() {
+        let schema = Arc::new(instances_schema());
+        let inst = ModelInstance {
+            id: InstanceId::from("i-1"),
+            model_id: ModelId::from("m-1"),
+            base_version_id: BaseVersionId::new("demand"),
+            display_version: DisplayVersion::new(12, 10),
+            blob_location: Some(BlobLocation::new("mem://x")),
+            metadata: Metadata::new().with(fields::CITY, "nyc"),
+            created_at: 99,
+            trigger: InstanceTrigger::Trained,
+            parent: Some(InstanceId::from("i-0")),
+            deprecated: true,
+        };
+        let record = instance_to_record(&inst, "p").set("deprecated", true);
+        let bare = Record::new()
+            .set("id", "i-2")
+            .set("model_id", "m-1")
+            .set("base_version_id", "demand")
+            .set("display_version", "07.3")
+            .set("created", Value::Timestamp(100))
+            .set("trigger", "dep_update:m-0");
+        let place = |r: Record| Arc::new(schema.place(r).unwrap());
+        let rows = InstanceRows::new(vec![place(record), place(bare)]);
+        let fields: Vec<InstanceFields> = rows.fields().map(Result::unwrap).collect();
+        assert_eq!(fields[0].metadata, Some(r#"{"city":"nyc"}"#));
+        assert_eq!(fields[0].parent, Some("i-0"));
+        assert!(fields[0].deprecated);
+        assert_eq!(fields[1].display_version, DisplayVersion::new(7, 3));
+        assert_eq!(fields[1].metadata, None);
+        assert_eq!(fields[1].trigger, "dep_update:m-0");
+        assert_eq!((fields[1].blob_location, fields[1].parent), (None, None));
+        let instances = rows.to_instances().unwrap();
+        assert_eq!(instances[0], inst);
+        assert_eq!(instances[1].metadata, Metadata::new());
+
+        // A malformed row fails both readings with one error.
+        for (column, bad) in [("display_version", "7"), ("trigger", "bogus")] {
+            let record = instance_to_record(&inst, "p").set(column, bad);
+            let rows = InstanceRows::new(vec![place(record)]);
+            let err = rows.to_instances().unwrap_err();
+            assert_eq!(rows.fields().next().unwrap().unwrap_err(), err);
+        }
     }
 
     #[test]

@@ -86,18 +86,36 @@ impl InstanceTrigger {
     }
 
     pub fn decode(s: &str) -> Result<Self> {
+        let (kind, argument) = Self::split(s)?;
+        Ok(match kind {
+            TriggerKind::Trained => InstanceTrigger::Trained,
+            TriggerKind::DependencyUpdate => InstanceTrigger::DependencyUpdate {
+                upstream_model: argument.to_owned(),
+            },
+            TriggerKind::DependencyAdded => InstanceTrigger::DependencyAdded {
+                new_dependency: argument.to_owned(),
+            },
+        })
+    }
+
+    /// Check stored text as [`InstanceTrigger::decode`] does, with the
+    /// same error, without building a trigger: a reply written from the
+    /// row carries the text itself, which [`InstanceTrigger::encode`] of
+    /// the decoded trigger gives back unchanged.
+    pub fn check(s: &str) -> Result<()> {
+        Self::split(s).map(drop)
+    }
+
+    /// The kind of a stored trigger and its argument, borrowed from it.
+    fn split(s: &str) -> Result<(TriggerKind, &str)> {
         if s == "trained" {
-            return Ok(InstanceTrigger::Trained);
+            return Ok((TriggerKind::Trained, ""));
         }
         if let Some(rest) = s.strip_prefix("dep_update:") {
-            return Ok(InstanceTrigger::DependencyUpdate {
-                upstream_model: rest.to_owned(),
-            });
+            return Ok((TriggerKind::DependencyUpdate, rest));
         }
         if let Some(rest) = s.strip_prefix("dep_added:") {
-            return Ok(InstanceTrigger::DependencyAdded {
-                new_dependency: rest.to_owned(),
-            });
+            return Ok((TriggerKind::DependencyAdded, rest));
         }
         Err(GalleryError::Invalid(format!("bad instance trigger: {s}")))
     }
@@ -105,6 +123,13 @@ impl InstanceTrigger {
     pub fn is_automatic(&self) -> bool {
         !matches!(self, InstanceTrigger::Trained)
     }
+}
+
+/// [`InstanceTrigger`]'s variants without their arguments.
+enum TriggerKind {
+    Trained,
+    DependencyUpdate,
+    DependencyAdded,
 }
 
 #[cfg(test)]
@@ -150,8 +175,12 @@ mod tests {
             },
         ] {
             assert_eq!(InstanceTrigger::decode(&t.encode()).unwrap(), t);
+            InstanceTrigger::check(&t.encode()).unwrap();
         }
-        assert!(InstanceTrigger::decode("bogus").is_err());
+        for bogus in ["bogus", "Trained", "dep_update", "trained:x"] {
+            let err = InstanceTrigger::decode(bogus).unwrap_err();
+            assert_eq!(InstanceTrigger::check(bogus).unwrap_err(), err);
+        }
     }
 
     #[test]

@@ -618,7 +618,8 @@ mod tests {
                 move || GalleryServer::new(Arc::clone(&gallery))
             },
             2,
-        );
+        )
+        .unwrap();
         (GalleryClient::new(cluster.connect()), cluster)
     }
 

@@ -160,7 +160,7 @@ impl SimCluster {
                         );
                         // A fresh store + static schemas cannot fail; a
                         // panic here is a schema bug the schema tests own.
-                        #[allow(clippy::expect_used)]
+                        #[allow(clippy::disallowed_methods)]
                         let gallery = Gallery::open(dal, Arc::clone(&clock))
                             .expect("fresh in-memory replica store cannot fail")
                             .with_id_policy(IdPolicy::new(shard, shard_total))

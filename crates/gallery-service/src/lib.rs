@@ -23,6 +23,10 @@
 //! `rpc.server/<method>` child span plus `gallery_rpc_*` counters and
 //! latency histograms. See `docs/observability.md`.
 
+// Tests may unwrap freely; non-test code is held to the clippy.toml
+// disallowed-methods ban (no unwrap/expect on a request's path).
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
+
 pub mod client;
 pub mod cluster;
 pub mod messages;
@@ -60,7 +64,7 @@ pub use messages::{
 pub use resilience::{
     BreakerConfig, BreakerState, CircuitBreaker, Resilience, ResilienceStats, RetryPolicy,
 };
-pub use server::{GalleryServer, IdempotencyCache, ReplicaRole};
+pub use server::{GalleryServer, IdempotencyCache, ReplicaRole, Reply};
 pub use transport::{
     DirectTransport, FlakyTransport, InProcCluster, LatentTransport, Transport, TransportError,
     TransportErrorKind,

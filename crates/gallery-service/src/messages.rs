@@ -11,10 +11,12 @@
 //! derived from the declaration: fields go on the wire in declaration
 //! order, a field's type picks its encoding (see [`Wire`]), and variant
 //! tags are the explicit literals in the table. Only the envelopes around
-//! a request (trace, idempotency key, shard) are written by hand.
+//! a request (trace, idempotency key, shard) are written by hand, and so is
+//! the one reply the server writes from stored rows, [`instances_frame`].
 
-use crate::wire::{Reader, WireError, Writer};
+use crate::wire::{ivarint_len, uvarint_len, Reader, WireError, Writer};
 use bytes::Bytes;
+use gallery_core::{DisplayVersion, InstanceFields, InstanceRows};
 use gallery_telemetry::SpanContext;
 
 /// The encoding of one field type. Integers are varints (zigzag when
@@ -634,7 +636,9 @@ wire_struct! {
 }
 
 wire_struct! {
-    /// Instance data transfer object.
+    /// Instance data transfer object. [`instances_frame`] writes these
+    /// fields by hand, in this order; `tests/wire_golden.rs` keeps the two
+    /// writers equal.
     #[derive(Debug, Clone, PartialEq)]
     pub struct InstanceDto {
         pub id: String,
@@ -647,6 +651,104 @@ wire_struct! {
         pub trigger: String,
         pub parent: Option<String>,
         pub deprecated: bool,
+    }
+}
+
+/// `Response::Instances` framed straight from stored rows: the bytes
+/// `Response::Instances` of the rows' [`InstanceDto`]s encodes to, with no
+/// `ModelInstance` or `InstanceDto` built on the way. Fields go on the wire
+/// in `InstanceDto`'s order: the display version in canonical `major.minor`
+/// form, absent metadata as `{}`, the trigger as its stored text. The frame
+/// is sized once, from the rows. A malformed row fails the reply with the
+/// error converting it would give.
+pub fn instances_frame(rows: &InstanceRows) -> gallery_core::Result<Bytes> {
+    let fields: Vec<InstanceFields> = rows.fields().collect::<gallery_core::Result<_>>()?;
+    let mut w = Writer::with_capacity(instances_len(&fields));
+    w.put_u8(INSTANCES_TAG);
+    w.put_uvarint(fields.len() as u64);
+    for f in &fields {
+        w.put_str(f.id);
+        w.put_str(f.model_id);
+        w.put_str(f.base_version_id);
+        w.put_bytes(VersionText::of(f.display_version).as_bytes());
+        w.put_opt_str(f.blob_location);
+        w.put_str(f.metadata.unwrap_or(EMPTY_METADATA));
+        w.put_ivarint(f.created_at);
+        w.put_str(f.trigger);
+        w.put_opt_str(f.parent);
+        w.put_bool(f.deprecated);
+    }
+    Ok(w.frame())
+}
+
+/// `Response::Instances`' tag in the table below.
+const INSTANCES_TAG: u8 = 5;
+
+/// What an absent metadata column reads as: the empty map's JSON.
+const EMPTY_METADATA: &str = "{}";
+
+/// Payload length of the frame [`instances_frame`] writes for `fields`:
+/// exact, so the frame is allocated once.
+pub(crate) fn instances_len(fields: &[InstanceFields]) -> usize {
+    let count = uvarint_len(fields.len() as u64);
+    1 + count + fields.iter().map(instance_len).sum::<usize>()
+}
+
+/// Encoded length of one row in [`instances_frame`].
+fn instance_len(f: &InstanceFields) -> usize {
+    let str_len = |s: &str| uvarint_len(s.len() as u64) + s.len();
+    let opt_len = |s: Option<&str>| 1 + s.map_or(0, str_len);
+    str_len(f.id)
+        + str_len(f.model_id)
+        + str_len(f.base_version_id)
+        // One length byte: the longest version has 21.
+        + 1 + VersionText::len(f.display_version)
+        + opt_len(f.blob_location)
+        + str_len(f.metadata.unwrap_or(EMPTY_METADATA))
+        + ivarint_len(f.created_at)
+        + str_len(f.trigger)
+        + opt_len(f.parent)
+        + 1
+}
+
+/// A display version's canonical `major.minor` text, what its `Display`
+/// writes, built on the stack.
+struct VersionText {
+    /// Room for the longest version, `4294967295.4294967295`.
+    buf: [u8; 21],
+    len: usize,
+}
+
+impl VersionText {
+    fn of(version: DisplayVersion) -> Self {
+        let mut buf = [0; 21];
+        let major = digits(version.major);
+        let len = Self::len(version);
+        put_decimal(&mut buf[..major], version.major);
+        buf[major] = b'.';
+        put_decimal(&mut buf[major + 1..len], version.minor);
+        VersionText { buf, len }
+    }
+
+    fn len(version: DisplayVersion) -> usize {
+        digits(version.major) + 1 + digits(version.minor)
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        &self.buf[..self.len]
+    }
+}
+
+/// Decimal digits of `n`.
+fn digits(n: u32) -> usize {
+    n.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
+/// Write `n` in decimal into `out`, which is [`digits`]`(n)` long.
+fn put_decimal(out: &mut [u8], mut n: u32) {
+    for digit in out.iter_mut().rev() {
+        *digit = b'0' + (n % 10) as u8;
+        n /= 10;
     }
 }
 

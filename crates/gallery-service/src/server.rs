@@ -6,14 +6,14 @@
 
 use crate::decimal;
 use crate::messages::{
-    ErrorCode, HealthDto, InstanceDto, ModelDto, PerMethod, Request, Response, WireConstraint,
-    WireDiagnostic, WireOp, WireValue,
+    instances_frame, ErrorCode, HealthDto, InstanceDto, ModelDto, PerMethod, Request, Response,
+    WireConstraint, WireDiagnostic, WireOp, WireValue,
 };
 use bytes::Bytes;
 use gallery_core::metadata::Metadata;
 use gallery_core::{
-    Gallery, GalleryError, InstanceId, InstanceSpec, MetricScope, MetricSpec, Model, ModelId,
-    ModelInstance, ModelSpec, Stage,
+    Gallery, GalleryError, InstanceId, InstanceRows, InstanceSpec, MetricScope, MetricSpec, Model,
+    ModelId, ModelInstance, ModelSpec, Stage,
 };
 use gallery_rules::RuleEngine;
 use gallery_store::{Constraint, Op, StoreError, Value};
@@ -262,8 +262,9 @@ impl ReplicaRole {
     }
 }
 
-/// Convert wire constraint triples into store constraints.
-fn to_store_constraint(c: &WireConstraint) -> Constraint {
+/// Convert a wire constraint triple into a store constraint, moving its
+/// strings.
+fn to_store_constraint(c: WireConstraint) -> Constraint {
     let op = match c.op {
         WireOp::Eq => Op::Eq,
         WireOp::Ne => Op::Ne,
@@ -274,15 +275,15 @@ fn to_store_constraint(c: &WireConstraint) -> Constraint {
         WireOp::Contains => Op::Contains,
         WireOp::StartsWith => Op::StartsWith,
     };
-    let value = match &c.value {
+    let value = match c.value {
         WireValue::Null => Value::Null,
-        WireValue::Bool(b) => Value::Bool(*b),
-        WireValue::Int(i) => Value::Int(*i),
-        WireValue::Float(x) => Value::Float(*x),
-        WireValue::Str(s) => Value::Str(s.clone()),
+        WireValue::Bool(b) => Value::Bool(b),
+        WireValue::Int(i) => Value::Int(i),
+        WireValue::Float(x) => Value::Float(x),
+        WireValue::Str(s) => Value::Str(s),
     };
     Constraint {
-        field: c.field.clone(),
+        field: c.field,
         op,
         value,
     }
@@ -340,6 +341,27 @@ fn error_response(e: GalleryError) -> Response {
         code,
         message: e.to_string(),
     }
+}
+
+/// What a request answers before it is framed.
+enum Answer {
+    Response(Response),
+    /// A list of stored instances, framed from their rows
+    /// ([`instances_frame`]).
+    Instances(InstanceRows),
+}
+
+/// A request's framed reply, as [`GalleryServer::dispatch`] returns it.
+#[derive(Debug, Clone)]
+pub struct Reply {
+    pub frame: Bytes,
+    /// Whether `frame` is a [`Response::Err`].
+    pub is_err: bool,
+    /// Time spent answering, in the telemetry clock's milliseconds: in
+    /// the registry and the store ...
+    pub store_ms: i64,
+    /// ... and writing the frame.
+    pub encode_ms: i64,
 }
 
 /// One method's server-side series, looked up in the registry when the
@@ -490,19 +512,7 @@ impl GalleryServer {
         };
         span.set_attr("method", method);
         let trace_id = span.context().trace_id;
-        // Time the store work (dispatch) and response encode separately.
-        let timed_dispatch = |request: Request| {
-            let t0 = time.now_ms();
-            let response = self.dispatch(request);
-            let t1 = time.now_ms();
-            let encoded = response.encode();
-            let t2 = time.now_ms();
-            let is_err = matches!(response, Response::Err { .. });
-            (encoded, is_err, t1 - t0, t2 - t1)
-        };
-        let mut store_ms = 0i64;
-        let mut encode_ms = 0i64;
-        let encoded = match decoded.key {
+        let reply = match decoded.key {
             Some(key) => {
                 if let Some(recorded) = self.idempotency.get(&key) {
                     self.telemetry
@@ -518,54 +528,71 @@ impl GalleryServer {
                         vec![("method", method.into()), ("key", key.into())],
                     );
                     span.set_attr("replay", "true");
-                    recorded
-                } else {
-                    let (encoded, is_err, s_ms, e_ms) = timed_dispatch(decoded.request);
-                    store_ms = s_ms;
-                    encode_ms = e_ms;
-                    if !is_err {
-                        self.idempotency.put(key, encoded.clone());
+                    Reply {
+                        frame: recorded,
+                        is_err: false,
+                        store_ms: 0,
+                        encode_ms: 0,
                     }
-                    encoded
+                } else {
+                    let reply = self.dispatch(decoded.request);
+                    if !reply.is_err {
+                        self.idempotency.put(key, reply.frame.clone());
+                    }
+                    reply
                 }
             }
-            None => {
-                let (encoded, _, s_ms, e_ms) = timed_dispatch(decoded.request);
-                store_ms = s_ms;
-                encode_ms = e_ms;
-                encoded
-            }
+            None => self.dispatch(decoded.request),
         };
         // Per-request server-side timing segments as span annotations:
         // where inside the node a slow request spent its time. (The ship
         // segment is router-side, on the route span.)
         span.set_attr("decode_ms", decimal(decode_ms));
-        span.set_attr("store_ms", decimal(store_ms));
-        span.set_attr("encode_ms", decimal(encode_ms));
+        span.set_attr("store_ms", decimal(reply.store_ms));
+        span.set_attr("encode_ms", decimal(reply.encode_ms));
         series.requests(&self.telemetry, method).inc();
         series
             .handle_ms(&self.telemetry, method)
             .observe_since(started);
         span.finish();
-        encoded
+        reply.frame
     }
 
-    /// Dispatch a decoded request. Client mutations are gated on the
-    /// replica role: a follower answers them with `WrongShard` so the
-    /// router (or a direct client) re-resolves who leads the shard.
-    pub fn dispatch(&self, request: Request) -> Response {
-        if request.is_mutating() && self.role() == ReplicaRole::Follower {
-            return Response::Err {
+    /// Dispatch a decoded request and frame its reply, timing the two
+    /// apart. Client mutations are gated on the replica role: a follower
+    /// answers them with `WrongShard` so the router (or a direct client)
+    /// re-resolves who leads the shard.
+    pub fn dispatch(&self, request: Request) -> Reply {
+        let time = self.telemetry.time_source();
+        let t0 = time.now_ms();
+        let answer = if request.is_mutating() && self.role() == ReplicaRole::Follower {
+            Ok(Answer::Response(Response::Err {
                 code: ErrorCode::WrongShard,
                 message: format!(
                     "{} requires the shard leader; this replica is a follower",
                     request.method_name()
                 ),
-            };
-        }
-        match self.try_dispatch(request) {
-            Ok(resp) => resp,
-            Err(e) => error_response(e),
+            }))
+        } else {
+            self.try_dispatch(request)
+        };
+        let t1 = time.now_ms();
+        let (frame, is_err) = match answer {
+            Ok(Answer::Instances(rows)) => match instances_frame(&rows) {
+                Ok(frame) => (frame, false),
+                Err(e) => (error_response(e).encode(), true),
+            },
+            Ok(Answer::Response(response)) => {
+                let is_err = matches!(response, Response::Err { .. });
+                (response.encode(), is_err)
+            }
+            Err(e) => (error_response(e).encode(), true),
+        };
+        Reply {
+            frame,
+            is_err,
+            store_ms: t1 - t0,
+            encode_ms: time.now_ms() - t1,
         }
     }
 
@@ -577,8 +604,8 @@ impl GalleryServer {
         }
     }
 
-    fn try_dispatch(&self, request: Request) -> Result<Response, GalleryError> {
-        Ok(match request {
+    fn try_dispatch(&self, request: Request) -> Result<Answer, GalleryError> {
+        Ok(Answer::Response(match request {
             Request::CreateModel {
                 project,
                 base_version_id,
@@ -639,15 +666,15 @@ impl GalleryServer {
                 )?;
                 Response::Ok
             }
+            // The two instance lists leave as rows, framed by `dispatch`.
             Request::ModelQuery { constraints } => {
                 let constraints: Vec<Constraint> =
-                    constraints.iter().map(to_store_constraint).collect();
-                let instances = self.gallery.model_query(&constraints)?;
-                Response::Instances(instances.into_iter().map(instance_dto).collect())
+                    constraints.into_iter().map(to_store_constraint).collect();
+                return Ok(Answer::Instances(self.gallery.model_query(&constraints)?));
             }
             Request::InstancesOfBaseVersion { base_version_id } => {
-                let instances = self.gallery.instances_of_base_version(&base_version_id)?;
-                Response::Instances(instances.into_iter().map(instance_dto).collect())
+                let rows = self.gallery.instances_of_base_version(&base_version_id)?;
+                return Ok(Answer::Instances(rows));
             }
             Request::LatestInstance { model_id } => {
                 let latest = self.gallery.latest_instance(&ModelId(model_id))?;
@@ -871,7 +898,7 @@ impl GalleryServer {
                 *self.role.lock() = role;
                 self.repl_info()
             }
-        })
+        }))
     }
 }
 
@@ -898,6 +925,13 @@ mod tests {
 
     fn server() -> GalleryServer {
         GalleryServer::new(Arc::new(Gallery::in_memory()))
+    }
+
+    impl GalleryServer {
+        /// What `dispatch` answers, decoded.
+        fn answer(&self, request: Request) -> Response {
+            Response::decode(self.dispatch(request).frame).unwrap()
+        }
     }
 
     #[test]
@@ -932,7 +966,7 @@ mod tests {
     #[test]
     fn errors_map_to_codes() {
         let s = server();
-        let resp = s.dispatch(Request::GetModel {
+        let resp = s.answer(Request::GetModel {
             model_id: "ghost".into(),
         });
         assert!(matches!(
@@ -943,7 +977,7 @@ mod tests {
             }
         ));
         // invalid spec
-        let resp = s.dispatch(Request::CreateModel {
+        let resp = s.answer(Request::CreateModel {
             project: "".into(),
             base_version_id: "".into(),
             name: "".into(),
@@ -978,7 +1012,7 @@ mod tests {
             .with_alerts(Arc::clone(&alerts));
 
         telemetry.registry().gauge("probe_gauge", &[]).set(9);
-        let Response::Text(text) = s.dispatch(Request::Probe {
+        let Response::Text(text) = s.answer(Request::Probe {
             section: "all".into(),
         }) else {
             panic!("expected Text");
@@ -991,7 +1025,7 @@ mod tests {
             "{text}"
         );
 
-        let resp = s.dispatch(Request::Probe {
+        let resp = s.answer(Request::Probe {
             section: "bogus".into(),
         });
         assert!(matches!(
@@ -1015,7 +1049,7 @@ mod tests {
             .dal()
             .query("models", &gallery_store::Query::all())
             .unwrap();
-        let Response::Text(text) = s.dispatch(Request::Probe {
+        let Response::Text(text) = s.answer(Request::Probe {
             section: "slowlog".into(),
         }) else {
             panic!("expected Text");
@@ -1025,7 +1059,7 @@ mod tests {
 
         // No finished spans yet: the profile section says so rather than
         // returning an empty body.
-        let Response::Text(text) = s.dispatch(Request::Probe {
+        let Response::Text(text) = s.answer(Request::Probe {
             section: "profile".into(),
         }) else {
             panic!("expected Text");
@@ -1039,7 +1073,7 @@ mod tests {
             .start_child("handler", root.context())
             .finish();
         root.finish();
-        let Response::Text(text) = s.dispatch(Request::Probe {
+        let Response::Text(text) = s.answer(Request::Probe {
             section: "profile".into(),
         }) else {
             panic!("expected Text");
@@ -1047,7 +1081,7 @@ mod tests {
         assert!(text.contains("request;handler "), "{text}");
 
         // `all` includes the new sections after metrics and alerts.
-        let Response::Text(text) = s.dispatch(Request::Probe {
+        let Response::Text(text) = s.answer(Request::Probe {
             section: "all".into(),
         }) else {
             panic!("expected Text");
@@ -1059,7 +1093,7 @@ mod tests {
     #[test]
     fn probe_serves_lockgraph() {
         let s = server();
-        let Response::Text(text) = s.dispatch(Request::Probe {
+        let Response::Text(text) = s.answer(Request::Probe {
             section: "lockgraph".into(),
         }) else {
             panic!("expected Text");
@@ -1080,7 +1114,7 @@ mod tests {
     #[test]
     fn rule_requests_require_engine() {
         let s = server();
-        let resp = s.dispatch(Request::SelectChampion {
+        let resp = s.answer(Request::SelectChampion {
             rule_id: "r".into(),
         });
         assert!(matches!(resp, Response::Err { .. }));
@@ -1171,7 +1205,7 @@ mod tests {
     #[test]
     fn follower_rejects_mutations_with_wrong_shard() {
         let s = server().with_role(ReplicaRole::Follower);
-        let resp = s.dispatch(Request::CreateModel {
+        let resp = s.answer(Request::CreateModel {
             project: "p".into(),
             base_version_id: "b".into(),
             name: "m".into(),
@@ -1187,12 +1221,12 @@ mod tests {
             }
         ));
         // Reads still work on a follower (bounded-staleness reads).
-        let resp = s.dispatch(Request::ModelQuery {
+        let resp = s.answer(Request::ModelQuery {
             constraints: vec![],
         });
         assert!(matches!(resp, Response::Instances(_)));
         // Role flips are idempotent and reflected in ReplInfo.
-        let resp = s.dispatch(Request::SetShardRole {
+        let resp = s.answer(Request::SetShardRole {
             role: "leader".into(),
         });
         assert!(matches!(
@@ -1210,7 +1244,7 @@ mod tests {
             leader.handle_frame(create_frame(n));
         }
         // Pump: ask the leader for frames, apply on the follower.
-        let resp = leader.dispatch(Request::ShipWal {
+        let resp = leader.answer(Request::ShipWal {
             from_seq: follower.applied_seq(),
             max: 1_000,
         });
@@ -1219,14 +1253,14 @@ mod tests {
         };
         assert_eq!(leader_seq, leader.applied_seq());
         assert!(!frames.is_empty());
-        let resp = follower.dispatch(Request::ApplyWal { frames });
+        let resp = follower.answer(Request::ApplyWal { frames });
         let Response::ReplInfo { applied_seq, role } = resp else {
             panic!("expected ReplInfo");
         };
         assert_eq!(role, "follower");
         assert_eq!(applied_seq, leader.applied_seq());
         // The follower now serves the same models.
-        let Response::Instances(instances) = follower.dispatch(Request::ModelQuery {
+        let Response::Instances(instances) = follower.answer(Request::ModelQuery {
             constraints: vec![],
         }) else {
             panic!("expected Instances");
@@ -1237,5 +1271,200 @@ mod tests {
             follower.gallery().find_models(&all()).unwrap().len(),
             leader.gallery().find_models(&all()).unwrap().len()
         );
+    }
+
+    /// What the server sent for an instance list before replies were
+    /// written from rows: each row converted to a `ModelInstance`, then to
+    /// an `InstanceDto`, then the derived encoding.
+    fn reference(rows: gallery_core::InstanceRows) -> Bytes {
+        let instances = rows.to_instances().unwrap();
+        Response::Instances(instances.into_iter().map(instance_dto).collect()).encode()
+    }
+
+    /// Put an `instances` row through the store, bypassing the registry's
+    /// conversions: `columns` are `(name, value)`, absent ones are null.
+    fn put_row(g: &Gallery, columns: &[(&'static str, Value)]) {
+        let record = columns
+            .iter()
+            .fold(gallery_store::Record::new(), |r, (name, value)| {
+                r.set(*name, value.clone())
+            });
+        g.dal()
+            .put(gallery_core::schemas::tables::INSTANCES, record)
+            .unwrap();
+    }
+
+    fn eq(field: &str, value: &str) -> WireConstraint {
+        WireConstraint::new(field, WireOp::Eq, WireValue::Str(value.into()))
+    }
+
+    /// A fleet with every shape a stored instance takes: the three
+    /// trigger kinds, stored and absent metadata, blob and parent present
+    /// and absent, versions with multi-digit parts (`12.10`, `3.25`), and
+    /// a deprecated instance, which both instance lists skip (so every
+    /// `deprecated` they carry is false).
+    fn fleet() -> Arc<Gallery> {
+        let g = Gallery::in_memory();
+        let demand = ModelSpec::new("p", "demand").name("rf");
+        let a = g.create_model_with_major(demand, 12).unwrap().id;
+        let b = g.create_model(ModelSpec::new("p", "supply")).unwrap().id;
+        let mut uploaded = Vec::new();
+        for n in 0..11 {
+            let metadata = match n % 3 {
+                0 => Metadata::new(),
+                1 => Metadata::new().with("city", "nyc"),
+                _ => Metadata::new()
+                    .with("model_name", "rf")
+                    .with("epochs", 20i64),
+            };
+            let spec = InstanceSpec::new().metadata(metadata);
+            let blob = Bytes::from(vec![n as u8; 8]);
+            uploaded.push(g.upload_instance(&a, spec, blob).unwrap().id);
+        }
+        // `dep_added:` on `b`, then a retrain of `a` versions `b` again
+        // with `dep_update:`; neither carries a blob.
+        g.add_dependency(&b, &a).unwrap();
+        let blob = Bytes::from_static(b"retrained");
+        uploaded.push(g.upload_instance(&a, InstanceSpec::new(), blob).unwrap().id);
+        g.deprecate_instance(&uploaded[4]).unwrap();
+        put_row(
+            &g,
+            &[
+                ("id", "i-direct".into()),
+                ("model_id", b.as_str().into()),
+                ("base_version_id", "supply".into()),
+                // Stored unlike the registry writes it; replies carry `3.25`.
+                ("display_version", "03.025".into()),
+                ("created", Value::Timestamp(-7)),
+                ("trigger", "dep_added:upstream".into()),
+                ("project", "p".into()),
+            ],
+        );
+        for (n, id) in uploaded.iter().enumerate() {
+            let spec = MetricSpec::new("bias", MetricScope::Validation, n as f64 / 10.0);
+            g.insert_metric(id, spec).unwrap();
+        }
+        Arc::new(g)
+    }
+
+    #[test]
+    fn instance_lists_are_the_bytes_the_converted_reply_encodes_to() {
+        let g = fleet();
+        let s = GalleryServer::new(Arc::clone(&g));
+        let bias = |op, x| WireConstraint::new("metricValue", op, WireValue::Float(x));
+        let queries: Vec<Vec<WireConstraint>> = vec![
+            vec![],
+            vec![eq("projectName", "p")],
+            vec![eq("modelName", "rf")],
+            vec![eq("metricName", "bias"), bias(WireOp::Lt, 0.45)],
+            vec![eq("projectName", "p"), bias(WireOp::Ge, 0.75)],
+            vec![eq("projectName", "nobody")],
+            vec![bias(WireOp::Gt, 5.0)],
+        ];
+        let mut frames = Vec::new();
+        for constraints in queries {
+            let store: Vec<Constraint> = constraints
+                .iter()
+                .cloned()
+                .map(to_store_constraint)
+                .collect();
+            let rows = g.model_query(&store).unwrap();
+            let expected = reference(rows.clone());
+            let frame = s.handle_frame(Request::ModelQuery { constraints }.encode());
+            assert_eq!(frame, expected, "{store:?}");
+            frames.push((rows, frame));
+        }
+        for base in ["demand", "supply", "nothing"] {
+            let rows = g.instances_of_base_version(base).unwrap();
+            let expected = reference(rows.clone());
+            let request = Request::InstancesOfBaseVersion {
+                base_version_id: base.into(),
+            };
+            let frame = s.handle_frame(request.encode());
+            assert_eq!(frame, expected, "{base}");
+            frames.push((rows, frame));
+        }
+        // Each frame was allocated at its final size.
+        for (rows, frame) in &frames {
+            let fields: Vec<_> = rows.fields().map(Result::unwrap).collect();
+            assert_eq!(frame.len(), 4 + crate::messages::instances_len(&fields));
+        }
+
+        // The fleet has the shapes it claims: the unfiltered query sees
+        // them all, and the deprecated instance is skipped.
+        let Response::Instances(all) = Response::decode(frames[0].1.clone()).unwrap() else {
+            panic!("expected Instances");
+        };
+        assert_eq!(
+            all.len(),
+            14,
+            "12 uploads, 1 deprecated, 2 automatic, 1 direct"
+        );
+        let has = |f: &dyn Fn(&InstanceDto) -> bool| all.iter().any(f);
+        for prefix in ["trained", "dep_added:", "dep_update:"] {
+            assert!(has(&|i| i.trigger.starts_with(prefix)), "{prefix}");
+        }
+        assert!(has(&|i| i.display_version == "12.10"));
+        assert!(has(
+            &|i| i.display_version == "3.25" && i.metadata_json == "{}"
+        ));
+        assert!(has(&|i| i.metadata_json.contains("epochs")));
+        assert!(has(&|i| i.blob_location.is_some()) && has(&|i| i.blob_location.is_none()));
+        assert!(has(&|i| i.parent.is_some()) && has(&|i| i.parent.is_none()));
+        assert!(all.iter().all(|i| !i.deprecated));
+        let empty = Response::Instances(Vec::new()).encode();
+        assert_eq!(frames.iter().filter(|(_, f)| *f == empty).count(), 3);
+    }
+
+    #[test]
+    fn a_malformed_row_answers_invalid_as_its_conversion_did() {
+        for (column, bad, message) in [
+            (
+                "display_version",
+                "1.x",
+                "invalid input: bad display version: 1.x",
+            ),
+            (
+                "trigger",
+                "retrained",
+                "invalid input: bad instance trigger: retrained",
+            ),
+        ] {
+            let g = Gallery::in_memory();
+            let mut columns = vec![
+                ("id", Value::from("i-good")),
+                ("model_id", "m-1".into()),
+                ("base_version_id", "b".into()),
+                ("display_version", "1.0".into()),
+                ("created", Value::Timestamp(1)),
+                ("trigger", "trained".into()),
+            ];
+            put_row(&g, &columns);
+            columns[0].1 = "i-bad".into();
+            for c in columns.iter_mut().filter(|c| c.0 == column) {
+                c.1 = bad.into();
+            }
+            put_row(&g, &columns);
+            let converted = g.model_query(&[]).unwrap().to_instances().unwrap_err();
+            assert_eq!(converted.to_string(), message);
+
+            let s = GalleryServer::new(Arc::new(g));
+            for request in [
+                Request::ModelQuery {
+                    constraints: vec![],
+                },
+                Request::InstancesOfBaseVersion {
+                    base_version_id: "b".into(),
+                },
+            ] {
+                let reply = s.dispatch(request);
+                assert!(reply.is_err);
+                let expected = Response::Err {
+                    code: ErrorCode::Invalid,
+                    message: message.into(),
+                };
+                assert_eq!(reply.frame, expected.encode(), "{column}");
+            }
+        }
     }
 }

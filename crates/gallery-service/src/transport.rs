@@ -83,30 +83,37 @@ pub struct InProcCluster {
 }
 
 impl InProcCluster {
-    /// Start `replicas` stateless servers over the same Gallery.
-    pub fn start(make_server: impl Fn() -> GalleryServer, replicas: usize) -> Self {
+    /// Start `replicas` stateless servers over the same Gallery. Fails if
+    /// a replica's thread cannot be spawned; the replicas already started
+    /// are shut down.
+    pub fn start(
+        make_server: impl Fn() -> GalleryServer,
+        replicas: usize,
+    ) -> std::io::Result<Self> {
         let (tx, rx) = unbounded::<Envelope>();
-        let workers = (0..replicas.max(1))
-            .map(|i| {
-                let rx: Receiver<Envelope> = rx.clone();
-                let server = make_server();
-                std::thread::Builder::new()
-                    .name(format!("gallery-server-{i}"))
-                    .spawn(move || {
-                        while let Ok(envelope) = rx.recv() {
-                            match envelope {
-                                Envelope::Shutdown => break,
-                                Envelope::Request(frame, reply) => {
-                                    let response = server.handle_frame(frame);
-                                    let _ = reply.send(response);
-                                }
+        let mut cluster = InProcCluster {
+            tx,
+            workers: Vec::new(),
+        };
+        for i in 0..replicas.max(1) {
+            let rx: Receiver<Envelope> = rx.clone();
+            let server = make_server();
+            let worker = std::thread::Builder::new()
+                .name(format!("gallery-server-{i}"))
+                .spawn(move || {
+                    while let Ok(envelope) = rx.recv() {
+                        match envelope {
+                            Envelope::Shutdown => break,
+                            Envelope::Request(frame, reply) => {
+                                let response = server.handle_frame(frame);
+                                let _ = reply.send(response);
                             }
                         }
-                    })
-                    .expect("spawn server replica")
-            })
-            .collect();
-        InProcCluster { tx, workers }
+                    }
+                })?;
+            cluster.workers.push(worker);
+        }
+        Ok(cluster)
     }
 
     /// Open a client connection to the cluster.
@@ -263,7 +270,8 @@ mod tests {
                 move || GalleryServer::new(Arc::clone(&gallery))
             },
             3,
-        );
+        )
+        .unwrap();
         assert_eq!(cluster.replica_count(), 3);
         let transport = cluster.connect();
         let resp = transport
@@ -297,7 +305,8 @@ mod tests {
                 move || GalleryServer::new(Arc::clone(&gallery))
             },
             4,
-        );
+        )
+        .unwrap();
         let c1 = cluster.connect();
         let c2 = cluster.connect();
         let resp = c1

@@ -53,7 +53,13 @@ impl Writer {
     pub fn new() -> Self {
         // Most messages (a DTO and its envelope) fit without regrowing; a
         // blob grows the buffer once, to the size it needs.
-        let mut buf = BytesMut::with_capacity(256);
+        Self::with_capacity(256 - PREFIX)
+    }
+
+    /// A writer with room for a `payload`-byte message and its frame
+    /// prefix: a message whose size is known up front never regrows.
+    pub fn with_capacity(payload: usize) -> Self {
+        let mut buf = BytesMut::with_capacity(PREFIX + payload);
         buf.put_slice(&[0; PREFIX]);
         Writer { buf }
     }
@@ -77,7 +83,7 @@ impl Writer {
 
     /// Zigzag-encoded signed varint.
     pub fn put_ivarint(&mut self, v: i64) {
-        self.put_uvarint(((v << 1) ^ (v >> 63)) as u64);
+        self.put_uvarint(zigzag(v));
     }
 
     pub fn put_f64(&mut self, v: f64) {
@@ -121,6 +127,23 @@ impl Writer {
         framed.advance(PREFIX);
         framed
     }
+}
+
+/// Bytes [`Writer::put_uvarint`] writes for `v`: one per started group of
+/// seven bits.
+pub(crate) fn uvarint_len(v: u64) -> usize {
+    (70 - (v | 1).leading_zeros() as usize) / 7
+}
+
+/// Bytes [`Writer::put_ivarint`] writes for `v`.
+pub(crate) fn ivarint_len(v: i64) -> usize {
+    uvarint_len(zigzag(v))
+}
+
+/// `v` with its sign moved to the lowest bit, so small magnitudes of
+/// either sign encode short.
+fn zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
 }
 
 /// Decoder over a byte buffer.
@@ -256,7 +279,9 @@ mod tests {
         ] {
             let mut w = Writer::new();
             w.put_uvarint(v);
-            let mut r = Reader::new(w.into_bytes());
+            let bytes = w.into_bytes();
+            assert_eq!(bytes.len(), uvarint_len(v), "value {v}");
+            let mut r = Reader::new(bytes);
             assert_eq!(r.get_uvarint().unwrap(), v);
             r.finish().unwrap();
         }
@@ -295,7 +320,9 @@ mod tests {
         ] {
             let mut w = Writer::new();
             w.put_ivarint(v);
-            let mut r = Reader::new(w.into_bytes());
+            let bytes = w.into_bytes();
+            assert_eq!(bytes.len(), ivarint_len(v), "value {v}");
+            let mut r = Reader::new(bytes);
             assert_eq!(r.get_ivarint().unwrap(), v, "value {v}");
         }
     }

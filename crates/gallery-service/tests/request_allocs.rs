@@ -10,7 +10,9 @@
 //! reply frame, two attribute vectors and one event. A counting global
 //! allocator (this test is its own binary) counts the calling thread's
 //! allocations and bytes per call, after a warm-up long enough to fill
-//! the span and event rings. What the registry and the store allocate
+//! the span and event rings. A 40-row `modelQuery` is counted too: its
+//! reply is written from the stored rows, so what it allocates is mostly
+//! the client's decode. What the registry and the store allocate
 //! below the server is counted too, but has its own guard
 //! (`gallery-store/tests/read_allocs.rs`).
 //!
@@ -18,10 +20,16 @@
 //! asserted only in release builds (`cargo test --release`); a debug build
 //! merely runs the calls.
 
+// Integration tests unwrap freely; the disallowed-methods ban only
+// guards non-test code.
+#![allow(clippy::disallowed_methods)]
+
 use bytes::Bytes;
 use gallery_core::Gallery;
 use gallery_service::telemetry::Telemetry;
-use gallery_service::{DirectTransport, GalleryClient, GalleryServer};
+use gallery_service::{
+    DirectTransport, GalleryClient, GalleryServer, WireConstraint, WireOp, WireValue,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -88,14 +96,18 @@ fn per_call(mut f: impl FnMut()) -> (u64, u64) {
 
 const BLOB_LEN: usize = 64 * 1024;
 
+/// Instances a `modelQuery` in this test returns: a dashboard's search.
+const QUERY_ROWS: usize = 40;
+
 /// Per-call costs of the four calls a serving host and a training
-/// pipeline make most.
+/// pipeline make most, and of a dashboard's search.
 #[derive(Debug)]
 struct Costs {
     get: (u64, u64),
     latest: (u64, u64),
     metric: (u64, u64),
     blob: (u64, u64),
+    query: (u64, u64),
 }
 
 /// `telemetry` is the client's and the server's; the registry and the
@@ -114,6 +126,14 @@ fn costs_with(telemetry: Arc<Telemetry>) -> Costs {
     let instance = client
         .upload_model(&model.id, metadata, Bytes::from(vec![7u8; BLOB_LEN]))
         .unwrap();
+    let searched = client
+        .create_model("search", "searched", "rf", "owner", "", "{}")
+        .unwrap();
+    for _ in 0..QUERY_ROWS {
+        client
+            .upload_model(&searched.id, metadata, Bytes::from_static(b"w"))
+            .unwrap();
+    }
 
     let get = || {
         client.get_instance(&instance.id).unwrap();
@@ -129,6 +149,17 @@ fn costs_with(telemetry: Arc<Telemetry>) -> Costs {
     let blob = || {
         assert_eq!(client.fetch_blob(&instance.id).unwrap().len(), BLOB_LEN);
     };
+    let search = vec![WireConstraint::new(
+        "projectName",
+        WireOp::Eq,
+        WireValue::Str("search".into()),
+    )];
+    let query = || {
+        assert_eq!(
+            client.model_query(search.clone()).unwrap().len(),
+            QUERY_ROWS
+        );
+    };
 
     // Each call leaves two spans and one event; both rings hold 4,096.
     for _ in 0..1_100 {
@@ -136,12 +167,14 @@ fn costs_with(telemetry: Arc<Telemetry>) -> Costs {
         latest();
         metric();
         blob();
+        query();
     }
     Costs {
         get: per_call(get),
         latest: per_call(latest),
         metric: per_call(metric),
         blob: per_call(blob),
+        query: per_call(query),
     }
 }
 
@@ -159,6 +192,10 @@ fn a_round_trip_allocates_for_its_message_not_its_bookkeeping() {
     assert!(on.metric.0 <= 48, "insert_metric: {:?}", on.metric);
     // The blob is copied once, into the reply frame.
     assert!(on.blob.1 <= 70_000, "fetch_blob of 64 KiB: {:?}", on.blob);
+    // The reply is written from the stored rows into one frame sized up
+    // front; what is left is mostly the client's decode.
+    assert!(on.query.0 <= 400, "model_query of 40: {:?}", on.query);
+    assert!(on.query.1 <= 60_000, "model_query of 40: {:?}", on.query);
 
     // Disabled telemetry costs a branch per record call: never more than
     // enabled, and what it saves is the two attribute vectors and the
@@ -168,6 +205,7 @@ fn a_round_trip_allocates_for_its_message_not_its_bookkeeping() {
         ("latest_instance", on.latest, off.latest),
         ("insert_metric", on.metric, off.metric),
         ("fetch_blob", on.blob, off.blob),
+        ("model_query", on.query, off.query),
     ] {
         assert!(off.0 <= on.0, "{name}: off {off:?} above on {on:?}");
         assert!(on.0 - off.0 <= 4, "{name}: on {on:?}, off {off:?}");

@@ -8,6 +8,10 @@
 //! the retry budget, and a hard outage trips the circuit breaker which
 //! then recovers through a half-open probe.
 
+// Integration tests unwrap freely; the disallowed-methods ban only
+// guards non-test code.
+#![allow(clippy::disallowed_methods)]
+
 use bytes::Bytes;
 use gallery_core::{Clock, Gallery, InstanceId, ManualClock, ModelId, SimulatedSleeper};
 use gallery_service::transport::DirectTransport;

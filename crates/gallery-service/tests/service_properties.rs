@@ -2,6 +2,10 @@
 //! dispatch path never panic, and every successful write through the wire
 //! is immediately readable through the wire.
 
+// Integration tests unwrap freely; the disallowed-methods ban only
+// guards non-test code.
+#![allow(clippy::disallowed_methods)]
+
 use bytes::Bytes;
 use gallery_core::Gallery;
 use gallery_service::messages::{decode_sharded, encode_sharded};
@@ -15,6 +19,11 @@ use std::sync::Arc;
 
 fn server() -> GalleryServer {
     GalleryServer::new(Arc::new(Gallery::in_memory()))
+}
+
+/// What `dispatch` answers, decoded.
+fn answer(s: &GalleryServer, request: Request) -> Response {
+    Response::decode(s.dispatch(request).frame).unwrap()
 }
 
 fn wal_frame() -> WireWalFrame {
@@ -174,7 +183,7 @@ proptest! {
         metric in 0.0f64..100.0,
     ) {
         let s = server();
-        let Response::ModelInfo(model) = s.dispatch(Request::CreateModel {
+        let Response::ModelInfo(model) = answer(&s, Request::CreateModel {
             project: "p".into(),
             base_version_id: "b".into(),
             name: "m".into(),
@@ -182,18 +191,18 @@ proptest! {
             description: "".into(),
             metadata_json: "{}".into(),
         }) else { panic!("create failed") };
-        let Response::InstanceInfo(inst) = s.dispatch(Request::UploadModel {
+        let Response::InstanceInfo(inst) = answer(&s, Request::UploadModel {
             model_id: model.id.clone(),
             metadata_json: r#"{"model_name":"m"}"#.into(),
             blob: Bytes::from(blob.clone()),
         }) else { panic!("upload failed") };
-        let Response::Blob(back) = s.dispatch(Request::FetchBlob {
+        let Response::Blob(back) = answer(&s, Request::FetchBlob {
             instance_id: inst.id.clone(),
         }) else { panic!("fetch failed") };
         prop_assert_eq!(&back[..], &blob[..]);
 
         let inserted = matches!(
-            s.dispatch(Request::InsertMetric {
+            answer(&s, Request::InsertMetric {
                 instance_id: inst.id.clone(),
                 name: "mape".into(),
                 scope: "validation".into(),
@@ -203,7 +212,7 @@ proptest! {
             Response::Ok
         );
         prop_assert!(inserted);
-        let Response::Instances(found) = s.dispatch(Request::ModelQuery {
+        let Response::Instances(found) = answer(&s, Request::ModelQuery {
             constraints: vec![
                 WireConstraint::new("metricName", WireOp::Eq, WireValue::Str("mape".into())),
                 WireConstraint::new("metricValue", WireOp::Le, WireValue::Float(metric)),

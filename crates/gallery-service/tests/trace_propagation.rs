@@ -4,6 +4,10 @@
 //! test. Also pins span-timestamp determinism under a `ManualClock` and
 //! the observability of breaker flips and idempotent replays.
 
+// Integration tests unwrap freely; the disallowed-methods ban only
+// guards non-test code.
+#![allow(clippy::disallowed_methods)]
+
 use gallery_core::clock::{ManualClock, SimulatedSleeper};
 use gallery_core::Gallery;
 use gallery_service::telemetry::{kinds, parse_samples, Telemetry};

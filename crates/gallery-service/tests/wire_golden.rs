@@ -7,14 +7,22 @@
 //! The byte after the four-byte length prefix is the variant tag, which is
 //! how the tests check that every tag is covered.
 
+// Integration tests unwrap freely; the disallowed-methods ban only
+// guards non-test code.
+#![allow(clippy::disallowed_methods)]
+
 use bytes::Bytes;
+use gallery_core::schemas::tables;
+use gallery_core::Gallery;
 use gallery_service::messages::{decode_sharded, encode_sharded};
 use gallery_service::telemetry::SpanContext;
 use gallery_service::{
-    ErrorCode, HealthDto, InstanceDto, ModelDto, Request, Response, WireConstraint, WireDiagnostic,
-    WireOp, WireValue, WireWalFrame,
+    ErrorCode, GalleryServer, HealthDto, InstanceDto, ModelDto, Request, Response, WireConstraint,
+    WireDiagnostic, WireOp, WireValue, WireWalFrame,
 };
+use gallery_store::{Record, Value};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -396,4 +404,33 @@ fn envelopes_have_golden_bytes() {
         "22000000fdac021e1a000000fe4dc0843d000e636c69656e742d372d6f702d343202036d2d31"
     );
     assert_eq!(decode_sharded(sharded).unwrap(), Some((300, signed)));
+}
+
+/// The server writes instance lists from the stored rows, not through
+/// `InstanceDto`: a row holding `instance()`'s values frames to what
+/// `Response::Instances(vec![instance()])` encodes to.
+#[test]
+fn a_stored_instance_row_frames_to_golden_bytes() {
+    let golden = "490000000501\
+        03692d31036d2d3110737570706c795f72656a656374696f6e03322e3101096d656d3a2f2f6162630e7b\
+        2263697479223a226e7963227df681f4f6905d07747261696e65640000";
+    assert_eq!(hex(&Response::Instances(vec![instance()]).encode()), golden);
+
+    let gallery = Gallery::in_memory();
+    let i = instance();
+    let row = Record::new()
+        .set("id", i.id)
+        .set("model_id", i.model_id)
+        .set("base_version_id", i.base_version_id)
+        .set("display_version", i.display_version)
+        .set("blob_location", i.blob_location.unwrap())
+        .set("metadata", i.metadata_json)
+        .set("created", Value::Timestamp(i.created_at))
+        .set("trigger", i.trigger);
+    gallery.dal().put(tables::INSTANCES, row).unwrap();
+    let server = GalleryServer::new(Arc::new(gallery));
+    let request = Request::InstancesOfBaseVersion {
+        base_version_id: s("supply_rejection"),
+    };
+    assert_eq!(hex(&server.handle_frame(request.encode())), golden);
 }

@@ -72,7 +72,9 @@ fn main() {
             Constraint::eq("metricName", "bias"),
             Constraint::lt("metricValue", 0.25),
         ])
-        .expect("model query");
+        .expect("model query")
+        .to_instances()
+        .expect("stored instances");
     println!("search matched {} instance(s)", found.len());
     assert_eq!(found.len(), 1);
 

@@ -586,7 +586,8 @@ fn run() -> Result<(), String> {
             let [base]: [String; 1] = args
                 .try_into()
                 .map_err(|_| "usage: base BASE_ID".to_string())?;
-            for i in g.instances_of_base_version(&base).map_err(err)? {
+            let rows = g.instances_of_base_version(&base).map_err(err)?;
+            for i in rows.to_instances().map_err(err)? {
                 println!("{}\t{}\t{}", i.id, i.display_version, i.created_at);
             }
         }
@@ -629,7 +630,8 @@ fn run() -> Result<(), String> {
                 .iter()
                 .map(|s| parse_constraint(s).ok_or_else(|| format!("bad constraint: {s}")))
                 .collect::<Result<_, _>>()?;
-            for i in g.model_query(&constraints).map_err(err)? {
+            let rows = g.model_query(&constraints).map_err(err)?;
+            for i in rows.to_instances().map_err(err)? {
                 println!("{}\t{}\t{}", i.id, i.base_version_id, i.display_version);
             }
         }

@@ -226,7 +226,9 @@ fn a_parent_log_replays_and_answers_latest_as_it_was_planned_then() {
         Constraint::eq("metricName", "bias"),
         Constraint::lt("metricValue", 0.25),
     ];
-    let (found, plans) = plans_of(&fresh, |g| g.model_query(&join).unwrap());
+    let (found, plans) = plans_of(&fresh, |g| {
+        g.model_query(&join).unwrap().to_instances().unwrap()
+    });
     assert_eq!(found.len(), 1);
     assert_eq!(
         plans[1..],

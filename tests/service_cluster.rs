@@ -13,7 +13,7 @@ use gallery_service::{
 use std::sync::Arc;
 
 fn cluster(gallery: Arc<Gallery>, replicas: usize) -> InProcCluster {
-    InProcCluster::start(move || GalleryServer::new(Arc::clone(&gallery)), replicas)
+    InProcCluster::start(move || GalleryServer::new(Arc::clone(&gallery)), replicas).unwrap()
 }
 
 #[test]
@@ -122,7 +122,8 @@ fn rule_engine_behind_the_service() {
                 .with_engine(Arc::clone(&engine_for_server))
         },
         2,
-    );
+    )
+    .unwrap();
     let client = GalleryClient::new(cluster.connect());
     let model = client
         .create_model("forecasting", "svc_rf", "Random Forest", "fc", "", "{}")
