@@ -317,12 +317,8 @@ impl Gallery {
         // version assignment for downstream models and must not deadlock.
         let instance = {
             let _version_guard = self.version_lock.lock();
-            let latest = self.latest_instance(model_id)?;
-            let display_version = match &latest {
-                Some(prev) => prev.display_version.bump_minor(),
-                None => DisplayVersion::new(self.model_display_major(model_id)?, 0),
-            };
-            let parent = spec.parent.or_else(|| latest.map(|i| i.id));
+            let (display_version, live_parent) = self.claim_version(model_id)?;
+            let parent = spec.parent.or(live_parent);
             let instance = ModelInstance {
                 id: self.mint_instance_id(),
                 model_id: model_id.clone(),
@@ -362,17 +358,10 @@ impl Gallery {
         debug_assert!(trigger.is_automatic());
         let model = self.get_model(model_id)?;
         let _version_guard = self.version_lock.lock();
-        let latest = self.latest_instance(model_id)?;
-        let (display_version, parent) = match latest {
-            Some(prev) => (prev.display_version.bump_minor(), Some(prev.id)),
-            // A model with no instances yet has nothing to version-bump,
-            // but we still materialize a 1st version so the owner sees the
-            // dependency change.
-            None => (
-                DisplayVersion::new(self.model_display_major(model_id)?, 0),
-                None,
-            ),
-        };
+        // A model with no instances yet has nothing to version-bump, but
+        // we still materialize a 1st version so the owner sees the
+        // dependency change.
+        let (display_version, parent) = self.claim_version(model_id)?;
         let instance = ModelInstance {
             id: self.mint_instance_id(),
             model_id: model_id.clone(),
@@ -395,6 +384,34 @@ impl Gallery {
             automatic: true,
         });
         Ok(instance)
+    }
+
+    /// The next display version of a model and the parent of the instance
+    /// that takes it. The version bumps the newest instance, deprecated
+    /// ones included, so no number is handed out twice; the parent is the
+    /// newest live instance, which takes a second lookup only when the
+    /// newest one is deprecated. The caller holds the version lock.
+    fn claim_version(&self, model_id: &ModelId) -> Result<(DisplayVersion, Option<InstanceId>)> {
+        let rows = self.dal.query(
+            tables::INSTANCES,
+            &Query::all()
+                .and(Constraint::eq("model_id", model_id.as_str()))
+                .order_by("created", true)
+                .limit(1)
+                .with_deprecated(),
+        )?;
+        let Some(newest) = rows.first().map(|r| instance_from_row(r)).transpose()? else {
+            return Ok((
+                DisplayVersion::new(self.model_display_major(model_id)?, 0),
+                None,
+            ));
+        };
+        let parent = if newest.deprecated {
+            self.latest_instance(model_id)?.map(|i| i.id)
+        } else {
+            Some(newest.id)
+        };
+        Ok((newest.display_version.bump_minor(), parent))
     }
 
     pub fn get_instance(&self, id: &InstanceId) -> Result<ModelInstance> {
@@ -986,6 +1003,35 @@ mod tests {
             .zip((0..6).map(|minor| DisplayVersion::new(1, minor)))
             .collect();
         assert_eq!(uploads, expected);
+    }
+
+    #[test]
+    fn a_deprecated_version_number_is_not_handed_out_again() {
+        let g = gallery();
+        let m = g.create_model(spec("demand")).unwrap();
+        let upload = || {
+            g.upload_instance(&m.id, InstanceSpec::new(), Bytes::from_static(b"w"))
+                .unwrap()
+        };
+        let v10 = upload();
+        let v11 = upload();
+        g.deprecate_instance(&v11.id).unwrap();
+        let next = upload();
+        assert_eq!(next.display_version, DisplayVersion::new(1, 2));
+        // The lineage skips the deprecated row: its parent is the newest
+        // live instance.
+        assert_eq!(next.parent, Some(v10.id.clone()));
+        // So does an automatic instance claimed after another deprecation.
+        let up = g.create_model(spec("upstream")).unwrap();
+        g.add_dependency(&m.id, &up.id).unwrap();
+        let newest = g.latest_instance(&m.id).unwrap().unwrap();
+        g.deprecate_instance(&newest.id).unwrap();
+        g.upload_instance(&up.id, InstanceSpec::new(), Bytes::from_static(b"u"))
+            .unwrap();
+        let auto = g.latest_instance(&m.id).unwrap().unwrap();
+        assert!(auto.trigger.is_automatic());
+        assert_eq!(auto.display_version, newest.display_version.bump_minor());
+        assert_eq!(auto.parent, newest.parent);
     }
 
     #[test]

@@ -26,6 +26,10 @@
 //! one.
 
 #![cfg_attr(test, allow(clippy::disallowed_methods))]
+// No `unsafe` outside the CRC-32 kernel (`blob::checksum`), which allows
+// it for itself; every `unsafe` block says why it is sound.
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod blob;
 pub mod dal;

@@ -216,3 +216,50 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Registry invariant: over random sequences of uploads, upstream
+    /// retrains (each claims an automatic instance downstream) and
+    /// deprecations, a model's display versions strictly increase in
+    /// commit order, deprecated instances included.
+    #[test]
+    fn display_versions_strictly_increase_in_commit_order(
+        ops in proptest::collection::vec((0u8..3, any::<u8>()), 1..40),
+    ) {
+        let g = Gallery::in_memory();
+        let down = g.create_model(ModelSpec::new("p", "down").name("d")).unwrap();
+        let up = g.create_model(ModelSpec::new("p", "up").name("u")).unwrap();
+        g.add_dependency(&down.id, &up.id).unwrap();
+        let of_down = Query::all()
+            .and(Constraint::eq("model_id", down.id.as_str()))
+            .order_by("created", false);
+        for (op, pick) in ops {
+            match op {
+                0 => {
+                    g.upload_instance(&down.id, InstanceSpec::new(), Bytes::from_static(b"d"))
+                        .unwrap();
+                }
+                1 => {
+                    g.upload_instance(&up.id, InstanceSpec::new(), Bytes::from_static(b"u"))
+                        .unwrap();
+                }
+                _ => {
+                    let live = g.find_instances(&of_down).unwrap();
+                    if !live.is_empty() {
+                        let victim = &live[usize::from(pick) % live.len()];
+                        g.deprecate_instance(&victim.id).unwrap();
+                    }
+                }
+            }
+        }
+        let all = g.find_instances(&of_down.clone().with_deprecated()).unwrap();
+        for pair in all.windows(2) {
+            prop_assert!(
+                pair[0].display_version < pair[1].display_version,
+                "{} then {}", pair[0].display_version, pair[1].display_version
+            );
+        }
+    }
+}

@@ -4,15 +4,18 @@ committed baseline and fail on a collapse, not on noise.
 
 Usage: bench_trend.py BASELINE.json FRESH.json [--tolerance FACTOR]
 
-Two checks, both deliberately generous because CI runners and the
-baseline host differ in raw speed:
+Three checks; the two on rates are deliberately generous because CI
+runners and the baseline host differ in raw speed:
 
-1. *Per-decade medians*: for every (arm, rows) decade present in both
+1. *Every arm is there*: each arm of the baseline must appear in the
+   fresh file. Decades may differ (smoke and full runs cover different
+   ones), but an arm that vanished was not measured at all.
+2. *Per-decade medians*: for every (arm, rows) decade present in both
    files, the fresh median insert rate must be at least
    ``baseline / FACTOR`` (default 4x). Absolute throughput varies by
    host; an order-of-magnitude collapse is a regression, a 2-3x swing
    is a different machine.
-2. *Paper shape*: the tuned arm's 1e6-vs-1e5 ratio is host-independent
+3. *Paper shape*: the tuned arm's 1e6-vs-1e5 ratio is host-independent
    (it is a ratio of rates measured on the same host), so it gets a
    tighter bound: fresh ratio >= half the baseline ratio.
 
@@ -55,6 +58,10 @@ def main():
 
     bad = False
     print(f"bench trend vs {args.baseline} (tolerance {args.tolerance}x):")
+    fresh_arms = {arm for arm, _ in fresh_decades}
+    for arm in sorted({arm for arm, _ in base_decades} - fresh_arms):
+        print(f"  {arm:>6}: in the baseline, absent from the fresh file MISSING")
+        bad = True
     for key in sorted(base_decades, key=lambda k: (k[0], k[1])):
         if key not in fresh_decades:
             # Smoke and full runs cover different decade sets; only
