@@ -16,8 +16,8 @@ use gallery_bench::{banner, TextTable};
 use gallery_core::metadata::fields;
 use gallery_core::{Gallery, InstanceSpec, Metadata, MetricScope, MetricSpec, ModelSpec};
 use gallery_rules::{ActionRegistry, CompiledRule, RuleBody, RuleDoc, RuleEngine};
-use parking_lot::Mutex;
 use std::sync::Arc;
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// One manual step with a time cost in minutes. Costs follow the paper's
@@ -88,7 +88,7 @@ fn main() {
             gallery
                 .deploy(&inv.model_id, &inv.instance_id, &inv.environment)
                 .map_err(|e| gallery_rules::EngineError::ActionFailed(e.to_string()))?;
-            *deployed.lock() += 1;
+            *deployed.lock().unwrap() += 1;
             Ok(())
         });
     }
@@ -165,7 +165,7 @@ fn main() {
     table.add_row(vec![
         "deployments executed".into(),
         fleet_size.to_string(),
-        deployed.lock().to_string(),
+        deployed.lock().unwrap().to_string(),
     ]);
     table.add_row(vec![
         "mean trigger->deploy latency".into(),
@@ -174,7 +174,7 @@ fn main() {
     ]);
     println!("{}", table.render());
     println!("paper shape: ~2h/model of engineering work -> 0 human minutes, automated ✓");
-    assert_eq!(*deployed.lock(), fleet_size as u64);
+    assert_eq!(*deployed.lock().unwrap(), fleet_size as u64);
 
     // Every model's production pointer is set.
     let models = gallery

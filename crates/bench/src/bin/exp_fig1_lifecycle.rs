@@ -14,8 +14,8 @@ use gallery_forecast::{
     backtest, AnyForecaster, CityConfig, EventWindow, FeatureSpec, Forecaster, RidgeForecaster,
 };
 use gallery_rules::{ActionRegistry, CompiledRule, RuleBody, RuleDoc, RuleEngine};
-use parking_lot::Mutex;
 use std::sync::Arc;
+use std::sync::Mutex;
 
 fn main() {
     banner("E2: the model lifecycle, end to end", "Figure 1");
@@ -37,7 +37,7 @@ fn main() {
     {
         let retrain_flag = Arc::clone(&retrain_flag);
         actions.register("trigger_retraining", move |_| {
-            *retrain_flag.lock() = true;
+            *retrain_flag.lock().unwrap() = true;
             Ok(())
         });
     }
@@ -146,10 +146,13 @@ fn main() {
         format!(
             "drift detector fired on monitoring day {:?} (drift began day 7); rule fired: {}",
             drift_day,
-            retrain_flag.lock()
+            retrain_flag.lock().unwrap()
         ),
     );
-    assert!(*retrain_flag.lock(), "rule must request retraining");
+    assert!(
+        *retrain_flag.lock().unwrap(),
+        "rule must request retraining"
+    );
     assert!(
         drift_day.is_some(),
         "mean-shift detector must flag the regime change"

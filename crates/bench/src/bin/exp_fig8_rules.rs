@@ -13,8 +13,8 @@ use gallery_core::metadata::fields;
 use gallery_core::{Gallery, InstanceSpec, Metadata, MetricScope, MetricSpec, ModelSpec};
 use gallery_rules::rule::{listing1_selection_rule, listing2_action_rule};
 use gallery_rules::{ActionRegistry, RuleEngine, RuleRepo};
-use parking_lot::Mutex;
 use std::sync::Arc;
+use std::sync::Mutex;
 use std::time::Instant;
 
 fn main() {
@@ -47,7 +47,7 @@ fn main() {
             gallery
                 .deploy(&inv.model_id, &inv.instance_id, &inv.environment)
                 .map_err(|e| gallery_rules::EngineError::ActionFailed(e.to_string()))?;
-            *deployments.lock() += 1;
+            *deployments.lock().unwrap() += 1;
             Ok(())
         });
     }
@@ -80,9 +80,9 @@ fn main() {
     engine.drain();
     println!(
         "action rule: in-corridor bias deployed the instance ({} deployment)",
-        deployments.lock()
+        deployments.lock().unwrap()
     );
-    assert_eq!(*deployments.lock(), 1);
+    assert_eq!(*deployments.lock().unwrap(), 1);
 
     // --- Client 1: selection rule through the queue ----------------------
     let lr = gallery

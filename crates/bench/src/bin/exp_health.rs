@@ -12,10 +12,10 @@ use gallery_core::health::skew::{default_direction, detect_skew_from_records};
 use gallery_core::metadata::fields;
 use gallery_core::{Gallery, InstanceSpec, Metadata, MetricScope, MetricSpec, ModelSpec};
 use gallery_rules::{ActionRegistry, CompiledRule, RuleBody, RuleDoc, RuleEngine};
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
+use std::sync::Mutex;
 
 /// Daily production MAPE stream: stable around `base`, jumping to
 /// `base + shift` at `change_point`.
@@ -120,7 +120,7 @@ fn main() {
     {
         let retrains = Arc::clone(&retrains);
         actions.register("trigger_retraining", move |_| {
-            *retrains.lock() += 1;
+            *retrains.lock().unwrap() += 1;
             Ok(())
         });
     }
@@ -171,9 +171,9 @@ fn main() {
     engine.drain();
     println!(
         "drift z-score metrics triggered the retraining rule {} time(s) ✓",
-        retrains.lock()
+        retrains.lock().unwrap()
     );
-    assert!(*retrains.lock() > 0);
+    assert!(*retrains.lock().unwrap() > 0);
 
     // ---- Production skew on stored metrics ------------------------------
     gallery

@@ -10,7 +10,8 @@
 //!    write path, an ordered index's latest-of-X read among them) and a
 //!    kill-a-node cluster failover drill both run with rank checking
 //!    enabled, and the resulting lock report must carry zero `GLnnnn`
-//!    diagnostics, with `OrderedIndex` among the ranks its graph reaches.
+//!    diagnostics, with `OrderedIndex` and the telemetry ranks `Tracer`,
+//!    `EventSink` and `MetricRegistry` among the ranks its graph reaches.
 //!    A detector that cries wolf on the committed tree is worse than no
 //!    detector.
 //!
@@ -173,12 +174,20 @@ fn run_clean_floor(threads: usize, rows: usize, drill_writes: usize) -> (u64, us
         "clean tree must produce zero lock diagnostics:\n{}",
         report.render_text()
     );
-    // Taken under a stripe by every insert and by every latest-of-X read.
-    let ordered = rank::ORDERED_INDEX.label();
-    assert!(
-        report.edges.iter().any(|e| e.to == ordered),
-        "the clean floor never acquired {ordered} under another lock"
-    );
+    // Taken under a stripe by every insert and by every latest-of-X read;
+    // telemetry records under the router's shard map on every request.
+    for required in [
+        rank::ORDERED_INDEX,
+        rank::TRACER,
+        rank::EVENT_SINK,
+        rank::METRIC_REGISTRY,
+    ] {
+        let name = required.label();
+        assert!(
+            report.edges.iter().any(|e| e.to == name),
+            "the clean floor never acquired {name} under another lock"
+        );
+    }
     println!(
         "✓ clean floor: {} acquisitions, {} edges, zero diagnostics \
          ({threads}×{rows}-row soak + {drill_writes}-write failover drill)\n",

@@ -12,8 +12,8 @@ use gallery_core::metadata::fields;
 use gallery_core::{Gallery, InstanceSpec, Metadata, MetricScope, MetricSpec, ModelSpec};
 use gallery_rules::{ActionRegistry, CompiledRule, RuleBody, RuleDoc, RuleEngine};
 use gallery_store::{Constraint, Query};
-use parking_lot::Mutex;
 use std::sync::Arc;
+use std::sync::Mutex;
 
 fn main() {
     banner(
@@ -92,7 +92,7 @@ fn main() {
     {
         let fired = Arc::clone(&fired);
         actions.register("notify", move |_| {
-            *fired.lock() += 1;
+            *fired.lock().unwrap() += 1;
             Ok(())
         });
     }
@@ -119,7 +119,7 @@ fn main() {
         )
         .unwrap();
     engine.drain();
-    assert_eq!(*fired.lock(), 1);
+    assert_eq!(*fired.lock().unwrap(), 1);
     table.add_row(vec![
         "4".into(),
         "rule engine automation".into(),

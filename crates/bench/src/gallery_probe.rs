@@ -10,9 +10,9 @@ use gallery_core::{
     Gallery, InstanceId, InstanceSpec, Metadata, MetricScope, MetricSpec, ModelSpec,
 };
 use gallery_rules::{ActionRegistry, CompiledRule, RuleBody, RuleDoc, RuleEngine};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::sync::Mutex;
 
 /// Gallery behind the probe interface.
 pub struct GalleryRegistry {
@@ -38,14 +38,14 @@ impl GalleryRegistry {
         {
             let fired = Arc::clone(&fired);
             actions.register("deploy", move |inv| {
-                fired.lock().push(inv.action.clone());
+                fired.lock().unwrap().push(inv.action.clone());
                 Ok(())
             });
         }
         {
             let fired = Arc::clone(&fired);
             actions.register("retrain", move |inv| {
-                fired.lock().push(inv.action.clone());
+                fired.lock().unwrap().push(inv.action.clone());
                 Ok(())
             });
         }
@@ -170,7 +170,7 @@ impl ModelRegistry for GalleryRegistry {
     fn drive_automation(&mut self, id: &str, metric: &str, value: f64) -> Vec<String> {
         self.record_metric(id, metric, value);
         self.engine.drain();
-        std::mem::take(&mut *self.fired.lock())
+        std::mem::take(&mut *self.fired.lock().unwrap())
     }
 }
 

@@ -4,7 +4,7 @@
 //! rules reference `created_time` (Listing 1). Production uses the system
 //! clock; tests and the discrete-event simulator need a controllable one.
 
-use parking_lot::Mutex;
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
 pub use gallery_telemetry::{Clock, SystemClock};
@@ -18,44 +18,52 @@ pub type TimestampMs = i64;
 /// stable order.
 #[derive(Debug, Clone, Default)]
 pub struct ManualClock {
-    inner: Arc<Mutex<ManualInner>>,
+    inner: Arc<ManualInner>,
 }
 
+/// Two atomics rather than a lock: the set time and the last reading
+/// handed out. Readings stay strictly increasing under any interleaving
+/// because the last reading only moves through `fetch_update`.
 #[derive(Debug, Default)]
 struct ManualInner {
-    now: TimestampMs,
-    last_issued: TimestampMs,
+    now: AtomicI64,
+    last_issued: AtomicI64,
 }
 
 impl ManualClock {
     pub fn new(start_ms: TimestampMs) -> Self {
         ManualClock {
-            inner: Arc::new(Mutex::new(ManualInner {
-                now: start_ms,
-                last_issued: start_ms - 1,
-            })),
+            inner: Arc::new(ManualInner {
+                now: AtomicI64::new(start_ms),
+                last_issued: AtomicI64::new(start_ms - 1),
+            }),
         }
     }
 
     /// Advance the clock by `delta_ms`.
     pub fn advance(&self, delta_ms: TimestampMs) {
-        let mut inner = self.inner.lock();
-        inner.now += delta_ms;
+        self.inner.now.fetch_add(delta_ms, Ordering::SeqCst);
     }
 
     /// Set the clock to an absolute time.
     pub fn set(&self, now_ms: TimestampMs) {
-        let mut inner = self.inner.lock();
-        inner.now = now_ms;
+        self.inner.now.store(now_ms, Ordering::SeqCst);
     }
 }
 
 impl Clock for ManualClock {
     fn now_ms(&self) -> TimestampMs {
-        let mut inner = self.inner.lock();
-        let t = inner.now.max(inner.last_issued + 1);
-        inner.last_issued = t;
-        t
+        let now = self.inner.now.load(Ordering::SeqCst);
+        next_after(&self.inner.last_issued, now)
+    }
+}
+
+/// Hand out `now`, or one past the last reading if `now` is not later,
+/// and remember it as the last reading.
+fn next_after(last: &AtomicI64, now: TimestampMs) -> TimestampMs {
+    let step = |prev: TimestampMs| now.max(prev.saturating_add(1));
+    match last.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |prev| Some(step(prev))) {
+        Ok(prev) | Err(prev) => step(prev),
     }
 }
 
@@ -102,25 +110,21 @@ impl Sleeper for SimulatedSleeper {
 /// millisecond under load.
 pub struct MonotonicClock {
     inner: Arc<dyn Clock>,
-    last: Mutex<TimestampMs>,
+    last: AtomicI64,
 }
 
 impl MonotonicClock {
     pub fn wrap(inner: Arc<dyn Clock>) -> Arc<Self> {
         Arc::new(MonotonicClock {
             inner,
-            last: Mutex::new(i64::MIN),
+            last: AtomicI64::new(i64::MIN),
         })
     }
 }
 
 impl Clock for MonotonicClock {
     fn now_ms(&self) -> TimestampMs {
-        let now = self.inner.now_ms();
-        let mut last = self.last.lock();
-        let t = now.max(*last + 1);
-        *last = t;
-        t
+        next_after(&self.last, self.inner.now_ms())
     }
 }
 
@@ -195,6 +199,31 @@ mod monotonic_tests {
         let c = clock.now_ms();
         assert!(a < b && b < c);
         assert_eq!(a, 1_000);
+    }
+
+    #[test]
+    fn monotonic_readings_are_distinct_across_threads() {
+        let clock = MonotonicClock::wrap(Arc::new(Frozen));
+        let start = std::sync::Barrier::new(4);
+        let mut readings: Vec<TimestampMs> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        (0..250).map(|_| clock.now_ms()).collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect()
+        });
+        readings.sort_unstable();
+        readings.dedup();
+        assert_eq!(readings.len(), 1_000, "every reading is handed out once");
+        assert_eq!(readings[0], 1_000);
+        assert_eq!(readings[999], 1_999);
     }
 
     #[test]

@@ -24,9 +24,10 @@
 //! Uber's MySQL + S3/HDFS infrastructure); orchestration rules live in the
 //! `gallery-rules` crate.
 
-// Tests may unwrap freely; non-test code is held to the clippy.toml
-// disallowed-methods ban (no unwrap/expect on user-reachable paths).
-#![cfg_attr(test, allow(clippy::disallowed_methods))]
+// Tests may unwrap freely and use raw std locks; non-test code is held to
+// the clippy.toml disallowed-methods ban (no unwrap/expect on
+// user-reachable paths) and disallowed-types ban (every lock is ranked).
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]
 
 pub mod clock;
 pub mod deps;

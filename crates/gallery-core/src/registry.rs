@@ -23,6 +23,7 @@ use crate::version::{DisplayVersion, InstanceTrigger};
 use bytes::Bytes;
 use gallery_store::blob::memory::MemoryBlobStore;
 use gallery_store::{BlobLocation, Constraint, Dal, MetadataStore, Query, Record, Value};
+use gallery_sync::{rank, OrderedMutex};
 use gallery_telemetry::{Counter, Histogram, Telemetry};
 use std::sync::Arc;
 use std::time::Instant;
@@ -73,7 +74,7 @@ pub struct Gallery {
     /// versions are unique per model under concurrent uploads (UUIDs are
     /// the identity; display versions are the human-facing counter and
     /// must not collide).
-    version_lock: parking_lot::Mutex<()>,
+    version_lock: OrderedMutex<()>,
     /// When set (sharded deployments), minted model/instance ids are
     /// rejection-sampled until they hash onto this registry's shard, so
     /// the cluster router can locate any entity from its id alone.
@@ -95,7 +96,7 @@ impl Gallery {
             clock: crate::clock::MonotonicClock::wrap(clock),
             dal,
             events: EventBus::new(),
-            version_lock: parking_lot::Mutex::new(()),
+            version_lock: OrderedMutex::new(rank::VERSION_LOCK, ()),
             id_policy: None,
             metrics: RegistryMetrics::new(Arc::clone(gallery_telemetry::global())),
         })
@@ -1451,13 +1452,13 @@ mod tests {
 
     #[test]
     fn events_published() {
-        use parking_lot::Mutex;
+        use std::sync::Mutex;
         let g = gallery();
         let events: Arc<Mutex<Vec<String>>> = Arc::default();
         {
             let events = Arc::clone(&events);
             g.events().subscribe(Arc::new(move |e| {
-                events.lock().push(format!("{e:?}"));
+                events.lock().unwrap().push(format!("{e:?}"));
             }));
         }
         let m = g.create_model(spec("demand")).unwrap();
@@ -1466,7 +1467,7 @@ mod tests {
             .unwrap();
         g.insert_metric(&inst.id, MetricSpec::new("mae", MetricScope::Training, 0.1))
             .unwrap();
-        let log = events.lock();
+        let log = events.lock().unwrap();
         assert!(log.iter().any(|e| e.contains("ModelCreated")));
         assert!(log.iter().any(|e| e.contains("InstanceCreated")));
         assert!(log.iter().any(|e| e.contains("MetricInserted")));

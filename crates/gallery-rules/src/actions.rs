@@ -6,8 +6,8 @@
 //! leverage or extend, like sending an email or alerting."
 
 use crate::error::EngineError;
+use gallery_core::sync::{rank, OrderedMutex, OrderedRwLock};
 use gallery_core::{InstanceId, ModelId};
-use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -25,9 +25,17 @@ pub struct ActionInvocation {
 pub type ActionFn = Arc<dyn Fn(&ActionInvocation) -> Result<(), EngineError> + Send + Sync>;
 
 /// Named action registry shared by the rule engine and its users.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct ActionRegistry {
-    actions: Arc<RwLock<HashMap<String, ActionFn>>>,
+    actions: Arc<OrderedRwLock<HashMap<String, ActionFn>>>,
+}
+
+impl Default for ActionRegistry {
+    fn default() -> Self {
+        ActionRegistry {
+            actions: Arc::new(OrderedRwLock::new(rank::ACTION_REGISTRY, HashMap::new())),
+        }
+    }
 }
 
 impl ActionRegistry {
@@ -98,9 +106,17 @@ impl std::fmt::Debug for ActionRegistry {
 }
 
 /// Shared record of fired default actions (emails/alerts in the paper).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct ActionLog {
-    entries: Arc<Mutex<Vec<(String, ActionInvocation)>>>,
+    entries: Arc<OrderedMutex<Vec<(String, ActionInvocation)>>>,
+}
+
+impl Default for ActionLog {
+    fn default() -> Self {
+        ActionLog {
+            entries: Arc::new(OrderedMutex::new(rank::ACTION_LOG, Vec::new())),
+        }
+    }
 }
 
 impl ActionLog {
@@ -140,17 +156,17 @@ mod tests {
     #[test]
     fn register_and_invoke() {
         let registry = ActionRegistry::new();
-        let fired = Arc::new(Mutex::new(0));
+        let fired = Arc::new(std::sync::Mutex::new(0));
         {
             let fired = Arc::clone(&fired);
             registry.register("deploy", move |_| {
-                *fired.lock() += 1;
+                *fired.lock().unwrap() += 1;
                 Ok(())
             });
         }
         registry.invoke(&invocation("deploy")).unwrap();
         registry.invoke(&invocation("deploy")).unwrap();
-        assert_eq!(*fired.lock(), 2);
+        assert_eq!(*fired.lock().unwrap(), 2);
     }
 
     #[test]

@@ -14,9 +14,9 @@ use crate::eval::{eval, EvalValue};
 use crate::rule::{CompiledRule, RuleKind};
 use crate::selection;
 use crossbeam::channel::{unbounded, Receiver, Sender};
+use gallery_core::sync::{rank, OrderedMutex, OrderedRwLock};
 use gallery_core::{Gallery, GalleryEvent, InstanceId, ModelInstance};
 use gallery_telemetry::Telemetry;
-use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -77,8 +77,8 @@ impl EngineStats {
 struct EngineShared {
     gallery: Arc<Gallery>,
     actions: ActionRegistry,
-    rules: RwLock<HashMap<String, CompiledRule>>,
-    stats: Mutex<EngineStats>,
+    rules: OrderedRwLock<HashMap<String, CompiledRule>>,
+    stats: OrderedMutex<EngineStats>,
     telemetry: Arc<Telemetry>,
     /// Jobs enqueued but not yet completed (drain barrier).
     in_flight: std::sync::atomic::AtomicU64,
@@ -120,8 +120,8 @@ impl RuleEngine {
         let shared = Arc::new(EngineShared {
             gallery,
             actions,
-            rules: RwLock::new(HashMap::new()),
-            stats: Mutex::new(EngineStats::default()),
+            rules: OrderedRwLock::new(rank::ENGINE_RULES, HashMap::new()),
+            stats: OrderedMutex::new(rank::ENGINE_STATS, EngineStats::default()),
             telemetry,
             in_flight: std::sync::atomic::AtomicU64::new(0),
         });
@@ -470,11 +470,11 @@ mod tests {
     fn listing2_event_driven_deployment() {
         let gallery = Arc::new(Gallery::in_memory());
         let (actions, _log) = ActionRegistry::with_defaults();
-        let deployed: Arc<Mutex<Vec<ActionInvocation>>> = Arc::default();
+        let deployed: Arc<std::sync::Mutex<Vec<ActionInvocation>>> = Arc::default();
         {
             let deployed = Arc::clone(&deployed);
             actions.register("forecasting_deployment", move |inv| {
-                deployed.lock().push(inv.clone());
+                deployed.lock().unwrap().push(inv.clone());
                 Ok(())
             });
         }
@@ -491,8 +491,8 @@ mod tests {
             )
             .unwrap();
         engine.drain();
-        assert_eq!(deployed.lock().len(), 1);
-        assert_eq!(deployed.lock()[0].action, "forecasting_deployment");
+        assert_eq!(deployed.lock().unwrap().len(), 1);
+        assert_eq!(deployed.lock().unwrap()[0].action, "forecasting_deployment");
         // Out-of-corridor bias -> no new fire.
         gallery
             .insert_metric(
@@ -501,7 +501,7 @@ mod tests {
             )
             .unwrap();
         engine.drain();
-        assert_eq!(deployed.lock().len(), 1);
+        assert_eq!(deployed.lock().unwrap().len(), 1);
         let stats = engine.stats();
         assert!(stats.triggered >= 2);
         assert_eq!(stats.fired, 1);

@@ -18,9 +18,10 @@
 //!   against a context schema and flags never-firing conditions before
 //!   registration.
 
-// Unit tests may unwrap freely; non-test code is held to the
-// `disallowed-methods` ban in this crate's clippy.toml.
-#![cfg_attr(test, allow(clippy::disallowed_methods))]
+// Unit tests may unwrap freely and use raw std locks; non-test code is
+// held to the `disallowed-methods` and `disallowed-types` bans in this
+// crate's clippy.toml.
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]
 
 pub mod actions;
 pub mod alerting;

@@ -10,8 +10,8 @@
 use crate::analyze::{analyze_rule, analyze_rule_set};
 use crate::error::EngineError;
 use crate::rule::{CompiledRule, RuleDoc};
+use gallery_core::sync::{rank, OrderedRwLock};
 use gallery_store::blob::checksum::crc32;
-use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -35,9 +35,17 @@ struct RepoInner {
 }
 
 /// The rule repository. Cloning shares state.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct RuleRepo {
-    inner: Arc<RwLock<RepoInner>>,
+    inner: Arc<OrderedRwLock<RepoInner>>,
+}
+
+impl Default for RuleRepo {
+    fn default() -> Self {
+        RuleRepo {
+            inner: Arc::new(OrderedRwLock::new(rank::RULE_REPO, RepoInner::default())),
+        }
+    }
 }
 
 impl RuleRepo {

@@ -793,7 +793,13 @@ impl GalleryServer {
                     // Storage gauges are pull-based: refresh at read time
                     // instead of taxing every write.
                     self.gallery.dal().refresh_storage_gauges();
-                    gallery_sync::checker::export_metrics(self.telemetry.registry());
+                    let registry = self.telemetry.registry();
+                    registry
+                        .gauge("gallery_sync_lock_wait_ms", &[])
+                        .set(gallery_sync::checker::lock_wait_ms() as i64);
+                    registry
+                        .gauge("gallery_sync_held_across_io_total", &[])
+                        .set(gallery_sync::checker::held_across_io_total() as i64);
                     out.push_str(&self.telemetry.render_text());
                 }
                 if section == "alerts" || section == "all" {

@@ -25,8 +25,8 @@ use std::sync::{Mutex, OnceLock};
 // Checking mode
 // ---------------------------------------------------------------------------
 
-/// 0 = build default (on under `debug_assertions`, else `GALLERY_LOCKCHECK`),
-/// 1 = forced on, 2 = forced off.
+/// 1 = on, 2 = off, 0 = the build default, not yet resolved (on under
+/// `debug_assertions`, else `GALLERY_LOCKCHECK`).
 static MODE: AtomicU8 = AtomicU8::new(0);
 
 fn env_default() -> bool {
@@ -34,16 +34,29 @@ fn env_default() -> bool {
     *ENV.get_or_init(|| std::env::var("GALLERY_LOCKCHECK").is_ok_and(|v| v == "1"))
 }
 
-/// Is acquisition checking active? The release fast path is this single
-/// relaxed load (the build-default branch is resolved at compile time for
-/// debug builds and cached behind a `OnceLock` otherwise).
+/// Is acquisition checking active? The fast path is this single relaxed
+/// load: the first call after start-up or [`reset_mode`] resolves the
+/// build default and stores it in `MODE`.
 #[inline]
 pub fn enabled() -> bool {
     match MODE.load(Ordering::Relaxed) {
         1 => true,
         2 => false,
-        _ => cfg!(debug_assertions) || env_default(),
+        _ => resolve_default(),
     }
+}
+
+#[cold]
+fn resolve_default() -> bool {
+    let on = cfg!(debug_assertions) || env_default();
+    // Only from "unresolved": a concurrent `enable`/`disable` wins.
+    let _ = MODE.compare_exchange(
+        0,
+        if on { 1 } else { 2 },
+        Ordering::Relaxed,
+        Ordering::Relaxed,
+    );
+    on
 }
 
 /// Force checking on regardless of build profile.
@@ -731,16 +744,4 @@ pub fn lock_wait_ms() -> u64 {
 /// IO sections entered with at least one ordered lock held.
 pub fn held_across_io_total() -> u64 {
     HELD_ACROSS_IO.load(Ordering::Relaxed)
-}
-
-/// Publish the analyzer's counters into a metrics registry as the
-/// `gallery_sync_lock_wait_ms` and `gallery_sync_held_across_io_total`
-/// families (pull-based: call at scrape time).
-pub fn export_metrics(registry: &gallery_telemetry::Registry) {
-    registry
-        .gauge("gallery_sync_lock_wait_ms", &[])
-        .set(lock_wait_ms() as i64);
-    registry
-        .gauge("gallery_sync_held_across_io_total", &[])
-        .set(held_across_io_total() as i64);
 }

@@ -1,7 +1,7 @@
 //! Rank-checked synchronization for Gallery.
 //!
 //! The repo's answer to "nothing enforces the lock order": every lock in
-//! the store and cluster layers is an [`OrderedMutex`] /
+//! the workspace is an [`OrderedMutex`] /
 //! [`OrderedRwLock`] / [`OrderedCondvar`] carrying a declared [`Rank`]
 //! from the closed table in [`rank`]. In debug/test builds (or whenever
 //! [`checker::enable`] is called) each acquisition is validated against a
@@ -10,6 +10,10 @@
 //! diagnostics ([`diag::codes`]) rendered in the same rustc style as the
 //! rule language's `RLnnnn` layer. Release builds pay one relaxed atomic
 //! load per acquisition.
+//!
+//! The crate depends on nothing else in the workspace, so every other
+//! crate — `gallery-telemetry` at the bottom of the stack included — takes
+//! its locks from here.
 //!
 //! Consumers:
 //! - `gallery-core` re-exports this crate as `gallery_core::sync`.
@@ -251,6 +255,50 @@ mod tests {
         assert_eq!(hits.load(std::sync::atomic::Ordering::SeqCst), 2);
         checker::reset();
         checker::reset_mode();
+    }
+
+    /// A panic while a lock is held poisons the raw `std` lock; the
+    /// wrappers hand the data back instead of an error, for the mutex and
+    /// for both halves of the reader-writer lock.
+    #[test]
+    fn locks_recover_from_poison() {
+        let _g = serial();
+        let m = std::sync::Arc::new(OrderedMutex::new(rank::GATE, 0u32));
+        let rw = std::sync::Arc::new(OrderedRwLock::new(rank::CATALOG, 0u32));
+        let poison = |f: Box<dyn FnOnce() + Send>| {
+            let joined = std::thread::spawn(f).join();
+            assert!(joined.is_err(), "the holder must have panicked");
+        };
+        {
+            let m = std::sync::Arc::clone(&m);
+            poison(Box::new(move || {
+                let mut g = m.lock();
+                *g += 1;
+                panic!("poison the mutex");
+            }));
+        }
+        *m.lock() += 1;
+        assert_eq!(*m.lock(), 2);
+        {
+            let rw = std::sync::Arc::clone(&rw);
+            poison(Box::new(move || {
+                let _r = rw.read();
+                panic!("panic under the read lock");
+            }));
+        }
+        assert_eq!(*rw.read(), 0);
+        {
+            let rw = std::sync::Arc::clone(&rw);
+            poison(Box::new(move || {
+                let mut w = rw.write();
+                *w = 5;
+                panic!("poison the rwlock");
+            }));
+        }
+        assert_eq!(*rw.read(), 5);
+        *rw.write() += 1;
+        assert_eq!(*rw.read(), 6);
+        assert_eq!(checker::held_ranks().len(), 0);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Rank-checked lock wrappers.
 //!
-//! Drop-in replacements for `std::sync::{Mutex, RwLock, Condvar}` (with
-//! the vendored `parking_lot` facade's poison-recovery behavior: a
-//! poisoned lock yields its data rather than an error). Each wrapper
+//! Replacements for `std::sync::{Mutex, RwLock, Condvar}` that
+//! recover from poisoning: a lock poisoned by a panicking holder yields
+//! its data rather than an error. Each wrapper
 //! carries a [`Rank`]; when checking is on ([`crate::checker::enabled`])
 //! every acquisition is validated against the thread's held-rank stack
 //! and folded into the process-wide acquired-before graph. When checking
@@ -20,6 +20,36 @@ use crate::rank::Rank;
 use std::sync;
 use std::sync::PoisonError;
 use std::time::{Duration, Instant};
+
+/// The blocking acquire every wrapper shares: check the rank, then try
+/// the raw lock first so the uncontended path pays no clock reads; only a
+/// genuinely blocking acquire is timed into the lock-wait total. Returns
+/// the raw guard and whether the checker tracks it.
+#[inline]
+fn acquire<G>(
+    rank: &Rank,
+    mixed: u64,
+    try_raw: impl FnOnce() -> sync::TryLockResult<G>,
+    block_raw: impl FnOnce() -> sync::LockResult<G>,
+) -> (G, bool) {
+    let checking = checker::enabled();
+    if checking {
+        checker::before_acquire(rank, mixed);
+    }
+    let guard = match try_raw() {
+        Ok(g) => g,
+        Err(sync::TryLockError::Poisoned(p)) => p.into_inner(),
+        Err(sync::TryLockError::WouldBlock) => {
+            let started = checking.then(Instant::now);
+            let g = block_raw().unwrap_or_else(PoisonError::into_inner);
+            if let Some(started) = started {
+                checker::note_wait(started.elapsed());
+            }
+            g
+        }
+    };
+    (guard, checking)
+}
 
 // ---------------------------------------------------------------------------
 // OrderedMutex
@@ -41,69 +71,21 @@ impl<T> OrderedMutex<T> {
             inner: sync::Mutex::new(value),
         }
     }
-
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
 impl<T: ?Sized> OrderedMutex<T> {
-    pub fn rank(&self) -> Rank {
-        self.rank
-    }
-
     pub fn lock(&self) -> OrderedMutexGuard<'_, T> {
-        let checking = checker::enabled();
-        if checking {
-            checker::before_acquire(&self.rank, self.mixed);
-        }
-        // Try-first so the uncontended path pays no clock reads; only a
-        // genuinely blocking acquire is timed into the lock-wait total.
-        let guard = match self.inner.try_lock() {
-            Ok(g) => g,
-            Err(sync::TryLockError::Poisoned(p)) => p.into_inner(),
-            Err(sync::TryLockError::WouldBlock) => {
-                if checking {
-                    let started = Instant::now();
-                    let g = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-                    checker::note_wait(started.elapsed());
-                    g
-                } else {
-                    self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-                }
-            }
-        };
+        let (guard, tracked) = acquire(
+            &self.rank,
+            self.mixed,
+            || self.inner.try_lock(),
+            || self.inner.lock(),
+        );
         OrderedMutexGuard {
             lock: self,
-            tracked: checking,
+            tracked,
             guard: Some(guard),
         }
-    }
-
-    /// Non-blocking acquire. A successful `try_lock` still goes through
-    /// the full rank check: opportunistic acquisition out of order is
-    /// still an ordering bug waiting for contention to expose it.
-    pub fn try_lock(&self) -> Option<OrderedMutexGuard<'_, T>> {
-        let guard = match self.inner.try_lock() {
-            Ok(guard) => guard,
-            Err(sync::TryLockError::Poisoned(p)) => p.into_inner(),
-            Err(sync::TryLockError::WouldBlock) => return None,
-        };
-        let checking = checker::enabled();
-        if checking {
-            checker::before_acquire(&self.rank, self.mixed);
-        }
-        Some(OrderedMutexGuard {
-            lock: self,
-            tracked: checking,
-            guard: Some(guard),
-        })
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -161,10 +143,6 @@ impl OrderedCondvar {
         OrderedCondvar {
             inner: sync::Condvar::new(),
         }
-    }
-
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
     }
 
     pub fn notify_all(&self) {
@@ -251,107 +229,35 @@ impl<T> OrderedRwLock<T> {
             inner: sync::RwLock::new(value),
         }
     }
-
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
 impl<T: ?Sized> OrderedRwLock<T> {
-    pub fn rank(&self) -> Rank {
-        self.rank
-    }
-
     pub fn read(&self) -> OrderedRwLockReadGuard<'_, T> {
-        let checking = checker::enabled();
-        if checking {
-            checker::before_acquire(&self.rank, self.mixed);
-        }
-        let guard = match self.inner.try_read() {
-            Ok(g) => g,
-            Err(sync::TryLockError::Poisoned(p)) => p.into_inner(),
-            Err(sync::TryLockError::WouldBlock) => {
-                if checking {
-                    let started = Instant::now();
-                    let g = self.inner.read().unwrap_or_else(PoisonError::into_inner);
-                    checker::note_wait(started.elapsed());
-                    g
-                } else {
-                    self.inner.read().unwrap_or_else(PoisonError::into_inner)
-                }
-            }
-        };
+        let (guard, tracked) = acquire(
+            &self.rank,
+            self.mixed,
+            || self.inner.try_read(),
+            || self.inner.read(),
+        );
         OrderedRwLockReadGuard {
             lock: self,
-            tracked: checking,
+            tracked,
             guard: Some(guard),
         }
     }
 
     pub fn write(&self) -> OrderedRwLockWriteGuard<'_, T> {
-        let checking = checker::enabled();
-        if checking {
-            checker::before_acquire(&self.rank, self.mixed);
-        }
-        let guard = match self.inner.try_write() {
-            Ok(g) => g,
-            Err(sync::TryLockError::Poisoned(p)) => p.into_inner(),
-            Err(sync::TryLockError::WouldBlock) => {
-                if checking {
-                    let started = Instant::now();
-                    let g = self.inner.write().unwrap_or_else(PoisonError::into_inner);
-                    checker::note_wait(started.elapsed());
-                    g
-                } else {
-                    self.inner.write().unwrap_or_else(PoisonError::into_inner)
-                }
-            }
-        };
+        let (guard, tracked) = acquire(
+            &self.rank,
+            self.mixed,
+            || self.inner.try_write(),
+            || self.inner.write(),
+        );
         OrderedRwLockWriteGuard {
             lock: self,
-            tracked: checking,
+            tracked,
             guard: Some(guard),
         }
-    }
-
-    pub fn try_read(&self) -> Option<OrderedRwLockReadGuard<'_, T>> {
-        let guard = match self.inner.try_read() {
-            Ok(guard) => guard,
-            Err(sync::TryLockError::Poisoned(p)) => p.into_inner(),
-            Err(sync::TryLockError::WouldBlock) => return None,
-        };
-        let checking = checker::enabled();
-        if checking {
-            checker::before_acquire(&self.rank, self.mixed);
-        }
-        Some(OrderedRwLockReadGuard {
-            lock: self,
-            tracked: checking,
-            guard: Some(guard),
-        })
-    }
-
-    pub fn try_write(&self) -> Option<OrderedRwLockWriteGuard<'_, T>> {
-        let guard = match self.inner.try_write() {
-            Ok(guard) => guard,
-            Err(sync::TryLockError::Poisoned(p)) => p.into_inner(),
-            Err(sync::TryLockError::WouldBlock) => return None,
-        };
-        let checking = checker::enabled();
-        if checking {
-            checker::before_acquire(&self.rank, self.mixed);
-        }
-        Some(OrderedRwLockWriteGuard {
-            lock: self,
-            tracked: checking,
-            guard: Some(guard),
-        })
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
 }
 

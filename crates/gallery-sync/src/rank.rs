@@ -91,6 +91,12 @@ pub const IDEMPOTENCY: Rank = Rank::new(60, "Idempotency");
 /// Client-side per-endpoint circuit breakers.
 pub const BREAKER: Rank = Rank::new(70, "Breaker");
 
+// --- Registry (held across the DAL's blob and metadata writes) ---
+
+/// `Gallery`'s version claim: read-latest-then-insert runs under it, so
+/// `dal.put_with_blob` takes every blob and store rank while it is held.
+pub const VERSION_LOCK: Rank = Rank::new(75, "VersionLock");
+
 // --- DAL / blob layer (above the metadata store in the call stack) ---
 
 /// The blob LRU cache's internal state.
@@ -131,7 +137,25 @@ pub const WAL: Rank = Rank::new(WAL_LEVEL, "Wal");
 /// The oplog: sequence assignment follows WAL order, so it locks after.
 pub const OPLOG: Rank = Rank::new(OPLOG_LEVEL, "Oplog");
 
-// --- Leaf observers (nothing may be acquired while holding these) ---
+// --- Change events and the rule engine (taken under the version lock,
+// never held across a call back into the registry) ---
+
+/// The rule repository's files and commit history.
+pub const RULE_REPO: Rank = Rank::new(400, "RuleRepo");
+/// The registry's event-bus subscriber list. Copy-on-write: `publish`
+/// holds it only to clone the list, and runs the handlers after.
+pub const EVENT_BUS: Rank = Rank::new(410, "EventBus");
+/// The rule engine's compiled rules; an event handler holds the read
+/// half while it enqueues jobs.
+pub const ENGINE_RULES: Rank = Rank::new(420, "EngineRules");
+/// The rule engine's throughput and latency counters.
+pub const ENGINE_STATS: Rank = Rank::new(430, "EngineStats");
+/// The named action callbacks; `invoke` runs the callback after release.
+pub const ACTION_REGISTRY: Rank = Rank::new(440, "ActionRegistry");
+/// The default actions' record of fired invocations.
+pub const ACTION_LOG: Rank = Rank::new(450, "ActionLog");
+
+// --- Observers (nothing but telemetry may be acquired while holding these) ---
 
 /// Store-level operation metrics.
 pub const META_METRICS: Rank = Rank::new(900, "MetaMetrics");
@@ -154,6 +178,23 @@ pub const RETRY_RNG: Rank = Rank::new(945, "RetryRng");
 /// A transport's worker-thread join handle.
 pub const WORKER_HANDLE: Rank = Rank::new(950, "WorkerHandle");
 
+// --- Telemetry (innermost: every layer, the observers above included,
+// records while holding its own locks) ---
+
+/// The alert engine's rules, hooks and history. Its conditions read the
+/// metric registry under it; hooks and events run after release.
+pub const ALERT_ENGINE: Rank = Rank::new(960, "AlertEngine");
+/// The tracer's ring of finished spans.
+pub const TRACER: Rank = Rank::new(965, "Tracer");
+/// The tracer's attached flight-recorder slot.
+pub const TRACER_FLIGHT: Rank = Rank::new(970, "TracerFlight");
+/// The flight recorder's capture ring.
+pub const FLIGHT_RECORDER: Rank = Rank::new(975, "FlightRecorder");
+/// The structured event ring and its JSONL mirror.
+pub const EVENT_SINK: Rank = Rank::new(980, "EventSink");
+/// The metric registry's series table.
+pub const METRIC_REGISTRY: Rank = Rank::new(990, "MetricRegistry");
+
 /// Highest stripe index the declared table covers (the store caps
 /// `MAX_LOCK_STRIPES` at 32; leave headroom).
 pub const MAX_STRIPE_INDEX: u32 = 63;
@@ -168,6 +209,7 @@ pub const DECLARED: &[Rank] = &[
     REPLICA_ROLE,
     IDEMPOTENCY,
     BREAKER,
+    VERSION_LOCK,
     BLOB_CACHE,
     BLOB_STORE,
     GATE,
@@ -177,6 +219,12 @@ pub const DECLARED: &[Rank] = &[
     COMMIT_QUEUE,
     WAL,
     OPLOG,
+    RULE_REPO,
+    EVENT_BUS,
+    ENGINE_RULES,
+    ENGINE_STATS,
+    ACTION_REGISTRY,
+    ACTION_LOG,
     META_METRICS,
     SLOW_LOG,
     STRIPE_METRICS,
@@ -187,6 +235,12 @@ pub const DECLARED: &[Rank] = &[
     RESILIENCE_STATS,
     RETRY_RNG,
     WORKER_HANDLE,
+    ALERT_ENGINE,
+    TRACER,
+    TRACER_FLIGHT,
+    FLIGHT_RECORDER,
+    EVENT_SINK,
+    METRIC_REGISTRY,
 ];
 
 /// Is `rank` in the declared table (including the stripe family)?
@@ -203,8 +257,10 @@ pub fn is_declared(rank: &Rank) -> bool {
 /// "source text" of a lock-rank finding.
 pub fn order_line() -> String {
     "ShardMap < LeaderSeq < Progress < NodeReplicas < ReplicaRole < Idempotency < Breaker \
-     < BlobCache < BlobStore < Gate < ShipLock < Catalog < Stripe(i) < OrderedIndex \
-     < CommitQueue < Wal < Oplog < leaf observers"
+     < VersionLock < BlobCache < BlobStore < Gate < ShipLock < Catalog < Stripe(i) \
+     < OrderedIndex < CommitQueue < Wal < Oplog < RuleRepo < EventBus < EngineRules \
+     < EngineStats < ActionRegistry < ActionLog < observers < AlertEngine < Tracer \
+     < TracerFlight < FlightRecorder < EventSink < MetricRegistry"
         .to_string()
 }
 
@@ -261,6 +317,6 @@ mod tests {
     fn labels_show_family_indices() {
         assert_eq!(stripe(7).label(), "Stripe[7]");
         assert_eq!(CATALOG.label(), "Catalog");
-        assert_eq!(order_line().split('<').count(), 18);
+        assert_eq!(order_line().split('<').count(), 31);
     }
 }

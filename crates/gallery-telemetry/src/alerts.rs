@@ -31,7 +31,7 @@ use crate::events::{kinds, EventSink};
 use crate::metrics::{Counter, FamilyMeta, Gauge, Histogram, Registry};
 use crate::trace::Clock;
 use crate::Telemetry;
-use parking_lot::Mutex;
+use gallery_sync::{rank, OrderedMutex};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -333,6 +333,9 @@ struct RuleRuntime {
     burn: Option<BurnHistory>,
 }
 
+/// A firing rule's action names, each with its hook if one is registered.
+type ResolvedActions = Vec<(String, Option<ActionHook>)>;
+
 struct EngineInner {
     rules: Vec<RuleRuntime>,
     actions: Vec<(String, ActionHook)>,
@@ -352,7 +355,7 @@ pub struct AlertEngine {
     time: Arc<dyn Clock>,
     registry: Arc<Registry>,
     events: Arc<EventSink>,
-    inner: Mutex<EngineInner>,
+    inner: OrderedMutex<EngineInner>,
     metrics: EngineMetrics,
     history_capacity: usize,
 }
@@ -369,11 +372,14 @@ impl AlertEngine {
             time: Arc::clone(telemetry.time_source()),
             registry: Arc::clone(r),
             events: Arc::clone(telemetry.events()),
-            inner: Mutex::new(EngineInner {
-                rules: Vec::new(),
-                actions: Vec::new(),
-                history: VecDeque::new(),
-            }),
+            inner: OrderedMutex::new(
+                rank::ALERT_ENGINE,
+                EngineInner {
+                    rules: Vec::new(),
+                    actions: Vec::new(),
+                    history: VecDeque::new(),
+                },
+            ),
             metrics: EngineMetrics {
                 evals: r.counter("gallery_alert_evals_total", &[]),
                 transitions: r.counter("gallery_alert_transitions_total", &[]),
@@ -424,10 +430,15 @@ impl AlertEngine {
 
     /// Evaluate every rule once at the current time. Returns the
     /// transitions that happened this tick (empty when nothing changed).
+    ///
+    /// States advance under the engine's lock; the transition events and
+    /// the firing rules' action hooks run after it is released, in rule
+    /// order, so a hook may take any lock and may call back into the
+    /// engine.
     pub fn evaluate(&self) -> Vec<AlertTransition> {
         let now = self.time.now_ms();
         self.metrics.evals.inc();
-        let mut fired: Vec<AlertTransition> = Vec::new();
+        let mut changed: Vec<(AlertTransition, ResolvedActions)> = Vec::new();
         let mut inner = self.inner.lock();
         let EngineInner {
             rules,
@@ -478,8 +489,37 @@ impl AlertEngine {
                     .as_ref()
                     .and_then(|h| h.tail_exemplar()),
             };
+            let hooks = if to == AlertState::Firing {
+                rt.rule
+                    .actions
+                    .iter()
+                    .map(|name| {
+                        let hook = actions
+                            .iter()
+                            .find(|(n, _)| n == name)
+                            .map(|(_, h)| Arc::clone(h));
+                        (name.clone(), hook)
+                    })
+                    .collect()
+            } else {
+                Vec::new()
+            };
+            if history.len() == self.history_capacity {
+                history.pop_front();
+            }
+            history.push_back(transition.clone());
+            changed.push((transition, hooks));
+        }
+        let firing = rules
+            .iter()
+            .filter(|r| r.state == AlertState::Firing)
+            .count();
+        self.metrics.firing.set(firing as i64);
+        drop(inner);
+        let mut fired = Vec::with_capacity(changed.len());
+        for (transition, hooks) in changed {
             self.metrics.transitions.inc();
-            let kind = match to {
+            let kind = match transition.to {
                 AlertState::Pending => Some(kinds::ALERT_PENDING),
                 AlertState::Firing => Some(kinds::ALERT_FIRING),
                 AlertState::Resolved => Some(kinds::ALERT_RESOLVED),
@@ -487,50 +527,35 @@ impl AlertEngine {
             };
             if let Some(kind) = kind {
                 let mut fields = vec![("rule", transition.rule_id.clone().into())];
-                if let Some(v) = value {
+                if let Some(v) = transition.value {
                     fields.push(("value", format!("{v}").into()));
                 }
                 self.events
                     .emit_traced(kind, transition.exemplar_trace_id, fields);
             }
-            if to == AlertState::Firing {
-                for action_name in &rt.rule.actions {
-                    let hook = actions
-                        .iter()
-                        .find(|(n, _)| n == action_name)
-                        .map(|(_, h)| Arc::clone(h));
-                    let outcome = match hook {
-                        Some(h) => {
-                            self.metrics.actions_invoked.inc();
-                            match h(&transition) {
-                                Ok(()) => "ok".to_string(),
-                                Err(e) => format!("error: {e}"),
-                            }
+            for (action_name, hook) in hooks {
+                let outcome = match hook {
+                    Some(h) => {
+                        self.metrics.actions_invoked.inc();
+                        match h(&transition) {
+                            Ok(()) => "ok".to_string(),
+                            Err(e) => format!("error: {e}"),
                         }
-                        None => "unregistered".to_string(),
-                    };
-                    self.events.emit_traced(
-                        kinds::ALERT_ACTION,
-                        transition.exemplar_trace_id,
-                        vec![
-                            ("rule", transition.rule_id.clone().into()),
-                            ("action", action_name.clone().into()),
-                            ("outcome", outcome.into()),
-                        ],
-                    );
-                }
+                    }
+                    None => "unregistered".to_string(),
+                };
+                self.events.emit_traced(
+                    kinds::ALERT_ACTION,
+                    transition.exemplar_trace_id,
+                    vec![
+                        ("rule", transition.rule_id.clone().into()),
+                        ("action", action_name.into()),
+                        ("outcome", outcome.into()),
+                    ],
+                );
             }
-            if history.len() == self.history_capacity {
-                history.pop_front();
-            }
-            history.push_back(transition.clone());
             fired.push(transition);
         }
-        let firing = rules
-            .iter()
-            .filter(|r| r.state == AlertState::Firing)
-            .count();
-        self.metrics.firing.set(firing as i64);
         fired
     }
 
@@ -823,13 +848,14 @@ mod tests {
         let (t, clock, engine) = setup();
         let h = t.registry().histogram("abs_err", &[], &[1.0, 10.0]);
         type Seen = Vec<(String, Option<u64>)>;
-        let seen: Arc<Mutex<Seen>> = Arc::new(Mutex::new(Vec::new()));
+        let seen: Arc<std::sync::Mutex<Seen>> = Arc::new(std::sync::Mutex::new(Vec::new()));
         let seen2 = Arc::clone(&seen);
         engine.register_action(
             "rollback",
             Arc::new(move |tr: &AlertTransition| {
                 seen2
                     .lock()
+                    .unwrap()
                     .push((tr.rule_id.clone(), tr.exemplar_trace_id));
                 Ok(())
             }),
@@ -860,7 +886,7 @@ mod tests {
             "tail exemplar rides along"
         );
         assert_eq!(
-            seen.lock().as_slice(),
+            seen.lock().unwrap().as_slice(),
             &[("bad-preds".to_string(), Some(99))]
         );
         let actions = t.events().of_kind(kinds::ALERT_ACTION);
@@ -869,6 +895,56 @@ mod tests {
         assert_eq!(actions[1].field("outcome"), Some("unregistered"));
         // The firing event is stitched to the exemplar's trace.
         assert_eq!(t.events().for_trace(99).len(), 3);
+    }
+
+    /// Hooks run after the engine's lock is released: one that reads the
+    /// engine back returns instead of deadlocking on that lock. The
+    /// engine runs on its own thread, so a regression fails the timeout
+    /// below rather than hanging the suite.
+    #[test]
+    fn hook_may_call_back_into_the_engine() {
+        let (t, _clock, engine) = setup();
+        let engine = Arc::new(engine);
+        let seen: Arc<std::sync::Mutex<Vec<String>>> = Arc::default();
+        {
+            let engine_ref = Arc::downgrade(&engine);
+            let seen = Arc::clone(&seen);
+            engine.register_action(
+                "introspect",
+                Arc::new(move |_tr: &AlertTransition| {
+                    if let Some(engine) = engine_ref.upgrade() {
+                        *seen.lock().unwrap() = engine.action_names();
+                    }
+                    Ok(())
+                }),
+            );
+        }
+        engine.add_rule(
+            AlertRule::new(
+                "always",
+                AlertCondition::Predicate {
+                    describe: "always breached".into(),
+                    f: Arc::new(|_: &Registry| Some(true)),
+                },
+            )
+            .action("introspect"),
+        );
+        let (tx, rx) = std::sync::mpsc::channel();
+        let evaluator = {
+            let engine = Arc::clone(&engine);
+            std::thread::spawn(move || {
+                let _ = tx.send(engine.evaluate().len());
+            })
+        };
+        let fired = rx
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .expect("a hook that calls back into the engine must not deadlock evaluate");
+        evaluator.join().unwrap();
+        assert_eq!(fired, 1);
+        assert_eq!(*seen.lock().unwrap(), vec!["introspect".to_string()]);
+        let actions = t.events().of_kind(kinds::ALERT_ACTION);
+        assert_eq!(actions.len(), 1);
+        assert_eq!(actions[0].field("outcome"), Some("ok"));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! queryable records").
 
 use crate::trace::Clock;
-use parking_lot::Mutex;
+use gallery_sync::{rank, OrderedMutex};
 use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::io::Write;
@@ -95,7 +95,7 @@ struct SinkInner {
 /// Bounded ring buffer of [`TelemetryEvent`]s with an optional JSONL tap.
 pub struct EventSink {
     time: Arc<dyn Clock>,
-    inner: Mutex<SinkInner>,
+    inner: OrderedMutex<SinkInner>,
     capacity: usize,
     enabled: bool,
 }
@@ -110,11 +110,14 @@ impl EventSink {
     pub fn with_capacity(time: Arc<dyn Clock>, capacity: usize) -> Self {
         EventSink {
             time,
-            inner: Mutex::new(SinkInner {
-                ring: VecDeque::new(),
-                total: 0,
-                writer: None,
-            }),
+            inner: OrderedMutex::new(
+                rank::EVENT_SINK,
+                SinkInner {
+                    ring: VecDeque::new(),
+                    total: 0,
+                    writer: None,
+                },
+            ),
             capacity: capacity.max(1),
             enabled: true,
         }
@@ -316,11 +319,11 @@ mod tests {
     #[test]
     fn jsonl_lines_are_valid_json() {
         let s = sink();
-        let buf: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
-        struct Tap(Arc<Mutex<Vec<u8>>>);
+        let buf: Arc<std::sync::Mutex<Vec<u8>>> = Arc::new(std::sync::Mutex::new(Vec::new()));
+        struct Tap(Arc<std::sync::Mutex<Vec<u8>>>);
         impl Write for Tap {
             fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().extend_from_slice(b);
+                self.0.lock().unwrap().extend_from_slice(b);
                 Ok(b.len())
             }
             fn flush(&mut self) -> std::io::Result<()> {
@@ -333,7 +336,7 @@ mod tests {
             Some(7),
             vec![("pk", "i-1".into()), ("note", "a\"b\\c".into())],
         );
-        let text = String::from_utf8(buf.lock().clone()).unwrap();
+        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
         let line = text.lines().next().unwrap();
         assert!(line.starts_with('{') && line.ends_with('}'));
         assert!(line.contains("\"kind\":\"degraded.read\""));

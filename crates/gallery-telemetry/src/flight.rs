@@ -11,7 +11,7 @@
 
 use crate::metrics::Counter;
 use crate::trace::SpanRecord;
-use parking_lot::Mutex;
+use gallery_sync::{rank, OrderedMutex};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -47,7 +47,7 @@ pub struct FlightRecorder {
     /// Incremented alongside the internal drop count, so evictions show
     /// up in the metrics exposition without polling the recorder.
     dropped_counter: Option<Arc<Counter>>,
-    inner: Mutex<FlightInner>,
+    inner: OrderedMutex<FlightInner>,
 }
 
 impl FlightRecorder {
@@ -63,11 +63,14 @@ impl FlightRecorder {
             threshold_ms,
             capacity: capacity.max(1),
             dropped_counter: None,
-            inner: Mutex::new(FlightInner {
-                ring: VecDeque::new(),
-                dropped: 0,
-                total: 0,
-            }),
+            inner: OrderedMutex::new(
+                rank::FLIGHT_RECORDER,
+                FlightInner {
+                    ring: VecDeque::new(),
+                    dropped: 0,
+                    total: 0,
+                },
+            ),
         }
     }
 

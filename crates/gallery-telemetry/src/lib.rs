@@ -18,10 +18,15 @@
 //! explicit [`Telemetry`] handle for isolated tests and for E15's
 //! overhead measurements against a [`Telemetry::disabled()`] bundle.
 //!
-//! This crate is a workspace *leaf*: it depends only on the vendored
-//! `parking_lot`, so every other gallery crate — including `gallery-store`
-//! at the bottom of the stack — can be instrumented without dependency
+//! This crate sits at the bottom of the workspace, on `gallery-sync`
+//! alone: its locks are rank-checked `OrderedMutex`es, innermost in the
+//! declared order (docs/concurrency.md), and every other gallery crate —
+//! including `gallery-store` — can be instrumented without dependency
 //! cycles.
+
+// Tests may use raw std locks; non-test code is held to the clippy.toml
+// disallowed-types ban (every lock carries a declared rank).
+#![cfg_attr(test, allow(clippy::disallowed_types))]
 
 pub mod alerts;
 pub mod events;

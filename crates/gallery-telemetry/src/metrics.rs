@@ -13,7 +13,7 @@
 //! series) and [`parse_exposition`] is the matching line-format lint used
 //! by tests and CI.
 
-use parking_lot::Mutex;
+use gallery_sync::{rank, OrderedMutex};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -372,7 +372,7 @@ struct RegistryInner {
 
 /// Metric registry: mints and owns handles, renders the exposition text.
 pub struct Registry {
-    inner: Mutex<RegistryInner>,
+    inner: OrderedMutex<RegistryInner>,
     enabled: bool,
 }
 
@@ -388,7 +388,7 @@ impl Registry {
 
     pub fn new() -> Self {
         Registry {
-            inner: Mutex::new(RegistryInner::default()),
+            inner: OrderedMutex::new(rank::METRIC_REGISTRY, RegistryInner::default()),
             enabled: true,
         }
     }
@@ -397,7 +397,7 @@ impl Registry {
     /// branch. Used to measure instrumentation overhead (E15).
     pub fn disabled() -> Self {
         Registry {
-            inner: Mutex::new(RegistryInner::default()),
+            inner: OrderedMutex::new(rank::METRIC_REGISTRY, RegistryInner::default()),
             enabled: false,
         }
     }

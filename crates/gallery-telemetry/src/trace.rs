@@ -11,7 +11,7 @@
 //! time; `gallery-core` re-exports it next to its `ManualClock`.
 
 use crate::flight::{FlightRecorder, SlowCapture};
-use parking_lot::Mutex;
+use gallery_sync::{rank, OrderedMutex};
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -79,10 +79,10 @@ struct TracerInner {
 pub struct Tracer {
     time: Arc<dyn Clock>,
     next_id: AtomicU64,
-    inner: Mutex<TracerInner>,
+    inner: OrderedMutex<TracerInner>,
     capacity: usize,
     enabled: bool,
-    flight: Mutex<Option<Arc<FlightRecorder>>>,
+    flight: OrderedMutex<Option<Arc<FlightRecorder>>>,
 }
 
 impl Tracer {
@@ -96,13 +96,16 @@ impl Tracer {
         Tracer {
             time,
             next_id: AtomicU64::new(1),
-            inner: Mutex::new(TracerInner {
-                finished: VecDeque::new(),
-                dropped: 0,
-            }),
+            inner: OrderedMutex::new(
+                rank::TRACER,
+                TracerInner {
+                    finished: VecDeque::new(),
+                    dropped: 0,
+                },
+            ),
             capacity: capacity.max(1),
             enabled: true,
-            flight: Mutex::new(None),
+            flight: OrderedMutex::new(rank::TRACER_FLIGHT, None),
         }
     }
 

@@ -13,8 +13,8 @@ use bytes::Bytes;
 use gallery::core::metadata::fields;
 use gallery::prelude::*;
 use gallery::rules::rule::{listing1_selection_rule, listing2_action_rule};
-use parking_lot::Mutex;
 use std::sync::Arc;
+use std::sync::Mutex;
 
 fn main() {
     let gallery = Arc::new(Gallery::in_memory());
@@ -46,7 +46,7 @@ fn main() {
             gallery
                 .deploy(&inv.model_id, &inv.instance_id, &inv.environment)
                 .map_err(|e| gallery::rules::EngineError::ActionFailed(e.to_string()))?;
-            deployed.lock().push(inv.instance_id.to_string());
+            deployed.lock().unwrap().push(inv.instance_id.to_string());
             Ok(())
         });
     }
@@ -78,7 +78,7 @@ fn main() {
     engine.drain();
     println!(
         "auto-deployed after in-corridor bias metric: {:?}",
-        deployed.lock().clone()
+        deployed.lock().unwrap().clone()
     );
     assert_eq!(
         gallery.deployed_instance(&rf.id, "production").unwrap(),

@@ -12,8 +12,8 @@ use gallery_forecast::{
     backtest, AnyForecaster, CityConfig, EventWindow, FeatureSpec, Forecaster, RidgeForecaster,
 };
 use gallery_rules::{ActionRegistry, CompiledRule, RuleBody, RuleDoc, RuleEngine};
-use parking_lot::Mutex;
 use std::sync::Arc;
+use std::sync::Mutex;
 
 #[test]
 fn full_lifecycle_with_drift_and_retraining() {
@@ -93,7 +93,10 @@ fn full_lifecycle_with_drift_and_retraining() {
     {
         let retrain_requests = Arc::clone(&retrain_requests);
         actions.register("trigger_retraining", move |inv| {
-            retrain_requests.lock().push(inv.instance_id.to_string());
+            retrain_requests
+                .lock()
+                .unwrap()
+                .push(inv.instance_id.to_string());
             Ok(())
         });
     }
@@ -141,7 +144,7 @@ fn full_lifecycle_with_drift_and_retraining() {
     engine.drain();
     assert!(drift_seen, "the regime change must register as drift");
     assert!(
-        !retrain_requests.lock().is_empty(),
+        !retrain_requests.lock().unwrap().is_empty(),
         "degraded production MAPE must trigger the retraining rule"
     );
 

@@ -9,7 +9,7 @@ use std::collections::BTreeSet;
 use std::fs;
 use std::path::PathBuf;
 
-use gallery::core::sync::codes;
+use gallery::core::sync::{codes, rank};
 
 fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -77,5 +77,19 @@ fn every_lock_code_is_pinned_by_a_lockgraph_fixture() {
     assert!(
         stale.is_empty(),
         "codes referenced in lockgraph_fixtures.rs but absent from codes::ALL: {stale:?}"
+    );
+}
+
+#[test]
+fn every_declared_rank_is_in_the_rank_table() {
+    let docs = fs::read_to_string(repo_root().join("docs/concurrency.md")).unwrap();
+    let missing: Vec<&str> = rank::DECLARED
+        .iter()
+        .map(|r| r.name)
+        .filter(|name| !docs.contains(&format!("`{name}`")))
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "declared ranks missing from the docs/concurrency.md rank table: {missing:?}"
     );
 }
