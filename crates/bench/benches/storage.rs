@@ -4,10 +4,10 @@
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gallery_store::blob::cache::CachedBlobStore;
-use gallery_store::blob::memory::MemoryBlobStore;
+use gallery_store::blob::localfs::LocalFsBlobStore;
 use gallery_store::{
-    ColumnDef, Constraint, LatencyModel, MetadataStore, ObjectStore, Op, Query, Record, SyncPolicy,
-    TableSchema, ValueType,
+    ColumnDef, Constraint, MetadataStore, ObjectStore, Op, Query, Record, SyncPolicy, TableSchema,
+    ValueType,
 };
 use std::hint::black_box;
 use std::sync::Arc;
@@ -135,7 +135,7 @@ fn bench_insert(c: &mut Criterion) {
 
 fn bench_blob_cache(c: &mut Criterion) {
     let mut group = c.benchmark_group("blob_cache");
-    let backend = Arc::new(MemoryBlobStore::new().with_latency(LatencyModel::object_store_like()));
+    let backend = Arc::new(LocalFsBlobStore::in_memory());
     let cache = CachedBlobStore::new(backend.clone() as Arc<dyn ObjectStore>, 64 * 1024 * 1024);
     let blob = Bytes::from(vec![7u8; 256 * 1024]);
     let hot = cache.put(blob.clone()).unwrap().location;

@@ -56,7 +56,6 @@ fn run_cell(policy: RetryPolicy, fault_p: f64, calls: usize, seed: u64) -> CellO
     let model = LatencyModel {
         per_request: Duration::from_millis(2),
         per_byte_ns: 100.0,
-        real_sleep: false,
     };
     let plan = FaultPlan::with_seed(seed);
     plan.fail_with_probability(sites::RPC_SEND, fault_p / 2.0);

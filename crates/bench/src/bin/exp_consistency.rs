@@ -9,7 +9,7 @@
 
 use bytes::Bytes;
 use gallery_bench::{banner, TextTable};
-use gallery_store::blob::memory::MemoryBlobStore;
+use gallery_store::blob::localfs::LocalFsBlobStore;
 use gallery_store::fault::sites;
 use gallery_store::{
     ColumnDef, Dal, FaultPlan, MetadataStore, Record, TableSchema, ValueType, WriteOrdering,
@@ -41,7 +41,7 @@ fn run(ordering: WriteOrdering, writes: usize, fault_p: f64, seed: u64) -> Outco
     plan.fail_with_probability(sites::BLOB_PUT, fault_p);
     plan.fail_with_probability(sites::META_INSERT, fault_p);
     let meta = MetadataStore::in_memory().with_faults(plan.clone());
-    let blobs = MemoryBlobStore::new().with_faults(plan);
+    let blobs = LocalFsBlobStore::in_memory().with_faults(plan);
     let dal = Dal::new(Arc::new(meta), Arc::new(blobs)).with_ordering(ordering);
     dal.create_table(schema()).unwrap();
 

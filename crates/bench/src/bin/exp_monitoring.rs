@@ -32,7 +32,7 @@ use gallery_core::monitor::{ModelMonitor, MonitorConfig, ScoringEvent, SCALE};
 use gallery_core::{Clock, Gallery, InstanceId, InstanceSpec, ManualClock, ModelSpec, SystemClock};
 use gallery_rules::{compile_condition, register_lifecycle_actions, ACTION_ROLLBACK_PRODUCTION};
 use gallery_service::{DirectTransport, GalleryClient, GalleryServer};
-use gallery_store::blob::memory::MemoryBlobStore;
+use gallery_store::blob::localfs::LocalFsBlobStore;
 use gallery_store::{Dal, MetadataStore};
 use gallery_telemetry::{
     kinds, AlertCondition, AlertEngine, AlertRule, AlertState, BurnWindow, MetricSelector,
@@ -338,7 +338,7 @@ fn workload(telemetry: &Arc<Telemetry>, alerts: Option<(&mut ModelMonitor, &Aler
     let dal = Arc::new(
         Dal::new(
             Arc::new(MetadataStore::in_memory()),
-            Arc::new(MemoryBlobStore::new()),
+            Arc::new(LocalFsBlobStore::in_memory()),
         )
         .with_telemetry(Arc::clone(telemetry)),
     );

@@ -27,7 +27,7 @@ use gallery_service::{
     DirectTransport, FlakyTransport, GalleryClient, GalleryServer, Resilience, RetryPolicy,
 };
 use gallery_store::blob::cache::CachedBlobStore;
-use gallery_store::blob::memory::MemoryBlobStore;
+use gallery_store::blob::localfs::LocalFsBlobStore;
 use gallery_store::fault::{sites, FaultPlan};
 use gallery_store::{Dal, MetadataStore, SyncPolicy};
 use gallery_telemetry::{kinds, parse_exposition, Telemetry};
@@ -138,7 +138,7 @@ fn run_metric_surface() {
     let meta = MetadataStore::durable(dir.join("wal.log"), SyncPolicy::Always)
         .expect("open wal")
         .with_telemetry(Arc::clone(&telemetry));
-    let blobs = CachedBlobStore::new(Arc::new(MemoryBlobStore::new()), 64)
+    let blobs = CachedBlobStore::new(Arc::new(LocalFsBlobStore::in_memory()), 64)
         .with_telemetry(Arc::clone(&telemetry));
     let dal =
         Arc::new(Dal::new(Arc::new(meta), Arc::new(blobs)).with_telemetry(Arc::clone(&telemetry)));
@@ -235,7 +235,7 @@ fn workload(telemetry: &Arc<Telemetry>) {
     let dal = Arc::new(
         Dal::new(
             Arc::new(MetadataStore::in_memory()),
-            Arc::new(MemoryBlobStore::new()),
+            Arc::new(LocalFsBlobStore::in_memory()),
         )
         .with_telemetry(Arc::clone(telemetry)),
     );

@@ -21,7 +21,7 @@ use crate::schemas::{
 };
 use crate::version::{DisplayVersion, InstanceTrigger};
 use bytes::Bytes;
-use gallery_store::blob::memory::MemoryBlobStore;
+use gallery_store::blob::cache::CachedBlobStore;
 use gallery_store::{BlobLocation, Constraint, Dal, MetadataStore, Query, Record, Value};
 use gallery_sync::{rank, OrderedMutex};
 use gallery_telemetry::{Counter, Histogram, Telemetry};
@@ -147,24 +147,23 @@ impl Gallery {
 
     /// Fully in-memory Gallery with the system clock — the common test and
     /// example entry point.
+    pub fn in_memory() -> Self {
+        Self::in_memory_with_clock(Arc::new(SystemClock))
+    }
+
+    /// In-memory Gallery with a caller-supplied clock (deterministic tests).
+    ///
+    /// The stack a deployment records through, over RAM: the metadata
+    /// WAL and the blob files live on [`gallery_store::SimFs`] disks, and
+    /// blobs are read through [`CachedBlobStore::in_memory`]'s cache.
     // Opening a freshly created in-memory store applies the static schemas
     // to empty tables; the only failure mode is a schema bug, which the
     // schema tests catch.
     #[allow(clippy::disallowed_methods)]
-    pub fn in_memory() -> Self {
-        let dal = Arc::new(Dal::new(
-            Arc::new(MetadataStore::in_memory()),
-            Arc::new(MemoryBlobStore::new()),
-        ));
-        Self::open(dal, Arc::new(SystemClock)).expect("fresh in-memory store cannot fail")
-    }
-
-    /// In-memory Gallery with a caller-supplied clock (deterministic tests).
-    #[allow(clippy::disallowed_methods)] // same invariant as `in_memory`
     pub fn in_memory_with_clock(clock: Arc<dyn Clock>) -> Self {
         let dal = Arc::new(Dal::new(
             Arc::new(MetadataStore::in_memory()),
-            Arc::new(MemoryBlobStore::new()),
+            Arc::new(CachedBlobStore::in_memory()),
         ));
         Self::open(dal, clock).expect("fresh in-memory store cannot fail")
     }
@@ -1290,10 +1289,11 @@ mod tests {
 
     #[test]
     fn model_query_fails_whole_when_the_join_read_fails() {
+        use gallery_store::blob::localfs::LocalFsBlobStore;
         use gallery_store::fault::{sites, FaultPlan};
         let faults = FaultPlan::none();
         let meta = MetadataStore::in_memory().with_faults(faults.clone());
-        let dal = Dal::new(Arc::new(meta), Arc::new(MemoryBlobStore::new()));
+        let dal = Dal::new(Arc::new(meta), Arc::new(LocalFsBlobStore::in_memory()));
         let g = Gallery::open(Arc::new(dal), Arc::new(ManualClock::new(1_000))).unwrap();
         let m = g.create_model(spec("demand")).unwrap().id;
         observed(&g, &m, &[("bias", MetricScope::Validation, 0.1)]);

@@ -164,7 +164,6 @@ const EXTRA_FAMILIES: &[FamilyMeta] = &[
     FamilyMeta::counter("gallery_cache_misses_total"),
     FamilyMeta::counter("gallery_cache_evictions_total"),
     FamilyMeta::gauge("gallery_cache_bytes", 1.0, 0.0, f64::INFINITY),
-    FamilyMeta::histogram("gallery_backend_sim_latency_ms"),
     // gallery-service
     FamilyMeta::counter("gallery_rpc_client_calls_total"),
     FamilyMeta::counter("gallery_rpc_client_attempts_total"),

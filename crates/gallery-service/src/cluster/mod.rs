@@ -30,7 +30,7 @@ pub use router::ClusterRouter;
 use crate::server::{GalleryServer, IdempotencyCache, ReplicaRole};
 use crate::transport::Transport;
 use gallery_core::{Clock, Gallery, IdPolicy, SystemClock};
-use gallery_store::blob::memory::MemoryBlobStore;
+use gallery_store::blob::cache::CachedBlobStore;
 use gallery_store::{Dal, MetadataStore, ObjectStore};
 use gallery_telemetry::{kinds, Registry, Telemetry};
 use std::sync::Arc;
@@ -114,9 +114,10 @@ impl SimCluster {
     ) -> Self {
         let map = ShardMap::new(config.shards, config.nodes, config.replication);
         // One blob store for the whole cluster — the stand-in for the
-        // shared HDFS/Terrablob tier. WAL shipping replicates metadata
-        // only; blob bytes are durable the moment the leader writes them.
-        let blobs: Arc<dyn ObjectStore> = Arc::new(MemoryBlobStore::new());
+        // shared HDFS/Terrablob tier: blob files on one shared SimFs disk
+        // behind one cache. WAL shipping replicates metadata only; blob
+        // bytes are durable the moment the leader writes them.
+        let blobs: Arc<dyn ObjectStore> = Arc::new(CachedBlobStore::in_memory());
         let shard_total = config.shards;
         // Each node gets a *private* metrics registry — federation
         // (`ClusterRouter::federate`) scrapes the nodes separately and
@@ -154,6 +155,8 @@ impl SimCluster {
                     id,
                     &shards,
                     Box::new(move |shard, role| {
+                        // Each replica writes its own log, on its own
+                        // in-memory disk; a revived node starts a fresh one.
                         let dal = Arc::new(
                             Dal::new(Arc::new(MetadataStore::in_memory()), Arc::clone(&blobs))
                                 .with_telemetry(Arc::clone(&telemetry)),

@@ -368,7 +368,6 @@ mod tests {
         let model = LatencyModel {
             per_request: std::time::Duration::from_millis(10),
             per_byte_ns: 0.0,
-            real_sleep: false,
         };
         let t = LatentTransport::new(Arc::new(DirectTransport::new(server)), clock.clone(), model);
         let _ = t

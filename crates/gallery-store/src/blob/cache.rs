@@ -5,6 +5,7 @@
 //! blobs range "from a few KBs to 10s GBs" (§3.3.2) — counting entries
 //! would let one huge deep-learning blob evict nothing.
 
+use super::localfs::LocalFsBlobStore;
 use super::{BlobInfo, BlobLocation, ObjectStore};
 use crate::error::Result;
 use bytes::Bytes;
@@ -169,6 +170,9 @@ impl CacheMetrics {
     }
 }
 
+/// Budget of [`CachedBlobStore::in_memory`]'s cache.
+const IN_MEMORY_CACHE_BYTES: usize = 32 << 20;
+
 /// Read-through LRU blob cache wrapping any [`ObjectStore`].
 pub struct CachedBlobStore {
     backend: Arc<dyn ObjectStore>,
@@ -192,6 +196,17 @@ impl CachedBlobStore {
             ),
             metrics: CacheMetrics::standalone(),
         }
+    }
+
+    /// The in-memory blob tier: blob files in the on-disk format on a
+    /// fresh `SimFs` ([`LocalFsBlobStore::in_memory`]) behind a 32 MiB
+    /// cache. A file on a `SimFs` is copied out on every read; the cache
+    /// serves repeat fetches without the copy.
+    pub fn in_memory() -> Self {
+        Self::new(
+            Arc::new(LocalFsBlobStore::in_memory()),
+            IN_MEMORY_CACHE_BYTES,
+        )
     }
 
     /// Record hit/miss/eviction tallies into `telemetry`'s registry (as
@@ -326,10 +341,9 @@ impl ObjectStore for CachedBlobStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blob::memory::MemoryBlobStore;
 
     fn cached(capacity: usize) -> CachedBlobStore {
-        CachedBlobStore::new(Arc::new(MemoryBlobStore::new()), capacity)
+        CachedBlobStore::new(Arc::new(LocalFsBlobStore::in_memory()), capacity)
     }
 
     #[test]
@@ -391,7 +405,7 @@ mod tests {
     fn cached_only_peek_serves_without_backend() {
         use crate::fault::{sites, FaultPlan};
         let plan = FaultPlan::none();
-        let backend = Arc::new(MemoryBlobStore::new().with_faults(plan.clone()));
+        let backend = Arc::new(LocalFsBlobStore::in_memory().with_faults(plan.clone()));
         let store = CachedBlobStore::new(backend, 1024);
         let info = store.put(Bytes::from_static(b"degraded")).unwrap();
         // Take the backend down entirely: normal reads fail, peek survives.
@@ -401,7 +415,7 @@ mod tests {
             Some(Bytes::from_static(b"degraded"))
         );
         assert_eq!(
-            store.get_cached_only(&BlobLocation::new("mem://cold")),
+            store.get_cached_only(&BlobLocation::new("fs://00000000000000ff")),
             None
         );
     }
@@ -431,12 +445,12 @@ mod tests {
 #[cfg(test)]
 mod put_at_tests {
     use super::*;
-    use crate::blob::memory::MemoryBlobStore;
+    use crate::blob::localfs::LocalFsBlobStore;
 
     #[test]
     fn put_at_delegates_and_warms_cache() {
-        let cache = CachedBlobStore::new(Arc::new(MemoryBlobStore::new()), 1024);
-        let loc = BlobLocation::new("mem://fixed");
+        let cache = CachedBlobStore::new(Arc::new(LocalFsBlobStore::in_memory()), 1024);
+        let loc = cache.reserve().unwrap();
         cache.put_at(&loc, Bytes::from_static(b"pinned")).unwrap();
         let _ = cache.get(&loc).unwrap();
         assert_eq!(cache.stats().hits, 1);

@@ -7,12 +7,14 @@
 //! mid-write can never leave a half-written blob under a resolvable key.
 //! Stale `.tmp` files (crash artifacts) are swept on open. All IO goes
 //! through [`FileSystem`] so the crash-consistency harness can run this
-//! store over a simulated disk.
+//! store over a simulated disk, and [`LocalFsBlobStore::in_memory`] keeps
+//! the same files on a fresh [`SimFs`] for in-memory galleries.
 
 use super::checksum::crc32;
 use super::{BlobInfo, BlobLocation, ObjectStore};
 use crate::error::{Result, StoreError};
-use crate::simfs::{real_fs, FileSystem};
+use crate::fault::{sites, FaultPlan};
+use crate::simfs::{real_fs, FileSystem, SimFs};
 use bytes::Bytes;
 use gallery_sync::locks::OrderedMutex;
 use gallery_sync::rank;
@@ -30,6 +32,7 @@ pub struct LocalFsBlobStore {
     // serializes directory creation; file writes are already unique-path
     dir_lock: OrderedMutex<()>,
     swept_tmp: u64,
+    faults: FaultPlan,
 }
 
 impl LocalFsBlobStore {
@@ -75,7 +78,31 @@ impl LocalFsBlobStore {
             next_id: AtomicU64::new(max_id),
             dir_lock: OrderedMutex::new(rank::BLOB_STORE, ()),
             swept_tmp,
+            faults: FaultPlan::none(),
         })
+    }
+
+    /// A store whose files live in RAM, on a fresh [`SimFs`] of its own:
+    /// the on-disk format, never fsynced to a real disk.
+    // Opening an empty SimFs creates one directory and scans nothing; a
+    // panic here is a bug in SimFs.
+    #[allow(clippy::disallowed_methods)]
+    pub fn in_memory() -> Self {
+        Self::open_with_fs(Arc::new(SimFs::new()), "/blobs")
+            .expect("a fresh SimFs blob root cannot fail to open")
+    }
+
+    /// Inject faults at `blob.put`, `blob.get` and `blob.delete`.
+    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
+        self.faults = plan;
+        self
+    }
+
+    fn check_fault(&self, site: &'static str) -> Result<()> {
+        if self.faults.should_fail(site) {
+            return Err(StoreError::InjectedFault(site));
+        }
+        Ok(())
     }
 
     /// Crash-artifact `.tmp` files removed by [`LocalFsBlobStore::open`].
@@ -137,6 +164,7 @@ impl LocalFsBlobStore {
 
 impl ObjectStore for LocalFsBlobStore {
     fn put(&self, data: Bytes) -> Result<BlobInfo> {
+        self.check_fault(sites::BLOB_PUT)?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         self.write_blob(id, &data)
     }
@@ -146,6 +174,7 @@ impl ObjectStore for LocalFsBlobStore {
     }
 
     fn put_at(&self, location: &BlobLocation, data: Bytes) -> Result<BlobInfo> {
+        self.check_fault(sites::BLOB_PUT)?;
         let id = Self::id_of(location)?;
         if self.fs.exists(&self.path_for(id)) {
             return Err(StoreError::Io(format!("blob already exists at {location}")));
@@ -154,6 +183,7 @@ impl ObjectStore for LocalFsBlobStore {
     }
 
     fn get(&self, location: &BlobLocation) -> Result<Bytes> {
+        self.check_fault(sites::BLOB_GET)?;
         let id = Self::id_of(location)?;
         let path = self.path_for(id);
         let raw = match self.fs.read(&path) {
@@ -185,6 +215,7 @@ impl ObjectStore for LocalFsBlobStore {
     }
 
     fn delete(&self, location: &BlobLocation) -> Result<()> {
+        self.check_fault(sites::BLOB_DELETE)?;
         let id = Self::id_of(location)?;
         match self.fs.remove_file(&self.path_for(id)) {
             Ok(()) => Ok(()),
@@ -387,6 +418,93 @@ mod tests {
             let info = store.put(Bytes::from_static(b"new")).unwrap();
             assert_ne!(info.location.as_str(), "fs://00000000000000aa");
             assert!(!shard.join("00000000000000aa.tmp").exists());
+        }
+    }
+
+    #[test]
+    fn identical_content_gets_distinct_locations() {
+        let store = LocalFsBlobStore::in_memory();
+        let a = store.put(Bytes::from_static(b"same")).unwrap();
+        let b = store.put(Bytes::from_static(b"same")).unwrap();
+        assert_ne!(a.location, b.location);
+        assert_eq!(store.blob_count(), 2);
+    }
+
+    #[test]
+    fn injected_put_fault_stores_nothing() {
+        let plan = FaultPlan::none();
+        plan.fail_always(sites::BLOB_PUT);
+        let store = LocalFsBlobStore::in_memory().with_faults(plan);
+        assert!(matches!(
+            store.put(Bytes::from_static(b"x")),
+            Err(StoreError::InjectedFault(sites::BLOB_PUT))
+        ));
+        let loc = store.reserve().unwrap();
+        assert!(matches!(
+            store.put_at(&loc, Bytes::from_static(b"x")),
+            Err(StoreError::InjectedFault(sites::BLOB_PUT))
+        ));
+        assert_eq!(store.blob_count(), 0);
+    }
+
+    #[test]
+    fn injected_get_fault_fails_the_read_only() {
+        let plan = FaultPlan::none();
+        let store = LocalFsBlobStore::in_memory().with_faults(plan.clone());
+        let info = store.put(Bytes::from_static(b"shy")).unwrap();
+        plan.fail_nth_call(sites::BLOB_GET, 0);
+        assert!(matches!(
+            store.get(&info.location),
+            Err(StoreError::InjectedFault(sites::BLOB_GET))
+        ));
+        assert_eq!(
+            store.get(&info.location).unwrap(),
+            Bytes::from_static(b"shy")
+        );
+    }
+
+    #[test]
+    fn injected_delete_fault_leaves_blob() {
+        let plan = FaultPlan::none();
+        plan.fail_always(sites::BLOB_DELETE);
+        let store = LocalFsBlobStore::in_memory().with_faults(plan);
+        let info = store.put(Bytes::from_static(b"sticky")).unwrap();
+        assert!(matches!(
+            store.delete(&info.location),
+            Err(StoreError::InjectedFault(sites::BLOB_DELETE))
+        ));
+        assert_eq!(store.blob_count(), 1);
+        assert_eq!(
+            store.get(&info.location).unwrap(),
+            Bytes::from_static(b"sticky")
+        );
+    }
+
+    #[test]
+    fn put_at_an_existing_blob_or_a_foreign_location_is_refused() {
+        let store = LocalFsBlobStore::in_memory();
+        let info = store.put(Bytes::from_static(b"first")).unwrap();
+        assert!(store
+            .put_at(&info.location, Bytes::from_static(b"second"))
+            .is_err());
+        assert_eq!(
+            store.get(&info.location).unwrap(),
+            Bytes::from_static(b"first")
+        );
+        assert!(store
+            .put_at(&BlobLocation::new("fs://custom"), Bytes::from_static(b"x"))
+            .is_err());
+        assert_eq!(store.blob_count(), 1);
+    }
+
+    #[test]
+    fn deleting_a_missing_blob_reports_it() {
+        let store = LocalFsBlobStore::in_memory();
+        for loc in ["fs://00000000000000ff", "garbage"] {
+            assert!(matches!(
+                store.delete(&BlobLocation::new(loc)),
+                Err(StoreError::NoSuchBlob(_))
+            ));
         }
     }
 

@@ -9,14 +9,13 @@
 pub mod cache;
 pub mod checksum;
 pub mod localfs;
-pub mod memory;
 
 use crate::error::Result;
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Opaque blob address, e.g. `mem://a1b2c3...` or `fs://shard/af/af12...`.
+/// Opaque blob address, e.g. `fs://00000000000000af`.
 /// Analogous to the HDFS/S3 path stored in instance metadata in the paper.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct BlobLocation(pub String);
@@ -45,9 +44,10 @@ pub struct BlobInfo {
     pub crc32: u32,
 }
 
-/// Abstract object store. Implementations: [`memory::MemoryBlobStore`]
-/// (default, fast, supports fault injection) and
-/// [`localfs::LocalFsBlobStore`] (durable, content-sharded directories).
+/// Abstract object store. The one on-disk format is
+/// [`localfs::LocalFsBlobStore`] (sharded directories, header and CRC per
+/// file, fault injection), over a real directory or, in memory, a
+/// [`crate::simfs::SimFs`]; [`cache::CachedBlobStore`] fronts it.
 ///
 /// Blobs are immutable: `put` always creates a new location; there is no
 /// overwrite or delete in the public API (deprecation is a metadata flag,

@@ -507,7 +507,7 @@ impl Dal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blob::memory::MemoryBlobStore;
+    use crate::blob::localfs::LocalFsBlobStore;
     use crate::fault::{sites, FaultPlan};
     use crate::schema::ColumnDef;
     use crate::value::ValueType;
@@ -531,8 +531,8 @@ mod tests {
             None => MetadataStore::in_memory(),
         };
         let blobs = match blob_faults {
-            Some(p) => MemoryBlobStore::new().with_faults(p),
-            None => MemoryBlobStore::new(),
+            Some(p) => LocalFsBlobStore::in_memory().with_faults(p),
+            None => LocalFsBlobStore::in_memory(),
         };
         let dal = Dal::new(Arc::new(meta), Arc::new(blobs));
         dal.create_table(schema()).unwrap();
@@ -683,7 +683,7 @@ mod tests {
     fn degraded_read_falls_back_to_cache() {
         use crate::blob::cache::CachedBlobStore;
         let plan = FaultPlan::none();
-        let backend = Arc::new(MemoryBlobStore::new().with_faults(plan.clone()));
+        let backend = Arc::new(LocalFsBlobStore::in_memory().with_faults(plan.clone()));
         let cached: Arc<dyn ObjectStore> = Arc::new(CachedBlobStore::new(backend, 1 << 20));
         let dal = Dal::new(Arc::new(MetadataStore::in_memory()), cached);
         dal.create_table(schema()).unwrap();
@@ -709,7 +709,7 @@ mod tests {
         // while its peek still works: a facade over the warm cache.
         use crate::blob::cache::CachedBlobStore;
         let plan = FaultPlan::none();
-        let backend = Arc::new(MemoryBlobStore::new().with_faults(plan.clone()));
+        let backend = Arc::new(LocalFsBlobStore::in_memory().with_faults(plan.clone()));
         let cache = Arc::new(CachedBlobStore::new(backend, 1 << 20));
         let cached: Arc<dyn ObjectStore> = cache.clone();
         let dal = Dal::new(Arc::new(MetadataStore::in_memory()), cached);

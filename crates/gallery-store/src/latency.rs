@@ -1,22 +1,12 @@
 //! Simulated backend latency.
 //!
-//! The blob store stands in for S3/HDFS; those systems have per-request
-//! latencies orders of magnitude above an in-process map. To make cache
-//! experiments (E9/ablation 5) meaningful, backends can be configured with
-//! a synthetic latency model that is *accounted* (cheap, deterministic)
-//! rather than slept, plus an optional real-sleep mode for wall-clock
-//! demonstrations.
-//!
-//! Accounting lives in a telemetry [`Histogram`]: the meter owns a
-//! standalone one by default and can be re-pointed at a registry-minted
-//! histogram via [`LatencyMeter::attach_histogram`], so the simulated
-//! latency distribution shows up in `render_text()` with p50/p95/p99
-//! instead of living in a private tally nobody can export.
+//! Remote tiers (S3/HDFS for blobs, the network for RPCs) have
+//! per-request latencies orders of magnitude above an in-process call. A
+//! [`LatencyModel`] prices one request so experiments can account that
+//! cost deterministically instead of sleeping: the service crate's
+//! `LatentTransport` advances a manual clock by it, and the cache
+//! experiment (E13) charges it once per backend fetch.
 
-use gallery_sync::locks::OrderedMutex;
-use gallery_sync::rank;
-use gallery_telemetry::{default_duration_buckets_ms, Histogram};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Latency model for a simulated remote backend.
@@ -26,27 +16,15 @@ pub struct LatencyModel {
     pub per_request: Duration,
     /// Additional cost per byte transferred.
     pub per_byte_ns: f64,
-    /// If true, actually sleep; otherwise only account the cost.
-    pub real_sleep: bool,
 }
 
 impl LatencyModel {
-    /// Zero-cost model (default for unit tests).
-    pub fn instant() -> Self {
-        LatencyModel {
-            per_request: Duration::ZERO,
-            per_byte_ns: 0.0,
-            real_sleep: false,
-        }
-    }
-
     /// A model loosely shaped like an S3 GET/PUT from the same region:
     /// ~15 ms per request plus ~10 ns/byte (≈100 MB/s).
     pub fn object_store_like() -> Self {
         LatencyModel {
             per_request: Duration::from_millis(15),
             per_byte_ns: 10.0,
-            real_sleep: false,
         }
     }
 
@@ -56,163 +34,17 @@ impl LatencyModel {
     }
 }
 
-impl Default for LatencyModel {
-    fn default() -> Self {
-        Self::instant()
-    }
-}
-
-/// Shared accumulator of simulated time spent in a backend.
-///
-/// The histogram is the single source of truth; `total()`/`requests()`
-/// subtract a baseline snapshot so [`LatencyMeter::reset`] keeps working
-/// even though registry histograms are append-only.
-#[derive(Debug, Clone)]
-pub struct LatencyMeter {
-    inner: Arc<OrderedMutex<MeterInner>>,
-}
-
-#[derive(Debug)]
-struct MeterInner {
-    hist: Arc<Histogram>,
-    base_count: u64,
-    base_sum_ms: f64,
-}
-
-impl Default for LatencyMeter {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl LatencyMeter {
-    pub fn new() -> Self {
-        LatencyMeter {
-            inner: Arc::new(OrderedMutex::new(
-                rank::LATENCY_METER,
-                MeterInner {
-                    hist: Histogram::standalone(default_duration_buckets_ms()),
-                    base_count: 0,
-                    base_sum_ms: 0.0,
-                },
-            )),
-        }
-    }
-
-    /// Re-point accounting at `hist` (typically registry-minted, e.g.
-    /// `gallery_backend_sim_latency_ms`). Prior charges stay behind in the
-    /// old histogram; the meter reads as freshly reset.
-    pub fn attach_histogram(&self, hist: Arc<Histogram>) {
-        let mut inner = self.inner.lock();
-        inner.base_count = hist.count();
-        inner.base_sum_ms = hist.sum();
-        inner.hist = hist;
-    }
-
-    /// The histogram currently receiving charges.
-    pub fn histogram(&self) -> Arc<Histogram> {
-        self.inner.lock().hist.clone()
-    }
-
-    /// Charge one request of `bytes` bytes under `model`.
-    pub fn charge(&self, model: &LatencyModel, bytes: usize) {
-        let cost = model.cost(bytes);
-        self.inner.lock().hist.observe(cost.as_nanos() as f64 / 1e6);
-        if model.real_sleep && !cost.is_zero() {
-            std::thread::sleep(cost);
-        }
-    }
-
-    /// Total simulated time charged since construction or the last reset.
-    pub fn total(&self) -> Duration {
-        let inner = self.inner.lock();
-        let ms = (inner.hist.sum() - inner.base_sum_ms).max(0.0);
-        Duration::from_nanos((ms * 1e6).round() as u64)
-    }
-
-    pub fn requests(&self) -> u64 {
-        let inner = self.inner.lock();
-        inner.hist.count().saturating_sub(inner.base_count)
-    }
-
-    pub fn reset(&self) {
-        let mut inner = self.inner.lock();
-        inner.base_count = inner.hist.count();
-        inner.base_sum_ms = inner.hist.sum();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn instant_costs_nothing() {
-        let m = LatencyModel::instant();
-        assert_eq!(m.cost(1_000_000), Duration::ZERO);
-    }
 
     #[test]
     fn cost_scales_with_bytes() {
         let m = LatencyModel {
             per_request: Duration::from_millis(1),
             per_byte_ns: 100.0,
-            real_sleep: false,
         };
         assert_eq!(m.cost(0), Duration::from_millis(1));
         assert_eq!(m.cost(10_000), Duration::from_millis(2));
-    }
-
-    #[test]
-    fn meter_accumulates() {
-        let meter = LatencyMeter::new();
-        let model = LatencyModel {
-            per_request: Duration::from_micros(10),
-            per_byte_ns: 0.0,
-            real_sleep: false,
-        };
-        meter.charge(&model, 0);
-        meter.charge(&model, 0);
-        assert_eq!(meter.total(), Duration::from_micros(20));
-        assert_eq!(meter.requests(), 2);
-        meter.reset();
-        assert_eq!(meter.requests(), 0);
-        assert_eq!(meter.total(), Duration::ZERO);
-    }
-
-    #[test]
-    fn meter_is_shared_across_clones() {
-        let meter = LatencyMeter::new();
-        let clone = meter.clone();
-        clone.charge(
-            &LatencyModel {
-                per_request: Duration::from_micros(5),
-                per_byte_ns: 0.0,
-                real_sleep: false,
-            },
-            0,
-        );
-        assert_eq!(meter.requests(), 1);
-    }
-
-    #[test]
-    fn attached_histogram_receives_charges() {
-        let reg = gallery_telemetry::Registry::new();
-        let hist = reg.duration_histogram("sim_latency_ms", &[]);
-        let meter = LatencyMeter::new();
-        let model = LatencyModel {
-            per_request: Duration::from_millis(4),
-            per_byte_ns: 0.0,
-            real_sleep: false,
-        };
-        meter.charge(&model, 0); // lands in the standalone histogram
-        meter.attach_histogram(hist.clone());
-        meter.charge(&model, 0);
-        meter.charge(&model, 0);
-        assert_eq!(hist.count(), 2);
-        assert_eq!(meter.requests(), 2, "pre-attach charge left behind");
-        assert_eq!(meter.total(), Duration::from_millis(8));
-        // Quantiles come for free once accounting is a histogram.
-        assert!(hist.quantile(0.5).unwrap() <= 5.0);
     }
 }

@@ -11,10 +11,11 @@
 //!
 //! - [`meta::MetadataStore`] — typed tables with hash/btree secondary
 //!   indexes and ordered ("latest of X") indexes, constraint queries with
-//!   a small planner, and WAL-based durability;
-//! - [`blob`] — an [`blob::ObjectStore`] trait with in-memory and local-FS
-//!   backends, CRC-32 integrity, an LRU byte-budget cache, simulated
-//!   backend latency, and fault injection;
+//!   a small planner, and WAL-based durability (in-memory stores log to a
+//!   [`SimFs`]);
+//! - [`blob`] — an [`blob::ObjectStore`] trait with one backend, sharded
+//!   header-and-CRC-32 files over the real disk or an in-memory
+//!   [`SimFs`], an LRU byte-budget cache, and fault injection;
 //! - [`dal::Dal`] — the unified access layer enforcing the paper's
 //!   blob-first write ordering and auditing referential integrity.
 //!
@@ -57,7 +58,7 @@ pub use blob::{BlobInfo, BlobLocation, ObjectStore};
 pub use dal::{ConsistencyReport, Dal, DegradedRead, RepairReport, StoredEntity, WriteOrdering};
 pub use error::{Result, StoreError};
 pub use fault::FaultPlan;
-pub use latency::{LatencyMeter, LatencyModel};
+pub use latency::LatencyModel;
 pub use meta::{MetadataStore, ShipApply, SlowQueryEntry, SlowQueryLog, StoreConfig};
 pub use query::{AccessPath, Constraint, Explain, Op, OrderBy, Query};
 pub use record::{Record, Row};

@@ -1,6 +1,7 @@
 //! The metadata store: named tables, sharded internal locking, group
-//! commit, optionally durable through a [`Wal`]. This is Gallery's
-//! stand-in for the HA MySQL service of §3.5 — it provides typed rows,
+//! commit, durable through a [`Wal`] (on a [`SimFs`] in RAM for
+//! in-memory stores). This is Gallery's stand-in for the HA MySQL
+//! service of §3.5 — it provides typed rows,
 //! secondary indexes, flexible constraint queries, and durability;
 //! replication/HA is out of scope (see DESIGN.md substitutions).
 //!
@@ -24,7 +25,7 @@ use crate::fault::{sites, FaultPlan};
 use crate::query::{Explain, Query};
 use crate::record::{Record, Row};
 use crate::schema::TableSchema;
-use crate::simfs::{real_fs, FileSystem};
+use crate::simfs::{real_fs, FileSystem, SimFs};
 use crate::table::{StripeLockMetrics, Table, TableStats};
 use crate::value::Value;
 use crate::wal::{new_shared_oplog, Committer, SharedOplog, SyncPolicy, Wal, WalOp};
@@ -283,7 +284,7 @@ impl SlowQueryLog {
     }
 }
 
-/// Thread-safe, optionally durable metadata store.
+/// Thread-safe metadata store, durable through its WAL.
 pub struct MetadataStore {
     /// Table name -> table. Tables are internally striped, so the catalog
     /// lock is only held to look up or create tables, never across a
@@ -296,9 +297,9 @@ pub struct MetadataStore {
     /// `apply_shipped`. Recovery seeds it from the physical WAL, so a
     /// restarted follower resumes at exactly the sequence its disk holds.
     oplog: SharedOplog,
-    /// Group-commit front end over the WAL; `None` for in-memory stores
-    /// (they push straight to the oplog).
-    committer: Option<Committer>,
+    /// Group-commit front end over the WAL (in RAM, on a [`SimFs`], for
+    /// in-memory stores).
+    committer: Committer,
     /// Commit gate: every mutation holds it in read mode for its full
     /// duration; compaction takes write mode to quiesce the write path.
     gate: OrderedRwLock<()>,
@@ -315,28 +316,26 @@ pub struct MetadataStore {
 }
 
 impl MetadataStore {
-    /// Purely in-memory store.
+    /// Store whose log lives in RAM: the durable write path over its own
+    /// fresh [`SimFs`], never fsynced. Every commit is framed, CRC'd and
+    /// group-committed exactly as on disk.
     pub fn in_memory() -> Self {
         Self::in_memory_with_config(StoreConfig::default())
     }
 
     /// [`MetadataStore::in_memory`] with explicit write-path tuning.
+    // Recovering an empty, fresh SimFs replays nothing and opening its log
+    // cannot fail; a panic here is a bug in SimFs.
+    #[allow(clippy::disallowed_methods)]
     pub fn in_memory_with_config(cfg: StoreConfig) -> Self {
-        let telemetry = Arc::clone(gallery_telemetry::global());
-        let metrics = mint_metrics(&telemetry, &cfg);
-        MetadataStore {
-            catalog: OrderedRwLock::new(rank::CATALOG, HashMap::new()),
-            oplog: new_shared_oplog(),
-            committer: None,
-            gate: OrderedRwLock::new(rank::GATE, ()),
-            ship_lock: OrderedMutex::new(rank::SHIP_LOCK, ()),
+        Self::durable_with_config(
+            Arc::new(SimFs::new()),
+            "/wal.log",
+            SyncPolicy::Never,
+            Arc::clone(gallery_telemetry::global()),
             cfg,
-            faults: FaultPlan::none(),
-            telemetry,
-            fs: real_fs(),
-            metrics: OrderedRwLock::new(rank::META_METRICS, metrics),
-            slow_log: SlowQueryLog::new(cfg.slow_query_ms, cfg.slow_query_capacity),
-        }
+        )
+        .expect("a fresh SimFs log cannot fail to open")
     }
 
     /// Store durable through a WAL at `path`. Replays any existing log;
@@ -386,10 +385,14 @@ impl MetadataStore {
         let path = path.as_ref();
         let ops = Wal::recover(&*fs, path, &telemetry)?;
         let metrics = mint_metrics(&telemetry, &cfg);
-        let mut store = MetadataStore {
+        let oplog = new_shared_oplog();
+        let wal = Wal::open_with_fs(Arc::clone(&fs), path, sync)?.with_telemetry(&telemetry);
+        let mut committer = Committer::new(wal, Arc::clone(&oplog));
+        committer.set_telemetry(&telemetry);
+        let store = MetadataStore {
             catalog: OrderedRwLock::new(rank::CATALOG, HashMap::new()),
-            oplog: new_shared_oplog(),
-            committer: None,
+            oplog,
+            committer,
             gate: OrderedRwLock::new(rank::GATE, ()),
             ship_lock: OrderedMutex::new(rank::SHIP_LOCK, ()),
             cfg,
@@ -410,11 +413,6 @@ impl MetadataStore {
                 store.oplog.lock().push(Arc::new(op));
             }
         }
-        let wal =
-            Wal::open_with_fs(Arc::clone(&store.fs), path, sync)?.with_telemetry(&store.telemetry);
-        let committer = Committer::new(wal, Arc::clone(&store.oplog));
-        committer.set_telemetry(&store.telemetry);
-        store.committer = Some(committer);
         Ok(store)
     }
 
@@ -425,11 +423,9 @@ impl MetadataStore {
 
     /// Route WAL metrics/events to `telemetry` instead of the process
     /// global (isolated tests, E15 overhead baselines).
-    pub fn with_telemetry(self, telemetry: Arc<Telemetry>) -> Self {
-        if let Some(c) = &self.committer {
-            c.wal().lock().set_telemetry(&telemetry);
-            c.set_telemetry(&telemetry);
-        }
+    pub fn with_telemetry(mut self, telemetry: Arc<Telemetry>) -> Self {
+        self.committer.wal().lock().set_telemetry(&telemetry);
+        self.committer.set_telemetry(&telemetry);
         let metrics = mint_metrics(&telemetry, &self.cfg);
         for table in self.catalog.read().values() {
             table.set_lock_metrics(metrics.stripe_locks.clone());
@@ -455,35 +451,6 @@ impl MetadataStore {
             .get(name)
             .cloned()
             .ok_or_else(|| StoreError::NoSuchTable(name.to_owned()))
-    }
-
-    /// Commit one op: WAL (group commit) first for durability, then the
-    /// oplog, which assigns the sequence. In-memory stores skip the WAL.
-    fn commit(&self, op: WalOp) -> Result<u64> {
-        match &self.committer {
-            Some(c) => c.commit(op),
-            None => {
-                let mut oplog = self.oplog.lock();
-                oplog.push(Arc::new(op));
-                Ok(oplog.len() as u64)
-            }
-        }
-    }
-
-    fn commit_many(&self, ops: Vec<WalOp>) -> Result<Vec<u64>> {
-        match &self.committer {
-            Some(c) => c.commit_many(ops),
-            None => {
-                let mut oplog = self.oplog.lock();
-                Ok(ops
-                    .into_iter()
-                    .map(|op| {
-                        oplog.push(Arc::new(op));
-                        oplog.len() as u64
-                    })
-                    .collect())
-            }
-        }
     }
 
     /// Apply an op directly to the tables (recovery replay: the op is
@@ -605,7 +572,7 @@ impl MetadataStore {
         if catalog.contains_key(&schema.name) {
             return Err(StoreError::TableExists(schema.name.clone()));
         }
-        let seq = self.commit(WalOp::CreateTable {
+        let seq = self.committer.commit(WalOp::CreateTable {
             schema: Arc::clone(&schema),
         })?;
         catalog.insert(schema.name.clone(), self.new_table(schema));
@@ -652,7 +619,7 @@ impl MetadataStore {
             return Err(StoreError::DuplicateKey(pk.to_owned()));
         }
         // The oplog entry and the table row share one allocation.
-        let seq = self.commit(WalOp::Insert {
+        let seq = self.committer.commit(WalOp::Insert {
             table,
             row: Arc::clone(&row),
         })?;
@@ -702,7 +669,7 @@ impl MetadataStore {
                 row: Arc::clone(row),
             })
             .collect();
-        let seqs = self.commit_many(ops)?;
+        let seqs = self.committer.commit_many(ops)?;
         for (row, seq) in rows.iter().zip(seqs) {
             token.apply_insert(Arc::clone(row), seq)?;
         }
@@ -732,7 +699,7 @@ impl MetadataStore {
         if !token.contains(pk) {
             return Err(StoreError::NoSuchKey(pk.to_owned()));
         }
-        let seq = self.commit(WalOp::SetFlag {
+        let seq = self.committer.commit(WalOp::SetFlag {
             table: table.to_owned(),
             pk: pk.to_owned(),
             column: column.to_owned(),
@@ -857,19 +824,14 @@ impl MetadataStore {
         catalog.values().map(|t| t.len()).sum()
     }
 
-    /// Entries appended to the WAL by this store instance (0 for
-    /// in-memory stores).
+    /// Entries appended to the WAL by this store instance.
     pub fn wal_entries(&self) -> u64 {
-        self.committer
-            .as_ref()
-            .map(|c| c.wal().lock().entries_written())
-            .unwrap_or(0)
+        self.committer.wal().lock().entries_written()
     }
 
-    /// On-disk WAL size in bytes, if durable.
+    /// WAL size in bytes; `None` if the file system cannot stat the log.
     pub fn wal_size_bytes(&self) -> Option<u64> {
-        let c = self.committer.as_ref()?;
-        let path = c.wal().lock().path().to_path_buf();
+        let path = self.committer.wal().lock().path().to_path_buf();
         self.fs.len(&path).ok()
     }
 
@@ -878,7 +840,7 @@ impl MetadataStore {
     /// `Insert` per live row — flag mutations are already materialized in
     /// the rows). The compacted log is written to a temporary file, fsynced,
     /// and atomically renamed over the old log, so a crash at any point
-    /// leaves a replayable log. No-op for in-memory stores.
+    /// leaves a replayable log.
     ///
     /// Takes the commit gate in write mode, which quiesces every writer
     /// (all mutations hold the gate in read mode across their commit), so
@@ -890,17 +852,18 @@ impl MetadataStore {
     /// sequence — so compact a replicated shard store only when its
     /// followers will be re-seeded from scratch (see docs/replication.md).
     pub fn compact(&self) -> Result<u64> {
-        let Some(committer) = &self.committer else {
-            return Ok(0);
-        };
         let _quiesce = self.gate.write();
         // Catalog before WAL, per the declared rank order: create_table
         // holds the catalog across its commit (catalog → wal), so taking
         // the WAL lock first here would close an acquired-before cycle.
         let catalog = self.catalog.read();
-        let mut wal = committer.wal().lock();
-        let path = wal.path().to_path_buf();
-        let sync = wal.sync_policy();
+        let (path, sync) = {
+            let wal = self.committer.wal().lock();
+            (wal.path().to_path_buf(), wal.sync_policy())
+        };
+        // The snapshot reads every stripe, which rank before the WAL, so
+        // the compacted file is written without it: the gate and the
+        // catalog lock already keep every writer out.
         let tmp = path.with_extension("compacting");
         let mut compacted = Wal::create_with_fs(Arc::clone(&self.fs), &tmp, SyncPolicy::Never)?;
         let mut table_names: Vec<&String> = catalog.keys().collect();
@@ -922,9 +885,12 @@ impl MetadataStore {
         }
         compacted.sync_all()?;
         drop(compacted);
-        self.fs.rename(&tmp, &path)?;
-        *wal =
-            Wal::open_with_fs(Arc::clone(&self.fs), &path, sync)?.with_telemetry(&self.telemetry);
+        {
+            let mut wal = self.committer.wal().lock();
+            self.fs.rename(&tmp, &path)?;
+            *wal = Wal::open_with_fs(Arc::clone(&self.fs), &path, sync)?
+                .with_telemetry(&self.telemetry);
+        }
         self.telemetry.events().emit(
             kinds::WAL_FLUSH,
             vec![
@@ -1517,12 +1483,98 @@ mod compaction_tests {
     }
 
     #[test]
-    fn in_memory_compaction_is_noop() {
+    fn in_memory_compaction_shrinks_log_and_preserves_state() {
         let store = MetadataStore::in_memory();
         store.create_table(schema()).unwrap();
-        assert_eq!(store.compact().unwrap(), 0);
-        assert_eq!(store.wal_entries(), 0);
-        assert!(store.wal_size_bytes().is_none());
+        for i in 0..20 {
+            store
+                .insert(
+                    "models",
+                    Record::new().set("id", format!("m{i}")).set("name", "rf"),
+                )
+                .unwrap();
+        }
+        for _ in 0..10 {
+            store.set_flag("models", "m3", "deprecated", true).unwrap();
+            store.set_flag("models", "m3", "deprecated", false).unwrap();
+        }
+        store.set_flag("models", "m7", "deprecated", true).unwrap();
+        let before = store.wal_size_bytes().unwrap();
+        assert_eq!(store.compact().unwrap(), 1 + 20);
+        let after = store.wal_size_bytes().unwrap();
+        assert!(after < before, "log must shrink: {before} -> {after}");
+        assert_eq!(store.row_count("models").unwrap(), 20);
+        let rec = store.get("models", "m7").unwrap().unwrap();
+        assert_eq!(rec.get("deprecated"), Some(&Value::Bool(true)));
+        let rec = store.get("models", "m3").unwrap().unwrap();
+        assert_eq!(rec.get("deprecated"), Some(&Value::Bool(false)));
+        // The swapped-in log takes new writes.
+        store
+            .insert("models", Record::new().set("id", "late").set("name", "x"))
+            .unwrap();
+        assert_eq!(store.wal_entries(), 1);
+        assert!(store.wal_size_bytes().unwrap() > after);
+    }
+
+    #[test]
+    fn in_memory_log_replays() {
+        let store = MetadataStore::in_memory();
+        store.create_table(schema()).unwrap();
+        store
+            .insert("models", Record::new().set("id", "a").set("name", "x"))
+            .unwrap();
+        assert_eq!(store.wal_entries(), store.applied_seq());
+        assert!(store.wal_size_bytes().unwrap() > 0);
+
+        // The same write path over a disk the test holds: a second store
+        // opened on it replays the first one's log.
+        let fs = SimFs::new();
+        let first =
+            MetadataStore::durable_with_fs(Arc::new(fs.clone()), "/wal.log", SyncPolicy::Never)
+                .unwrap();
+        first.create_table(schema()).unwrap();
+        for i in 0..10 {
+            first
+                .insert(
+                    "models",
+                    Record::new().set("id", format!("m{i}")).set("name", "rf"),
+                )
+                .unwrap();
+        }
+        first.set_flag("models", "m4", "deprecated", true).unwrap();
+        let second =
+            MetadataStore::durable_with_fs(Arc::new(fs), "/wal.log", SyncPolicy::Never).unwrap();
+        assert_eq!(second.applied_seq(), first.applied_seq());
+        let rows = |s: &MetadataStore| {
+            let mut rows = s.query("models", &Query::all().with_deprecated()).unwrap();
+            rows.sort_by(|a, b| a.get("id").cmp(&b.get("id")));
+            rows
+        };
+        assert_eq!(rows(&second), rows(&first));
+        assert_eq!(rows(&second).len(), 10);
+    }
+
+    /// An in-memory store writes for as long as it lives, so its disk must
+    /// hold the log and nothing per write besides: the op counter runs,
+    /// no op record accumulates.
+    #[test]
+    fn in_memory_disk_keeps_no_record_per_write() {
+        let fs = SimFs::new();
+        let store =
+            MetadataStore::durable_with_fs(Arc::new(fs.clone()), "/wal.log", SyncPolicy::Never)
+                .unwrap();
+        store.create_table(schema()).unwrap();
+        for i in 0..5_000 {
+            store
+                .insert(
+                    "models",
+                    Record::new().set("id", format!("m{i}")).set("name", "rf"),
+                )
+                .unwrap();
+        }
+        assert!(fs.ops() > 5_000, "every commit is a counted write");
+        assert!(fs.op_log().is_empty());
+        assert_eq!(fs.list_dir(Path::new("/")).unwrap().len(), 1);
     }
 }
 

@@ -17,8 +17,9 @@
 //!   mutating IO operation, tear the final write (persist only a prefix),
 //!   silently drop fsyncs on matching paths, and flip bits in durable data
 //!   at recovery time;
-//! - every mutating operation is recorded in an op log so a harness can
-//!   enumerate *all* crash points of a workload and classify them by site.
+//! - every mutating operation advances a counter, and a [`SimFs::recording`]
+//!   disk also keeps an op log of them, so a harness can enumerate *all*
+//!   crash points of a workload and classify them by site.
 //!
 //! After a simulated crash, [`SimFs::recover`] produces the disk as a
 //! rebooted machine would see it: durable bytes only, volatile state gone.
@@ -155,7 +156,7 @@ impl FileSystem for RealFs {
 }
 
 /// Kinds of mutating operations [`SimFs`] counts toward the crash clock and
-/// records in its op log.
+/// a recording disk keeps in its op log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum IoOp {
     Create,
@@ -220,17 +221,31 @@ pub const SIM_CRASH_MSG: &str = "simulated crash";
 
 #[derive(Debug, Clone, Default)]
 struct SimFileState {
-    /// Bytes guaranteed to survive a crash.
-    durable: Vec<u8>,
+    /// Bytes guaranteed to survive a crash. Shared so a read can take the
+    /// image under the disk lock and copy it after releasing the lock; a
+    /// sync that lands meanwhile copies on write.
+    durable: Arc<Vec<u8>>,
     /// Bytes written but not yet fsynced: visible to reads, lost on crash.
     volatile: Vec<u8>,
 }
 
 impl SimFileState {
     fn visible(&self) -> Vec<u8> {
-        let mut v = self.durable.clone();
+        let mut v = Vec::with_capacity(self.durable.len() + self.volatile.len());
+        v.extend_from_slice(&self.durable);
         v.extend_from_slice(&self.volatile);
         v
+    }
+
+    /// Move the volatile tail (and `extra` bytes after it) to durable.
+    fn persist(&mut self, extra: &[u8]) {
+        if self.volatile.is_empty() && extra.is_empty() {
+            return;
+        }
+        let tail = std::mem::take(&mut self.volatile);
+        let durable = Arc::make_mut(&mut self.durable);
+        durable.extend_from_slice(&tail);
+        durable.extend_from_slice(extra);
     }
 }
 
@@ -240,7 +255,9 @@ struct SimState {
     dirs: BTreeSet<PathBuf>,
     plan: SimFaultPlan,
     ops: u64,
-    op_log: Vec<IoOpRecord>,
+    /// `Some` only on a [`SimFs::recording`] disk: a store that writes for
+    /// as long as it lives must not grow a record per write.
+    op_log: Option<Vec<IoOpRecord>>,
     crashed: bool,
 }
 
@@ -275,6 +292,14 @@ impl SimFs {
         Self::default()
     }
 
+    /// A disk that also keeps the op log ([`SimFs::op_log`]), for
+    /// harnesses that enumerate a workload's crash points.
+    pub fn recording() -> Self {
+        let fs = Self::default();
+        fs.state.lock().op_log = Some(Vec::new());
+        fs
+    }
+
     pub fn with_plan(plan: SimFaultPlan) -> Self {
         let fs = Self::default();
         fs.state.lock().plan = plan;
@@ -296,9 +321,10 @@ impl SimFs {
         self.state.lock().ops
     }
 
-    /// Copy of the mutating-op log, in execution order.
+    /// Copy of the mutating-op log, in execution order. Empty unless the
+    /// disk was made by [`SimFs::recording`].
     pub fn op_log(&self) -> Vec<IoOpRecord> {
-        self.state.lock().op_log.clone()
+        self.state.lock().op_log.clone().unwrap_or_default()
     }
 
     /// The disk as a machine rebooted after a crash (or clean shutdown)
@@ -306,41 +332,54 @@ impl SimFs {
     /// reset, no fault plan. Applies the plan's `bit_flip`, if any, to the
     /// recovered image.
     pub fn recover(&self) -> SimFs {
-        let s = self.state.lock();
-        let mut files: BTreeMap<PathBuf, SimFileState> = s
-            .files
-            .iter()
-            .map(|(p, f)| {
-                (
-                    p.clone(),
-                    SimFileState {
-                        durable: f.durable.clone(),
-                        volatile: Vec::new(),
-                    },
-                )
-            })
-            .collect();
-        if let Some((needle, offset)) = &s.plan.bit_flip {
+        // Copy the image out and release the crashed disk's lock before
+        // the recovered one is built: the two share a rank, so nesting
+        // them would be a same-rank re-acquisition.
+        let (mut files, dirs, bit_flip) = {
+            let s = self.state.lock();
+            let files: BTreeMap<PathBuf, SimFileState> = s
+                .files
+                .iter()
+                .map(|(p, f)| {
+                    (
+                        p.clone(),
+                        SimFileState {
+                            durable: Arc::clone(&f.durable),
+                            volatile: Vec::new(),
+                        },
+                    )
+                })
+                .collect();
+            (files, s.dirs.clone(), s.plan.bit_flip.clone())
+        };
+        if let Some((needle, offset)) = &bit_flip {
             for (path, f) in files.iter_mut() {
                 if path.to_string_lossy().contains(needle.as_str()) && !f.durable.is_empty() {
                     let at = offset % f.durable.len();
-                    f.durable[at] ^= 0x40;
+                    Arc::make_mut(&mut f.durable)[at] ^= 0x40;
                     break;
                 }
             }
         }
-        let recovered = SimFs::default();
-        {
-            let mut r = recovered.state.lock();
-            r.files = files;
-            r.dirs = s.dirs.clone();
+        SimFs {
+            state: Arc::new(OrderedMutex::new(
+                rank::SIM_FS,
+                SimState {
+                    files,
+                    dirs,
+                    ..SimState::default()
+                },
+            )),
         }
-        recovered
     }
 
     /// Durable bytes of `path` (what a crash would leave), for assertions.
     pub fn durable_bytes(&self, path: &Path) -> Option<Vec<u8>> {
-        self.state.lock().files.get(path).map(|f| f.durable.clone())
+        self.state
+            .lock()
+            .files
+            .get(path)
+            .map(|f| f.durable.to_vec())
     }
 
     fn err_crashed() -> io::Error {
@@ -361,9 +400,7 @@ impl SimFs {
             let keep = s.plan.torn_write_keep.unwrap_or(0);
             if let (Some(buf), true) = (payload, keep > 0) {
                 if let Some(f) = s.files.get_mut(path) {
-                    let tail = std::mem::take(&mut f.volatile);
-                    f.durable.extend_from_slice(&tail);
-                    f.durable.extend_from_slice(&buf[..keep.min(buf.len())]);
+                    f.persist(&buf[..keep.min(buf.len())]);
                 }
             }
             for f in s.files.values_mut() {
@@ -373,12 +410,14 @@ impl SimFs {
             return Err(Self::err_crashed());
         }
         s.ops += 1;
-        s.op_log.push(IoOpRecord {
-            op,
-            path: path.to_path_buf(),
-            bytes: payload.map(<[u8]>::len).unwrap_or(0),
-            frames: payload.map(crate::wal::frames_in).unwrap_or(0),
-        });
+        if let Some(log) = &mut s.op_log {
+            log.push(IoOpRecord {
+                op,
+                path: path.to_path_buf(),
+                bytes: payload.map(<[u8]>::len).unwrap_or(0),
+                frames: payload.map(crate::wal::frames_in).unwrap_or(0),
+            });
+        }
         Ok(())
     }
 }
@@ -422,8 +461,7 @@ impl FsFile for SimFile {
             .is_some_and(|needle| self.path.to_string_lossy().contains(needle.as_str()));
         if !dropped {
             if let Some(f) = s.files.get_mut(&self.path) {
-                let tail = std::mem::take(&mut f.volatile);
-                f.durable.extend_from_slice(&tail);
+                f.persist(&[]);
             }
         }
         Ok(())
@@ -476,14 +514,23 @@ impl FileSystem for SimFs {
     }
 
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        let s = self.state.lock();
-        if s.crashed {
-            return Err(Self::err_crashed());
-        }
-        s.files
-            .get(path)
-            .map(SimFileState::visible)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("{path:?}")))
+        // Only the volatile tail is copied under the disk lock; a synced
+        // file (every blob) is copied after it is released.
+        let image = {
+            let s = self.state.lock();
+            if s.crashed {
+                return Err(Self::err_crashed());
+            }
+            let f = s
+                .files
+                .get(path)
+                .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("{path:?}")))?;
+            SimFileState {
+                durable: Arc::clone(&f.durable),
+                volatile: f.volatile.clone(),
+            }
+        };
+        Ok(image.visible())
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
@@ -539,7 +586,7 @@ impl FileSystem for SimFs {
         // WAL recovery path fsyncs after truncating).
         let mut v = f.visible();
         v.truncate(len);
-        f.durable = v;
+        f.durable = Arc::new(v);
         f.volatile.clear();
         Ok(())
     }
@@ -669,7 +716,7 @@ mod tests {
 
     #[test]
     fn op_log_records_mutations() {
-        let fs = SimFs::new();
+        let fs = SimFs::recording();
         let mut f = fs.create(&p("/x")).unwrap();
         f.write_all(b"abc").unwrap();
         f.sync_data().unwrap();
@@ -687,6 +734,17 @@ mod tests {
             ]
         );
         assert_eq!(fs.op_log()[1].bytes, 3);
+    }
+
+    #[test]
+    fn plain_disk_counts_ops_without_logging_them() {
+        let fs = SimFs::new();
+        let mut f = fs.create(&p("/x")).unwrap();
+        for _ in 0..1_000 {
+            f.write_all(b"abc").unwrap();
+        }
+        assert_eq!(fs.ops(), 1_001);
+        assert!(fs.op_log().is_empty());
     }
 
     #[test]

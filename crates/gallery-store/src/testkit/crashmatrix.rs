@@ -226,7 +226,7 @@ pub fn run_crash_matrix(cfg: &CrashMatrixConfig) -> CrashMatrixReport {
     };
 
     // Pass 1: fault-free trace enumerating every mutating IO op.
-    let trace_fs = SimFs::new();
+    let trace_fs = SimFs::recording();
     if let (_, Err(e)) = run_workload(&trace_fs, &w, cfg.ordering) {
         report.violations.push(Violation {
             scenario: "trace".to_string(),

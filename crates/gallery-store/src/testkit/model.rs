@@ -16,7 +16,7 @@ use super::workload::{
     self, group_for, instance_schema, payload_for, score_for, top_query, Workload, WorkloadOp,
     GROUPS, NO_GROUP, TABLE,
 };
-use crate::blob::memory::MemoryBlobStore;
+use crate::blob::localfs::LocalFsBlobStore;
 use crate::dal::Dal;
 use crate::meta::MetadataStore;
 use crate::query::Query;
@@ -305,7 +305,7 @@ pub fn run_differential(seed: u64, len: usize) -> DiffReport {
     let w = Workload::generate(seed, len);
     let telemetry = Telemetry::new();
     let meta = Arc::new(MetadataStore::in_memory().with_telemetry(Arc::clone(&telemetry)));
-    let blobs = Arc::new(MemoryBlobStore::new());
+    let blobs = Arc::new(LocalFsBlobStore::in_memory());
     let dal = Dal::new(meta, blobs).with_telemetry(telemetry);
     let mut report = DiffReport {
         seed,
@@ -424,7 +424,7 @@ mod tests {
         let w = Workload::generate(5, 40);
         let telemetry = Telemetry::new();
         let meta = Arc::new(MetadataStore::in_memory().with_telemetry(Arc::clone(&telemetry)));
-        let blobs = Arc::new(MemoryBlobStore::new());
+        let blobs = Arc::new(LocalFsBlobStore::in_memory());
         let dal = Dal::new(meta, blobs).with_telemetry(telemetry);
         dal.create_table(instance_schema()).unwrap();
         for op in &w.ops {

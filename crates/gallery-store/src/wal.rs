@@ -487,13 +487,13 @@ pub enum SyncPolicy {
 }
 
 /// Telemetry handles for one WAL instance (absent until
-/// [`Wal::with_telemetry`] attaches them).
+/// [`Wal::with_telemetry`] attaches them). Each batch is recorded once:
+/// the batch-size histogram's `_count` is the number of batches (one per
+/// group-commit flush) and its `_sum` the ops they carried.
 struct WalTelemetry {
     appends: Arc<Counter>,
     flushes: Arc<Counter>,
     append_ms: Arc<Histogram>,
-    group_commit_batches: Arc<Counter>,
-    group_commit_ops: Arc<Counter>,
     group_commit_batch_size: Arc<Histogram>,
     events: Arc<EventSink>,
 }
@@ -608,8 +608,6 @@ impl Wal {
             appends: r.counter("gallery_wal_appends_total", &[]),
             flushes: r.counter("gallery_wal_flushes_total", &[]),
             append_ms: r.duration_histogram("gallery_wal_append_duration_ms", &[]),
-            group_commit_batches: r.counter("gallery_wal_group_commit_batches_total", &[]),
-            group_commit_ops: r.counter("gallery_wal_group_commit_ops_total", &[]),
             group_commit_batch_size: r.histogram(
                 "gallery_wal_group_commit_batch_size",
                 &[],
@@ -665,7 +663,10 @@ impl Wal {
         if ops.is_empty() {
             return Ok(());
         }
-        let start = Instant::now();
+        // Only a batch that is fsynced is timed: without the sync the
+        // write is a copy into the page cache, and the clock reads would
+        // cost more than that copy tells.
+        let fsync_started = (self.sync == SyncPolicy::Always).then(Instant::now);
         self.frame_buf.clear();
         for op in ops {
             let header_at = self.frame_buf.len();
@@ -682,19 +683,17 @@ impl Wal {
         }
         self.writer.write_all(&self.frame_buf)?;
         self.writer.flush()?;
-        if self.sync == SyncPolicy::Always {
+        if fsync_started.is_some() {
             io_section("wal.append_batch", || self.writer.sync_data())?;
         }
         self.entries_written += ops.len() as u64;
         if let Some(t) = &self.telemetry {
             t.appends.add(ops.len() as u64);
-            if self.sync == SyncPolicy::Always {
-                t.flushes.inc();
-            }
-            t.group_commit_batches.inc();
-            t.group_commit_ops.add(ops.len() as u64);
             t.group_commit_batch_size.observe(ops.len() as f64);
-            t.append_ms.observe_since(start);
+            if let Some(started) = fsync_started {
+                t.flushes.inc();
+                t.append_ms.observe_since(started);
+            }
         }
         Ok(())
     }
@@ -863,19 +862,17 @@ pub(crate) struct Committer {
     queue: OrderedMutex<CommitQueue>,
     cv: OrderedCondvar,
     oplog: SharedOplog,
-    telemetry: OrderedMutex<Option<CommitterTelemetry>>,
+    telemetry: Option<CommitterTelemetry>,
 }
 
 /// Telemetry handles for the group-commit queue itself (absent until
-/// [`Committer::set_telemetry`] attaches them): queue depth, who led vs.
-/// followed each flush, how full batches ran relative to [`MAX_BATCH`], and
-/// the time to make a batch durable (`gallery_wal_commit_queue_*`).
+/// [`Committer::set_telemetry`] attaches them): queue depth and the
+/// commits that waited behind another caller's flush
+/// (`gallery_wal_commit_queue_*`). Each flush — its size and its
+/// duration — is recorded once, by the WAL it writes.
 struct CommitterTelemetry {
     queue_depth: Arc<Gauge>,
-    leaders: Arc<Counter>,
     followers: Arc<Counter>,
-    batch_occupancy: Arc<Histogram>,
-    fsync_ms: Arc<Histogram>,
 }
 
 impl std::fmt::Debug for Committer {
@@ -899,25 +896,18 @@ impl Committer {
             ),
             cv: OrderedCondvar::new(),
             oplog,
-            telemetry: OrderedMutex::new(rank::COMMITTER_STATS, None),
+            telemetry: None,
         }
     }
 
     /// Attach (or replace) commit-queue telemetry
     /// (`gallery_wal_commit_queue_*`). Single-series families: the queue
     /// is one per store, so label cardinality is constant.
-    pub(crate) fn set_telemetry(&self, telemetry: &Telemetry) {
+    pub(crate) fn set_telemetry(&mut self, telemetry: &Telemetry) {
         let r = telemetry.registry();
-        *self.telemetry.lock() = Some(CommitterTelemetry {
+        self.telemetry = Some(CommitterTelemetry {
             queue_depth: r.gauge("gallery_wal_commit_queue_depth", &[]),
-            leaders: r.counter("gallery_wal_commit_queue_leader_total", &[]),
             followers: r.counter("gallery_wal_commit_queue_follower_total", &[]),
-            batch_occupancy: r.histogram(
-                "gallery_wal_commit_queue_batch_occupancy",
-                &[],
-                &[0.0625, 0.125, 0.25, 0.5, 0.75, 1.0],
-            ),
-            fsync_ms: r.duration_histogram("gallery_wal_commit_queue_fsync_ms", &[]),
         });
     }
 
@@ -952,7 +942,7 @@ impl Committer {
                 t
             })
             .collect();
-        if let Some(t) = &*self.telemetry.lock() {
+        if let Some(t) = &self.telemetry {
             t.queue_depth.set(q.pending.len() as i64);
         }
         // Whether this call ever blocked behind another leader's flush —
@@ -980,16 +970,13 @@ impl Committer {
             }
             if !q.flushing && !q.pending.is_empty() {
                 q.flushing = true;
-                if let Some(t) = &*self.telemetry.lock() {
-                    t.leaders.inc();
-                }
                 q = self.lead_flush(q);
                 self.cv.notify_all();
                 continue;
             }
             if !was_follower {
                 was_follower = true;
-                if let Some(t) = &*self.telemetry.lock() {
+                if let Some(t) = &self.telemetry {
                     t.followers.inc();
                 }
             }
@@ -1006,17 +993,12 @@ impl Committer {
     ) -> OrderedMutexGuard<'a, CommitQueue> {
         let take = q.pending.len().min(MAX_BATCH);
         let batch: Vec<(u64, Arc<WalOp>)> = q.pending.drain(..take).collect();
-        if let Some(t) = &*self.telemetry.lock() {
+        if let Some(t) = &self.telemetry {
             t.queue_depth.set(q.pending.len() as i64);
-            t.batch_occupancy.observe(take as f64 / MAX_BATCH as f64);
         }
         drop(q);
 
-        let flush_started = Instant::now();
         let flush_res = self.flush_batch(&batch);
-        if let Some(t) = &*self.telemetry.lock() {
-            t.fsync_ms.observe_since(flush_started);
-        }
 
         let mut q = self.queue.lock();
         match flush_res {
@@ -1356,15 +1338,12 @@ mod tests {
         assert_eq!(seqs, (1..=10).collect::<Vec<u64>>());
         // The whole call coalesced into a single WAL write + fsync.
         let r = telemetry.registry();
-        assert_eq!(
-            r.counter("gallery_wal_group_commit_batches_total", &[])
-                .get(),
-            1
-        );
-        assert_eq!(
-            r.counter("gallery_wal_group_commit_ops_total", &[]).get(),
-            10
-        );
+        let batches = r
+            .find_histogram("gallery_wal_group_commit_batch_size", &[])
+            .unwrap();
+        assert_eq!(batches.count(), 1);
+        assert_eq!(batches.sum(), 10.0);
+        assert_eq!(r.counter("gallery_wal_appends_total", &[]).get(), 10);
         assert_eq!(r.counter("gallery_wal_flushes_total", &[]).get(), 1);
         // Oplog order == WAL order.
         let replayed = replayed_inserts(&dir);
@@ -1390,19 +1369,18 @@ mod tests {
         assert_eq!(seqs, (1..=600).collect::<Vec<u64>>());
         // 600 ops under MAX_BATCH=256 → 3 batches (256 + 256 + 88), 3 fsyncs.
         let r = telemetry.registry();
-        assert_eq!(
-            r.counter("gallery_wal_group_commit_batches_total", &[])
-                .get(),
-            3
-        );
+        let batches = r
+            .find_histogram("gallery_wal_group_commit_batch_size", &[])
+            .unwrap();
+        assert_eq!(batches.count(), 3);
         assert_eq!(r.counter("gallery_wal_flushes_total", &[]).get(), 3);
         assert_eq!(replayed_inserts(&dir).len(), 600);
     }
 
     #[test]
-    fn commit_queue_telemetry_tracks_leaders_and_occupancy() {
+    fn commit_queue_telemetry_records_each_flush_once() {
         let dir = tmpdir("commit-telemetry");
-        let (committer, telemetry) = test_committer(&dir);
+        let (mut committer, telemetry) = test_committer(&dir);
         committer.set_telemetry(&telemetry);
         committer
             .commit_many((0..600).map(insert_op).collect())
@@ -1411,28 +1389,20 @@ mod tests {
         // One caller, 600 ops, MAX_BATCH=256: it led all 3 flushes itself
         // (256 + 256 + 88) and never waited behind another leader.
         assert_eq!(
-            r.counter("gallery_wal_commit_queue_leader_total", &[])
-                .get(),
-            3
-        );
-        assert_eq!(
             r.counter("gallery_wal_commit_queue_follower_total", &[])
                 .get(),
             0
         );
-        let occ = r
-            .find_histogram("gallery_wal_commit_queue_batch_occupancy", &[])
+        let sizes = r
+            .find_histogram("gallery_wal_group_commit_batch_size", &[])
             .unwrap();
-        assert_eq!(occ.count(), 3);
-        assert!(
-            (occ.sum() - 2.34375).abs() < 1e-9,
-            "occupancies 1.0 + 1.0 + 88/256, got sum {}",
-            occ.sum()
-        );
-        let fsync = r
-            .find_histogram("gallery_wal_commit_queue_fsync_ms", &[])
+        assert_eq!(sizes.count(), 3);
+        assert_eq!(sizes.sum(), 600.0);
+        assert_eq!(sizes.bucket_counts()[7..9], [1, 2], "88 | 256, 256");
+        let durations = r
+            .find_histogram("gallery_wal_append_duration_ms", &[])
             .unwrap();
-        assert_eq!(fsync.count(), 3);
+        assert_eq!(durations.count(), 3);
         assert_eq!(r.gauge("gallery_wal_commit_queue_depth", &[]).get(), 0);
     }
 
@@ -1467,8 +1437,9 @@ mod tests {
         // concurrent fsync-policy commits into shared flushes.
         let batches = telemetry
             .registry()
-            .counter("gallery_wal_group_commit_batches_total", &[])
-            .get();
+            .find_histogram("gallery_wal_group_commit_batch_size", &[])
+            .unwrap()
+            .count();
         assert!(batches <= total, "batches {batches} > ops {total}");
         // Per-commit seq matches oplog position.
         let oplog = committer.oplog.lock();

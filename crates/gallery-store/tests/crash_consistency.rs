@@ -8,7 +8,7 @@
 #![allow(clippy::disallowed_methods)]
 
 use bytes::Bytes;
-use gallery_store::blob::memory::MemoryBlobStore;
+use gallery_store::blob::localfs::LocalFsBlobStore;
 use gallery_store::fault::{sites, FaultPlan};
 use gallery_store::telemetry::{kinds, Telemetry};
 use gallery_store::testkit::{
@@ -77,7 +77,7 @@ fn orphan_repair_under_delete_fault_is_observable() {
     let telemetry = Telemetry::new();
     let plan = FaultPlan::none();
     plan.fail_first_n(sites::BLOB_DELETE, 1);
-    let blobs = Arc::new(MemoryBlobStore::new().with_faults(plan));
+    let blobs = Arc::new(LocalFsBlobStore::in_memory().with_faults(plan));
     let meta = Arc::new(MetadataStore::in_memory());
     let dal = Dal::new(meta, blobs).with_telemetry(Arc::clone(&telemetry));
     dal.create_table(instance_schema()).unwrap();

@@ -9,14 +9,15 @@
 
 use bytes::Bytes;
 use gallery_store::blob::cache::CachedBlobStore;
-use gallery_store::blob::memory::MemoryBlobStore;
+use gallery_store::blob::localfs::LocalFsBlobStore;
 use gallery_store::blob::ObjectStore as _;
 use gallery_store::fault::sites;
 use gallery_store::{
-    ColumnDef, Constraint, Dal, FaultPlan, MetadataStore, Op, Query, Record, SyncPolicy,
-    TableSchema, Value, ValueType,
+    ColumnDef, Constraint, Dal, FaultPlan, FileSystem, MetadataStore, Op, Query, Record, SimFs,
+    SyncPolicy, TableSchema, Value, ValueType,
 };
 use proptest::prelude::*;
+use std::io::Write as _;
 use std::sync::Arc;
 
 fn schema(indexed: bool) -> TableSchema {
@@ -141,7 +142,7 @@ proptest! {
         plan.fail_with_probability(sites::META_INSERT, meta_p);
         let dal = Dal::new(
             Arc::new(MetadataStore::in_memory().with_faults(plan.clone())),
-            Arc::new(MemoryBlobStore::new().with_faults(plan)),
+            Arc::new(LocalFsBlobStore::in_memory().with_faults(plan)),
         );
         dal.create_table(TableSchema::new(
             "instances",
@@ -188,7 +189,10 @@ proptest! {
         delete_instead in any::<bool>(),
         cached in any::<bool>(),
     ) {
-        let backend = Arc::new(MemoryBlobStore::new());
+        let disk = SimFs::new();
+        let backend = Arc::new(
+            LocalFsBlobStore::open_with_fs(Arc::new(disk.clone()), "/blobs").unwrap(),
+        );
         let store: Arc<dyn gallery_store::ObjectStore> = if cached {
             let inner: Arc<dyn gallery_store::ObjectStore> = Arc::clone(&backend) as _;
             Arc::new(CachedBlobStore::new(inner, 1 << 20))
@@ -223,7 +227,14 @@ proptest! {
         if delete_instead {
             backend.delete(&loc).unwrap();
         } else {
-            backend.corrupt(&loc);
+            // Flip the first payload byte of the blob's file on disk.
+            let hex = loc.as_str().strip_prefix("fs://").unwrap();
+            let path = std::path::Path::new("/blobs").join(&hex[..2]).join(format!("{hex}.blob"));
+            let mut bytes = disk.read(&path).unwrap();
+            bytes[16] ^= 0xFF;
+            let mut f = disk.create(&path).unwrap();
+            f.write_all(&bytes).unwrap();
+            f.sync_data().unwrap();
         }
         for (i, payload) in payloads.iter().enumerate() {
             match dal.fetch_blob_of_degraded("instances", &format!("i{i}"), 2) {

@@ -8,7 +8,7 @@
 
 use bytes::Bytes;
 use gallery_store::blob::cache::CachedBlobStore;
-use gallery_store::blob::memory::MemoryBlobStore;
+use gallery_store::blob::localfs::LocalFsBlobStore;
 use gallery_store::fault::{sites, FaultPlan};
 use gallery_store::telemetry::{kinds, parse_exposition, Telemetry};
 use gallery_store::{
@@ -43,12 +43,7 @@ fn storage_paths_land_in_one_registry() {
     let meta = MetadataStore::durable(dir.join("wal.log"), SyncPolicy::Always)
         .unwrap()
         .with_telemetry(Arc::clone(&telemetry));
-    let backend = Arc::new(MemoryBlobStore::new());
-    backend.meter().attach_histogram(
-        telemetry
-            .registry()
-            .duration_histogram("gallery_backend_sim_latency_ms", &[]),
-    );
+    let backend = Arc::new(LocalFsBlobStore::in_memory());
     let cache = Arc::new(CachedBlobStore::new(backend, 256).with_telemetry(Arc::clone(&telemetry)));
     let dal = Dal::new(Arc::new(meta), cache.clone()).with_telemetry(Arc::clone(&telemetry));
     dal.create_table(schema()).unwrap();
@@ -114,7 +109,7 @@ fn storage_paths_land_in_one_registry() {
 fn degraded_read_counts_and_emits_event() {
     let telemetry = Telemetry::new();
     let plan = FaultPlan::none();
-    let backend = Arc::new(MemoryBlobStore::new().with_faults(plan.clone()));
+    let backend = Arc::new(LocalFsBlobStore::in_memory().with_faults(plan.clone()));
     let cache = Arc::new(CachedBlobStore::new(backend, 1 << 20));
     let dal = Dal::new(Arc::new(MetadataStore::in_memory()), cache.clone())
         .with_telemetry(Arc::clone(&telemetry));
@@ -199,7 +194,7 @@ fn injected_faults_do_not_skew_success_byte_counters() {
     let telemetry = Telemetry::new();
     let plan = FaultPlan::none();
     plan.fail_first_n(sites::BLOB_PUT, 2);
-    let backend = Arc::new(MemoryBlobStore::new().with_faults(plan));
+    let backend = Arc::new(LocalFsBlobStore::in_memory().with_faults(plan));
     let dal = Dal::new(Arc::new(MetadataStore::in_memory()), backend)
         .with_telemetry(Arc::clone(&telemetry));
     dal.create_table(schema()).unwrap();

@@ -163,10 +163,6 @@ pub const META_METRICS: Rank = Rank::new(900, "MetaMetrics");
 pub const SLOW_LOG: Rank = Rank::new(905, "SlowLog");
 /// Per-table stripe-lock wait/hold metrics.
 pub const STRIPE_METRICS: Rank = Rank::new(910, "StripeMetrics");
-/// Group-commit batch statistics.
-pub const COMMITTER_STATS: Rank = Rank::new(920, "CommitterStats");
-/// Simulated-latency meter state.
-pub const LATENCY_METER: Rank = Rank::new(925, "LatencyMeter");
 /// The simulated crash-testing filesystem.
 pub const SIM_FS: Rank = Rank::new(930, "SimFs");
 /// The fault-injection plan.
@@ -228,8 +224,6 @@ pub const DECLARED: &[Rank] = &[
     META_METRICS,
     SLOW_LOG,
     STRIPE_METRICS,
-    COMMITTER_STATS,
-    LATENCY_METER,
     SIM_FS,
     FAULT_PLAN,
     RESILIENCE_STATS,

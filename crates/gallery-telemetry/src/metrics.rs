@@ -3,7 +3,8 @@
 //! The registry hands out `Arc` handles that instrumented components cache
 //! at construction time, so the hot path never touches the registry lock —
 //! a counter increment is one relaxed atomic add, a histogram observation
-//! is a binary search over the bucket bounds plus two atomic adds. A
+//! is a binary search over the bucket bounds, one atomic add and one
+//! compare-and-swap on the running sum. A
 //! registry (and every handle minted from it) can be created *disabled*,
 //! which turns each record call into a single branch; E15 uses that to
 //! measure instrumentation overhead.
@@ -161,8 +162,9 @@ pub struct Histogram {
     /// One slot per bound plus the +Inf overflow slot.
     buckets: Vec<AtomicU64>,
     /// Last exemplar trace ID per bucket (0 = none), parallel to `buckets`.
+    /// The observation count is the buckets' total, not a counter of its
+    /// own, so recording touches one bucket and the sum.
     exemplars: Vec<AtomicU64>,
-    count: AtomicU64,
     /// f64 bits, updated with a CAS loop; Relaxed is fine — the sum is
     /// only read for exposition, never for control flow.
     sum_bits: AtomicU64,
@@ -181,7 +183,6 @@ impl Histogram {
             bounds,
             buckets,
             exemplars,
-            count: AtomicU64::new(0),
             sum_bits: AtomicU64::new(0f64.to_bits()),
             enabled,
         }
@@ -195,7 +196,6 @@ impl Histogram {
     fn record(&self, v: f64) -> usize {
         let idx = self.bounds.partition_point(|&b| b < v);
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         let mut cur = self.sum_bits.load(Ordering::Relaxed);
         loop {
             let new = (f64::from_bits(cur) + v).to_bits();
@@ -241,7 +241,7 @@ impl Histogram {
     }
 
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
     pub fn sum(&self) -> f64 {
@@ -1336,13 +1336,13 @@ mod tests {
             reg.counter("gallery_store_stripe_lock_hold_us_total", &[("stripe", &s)])
                 .add(17 * (stripe as u64 + 1));
         }
-        let occ = reg.histogram(
-            "gallery_wal_commit_queue_batch_occupancy",
+        let sizes = reg.histogram(
+            "gallery_wal_group_commit_batch_size",
             &[],
-            &[0.0625, 0.125, 0.25, 0.5, 0.75, 1.0],
+            &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0],
         );
-        occ.observe(0.25);
-        occ.observe(1.0);
+        sizes.observe(4.0);
+        sizes.observe(32.0);
         for shape in ["pk", "index_eq", "index_range", "full_scan"] {
             reg.duration_histogram("gallery_store_query_duration_ms", &[("shape", shape)])
                 .observe_with_exemplar(1.5, 7);
@@ -1363,7 +1363,7 @@ mod tests {
         assert!(samples.iter().all(|s| s.label("node") == Some("n1")));
         let buckets = samples
             .iter()
-            .filter(|s| s.name == "gallery_wal_commit_queue_batch_occupancy_bucket")
+            .filter(|s| s.name == "gallery_wal_group_commit_batch_size_bucket")
             .count();
         assert_eq!(buckets, 7, "6 bounds + the +Inf bucket");
         let exemplars = parse_exemplars(&tagged).unwrap();

@@ -59,6 +59,27 @@ fn kill_a_node_drill_loses_no_acked_writes_across_seeds() {
 }
 
 #[test]
+fn every_replica_logs_what_it_applied_after_a_drill() {
+    let clock = ManualClock::new(0);
+    let cluster = drill_cluster(3, 2, &clock);
+    let report = run_drill(&cluster, &clock, &DrillPlan::kill_one(4, 30, 0));
+    assert!(report.holds(), "{report:?}");
+    let map = cluster.router().map_snapshot();
+    for node in (0..3).filter(|&n| !cluster.node(n).is_down()) {
+        for shard in map.shards_of(node) {
+            let store = cluster.node(node).replica(shard).unwrap();
+            let store = store.gallery().dal().metadata();
+            assert!(store.applied_seq() > 0, "node {node} shard {shard}");
+            assert_eq!(
+                store.wal_entries(),
+                store.applied_seq(),
+                "node {node} shard {shard}: every applied op is in its own log"
+            );
+        }
+    }
+}
+
+#[test]
 fn drill_is_deterministic_for_a_seed() {
     let run = |seed: u64| {
         let clock = ManualClock::new(0);

@@ -11,6 +11,10 @@
 //! - an `AlertEngine` rule whose hook rolls the production pointer back
 //!   through the store.
 //!
+//! Two storage arms follow: the in-memory gallery's store compacts its
+//! log, and a blob written to a `SimFs` disk is read back after a
+//! simulated crash and recovery.
+//!
 //! The checker's graph is process-global, so this file holds one test.
 
 use bytes::Bytes;
@@ -21,6 +25,8 @@ use gallery_rules::{
     register_lifecycle_actions, ActionRegistry, CompiledRule, RuleBody, RuleDoc, RuleEngine,
     ACTION_ROLLBACK_PRODUCTION,
 };
+use gallery_store::blob::localfs::LocalFsBlobStore;
+use gallery_store::{ObjectStore, SimFs};
 use gallery_telemetry::{AlertCondition, AlertEngine, AlertRule, AlertState, Cmp, MetricSelector};
 use gallery_telemetry::{Telemetry, TelemetryEvent};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -135,6 +141,20 @@ fn three_cross_layer_paths_record_no_lock_diagnostics() {
         .map(|e: &TelemetryEvent| e.field("outcome").map(str::to_owned))
         .collect();
     assert_eq!(outcomes, vec![Some("ok".to_string())]);
+
+    // Compaction reads every stripe while writers are held off.
+    let entries = gallery.dal().metadata().compact().unwrap();
+    assert!(entries > 0, "the in-memory store has a log to compact");
+
+    // Write, crash and recover a disk, then read through the new image.
+    let disk = SimFs::new();
+    let blobs = LocalFsBlobStore::open_with_fs(Arc::new(disk.clone()), "/blobs").unwrap();
+    let info = blobs.put(Bytes::from_static(b"survives")).unwrap();
+    let recovered = LocalFsBlobStore::open_with_fs(Arc::new(disk.recover()), "/blobs").unwrap();
+    assert_eq!(
+        recovered.get(&info.location).unwrap(),
+        Bytes::from_static(b"survives")
+    );
 
     drop(engine);
     let report = checker::report();

@@ -18,7 +18,7 @@ use gallery::core::{
     Gallery, InstanceId, InstanceSpec, MetricScope, MetricSpec, ModelId, ModelSpec, Stage,
     SystemClock,
 };
-use gallery::store::blob::memory::MemoryBlobStore;
+use gallery::store::blob::localfs::LocalFsBlobStore;
 use gallery::store::{Constraint, Dal, MetadataStore, Query, SyncPolicy, WalOp};
 use std::path::PathBuf;
 use std::process::Command;
@@ -41,7 +41,7 @@ fn data_dir(tag: &str) -> PathBuf {
 
 fn open(dir: &std::path::Path) -> Gallery {
     let meta = MetadataStore::durable(dir.join("wal.log"), SyncPolicy::Always).unwrap();
-    let dal = Dal::new(Arc::new(meta), Arc::new(MemoryBlobStore::new()));
+    let dal = Dal::new(Arc::new(meta), Arc::new(LocalFsBlobStore::in_memory()));
     Gallery::open(Arc::new(dal), Arc::new(SystemClock)).unwrap()
 }
 

@@ -7,7 +7,7 @@ use gallery_core::{Gallery, InstanceSpec, ModelSpec};
 use gallery_service::{Request, Response, WireConstraint, WireOp, WireValue};
 use gallery_store::blob::cache::CachedBlobStore;
 use gallery_store::blob::checksum::crc32;
-use gallery_store::blob::memory::MemoryBlobStore;
+use gallery_store::blob::localfs::LocalFsBlobStore;
 use gallery_store::{Constraint, ObjectStore, Op, Query, Record, Value};
 use proptest::prelude::*;
 
@@ -142,7 +142,7 @@ proptest! {
         budget in 32usize..256,
         access in proptest::collection::vec(any::<prop::sample::Index>(), 0..40),
     ) {
-        let cache = CachedBlobStore::new(std::sync::Arc::new(MemoryBlobStore::new()), budget);
+        let cache = CachedBlobStore::new(std::sync::Arc::new(LocalFsBlobStore::in_memory()), budget);
         let mut locations = Vec::new();
         for s in &sizes {
             locations.push(cache.put(Bytes::from(vec![0u8; *s])).unwrap().location);
